@@ -1,4 +1,4 @@
-"""Bit-packed sign matrices and the XNOR/popcount matmul kernel.
+"""Bit-packed sign matrices and the binarized matmul kernel.
 
 A real vector is approximated by a sign pattern plus one nonnegative
 scalar (the mean absolute value), which is the least-squares optimal
@@ -9,6 +9,13 @@ Packing layout is LSB-first: bit i of a vector lives in word i // 64 at
 bit position i % 64 (bit 1 encodes +1, bit 0 encodes -1). Padding bits
 past the logical length are canonically set to 1, so two equal-length
 vectors are equal iff their word arrays are equal.
+
+Packed words are the storage format. `bin_gemm` computes the +-1 product
+by expanding row blocks of the packed signs to float32 +-1 and calling
+a BLAS float32 product. Every partial sum of a +-1 dot product of
+length t is an integer of magnitude at most t, so the float32 result is
+exact for t < 2**24 and equals the XNOR/popcount count that
+`xnor_popcount_dot` computes word by word.
 """
 
 from __future__ import annotations
@@ -19,13 +26,13 @@ import numpy as np
 
 WORD_BITS = 64
 
-# Rows processed per block in bin_gemm; bounds the (block, cols, words)
-# intermediate so large graphs don't blow up memory.
-_GEMM_BLOCK_ROWS = 512
+# Rows processed per block in bin_gemm and binarize_rows; bounds every
+# temporary to (block, cols) so its size does not grow with the node count.
+_BLOCK_ROWS = 512
 
-
-def _popcount(words: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(words)
+# float32 holds every integer below 2**24 exactly, and no partial sum of a
+# +-1 dot product of length t exceeds t in magnitude.
+_MAX_EXACT_INNER = 2 ** 24
 
 
 def _pad_mask(length: int) -> np.uint64:
@@ -91,11 +98,18 @@ def _pack_bits_2d(bits: np.ndarray) -> np.ndarray:
     return words
 
 
+def _unpack_signs(words: np.ndarray, length: int, dtype=np.float64) -> np.ndarray:
+    """Unpack (n, n_words) packed words into an (n, length) +-1 matrix."""
+    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    signs = np.unpackbits(raw, axis=1, count=length, bitorder="little").astype(dtype)
+    signs *= 2
+    signs -= 1
+    return signs
+
+
 def unpack(vec: BitVector) -> np.ndarray:
     """Inverse of pack: return the +-1 vector as float64."""
-    raw = np.frombuffer(vec.words.tobytes(), dtype=np.uint8)
-    bits = np.unpackbits(raw, bitorder="little")[: vec.length]
-    return np.where(bits.astype(bool), 1.0, -1.0)
+    return _unpack_signs(vec.words[None, :], vec.length)[0]
 
 
 def sign_pm1(x: np.ndarray) -> np.ndarray:
@@ -168,11 +182,7 @@ class PackedBinMatrix:
 
     def sign_matrix(self) -> np.ndarray:
         """Unpack to a dense (rows, cols) +-1 float matrix."""
-        raw = np.frombuffer(np.ascontiguousarray(self.words).tobytes(), dtype=np.uint8)
-        bits = np.unpackbits(
-            raw.reshape(self.words.shape[0], -1), axis=1, bitorder="little"
-        )[:, : self.bucket_length]
-        signs = np.where(bits.astype(bool), 1.0, -1.0)
+        signs = _unpack_signs(self.words, self.bucket_length)
         return signs if self.orientation == "row" else signs.T
 
     def reconstruct(self) -> np.ndarray:
@@ -186,19 +196,21 @@ class PackedBinMatrix:
 def binarize_rows(h) -> PackedBinMatrix:
     """Binarize each row of an (N, d) matrix as its own bucket.
 
-    The per-row scalars act as node weights on the sign patterns.
+    The per-row scalars act as node weights on the sign patterns. Rows
+    are processed in blocks, so no temporary grows with the row count.
     """
-    h = _check_finite(h, "matrix")
+    h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] == 0 or h.shape[1] == 0:
         raise ValueError("matrix must be 2-D with positive dimensions")
-    scalars = np.abs(h).mean(axis=1)
-    return PackedBinMatrix(
-        rows=h.shape[0],
-        cols=h.shape[1],
-        orientation="row",
-        words=_pack_bits_2d(h >= 0),
-        scalars=scalars,
-    )
+    n, d = h.shape
+    scalars = np.empty(n, dtype=np.float64)
+    words = np.empty((n, (d + WORD_BITS - 1) // WORD_BITS), dtype=np.uint64)
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        block = _check_finite(h[start:stop], "matrix")
+        scalars[start:stop] = np.abs(block).mean(axis=1)
+        words[start:stop] = _pack_bits_2d(block >= 0)
+    return PackedBinMatrix(rows=n, cols=d, orientation="row", words=words, scalars=scalars)
 
 
 def binarize_columns(w) -> PackedBinMatrix:
@@ -227,32 +239,33 @@ def xnor_popcount_dot(a: BitVector, b: BitVector) -> int:
         raise ValueError(f"length mismatch: {a.length} vs {b.length}")
     xnor = ~(a.words ^ b.words)
     xnor[-1] &= _pad_mask(a.length)
-    matches = int(_popcount(xnor).sum())
+    matches = int(np.bitwise_count(xnor).sum())
     return 2 * matches - a.length
 
 
 def bin_gemm(f: PackedBinMatrix, b: PackedBinMatrix) -> np.ndarray:
     """Multiply a row-bucketed (N, d) by a column-bucketed (d, m) matrix.
 
-    out[i, j] = beta_i * alpha_j * xnor_popcount_dot(row_i, col_j); equal
-    to the dense product of the two reconstructed matrices up to float
-    summation order. Pure function, safe to call concurrently.
+    out[i, j] = xnor_popcount_dot(row_i, col_j) * beta_i * alpha_j, bit
+    for bit; equal to the dense product of the two reconstructed matrices
+    up to float summation order. Row blocks of `f` are expanded to
+    float32 +-1 signs and multiplied by the expanded signs of `b`, which
+    is exact for d < 2**24. Pure function, safe to call concurrently.
     """
     if f.orientation != "row" or b.orientation != "col":
         raise ValueError("bin_gemm needs a row-bucketed left and column-bucketed right operand")
     if f.cols != b.rows:
         raise ValueError(f"inner dimensions disagree: {f.cols} vs {b.rows}")
     t = f.cols
-    mask = np.full(f.words.shape[1], 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
-    mask[-1] = _pad_mask(t)
+    if t >= _MAX_EXACT_INNER:
+        raise ValueError(f"inner dimension {t} is too long for an exact float32 product "
+                         f"(limit {_MAX_EXACT_INNER - 1})")
 
+    b_signs = _unpack_signs(b.words, t, np.float32).T
     out = np.empty((f.rows, b.cols), dtype=np.float64)
-    bw = b.words
-    for start in range(0, f.rows, _GEMM_BLOCK_ROWS):
-        stop = min(start + _GEMM_BLOCK_ROWS, f.rows)
-        xnor = ~(f.words[start:stop, None, :] ^ bw[None, :, :]) & mask
-        matches = _popcount(xnor).sum(axis=2, dtype=np.int64)
-        out[start:stop] = 2.0 * matches - t
+    for start in range(0, f.rows, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, f.rows)
+        out[start:stop] = _unpack_signs(f.words[start:stop], t, np.float32) @ b_signs
     out *= f.scalars[:, None]
     out *= b.scalars[None, :]
     return out

@@ -18,7 +18,13 @@ import numpy as np
 
 from . import bitlinalg as bl
 from . import capacity as cap
-from .datasets import DatasetError, SBMParams, generate_sbm, load_dataset
+from .datasets import (
+    DatasetError,
+    DimensionMismatchError,
+    SBMParams,
+    generate_sbm,
+    load_dataset,
+)
 from .efficiency import GraphStats, build_report
 from .graph import normalize_adjacency
 from .layers import masked_accuracy
@@ -167,6 +173,13 @@ def _dump_paths(base: str, count: int) -> list[Path]:
 def cmd_eval(args) -> int:
     graph = _load_graph(args)
     model = load_model(args.model_file)
+    widths = model.config.widths
+    if widths[0] != graph.n_features:
+        raise DimensionMismatchError(
+            f"model expects {widths[0]} input features, graph has {graph.n_features}")
+    if widths[-1] != graph.n_classes:
+        raise DimensionMismatchError(
+            f"model predicts {widths[-1]} classes, graph has {graph.n_classes}")
     prop = _propagation_operator(model, graph, None)
     logits, _ = model.forward(prop, graph.x, training=False)
     report = {
@@ -243,6 +256,8 @@ def cmd_bench(args) -> int:
         n, d, m = (int(tok) for tok in args.shape.split(","))
     except ValueError as exc:
         raise UsageError(f"--shape expects N,d,m, got {args.shape!r}") from exc
+    if args.repeats < 1:
+        raise UsageError(f"--repeats must be at least 1, got {args.repeats}")
     rng = np.random.default_rng(args.seed or 0)
     h = rng.standard_normal((n, d))
     w = rng.standard_normal((d, m))
@@ -264,8 +279,9 @@ def cmd_bench(args) -> int:
         "repeats": args.repeats,
         "bin_gemm_seconds": t_bin,
         "float_matmul_seconds": t_float,
-        "note": "informational wall-clock comparison; BLAS and the packed "
-                "kernel have very different constant factors from the cycle model",
+        "note": "informational wall-clock comparison; the packed kernel expands "
+                "its signs to float32 for a BLAS product, so neither time follows "
+                "the cycle model",
     }, indent=2))
     return 0
 

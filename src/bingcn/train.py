@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import layers as L
+from .datasets import DatasetError
 from .graph import AttributedGraph, NormalizedAdjacency, neighbor_mean_matrix, normalize_adjacency
 from .optim import AdamState, adam_step
 
@@ -25,6 +26,14 @@ BN_PLACEMENTS = ("auto", "input", "every-layer", "none")
 MODEL_FILE_MAGIC = b"BGNM"
 _MODEL_KIND_CODES = {"bigcn": 1, "gcn": 2, "bisage": 3}
 _MODEL_KIND_NAMES = {v: k for k, v in _MODEL_KIND_CODES.items()}
+
+
+class ModelFileError(DatasetError, ValueError):
+    """A model file is truncated, malformed, or of an unknown version or kind.
+
+    A data error like any bad input file; also a ValueError, which is
+    what `load_model` raised for a bad file before this class existed.
+    """
 
 
 @dataclass
@@ -405,46 +414,64 @@ def save_model(path, model) -> None:
 
 
 def load_model(path, config_overrides: dict | None = None):
-    """Rebuild a model from `save_model` output."""
+    """Rebuild a model from `save_model` output.
+
+    Every read is bounds-checked against the file size; a file that does
+    not hold exactly what its header announces raises ModelFileError.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:4] != MODEL_FILE_MAGIC:
-        raise ValueError(f"{path}: not a model file (bad magic)")
-    version, kind_code, n_widths = struct.unpack_from("<III", blob, 4)
-    if version != 1:
-        raise ValueError(f"{path}: unsupported model file version {version}")
-    if kind_code not in _MODEL_KIND_NAMES:
-        raise ValueError(f"{path}: unknown model kind code {kind_code}")
-    off = 16
-    widths = list(struct.unpack_from(f"<{n_widths}I", blob, off))
-    off += 4 * n_widths
-    (n_bn,) = struct.unpack_from("<I", blob, off)
-    off += 4
+    off = len(MODEL_FILE_MAGIC)
 
+    def take(count: int, dtype: str, what: str) -> np.ndarray:
+        nonlocal off
+        size = count * np.dtype(dtype).itemsize
+        if off + size > len(blob):
+            raise ModelFileError(f"{path}: truncated model file: {what} needs {size} "
+                                 f"bytes at offset {off}, {len(blob) - off} left")
+        arr = np.frombuffer(blob, dtype=dtype, count=count, offset=off)
+        off += size
+        return arr
+
+    if blob[:off] != MODEL_FILE_MAGIC:
+        raise ModelFileError(f"{path}: not a model file (bad magic)")
+    version, kind_code, n_widths = (int(v) for v in take(3, "<u4", "header"))
+    if version != 1:
+        raise ModelFileError(f"{path}: unsupported model file version {version}")
+    if kind_code not in _MODEL_KIND_NAMES:
+        raise ModelFileError(f"{path}: unknown model kind code {kind_code}")
+    widths = [int(w) for w in take(n_widths, "<u4", "widths")]
+    if len(widths) < 2 or min(widths) < 1:
+        raise ModelFileError(f"{path}: bad layer widths {widths}")
+    (n_bn,) = take(1, "<u4", "batch-norm state count")
+    bn_states = []
+    for _ in range(int(n_bn)):
+        (dim,) = take(1, "<u4", "batch-norm width")
+        mean = take(int(dim), "<f8", "batch-norm running mean").copy()
+        var = take(int(dim), "<f8", "batch-norm running variance").copy()
+        bn_states.append(L.BatchNormState(running_mean=mean, running_var=var))
+
+    # Every family stores at least one d_in x d_out matrix per layer; check
+    # that before building the model allocates weights of the header's size.
+    min_payload = 8 * sum(a * b for a, b in zip(widths, widths[1:]))
+    if len(blob) - off < min_payload:
+        raise ModelFileError(f"{path}: truncated model file: widths {widths} need at least "
+                             f"{min_payload} weight bytes, {len(blob) - off} left")
     overrides = config_overrides or {}
     config = ModelConfig(widths=widths, model=_MODEL_KIND_NAMES[kind_code],
                          **overrides)
     model = build_model(config, np.random.default_rng(0))
-
-    bn_states = []
-    for _ in range(n_bn):
-        (dim,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        mean = np.frombuffer(blob, dtype="<f8", count=dim, offset=off).copy()
-        off += 8 * dim
-        var = np.frombuffer(blob, dtype="<f8", count=dim, offset=off).copy()
-        off += 8 * dim
-        bn_states.append(L.BatchNormState(running_mean=mean, running_var=var))
     if bn_states:
+        expected = [s.running_mean.size for s in model.bn_states]
+        if [s.running_mean.size for s in bn_states] != expected:
+            raise ModelFileError(f"{path}: batch-norm widths do not match the "
+                                 f"model's {expected}")
         model.bn_states = bn_states
 
-    params = []
-    for p in model.params():
-        arr = np.frombuffer(blob, dtype="<f8", count=p.size, offset=off)
-        off += 8 * p.size
-        params.append(arr.reshape(p.shape).copy())
+    params = [take(p.size, "<f8", "weights").reshape(p.shape).copy()
+              for p in model.params()]
     if off != len(blob):
-        raise ValueError(f"{path}: trailing bytes in model file")
+        raise ModelFileError(f"{path}: {len(blob) - off} trailing bytes in model file")
     _assign_params_raw(model, params)
     return model
 

@@ -1,4 +1,6 @@
-"""Packing, binarization, and the XNOR/popcount kernel."""
+"""Packing, binarization, and the binarized matmul kernel."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,3 +247,83 @@ class TestBinGemm:
             results = list(pool.map(lambda _: bl.bin_gemm(f, b), range(32)))
         for r in results:
             assert np.array_equal(r, expected)
+
+
+def xnor_reference(f, b):
+    """bin_gemm from the scalar oracle, in the kernel's order: dot, *beta, *alpha."""
+    rows = [f.bucket(i) for i in range(f.rows)]
+    cols = [b.bucket(j) for j in range(b.cols)]
+    out = np.empty((f.rows, b.cols))
+    for i, row in enumerate(rows):
+        for j, col in enumerate(cols):
+            out[i, j] = float(bl.xnor_popcount_dot(row, col)) * f.scalars[i] * b.scalars[j]
+    return out
+
+
+class TestBinGemmExactness:
+    BLOCK = bl._BLOCK_ROWS
+
+    @pytest.mark.parametrize("d", [1, 63, 64, 65, 1433])
+    def test_equals_xnor_oracle_across_block_seams(self, d):
+        rng = np.random.default_rng(d)
+        for n in (self.BLOCK - 1, self.BLOCK, self.BLOCK + 1, 2 * self.BLOCK + 1):
+            h = rng.standard_normal((n, d)) * rng.uniform(0.1, 3.0)
+            w = rng.standard_normal((d, 3))
+            f, b = bl.binarize_rows(h), bl.binarize_columns(w)
+            assert np.array_equal(bl.bin_gemm(f, b), xnor_reference(f, b))
+
+    def test_equals_xnor_oracle_random_shapes(self):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            n, d, m = (int(x) for x in rng.integers(1, 100, size=3))
+            h = rng.standard_normal((n, d))
+            h[rng.random((n, d)) < 0.1] = 0.0
+            f = bl.binarize_rows(h)
+            b = bl.binarize_columns(rng.standard_normal((d, m)))
+            assert np.array_equal(bl.bin_gemm(f, b), xnor_reference(f, b))
+
+    def test_rejects_inner_dimension_beyond_exact_float32(self):
+        t = 2 ** 24
+        n_words = t // bl.WORD_BITS
+        f = bl.PackedBinMatrix(rows=1, cols=t, orientation="row",
+                               words=np.zeros((1, n_words), dtype=np.uint64),
+                               scalars=np.ones(1))
+        b = bl.PackedBinMatrix(rows=t, cols=1, orientation="col",
+                               words=np.zeros((1, n_words), dtype=np.uint64),
+                               scalars=np.ones(1))
+        with pytest.raises(ValueError, match="exact float32"):
+            bl.bin_gemm(f, b)
+
+
+def _peak_above_result(fn, *args):
+    """Peak traced bytes while fn runs, minus the arrays it returns."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = (result.words, result.scalars) if isinstance(result, bl.PackedBinMatrix) else (result,)
+    return peak - sum(a.nbytes for a in arrays)
+
+
+class TestBlockedMemory:
+    """Temporaries are per row block, so the peak does not grow with N."""
+
+    D, M = 1024, 64
+
+    def test_binarize_rows_peak_independent_of_rows(self):
+        rng = np.random.default_rng(43)
+        peaks = [_peak_above_result(bl.binarize_rows, rng.standard_normal((n, self.D)))
+                 for n in (1024, 8192)]
+        assert peaks[1] <= 1.05 * peaks[0] + 65536
+
+    def test_bin_gemm_peak_independent_of_rows(self):
+        b = bl.binarize_columns(np.random.default_rng(47).standard_normal((self.D, self.M)))
+        peaks = []
+        for n in (1024, 8192):
+            words = np.zeros((n, self.D // bl.WORD_BITS), dtype=np.uint64)
+            f = bl.PackedBinMatrix(rows=n, cols=self.D, orientation="row",
+                                   words=words, scalars=np.ones(n))
+            peaks.append(_peak_above_result(bl.bin_gemm, f, b))
+        assert peaks[1] <= 1.05 * peaks[0] + 65536

@@ -124,6 +124,36 @@ class TestEvalCommand:
         result = read_json(out / "result.json")
         assert report["test_acc"] == pytest.approx(result["test_acc"])
 
+    def test_truncated_model_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["train", "--sbm", SBM_ARGS, "--widths", "24,16,3",
+                    "--epochs", "2", "--out", str(out)]) == 0
+        blob = (out / "model.bin").read_bytes()
+        cut = tmp_path / "cut.bin"
+        for size in (0, 3, 4, 10, 16, 22, 30, 100, len(blob) - 8, len(blob) - 1):
+            cut.write_bytes(blob[:size])
+            capsys.readouterr()
+            assert run(["eval", str(cut), "--sbm", SBM_ARGS]) == 2, size
+            assert "data error" in capsys.readouterr().err
+        cut.write_bytes(blob + b"\x00")
+        assert run(["eval", str(cut), "--sbm", SBM_ARGS]) == 2
+        assert "trailing" in capsys.readouterr().err
+
+    def test_model_graph_width_mismatch_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        twelve = json.dumps({**json.loads(SBM_ARGS), "n_features": 12})
+        assert run(["train", "--sbm", twelve, "--widths", "12,8,3",
+                    "--epochs", "2", "--out", str(out)]) == 0
+        capsys.readouterr()
+        twenty = json.dumps({**json.loads(SBM_ARGS), "n_features": 20})
+        assert run(["eval", str(out / "model.bin"), "--sbm", twenty]) == 2
+        err = capsys.readouterr().err
+        assert "12" in err and "20" in err
+        four_classes = json.dumps({**json.loads(SBM_ARGS), "n_features": 12, "n_classes": 4})
+        assert run(["eval", str(out / "model.bin"), "--sbm", four_classes]) == 2
+        err = capsys.readouterr().err
+        assert "3 classes" in err and "4" in err
+
 
 class TestCapacityCommand:
     def test_uniform_dump_gives_analytic_bound(self, tmp_path, capsys):
@@ -164,6 +194,11 @@ class TestBench:
         report = json.loads(capsys.readouterr().out)
         assert report["shape"] == [64, 128, 8]
         assert report["bin_gemm_seconds"] > 0
+
+    def test_bench_needs_a_repeat(self, capsys):
+        assert run(["bench", "--shape", "8,8,2", "--repeats", "0"]) == 1
+        assert "--repeats" in capsys.readouterr().err
+        assert run(["bench", "--shape", "8,8,2", "--repeats", "-3"]) == 1
 
 
 class TestExitCodes:
