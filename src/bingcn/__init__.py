@@ -1,9 +1,10 @@
 """Binarized graph convolutional networks.
 
-Sign/scalar binarization of weights and node features, an XNOR/popcount
-inference kernel, gradient-approximation training, an analytical
-efficiency model, and binned-entropy capacity bounds for binary hidden
-widths.
+Sign/scalar binarization of weights and node features, packed sign
+storage with an exact float32 +-1 product for inference, one binarized
+layer shared by Bi-GCN and Bi-GraphSAGE, gradient-approximation training,
+an analytical efficiency model, and binned-entropy capacity bounds for
+binary hidden widths.
 """
 
 from .bitlinalg import (
@@ -46,9 +47,6 @@ from .graph import (
 )
 from .layers import (
     BatchNormState,
-    BiGCNLayer,
-    BiSAGELayer,
-    GCNLayer,
     LayerCache,
     batch_norm_apply,
     bigcn_backward,
@@ -60,23 +58,21 @@ from .layers import (
     masked_softmax_xent,
 )
 from .optim import AdamState, adam_step
-from .train import ModelConfig, TrainResult, evaluate, load_model, save_model, train
+from .train import Model, ModelConfig, TrainResult, evaluate, load_model, save_model, train
 
 __all__ = [
     "ArchSpec",
     "AdamState",
     "AttributedGraph",
     "BatchNormState",
-    "BiGCNLayer",
-    "BiSAGELayer",
     "BitVector",
     "CapacityBound",
     "DatasetManifest",
     "EfficiencyReport",
     "EntropyEstimate",
-    "GCNLayer",
     "GraphStats",
     "LayerCache",
+    "Model",
     "ModelConfig",
     "NormalizedAdjacency",
     "PackedBinMatrix",

@@ -38,14 +38,14 @@ from .train import (
 )
 
 TRAIN_DEFAULTS = {
-    "model": "bigcn",
+    "model": ModelConfig.model,
     "hidden": 64,
-    "dropout": 0.4,
-    "lr": 1e-3,
-    "epochs": 1000,
-    "patience": 100,
-    "ste": "grad",
-    "seed": 0,
+    "dropout": ModelConfig.dropout,
+    "lr": ModelConfig.lr,
+    "epochs": ModelConfig.max_epochs,
+    "patience": ModelConfig.patience,
+    "ste": ModelConfig.ste_mode,
+    "seed": ModelConfig.seed,
 }
 
 
@@ -151,8 +151,8 @@ def cmd_train(args) -> int:
     save_model(out / "model.bin", result.model)
 
     if args.dump_activations:
-        adj = normalize_adjacency(graph)
-        hidden = result.model.hidden_activations(adj, graph.x)
+        _, caches = result.model.forward(normalize_adjacency(graph), graph.x)
+        hidden = [cache.h_in for cache, _ in caches[1:]]  # post-ReLU hidden layers
         targets = _dump_paths(args.dump_activations, len(hidden))
         for path, acts in zip(targets, hidden):
             cap.write_activation_dump(path, acts)

@@ -25,6 +25,8 @@ from .graph import AttributedGraph, canonical_edges
 
 FEATURES_MAGIC = b"BGNF"
 _MASK_CHARS = "tvs-"
+# Rows of a block pair whose edge draws are held at once by generate_sbm.
+_SBM_ROW_CHUNK = 256
 
 
 class DatasetError(Exception):
@@ -281,12 +283,15 @@ def generate_sbm(params: SBMParams) -> AttributedGraph:
             p = params.p_in if ci == cj else params.p_out
             rows = np.arange(ci * npc, (ci + 1) * npc)
             cols = np.arange(cj * npc, (cj + 1) * npc)
-            draws = rng.random((npc, npc)) < p
-            if ci == cj:
-                draws = np.triu(draws, k=1)  # upper triangle: no loops, no doubles
-            ii, jj = np.nonzero(draws)
-            if ii.size:
-                edges.append(np.stack([rows[ii], cols[jj]], axis=1))
+            # Chunks of rows draw the same uniform stream as one npc x npc draw.
+            for r0 in range(0, npc, _SBM_ROW_CHUNK):
+                draws = rng.random((min(_SBM_ROW_CHUNK, npc - r0), npc)) < p
+                if ci == cj:
+                    # upper triangle of the whole block: no loops, no doubles
+                    draws = np.triu(draws, k=1 + r0)
+                ii, jj = np.nonzero(draws)
+                if ii.size:
+                    edges.append(np.stack([rows[r0 + ii], cols[jj]], axis=1))
     edge_arr = np.concatenate(edges) if edges else np.empty((0, 2), dtype=np.int64)
 
     block = params.n_features // c

@@ -1,23 +1,28 @@
 """Binarized and full-precision graph convolution layers.
 
-Binarized layers keep full-precision "latent" master weights that the
-optimizer updates; the forward pass re-binarizes them every call. Two
-forward routes exist and agree within float tolerance:
+A binarized layer is a sum over paths, ``sum_k P_k (bin(H) x bin(W_k))``:
+the paths share the binarized input and differ in their weights and in
+the propagation ``P_k``. Bi-GCN has one path, the normalized adjacency;
+the mean-aggregator model (Bi-GraphSAGE) a self path (``P = I``) and a
+neighbor-mean path. One forward and one backward core serve both.
+
+Latent full-precision weights are re-binarized every call. Two routes
+compute ``bin(H) x bin(W)`` and agree within float tolerance:
 
 * float simulation — dense products of the reconstructed scalar-rescaled
   sign matrices; used in training so an inverted-dropout mask can zero
   individual entries of the binarized features.
-* packed kernel — XNOR/popcount on packed words; used for inference.
+* packed kernel — sign bits multiplied as exact float32 +-1 values by
+  `bitlinalg.bin_gemm`; used for inference.
 
-The backward pass propagates the approximated gradient through the sign
-function with a straight-through gate. The gate condition is selectable:
-``grad`` gates on the gradient's own magnitude, ``input`` on the
-pre-binarization input magnitude.
+The backward pass takes the gradient through the sign with a
+straight-through gate, selectable: ``grad`` gates on the gradient's own
+magnitude, ``input`` on the pre-binarization input magnitude.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,79 +38,52 @@ def xavier_uniform(rng: np.random.Generator, d_in: int, d_out: int) -> np.ndarra
 
 
 @dataclass
-class BiGCNLayer:
-    """Graph convolution with binarized weights and input features.
-
-    `w_latent` is the full-precision master copy; it is clipped to
-    [-1, 1] after optimizer updates so the straight-through gate on the
-    weight gradient cannot permanently zero a coordinate.
-    """
-
-    w_latent: np.ndarray
-
-    def __post_init__(self):
-        self.w_latent = np.asarray(self.w_latent, dtype=np.float64)
-        if self.w_latent.ndim != 2:
-            raise ValueError("weights must be 2-D")
-
-    @property
-    def d_in(self) -> int:
-        return self.w_latent.shape[0]
-
-    @property
-    def d_out(self) -> int:
-        return self.w_latent.shape[1]
-
-
-@dataclass
 class LayerCache:
     """Forward intermediates a binarized layer's backward pass needs.
 
-    The rescaled binarized features themselves are never stored: the row
+    The list fields hold one entry per path. Neither the rescaled
+    binarized features nor the per-path products are stored: the row
     scalars commute with the dropout mask and the weight product, so the
-    backward pass folds them into the (much smaller) gradient instead.
-    The packed inference path leaves `f_signs` as None; the backward pass
-    recomputes the signs from `h_in` on demand.
+    backward pass folds them into the (much smaller) gradient. Inference
+    leaves `f_signs` as None; backward recomputes them from `h_in`.
     """
 
     h_in: np.ndarray  # pre-binarization input
     f_signs: np.ndarray | None  # (N, d_in) +-1 signs of h_in
     beta: np.ndarray  # (N,) row scalars
-    b_signs: np.ndarray  # (d_in, d_out) +-1 signs of w_latent
-    alpha: np.ndarray  # (d_out,) column scalars
-    w_latent: np.ndarray
-    zeta: np.ndarray  # binarized feature-extraction output
+    b_signs: list[np.ndarray]  # (d_in, d_out) +-1 signs of each path's weights
+    alpha: list[np.ndarray]  # (d_out,) column scalars of each path's weights
+    weights: list[np.ndarray]  # each path's latent weights
     drop_mask: np.ndarray | None = None
 
 
 def _dropout_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
     """Inverted-dropout mask: zeros with probability `rate`, else 1/(1-rate)."""
+    if rng is None:
+        raise ValueError("training with dropout requires an rng")
     keep = rng.random(shape) >= rate
     return keep / (1.0 - rate)
 
 
-def bigcn_forward(
-    adj: NormalizedAdjacency,
+def _binarized_forward(
     h_in: np.ndarray,
-    layer: BiGCNLayer,
-    training: bool = False,
-    dropout: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, LayerCache]:
-    """Binarized graph convolution: aggregate(bin(H) x bin(W)).
+    weights: list[np.ndarray],
+    training: bool,
+    dropout: float,
+    rng: np.random.Generator | None,
+) -> tuple[list[np.ndarray], LayerCache]:
+    """bin(H) x bin(W_k) for each path's weights W_k, before propagation.
 
-    No nonlinearity is applied; the sign in the next layer's input
-    binarization plays that role. Training mode runs the float
-    simulation (dropout masks individual entries of the binarized
-    features, which a packed word cannot represent); inference mode runs
-    the packed XNOR/popcount kernel.
+    Training runs the float simulation, whose dropout can mask single
+    entries of the binarized features; inference runs the packed kernel.
     """
     h_in = np.asarray(h_in, dtype=np.float64)
-    if h_in.ndim != 2 or h_in.shape[1] != layer.d_in:
-        raise ValueError(f"expected (N, {layer.d_in}) input, got {h_in.shape}")
-
-    b_signs = bl.sign_pm1(layer.w_latent)
-    alpha = np.abs(layer.w_latent).mean(axis=0)
+    weights = [np.asarray(w, dtype=np.float64) for w in weights]
+    shape = weights[0].shape
+    if len(shape) != 2 or any(w.shape != shape for w in weights):
+        raise ValueError("every path's weights must be 2-D and of one shape")
+    if h_in.ndim != 2 or h_in.shape[1] != shape[0]:
+        raise ValueError(f"expected (N, {shape[0]}) input, got {h_in.shape}")
 
     drop_mask = None
     if training:
@@ -113,29 +91,64 @@ def bigcn_forward(
         beta = np.abs(h_in).mean(axis=1)
         fm = f_signs
         if dropout > 0.0:
-            if rng is None:
-                raise ValueError("training with dropout requires an rng")
             drop_mask = _dropout_mask(rng, h_in.shape, dropout)
             fm = f_signs * drop_mask
-        zeta = (fm @ (b_signs * alpha[None, :])) * beta[:, None]
     else:
         packed_f = bl.binarize_rows(h_in)
         f_signs = None
         beta = packed_f.scalars
-        zeta = bl.bin_gemm(packed_f, bl.binarize_columns(layer.w_latent))
 
-    h_out = aggregate(adj, zeta)
-    cache = LayerCache(
-        h_in=h_in,
-        f_signs=f_signs,
-        beta=beta,
-        b_signs=b_signs,
-        alpha=alpha,
-        w_latent=layer.w_latent,
-        zeta=zeta,
-        drop_mask=drop_mask,
-    )
-    return h_out, cache
+    cache = LayerCache(h_in=h_in, f_signs=f_signs, beta=beta, b_signs=[], alpha=[],
+                       weights=weights, drop_mask=drop_mask)
+    zetas = []
+    for w in weights:
+        b_signs = bl.sign_pm1(w)
+        alpha = np.abs(w).mean(axis=0)
+        if training:
+            zetas.append((fm @ (b_signs * alpha[None, :])) * beta[:, None])
+        else:
+            zetas.append(bl.bin_gemm(packed_f, bl.binarize_columns(w)))
+        cache.b_signs.append(b_signs)
+        cache.alpha.append(alpha)
+    return zetas, cache
+
+
+def bigcn_forward(
+    adj: NormalizedAdjacency,
+    h_in: np.ndarray,
+    w: np.ndarray,
+    training: bool = False,
+    dropout: float = 0.0,
+    rng: np.random.Generator | None = None,
+) -> tuple[np.ndarray, LayerCache]:
+    """Binarized graph convolution: aggregate(bin(H) x bin(W)).
+
+    No nonlinearity is applied; the sign in the next layer's input
+    binarization plays that role.
+    """
+    (zeta,), cache = _binarized_forward(h_in, [w], training, dropout, rng)
+    return aggregate(adj, zeta), cache
+
+
+def bisage_forward(
+    neighbor_mean,
+    h_in: np.ndarray,
+    w_self: np.ndarray,
+    w_neigh: np.ndarray,
+    training: bool = False,
+    dropout: float = 0.0,
+    rng: np.random.Generator | None = None,
+) -> tuple[np.ndarray, LayerCache]:
+    """Binarized GraphSAGE convolution with a mean aggregator.
+
+    `neighbor_mean` is the row-stochastic neighbor operator from
+    `graph.neighbor_mean_matrix`; nodes without neighbors get a zero
+    neighbor term. Both weight matrices consume the same binarized
+    input. No nonlinearity, as with the binarized graph convolution.
+    """
+    (zeta_self, zeta_neigh), cache = _binarized_forward(
+        h_in, [w_self, w_neigh], training, dropout, rng)
+    return zeta_self + neighbor_mean @ zeta_neigh, cache
 
 
 def ste_gate(grad: np.ndarray, reference: np.ndarray, mode: str) -> np.ndarray:
@@ -166,6 +179,48 @@ def _latent_weight_grad(
     return scalar_term + sign_term
 
 
+def _binarized_backward(
+    cache: LayerCache,
+    grad_out: np.ndarray,
+    adjoints: list,
+    ste_mode: str,
+    need_input_grad: bool,
+) -> tuple[np.ndarray | None, list[np.ndarray]]:
+    """Gradients of a sum of binarized paths; `adjoints` are their transposed
+    propagations (None: identity). Returns (grad_h_in, each path's
+    full-precision latent weight gradient). The paths' feature gradients
+    add before the straight-through gate.
+    """
+    grad_out = np.asarray(grad_out, dtype=np.float64)
+    expected = (cache.h_in.shape[0], cache.weights[0].shape[1])
+    if grad_out.shape != expected:
+        raise ValueError(f"gradient shape {grad_out.shape} != {expected}")
+
+    f_signs = cache.f_signs if cache.f_signs is not None else bl.sign_pm1(cache.h_in)
+    fm = f_signs * cache.drop_mask if cache.drop_mask is not None else f_signs
+    grads_w = []
+    grad_h_tilde = None
+    for adjoint, b_signs, alpha, w in zip(adjoints, cache.b_signs, cache.alpha,
+                                          cache.weights):
+        grad_zeta = grad_out if adjoint is None else adjoint @ grad_out
+        # (beta * fm)^T grad_zeta with the row scaling folded into the gradient
+        grad_w_tilde = fm.T @ (grad_zeta * cache.beta[:, None])
+        grads_w.append(_latent_weight_grad(grad_w_tilde, b_signs, alpha, w))
+        if need_input_grad:
+            term = grad_zeta @ (b_signs * alpha[None, :]).T
+            if grad_h_tilde is None:
+                grad_h_tilde = term
+            else:
+                grad_h_tilde += term
+
+    grad_h_in = None
+    if need_input_grad:
+        if cache.drop_mask is not None:
+            grad_h_tilde = grad_h_tilde * cache.drop_mask
+        grad_h_in = ste_gate(grad_h_tilde, cache.h_in, ste_mode)
+    return grad_h_in, grads_w
+
+
 def bigcn_backward(
     cache: LayerCache,
     adj: NormalizedAdjacency,
@@ -173,50 +228,26 @@ def bigcn_backward(
     ste_mode: str = "grad",
     need_input_grad: bool = True,
 ) -> tuple[np.ndarray | None, np.ndarray]:
-    """Gradients of a binarized graph convolution.
+    """Gradients of a binarized graph convolution: (grad_h_in, grad_w_latent)."""
+    grad_h_in, (grad_w,) = _binarized_backward(cache, grad_out, [adj.matrix.T],
+                                               ste_mode, need_input_grad)
+    return grad_h_in, grad_w
 
-    Returns (grad_h_in, grad_w_latent). The feature gradient is the
-    binary-approximated one passed through the straight-through gate;
-    the weight gradient keeps full precision.
+
+def bisage_backward(
+    cache: LayerCache,
+    neighbor_mean,
+    grad_out: np.ndarray,
+    ste_mode: str = "grad",
+    need_input_grad: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Gradients of the binarized mean-aggregator convolution.
+
+    Returns (grad_h_in, grad_w_self, grad_w_neigh).
     """
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    if grad_out.shape != cache.zeta.shape:
-        raise ValueError(f"gradient shape {grad_out.shape} != {cache.zeta.shape}")
-
-    grad_zeta = adj.matrix.T @ grad_out
-    f_signs = cache.f_signs if cache.f_signs is not None else bl.sign_pm1(cache.h_in)
-    fm = f_signs * cache.drop_mask if cache.drop_mask is not None else f_signs
-    # (beta * fm)^T grad_zeta with the row scaling folded into the gradient
-    grad_w_tilde = fm.T @ (grad_zeta * cache.beta[:, None])
-    grad_w_latent = _latent_weight_grad(grad_w_tilde, cache.b_signs,
-                                        cache.alpha, cache.w_latent)
-
-    grad_h_in = None
-    if need_input_grad:
-        w_tilde = cache.b_signs * cache.alpha[None, :]
-        grad_h_tilde = grad_zeta @ w_tilde.T
-        if cache.drop_mask is not None:
-            grad_h_tilde = grad_h_tilde * cache.drop_mask
-        grad_h_in = ste_gate(grad_h_tilde, cache.h_in, ste_mode)
-    return grad_h_in, grad_w_latent
-
-
-@dataclass
-class GCNLayer:
-    """Full-precision graph convolution weights (baseline)."""
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=np.float64)
-
-    @property
-    def d_in(self) -> int:
-        return self.w.shape[0]
-
-    @property
-    def d_out(self) -> int:
-        return self.w.shape[1]
+    grad_h_in, grads_w = _binarized_backward(cache, grad_out, [None, neighbor_mean.T],
+                                             ste_mode, need_input_grad)
+    return (grad_h_in, *grads_w)
 
 
 @dataclass
@@ -234,7 +265,7 @@ def gcn_forward(
     w: np.ndarray,
     activation: bool,
 ) -> np.ndarray:
-    """Full-precision graph convolution, ReLU optional."""
+    """Full-precision graph convolution, ReLU optional (uncached reference)."""
     h_in = np.asarray(h_in, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     if h_in.ndim != 2 or h_in.shape[1] != w.shape[0]:
@@ -246,24 +277,22 @@ def gcn_forward(
 def gcn_forward_cached(
     adj: NormalizedAdjacency,
     h_in: np.ndarray,
-    layer: GCNLayer,
+    w: np.ndarray,
     activation: bool,
     training: bool = False,
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, GCNCache]:
     h_in = np.asarray(h_in, dtype=np.float64)
-    if h_in.shape[1] != layer.d_in:
-        raise ValueError(f"expected (N, {layer.d_in}) input, got {h_in.shape}")
+    if h_in.ndim != 2 or h_in.shape[1] != w.shape[0]:
+        raise ValueError(f"shape mismatch: {h_in.shape} x {w.shape}")
     drop_mask = None
     if training and dropout > 0.0:
-        if rng is None:
-            raise ValueError("training with dropout requires an rng")
         drop_mask = _dropout_mask(rng, h_in.shape, dropout)
         h_in = h_in * drop_mask
-    pre_act = aggregate(adj, h_in @ layer.w)
+    pre_act = aggregate(adj, h_in @ w)
     out = np.maximum(pre_act, 0.0) if activation else pre_act
-    return out, GCNCache(h_in=h_in, w=layer.w, pre_act=pre_act,
+    return out, GCNCache(h_in=h_in, w=w, pre_act=pre_act,
                          activation=activation, drop_mask=drop_mask)
 
 
@@ -286,137 +315,6 @@ def gcn_backward(
         if cache.drop_mask is not None:
             grad_h = grad_h * cache.drop_mask
     return grad_h, grad_w
-
-
-@dataclass
-class BiSAGELayer:
-    """Binarized mean-aggregator convolution: self path plus neighbor path."""
-
-    w_self: np.ndarray
-    w_neigh: np.ndarray
-
-    def __post_init__(self):
-        self.w_self = np.asarray(self.w_self, dtype=np.float64)
-        self.w_neigh = np.asarray(self.w_neigh, dtype=np.float64)
-        if self.w_self.shape != self.w_neigh.shape:
-            raise ValueError("self and neighbor weights must share a shape")
-
-    @property
-    def d_in(self) -> int:
-        return self.w_self.shape[0]
-
-    @property
-    def d_out(self) -> int:
-        return self.w_self.shape[1]
-
-
-@dataclass
-class BiSAGECache:
-    self_cache: "SageHalfCache"
-    neigh_cache: "SageHalfCache"
-    h_in: np.ndarray
-    f_signs: np.ndarray | None
-    beta: np.ndarray
-    drop_mask: np.ndarray | None
-
-
-@dataclass
-class SageHalfCache:
-    b_signs: np.ndarray
-    alpha: np.ndarray
-    w_latent: np.ndarray
-
-
-def bisage_forward(
-    neighbor_mean,
-    h_in: np.ndarray,
-    layer: BiSAGELayer,
-    training: bool = False,
-    dropout: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, BiSAGECache]:
-    """Binarized GraphSAGE convolution with a mean aggregator.
-
-    `neighbor_mean` is the row-stochastic neighbor operator from
-    `graph.neighbor_mean_matrix`; nodes without neighbors get a zero
-    neighbor term. Both weight matrices consume the same binarized
-    input. No nonlinearity, as with the binarized graph convolution.
-    """
-    h_in = np.asarray(h_in, dtype=np.float64)
-    if h_in.ndim != 2 or h_in.shape[1] != layer.d_in:
-        raise ValueError(f"expected (N, {layer.d_in}) input, got {h_in.shape}")
-
-    drop_mask = None
-    if training:
-        f_signs = bl.sign_pm1(h_in)
-        beta = np.abs(h_in).mean(axis=1)
-        fm = f_signs
-        if dropout > 0.0:
-            if rng is None:
-                raise ValueError("training with dropout requires an rng")
-            drop_mask = _dropout_mask(rng, h_in.shape, dropout)
-            fm = f_signs * drop_mask
-        packed_f = None
-    else:
-        packed_f = bl.binarize_rows(h_in)
-        f_signs = None
-        beta = packed_f.scalars
-
-    halves = []
-    zetas = []
-    for w in (layer.w_self, layer.w_neigh):
-        b_signs = bl.sign_pm1(w)
-        alpha = np.abs(w).mean(axis=0)
-        if training:
-            zeta = (fm @ (b_signs * alpha[None, :])) * beta[:, None]
-        else:
-            zeta = bl.bin_gemm(packed_f, bl.binarize_columns(w))
-        halves.append(SageHalfCache(b_signs=b_signs, alpha=alpha, w_latent=w))
-        zetas.append(zeta)
-
-    h_out = zetas[0] + neighbor_mean @ zetas[1]
-    cache = BiSAGECache(self_cache=halves[0], neigh_cache=halves[1],
-                        h_in=h_in, f_signs=f_signs, beta=beta, drop_mask=drop_mask)
-    return h_out, cache
-
-
-def bisage_backward(
-    cache: BiSAGECache,
-    neighbor_mean,
-    grad_out: np.ndarray,
-    ste_mode: str = "grad",
-    need_input_grad: bool = True,
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Gradients of the binarized mean-aggregator convolution.
-
-    Returns (grad_h_in, grad_w_self, grad_w_neigh).
-    """
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    grad_zeta_self = grad_out
-    grad_zeta_neigh = neighbor_mean.T @ grad_out
-
-    f_signs = cache.f_signs if cache.f_signs is not None else bl.sign_pm1(cache.h_in)
-    fm = f_signs * cache.drop_mask if cache.drop_mask is not None else f_signs
-
-    grads_w = []
-    grad_h_tilde = np.zeros_like(cache.h_in)
-    for half, grad_zeta in (
-        (cache.self_cache, grad_zeta_self),
-        (cache.neigh_cache, grad_zeta_neigh),
-    ):
-        grad_w_tilde = fm.T @ (grad_zeta * cache.beta[:, None])
-        grads_w.append(_latent_weight_grad(grad_w_tilde, half.b_signs,
-                                           half.alpha, half.w_latent))
-        if need_input_grad:
-            w_tilde = half.b_signs * half.alpha[None, :]
-            grad_h_tilde += grad_zeta @ w_tilde.T
-
-    grad_h_in = None
-    if need_input_grad:
-        if cache.drop_mask is not None:
-            grad_h_tilde = grad_h_tilde * cache.drop_mask
-        grad_h_in = ste_gate(grad_h_tilde, cache.h_in, ste_mode)
-    return grad_h_in, grads_w[0], grads_w[1]
 
 
 @dataclass
@@ -463,7 +361,8 @@ def batch_norm_forward(
         mean = state.running_mean
         var = state.running_var
     inv_std = 1.0 / np.sqrt(var + state.eps)
-    normalized = (h - mean) * inv_std
+    normalized = h - mean
+    normalized *= inv_std  # in place: one N x d temporary, not two
     return normalized, BatchNormCache(normalized=normalized, inv_std=inv_std)
 
 

@@ -20,9 +20,6 @@ from .datasets import DatasetError
 from .graph import AttributedGraph, NormalizedAdjacency, neighbor_mean_matrix, normalize_adjacency
 from .optim import AdamState, adam_step
 
-MODEL_KINDS = ("bigcn", "gcn", "bisage")
-BN_PLACEMENTS = ("auto", "input", "every-layer", "none")
-
 MODEL_FILE_MAGIC = b"BGNM"
 _MODEL_KIND_CODES = {"bigcn": 1, "gcn": 2, "bisage": 3}
 _MODEL_KIND_NAMES = {v: k for k, v in _MODEL_KIND_CODES.items()}
@@ -36,6 +33,35 @@ class ModelFileError(DatasetError, ValueError):
     """
 
 
+@dataclass(frozen=True)
+class Family:
+    """What sets one model family apart; everything else is shared.
+
+    `forward` and `backward` name the layer functions, which fix the
+    propagation; they are looked up on `layers` at call time, so a
+    function swapped there (to time it, say) is the one called.
+    """
+
+    forward: str
+    backward: str
+    paths: int  # weight matrices per layer
+    standardized: int | None  # leading layer inputs batch-normed; None: all
+    binarized: bool = True  # False: float product, ReLU on hidden layers
+
+    def bn_widths(self, widths: list[int]) -> list[int]:
+        """Widths of the layer inputs that get batch norm."""
+        return widths[:-1][:self.standardized]
+
+
+FAMILIES = {
+    "bigcn": Family("bigcn_forward", "bigcn_backward", paths=1, standardized=1),
+    "gcn": Family("gcn_forward_cached", "gcn_backward", paths=1, standardized=0,
+                  binarized=False),
+    "bisage": Family("bisage_forward", "bisage_backward", paths=2, standardized=None),
+}
+MODEL_KINDS = tuple(FAMILIES)
+
+
 @dataclass
 class ModelConfig:
     """Hyperparameters for one training run."""
@@ -46,9 +72,7 @@ class ModelConfig:
     lr: float = 1e-3
     max_epochs: int = 1000
     patience: int = 100
-    bn_placement: str = "auto"
     ste_mode: str = "grad"
-    clip_latent: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -63,224 +87,67 @@ class ModelConfig:
             raise ValueError("patience must be >= 1")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be >= 0")
-        if self.bn_placement not in BN_PLACEMENTS:
-            raise ValueError(f"bad bn_placement {self.bn_placement!r}")
         if self.ste_mode not in L.STE_MODES:
             raise ValueError(f"bad ste_mode {self.ste_mode!r}")
 
-    def resolved_bn(self) -> str:
-        """Default batch-norm placement per model family."""
-        if self.bn_placement != "auto":
-            return self.bn_placement
-        return {"bigcn": "input", "gcn": "none", "bisage": "every-layer"}[self.model]
 
+class Model:
+    """A stack of graph convolutions of one family.
 
-class BiGCNModel:
-    """Stack of binarized graph convolutions, optional input standardization."""
-
-    kind = "bigcn"
+    `weights` is flat: each layer's `family.paths` matrices in turn (self
+    before neighbor), the order of the model file. A binarized family's
+    latent weights are clipped to [-1, 1] after every update, so the
+    straight-through gate cannot zero a weight's gradient for good.
+    """
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
         self.config = config
-        self.layers = [
-            L.BiGCNLayer(L.xavier_uniform(rng, d_in, d_out))
-            for d_in, d_out in zip(config.widths, config.widths[1:])
-        ]
-        self.bn_placement = config.resolved_bn()
-        self.bn_states = self._make_bn_states(config)
+        self.family = FAMILIES[config.model]
+        widths = config.widths
+        self.n_layers = len(widths) - 1
+        self.weights = [L.xavier_uniform(rng, d_in, d_out)
+                        for d_in, d_out in zip(widths, widths[1:])
+                        for _ in range(self.family.paths)]
+        self.bn_states = [L.BatchNormState.for_dim(w) for w in self.family.bn_widths(widths)]
 
-    def _make_bn_states(self, config):
-        if self.bn_placement == "none":
-            return []
-        if self.bn_placement == "input":
-            return [L.BatchNormState.for_dim(config.widths[0])]
-        return [L.BatchNormState.for_dim(w) for w in config.widths[:-1]]
-
-    def _bn(self, h, layer_idx, training):
-        if self.bn_placement == "input" and layer_idx == 0:
-            return L.batch_norm_apply(h, training, self.bn_states[0]), None
-        if self.bn_placement == "every-layer":
-            state = self.bn_states[layer_idx]
-            return L.batch_norm_forward(h, training, state)
-        return h, None
-
-    def forward(self, adj: NormalizedAdjacency, x: np.ndarray,
-                training: bool = False, rng: np.random.Generator | None = None):
+    def forward(self, prop, x: np.ndarray, training: bool = False,
+                rng: np.random.Generator | None = None):
+        """Logits and per-layer (layer cache, batch-norm cache or None)."""
+        forward = getattr(L, self.family.forward)
+        p = self.family.paths
         h = x
         caches = []
-        for i, layer in enumerate(self.layers):
-            h, bn_cache = self._bn(h, i, training)
-            drop = self.config.dropout if i > 0 else 0.0
-            h, cache = L.bigcn_forward(adj, h, layer, training=training,
-                                       dropout=drop, rng=rng)
-            caches.append((cache, bn_cache))
-        return h, caches
-
-    def backward(self, adj: NormalizedAdjacency, caches, grad_logits):
-        grads = [None] * len(self.layers)
-        grad = grad_logits
-        for i in reversed(range(len(self.layers))):
-            cache, bn_cache = caches[i]
-            grad_h, grads[i] = L.bigcn_backward(
-                cache, adj, grad,
-                ste_mode=self.config.ste_mode,
-                need_input_grad=i > 0,
-            )
-            if i > 0:
-                grad = grad_h
-                if bn_cache is not None:
-                    grad = L.batch_norm_backward(bn_cache, grad)
-        return grads
-
-    def params(self):
-        return [layer.w_latent for layer in self.layers]
-
-    def set_params(self, params):
-        for layer, p in zip(self.layers, params):
-            if self.config.clip_latent:
-                p = np.clip(p, -1.0, 1.0)
-            layer.w_latent = p
-
-
-class GCNModel:
-    """Full-precision baseline: ReLU on hidden layers, linear output."""
-
-    kind = "gcn"
-
-    def __init__(self, config: ModelConfig, rng: np.random.Generator):
-        self.config = config
-        self.layers = [
-            L.GCNLayer(L.xavier_uniform(rng, d_in, d_out))
-            for d_in, d_out in zip(config.widths, config.widths[1:])
-        ]
-        placement = config.resolved_bn()
-        if placement == "every-layer":
-            raise ValueError("the full-precision baseline supports batch norm on the input only")
-        self.bn_states = (
-            [L.BatchNormState.for_dim(config.widths[0])] if placement == "input" else []
-        )
-
-    def forward(self, adj, x, training=False, rng=None):
-        h = x
-        if self.bn_states:
-            h = L.batch_norm_apply(h, training, self.bn_states[0])
-        caches = []
-        last = len(self.layers) - 1
-        for i, layer in enumerate(self.layers):
-            drop = self.config.dropout if i > 0 else 0.0
-            h, cache = L.gcn_forward_cached(adj, h, layer, activation=i < last,
-                                            training=training, dropout=drop, rng=rng)
-            caches.append(cache)
-        return h, caches
-
-    def backward(self, adj, caches, grad_logits):
-        grads = [None] * len(self.layers)
-        grad = grad_logits
-        for i in reversed(range(len(self.layers))):
-            grad, grads[i] = L.gcn_backward(caches[i], adj, grad,
-                                            need_input_grad=i > 0)
-        return grads
-
-    def hidden_activations(self, adj, x) -> list[np.ndarray]:
-        """Post-ReLU hidden representations for every node (eval mode)."""
-        h = x
-        if self.bn_states:
-            h = L.batch_norm_apply(h, False, self.bn_states[0])
-        outs = []
-        last = len(self.layers) - 1
-        for i, layer in enumerate(self.layers):
-            h = L.gcn_forward(adj, h, layer.w, activation=i < last)
-            if i < last:
-                outs.append(h)
-        return outs
-
-    def params(self):
-        return [layer.w for layer in self.layers]
-
-    def set_params(self, params):
-        for layer, p in zip(self.layers, params):
-            layer.w = p
-
-
-class BiSAGEModel:
-    """Stack of binarized mean-aggregator convolutions, standardized inputs."""
-
-    kind = "bisage"
-
-    def __init__(self, config: ModelConfig, rng: np.random.Generator):
-        self.config = config
-        self.layers = []
-        for d_in, d_out in zip(config.widths, config.widths[1:]):
-            w_self = L.xavier_uniform(rng, d_in, d_out)
-            w_neigh = L.xavier_uniform(rng, d_in, d_out)
-            self.layers.append(L.BiSAGELayer(w_self, w_neigh))
-        self.bn_placement = config.resolved_bn()
-        if self.bn_placement == "none":
-            self.bn_states = []
-        elif self.bn_placement == "input":
-            self.bn_states = [L.BatchNormState.for_dim(config.widths[0])]
-        else:
-            self.bn_states = [L.BatchNormState.for_dim(w) for w in config.widths[:-1]]
-
-    def forward(self, neighbor_mean, x, training=False, rng=None):
-        h = x
-        caches = []
-        for i, layer in enumerate(self.layers):
+        for i in range(self.n_layers):
             bn_cache = None
             if i < len(self.bn_states):
                 h, bn_cache = L.batch_norm_forward(h, training, self.bn_states[i])
-            drop = self.config.dropout if i > 0 else 0.0
-            h, cache = L.bisage_forward(neighbor_mean, h, layer, training=training,
-                                        dropout=drop, rng=rng)
+            extra = {} if self.family.binarized else {"activation": i < self.n_layers - 1}
+            h, cache = forward(prop, h, *self.weights[i * p:(i + 1) * p], training=training,
+                               dropout=self.config.dropout if i > 0 else 0.0, rng=rng,
+                               **extra)
             caches.append((cache, bn_cache))
         return h, caches
 
-    def backward(self, neighbor_mean, caches, grad_logits):
-        grads = [None] * len(self.layers)
+    def backward(self, prop, caches, grad_logits) -> list[np.ndarray]:
+        """Weight gradients, in the order of `weights`."""
+        backward = getattr(L, self.family.backward)
+        extra = {"ste_mode": self.config.ste_mode} if self.family.binarized else {}
+        p = self.family.paths
+        grads = [None] * len(self.weights)
         grad = grad_logits
-        for i in reversed(range(len(self.layers))):
+        for i in reversed(range(self.n_layers)):
             cache, bn_cache = caches[i]
-            grad_h, gw_self, gw_neigh = L.bisage_backward(
-                cache, neighbor_mean, grad,
-                ste_mode=self.config.ste_mode,
-                need_input_grad=i > 0,
-            )
-            grads[i] = (gw_self, gw_neigh)
+            grad_h, *layer_grads = backward(cache, prop, grad, need_input_grad=i > 0, **extra)
+            grads[i * p:(i + 1) * p] = layer_grads
             if i > 0:
-                grad = grad_h
-                if bn_cache is not None:
-                    grad = L.batch_norm_backward(bn_cache, grad)
+                grad = grad_h if bn_cache is None else L.batch_norm_backward(bn_cache, grad_h)
         return grads
 
-    def params(self):
-        out = []
-        for layer in self.layers:
-            out.extend([layer.w_self, layer.w_neigh])
-        return out
-
-    def set_params(self, params):
-        it = iter(params)
-        for layer in self.layers:
-            w_self, w_neigh = next(it), next(it)
-            if self.config.clip_latent:
-                w_self = np.clip(w_self, -1.0, 1.0)
-                w_neigh = np.clip(w_neigh, -1.0, 1.0)
-            layer.w_self = w_self
-            layer.w_neigh = w_neigh
-
-
-def build_model(config: ModelConfig, rng: np.random.Generator):
-    cls = {"bigcn": BiGCNModel, "gcn": GCNModel, "bisage": BiSAGEModel}[config.model]
-    return cls(config, rng)
-
-
-def _flatten_grads(model, grads):
-    if model.kind == "bisage":
-        flat = []
-        for gw_self, gw_neigh in grads:
-            flat.extend([gw_self, gw_neigh])
-        return flat
-    return grads
+    def update(self, weights: list[np.ndarray]) -> None:
+        """Install updated weights, clipping a binarized family's to [-1, 1]."""
+        if self.family.binarized:
+            weights = [np.clip(w, -1.0, 1.0) for w in weights]
+        self.weights = weights
 
 
 @dataclass
@@ -294,7 +161,7 @@ class EpochMetrics:
 
 @dataclass
 class TrainResult:
-    model: object
+    model: Model
     trace: list[EpochMetrics]
     test_acc: float
     best_epoch: int
@@ -302,26 +169,14 @@ class TrainResult:
     seed: int
 
 
-def _propagation_operator(model, graph: AttributedGraph,
+def _propagation_operator(model: Model, graph: AttributedGraph,
                           adj: NormalizedAdjacency | None):
-    if model.kind == "bisage":
+    if model.config.model == "bisage":
         return neighbor_mean_matrix(graph)
     return adj if adj is not None else normalize_adjacency(graph)
 
 
-def _model_state(model):
-    return (copy.deepcopy(model.params()),
-            copy.deepcopy(getattr(model, "bn_states", [])))
-
-
-def _restore_state(model, state):
-    params, bn_states = state
-    model.set_params(copy.deepcopy(params))
-    if bn_states:
-        model.bn_states = copy.deepcopy(bn_states)
-
-
-def evaluate(model, prop, graph: AttributedGraph, mask: np.ndarray) -> tuple[float, float]:
+def evaluate(model: Model, prop, graph: AttributedGraph, mask: np.ndarray) -> tuple[float, float]:
     """Inference-mode loss and accuracy on one mask."""
     logits, _ = model.forward(prop, graph.x, training=False)
     loss, _ = L.masked_softmax_xent(logits, graph.labels, mask)
@@ -337,23 +192,21 @@ def train(config: ModelConfig, graph: AttributedGraph,
     checkpoint. Identical seeds give bit-identical traces.
     """
     if graph.n_features != config.widths[0]:
-        raise ValueError(
-            f"widths[0]={config.widths[0]} does not match feature dim {graph.n_features}"
-        )
+        raise ValueError(f"widths[0]={config.widths[0]} does not match feature dim "
+                         f"{graph.n_features}")
     if graph.n_classes != config.widths[-1]:
-        raise ValueError(
-            f"widths[-1]={config.widths[-1]} does not match class count {graph.n_classes}"
-        )
+        raise ValueError(f"widths[-1]={config.widths[-1]} does not match class count "
+                         f"{graph.n_classes}")
     for name in ("train_mask", "val_mask", "test_mask"):
         if not getattr(graph, name).any():
             raise ValueError(f"{name} selects no nodes")
 
     rng = np.random.default_rng(config.seed)
-    model = build_model(config, rng)
+    model = Model(config, rng)
     prop = _propagation_operator(model, graph, adj)
-    opt = AdamState.for_params(model.params())
+    opt = AdamState.for_params(model.weights)
 
-    best_state = _model_state(model)
+    best_state = copy.deepcopy((model.weights, model.bn_states))
     best_val = np.inf
     best_epoch = 0
     trace: list[EpochMetrics] = []
@@ -364,8 +217,7 @@ def train(config: ModelConfig, graph: AttributedGraph,
             logits, graph.labels, graph.train_mask)
         train_acc = L.masked_accuracy(logits, graph.labels, graph.train_mask)
         grads = model.backward(prop, caches, grad_logits)
-        model.set_params(adam_step(model.params(), _flatten_grads(model, grads),
-                                   opt, config.lr))
+        model.update(adam_step(model.weights, grads, opt, config.lr))
 
         val_logits, _ = model.forward(prop, graph.x, training=False)
         val_loss, _ = L.masked_softmax_xent(val_logits, graph.labels, graph.val_mask)
@@ -377,11 +229,11 @@ def train(config: ModelConfig, graph: AttributedGraph,
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            best_state = _model_state(model)
+            best_state = copy.deepcopy((model.weights, model.bn_states))
         elif epoch - best_epoch >= config.patience:
             break
 
-    _restore_state(model, best_state)
+    model.weights, model.bn_states = best_state
     _, test_acc = evaluate(model, prop, graph, graph.test_mask)
     if not np.isfinite(best_val):
         best_val = float("nan")
@@ -390,34 +242,34 @@ def train(config: ModelConfig, graph: AttributedGraph,
                        seed=config.seed)
 
 
-def save_model(path, model) -> None:
+def save_model(path, model: Model) -> None:
     """Write architecture header, batch-norm running stats, latent weights.
 
     Layout, little-endian: magic, format version, model kind, layer
     count, widths, batch-norm state count, then float64 payloads (per BN
-    state: running mean then running variance; per layer: row-major
-    weight matrices, two per layer for the mean-aggregator model).
+    state: running mean then running variance; then `model.weights` as
+    row-major matrices, two per layer for the mean-aggregator model).
     """
     widths = model.config.widths
-    bn_states = getattr(model, "bn_states", [])
     with open(path, "wb") as fh:
         fh.write(MODEL_FILE_MAGIC)
-        fh.write(struct.pack("<III", 1, _MODEL_KIND_CODES[model.kind], len(widths)))
+        fh.write(struct.pack("<III", 1, _MODEL_KIND_CODES[model.config.model], len(widths)))
         fh.write(struct.pack(f"<{len(widths)}I", *widths))
-        fh.write(struct.pack("<I", len(bn_states)))
-        for state in bn_states:
+        fh.write(struct.pack("<I", len(model.bn_states)))
+        for state in model.bn_states:
             fh.write(struct.pack("<I", state.running_mean.size))
             fh.write(state.running_mean.astype("<f8").tobytes())
             fh.write(state.running_var.astype("<f8").tobytes())
-        for p in model.params():
-            fh.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
+        for w in model.weights:
+            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
 
 
-def load_model(path, config_overrides: dict | None = None):
+def load_model(path) -> Model:
     """Rebuild a model from `save_model` output.
 
     Every read is bounds-checked against the file size; a file that does
-    not hold exactly what its header announces raises ModelFileError.
+    not hold exactly what its header announces, or whose batch-norm
+    states are not those of its model family, raises ModelFileError.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -451,41 +303,24 @@ def load_model(path, config_overrides: dict | None = None):
         var = take(int(dim), "<f8", "batch-norm running variance").copy()
         bn_states.append(L.BatchNormState(running_mean=mean, running_var=var))
 
-    # Every family stores at least one d_in x d_out matrix per layer; check
-    # that before building the model allocates weights of the header's size.
-    min_payload = 8 * sum(a * b for a, b in zip(widths, widths[1:]))
-    if len(blob) - off < min_payload:
-        raise ModelFileError(f"{path}: truncated model file: widths {widths} need at least "
-                             f"{min_payload} weight bytes, {len(blob) - off} left")
-    overrides = config_overrides or {}
-    config = ModelConfig(widths=widths, model=_MODEL_KIND_NAMES[kind_code],
-                         **overrides)
-    model = build_model(config, np.random.default_rng(0))
-    if bn_states:
-        expected = [s.running_mean.size for s in model.bn_states]
-        if [s.running_mean.size for s in bn_states] != expected:
-            raise ModelFileError(f"{path}: batch-norm widths do not match the "
-                                 f"model's {expected}")
-        model.bn_states = bn_states
+    kind = _MODEL_KIND_NAMES[kind_code]
+    family = FAMILIES[kind]
+    stored, expected = [s.running_mean.size for s in bn_states], family.bn_widths(widths)
+    if stored != expected:
+        raise ModelFileError(f"{path}: batch-norm widths {stored}, but a {kind} model "
+                             f"of widths {widths} has {expected}")
+    # Check the payload size before allocating weights of the header's size.
+    shapes = [(a, b) for a, b in zip(widths, widths[1:]) for _ in range(family.paths)]
+    payload = 8 * sum(a * b for a, b in shapes)
+    if len(blob) - off < payload:
+        raise ModelFileError(f"{path}: truncated model file: widths {widths} need "
+                             f"{payload} weight bytes, {len(blob) - off} left")
+    if len(blob) - off > payload:
+        raise ModelFileError(f"{path}: {len(blob) - off - payload} trailing bytes "
+                             f"in model file")
 
-    params = [take(p.size, "<f8", "weights").reshape(p.shape).copy()
-              for p in model.params()]
-    if off != len(blob):
-        raise ModelFileError(f"{path}: {len(blob) - off} trailing bytes in model file")
-    _assign_params_raw(model, params)
+    model = Model(ModelConfig(widths=widths, model=kind), np.random.default_rng(0))
+    model.bn_states = bn_states
+    # installed as stored: no clipping on load
+    model.weights = [take(a * b, "<f8", "weights").reshape(a, b).copy() for a, b in shapes]
     return model
-
-
-def _assign_params_raw(model, params) -> None:
-    """Install parameters exactly as given (no clipping on load)."""
-    if model.kind == "bigcn":
-        for layer, p in zip(model.layers, params):
-            layer.w_latent = p
-    elif model.kind == "bisage":
-        it = iter(params)
-        for layer in model.layers:
-            layer.w_self = next(it)
-            layer.w_neigh = next(it)
-    else:
-        for layer, p in zip(model.layers, params):
-            layer.w = p

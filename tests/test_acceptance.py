@@ -22,8 +22,6 @@ from bingcn.cli import run
 from bingcn.datasets import SBMParams, generate_sbm, load_dataset
 from bingcn.graph import normalize_adjacency
 from bingcn.layers import (
-    BiGCNLayer,
-    GCNLayer,
     bigcn_backward,
     bigcn_forward,
     gcn_backward,
@@ -130,7 +128,7 @@ def test_backward_oracle():
         g = random_graph(rng, n, d_in)
         adj = normalize_adjacency(g)
         w = rng.uniform(-1.5, 1.5, size=(d_in, d_out))
-        _, cache = bigcn_forward(adj, g.x, BiGCNLayer(w), training=True)
+        _, cache = bigcn_forward(adj, g.x, w, training=True)
         grad_out = rng.standard_normal((n, d_out))
         grad_h, grad_w = bigcn_backward(cache, adj, grad_out, ste_mode=mode)
         ref_h, ref_w = scalar_bigcn_backward(g.x, w, adj.to_dense(), grad_out,
@@ -147,8 +145,7 @@ def test_baseline_gradient_check():
         n = int(rng.integers(2, 7))
         g = random_graph(rng, n, 4, n_classes=3)
         adj = normalize_adjacency(g)
-        layers = [GCNLayer(rng.standard_normal((4, 5))),
-                  GCNLayer(rng.standard_normal((5, 3)))]
+        layers = [rng.standard_normal((4, 5)), rng.standard_normal((5, 3))]
 
         def loss_of(ws):
             h = g.x
@@ -163,7 +160,7 @@ def test_baseline_gradient_check():
         _, grad_w1 = gcn_backward(c1, adj, grad_h1, need_input_grad=False)
 
         for li, analytic in ((0, grad_w1), (1, grad_w2)):
-            ws = [layers[0].w.copy(), layers[1].w.copy()]
+            ws = [layers[0].copy(), layers[1].copy()]
             fd = np.zeros_like(ws[li])
             for idx in np.ndindex(*ws[li].shape):
                 ws[li][idx] += step

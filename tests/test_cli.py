@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from bingcn.capacity import write_activation_dump
-from bingcn.cli import run
+from bingcn.cli import _model_config, _resolve_train_settings, build_parser, run
 from bingcn.datasets import SBMParams, generate_sbm, save_dataset
+from bingcn.train import ModelConfig, load_model, save_model
 
 SBM_ARGS = json.dumps({
     "nodes_per_class": 60, "n_classes": 3, "p_in": 0.12, "p_out": 0.01,
@@ -100,6 +101,12 @@ class TestTrain:
         assert code == 0
         assert dump.exists()
 
+    def test_defaults_are_the_model_config_defaults(self):
+        args = build_parser().parse_args(["train", "--sbm", SBM_ARGS])
+        graph = generate_sbm(SBMParams.from_json(json.loads(SBM_ARGS)))
+        config = _model_config(_resolve_train_settings(args), graph)
+        assert config == ModelConfig(widths=[24, 64, 3])
+
     def test_both_data_sources_is_usage_error(self, tmp_path, capsys):
         code = run(["train", "--sbm", SBM_ARGS, "--dataset", "whatever.json"])
         assert code == 1
@@ -138,6 +145,17 @@ class TestEvalCommand:
         cut.write_bytes(blob + b"\x00")
         assert run(["eval", str(cut), "--sbm", SBM_ARGS]) == 2
         assert "trailing" in capsys.readouterr().err
+
+    def test_missing_batch_norm_states_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["train", "--sbm", SBM_ARGS, "--widths", "24,16,3",
+                    "--epochs", "2", "--out", str(out)]) == 0
+        model = load_model(out / "model.bin")
+        model.bn_states = []
+        save_model(tmp_path / "no_bn.bin", model)
+        capsys.readouterr()
+        assert run(["eval", str(tmp_path / "no_bn.bin"), "--sbm", SBM_ARGS]) == 2
+        assert "batch-norm" in capsys.readouterr().err
 
     def test_model_graph_width_mismatch_is_data_error(self, tmp_path, capsys):
         out = tmp_path / "run"

@@ -1,6 +1,8 @@
 """Dataset file formats, loader error taxonomy, and the synthetic benchmark."""
 
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,6 +186,29 @@ class TestSBM:
         dists = ((g.x[g.test_mask, None, :] - means[None, :, :]) ** 2).sum(axis=2)
         acc = (dists.argmin(axis=1) == g.labels[g.test_mask]).mean()
         assert abs(acc - 0.5) < 0.1
+
+    def test_graph_pinned_across_row_chunks(self):
+        # 300 nodes per class spans two row chunks of every block pair; the
+        # digests are those of the one-draw-per-block sampler
+        g = generate_sbm(SBMParams(nodes_per_class=300, n_classes=3, p_in=0.03,
+                                   p_out=0.003, n_features=12, signal=1.0, seed=3))
+        assert len(g.edges) == 4885
+        assert hashlib.sha256(g.edges.tobytes()).hexdigest() == (
+            "a50699ee2a2eb6b90b263d0bc4ef460d4a478d696cef72bf009a9fa3b8701e18")
+        assert hashlib.sha256(g.x.tobytes()).hexdigest() == (
+            "46e87ce7381db6bb9531048be3274b3a63b5491c28617cf6c6e7feeb65507dde")
+
+    def test_memory_grows_with_the_block_not_n_squared(self):
+        # one 2000 x 2000 uniform draw alone would take 30.5 MiB
+        params = SBMParams(nodes_per_class=2000, n_classes=2, p_in=0.005,
+                           p_out=0.0005, seed=3)
+        tracemalloc.start()
+        try:
+            generate_sbm(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_infeasible_parameters_rejected(self):
         with pytest.raises(ValueError):

@@ -7,9 +7,6 @@ from bingcn import bitlinalg as bl
 from bingcn.graph import AttributedGraph, canonical_edges, neighbor_mean_matrix, normalize_adjacency
 from bingcn.layers import (
     BatchNormState,
-    BiGCNLayer,
-    BiSAGELayer,
-    GCNLayer,
     batch_norm_apply,
     batch_norm_backward,
     batch_norm_forward,
@@ -52,16 +49,15 @@ class TestBiGCNForward:
         g = random_graph(np.random.default_rng(0), 1, 2)
         g.x = np.array([[1.0, -1.0]])
         adj = normalize_adjacency(g)
-        layer = BiGCNLayer(np.array([[0.5, -0.5], [0.5, 0.5]]))
-        h_out, cache = bigcn_forward(adj, g.x, layer)
-        assert np.allclose(cache.zeta, [[0.0, -1.0]])
+        w = np.array([[0.5, -0.5], [0.5, 0.5]])
+        h_out, _ = bigcn_forward(adj, g.x, w)
         assert np.allclose(h_out, [[0.0, -1.0]])
 
     def test_zero_weights_give_zero_output(self):
         rng = np.random.default_rng(1)
         g = random_graph(rng, 5, 4)
         adj = normalize_adjacency(g)
-        h_out, _ = bigcn_forward(adj, g.x, BiGCNLayer(np.zeros((4, 3))))
+        h_out, _ = bigcn_forward(adj, g.x, np.zeros((4, 3)))
         assert np.array_equal(h_out, np.zeros((5, 3)))
 
     def test_exactly_representable_rows(self):
@@ -73,7 +69,7 @@ class TestBiGCNForward:
         g.x = signs * rng.uniform(0.5, 2.0, size=(4, 1))
         adj = normalize_adjacency(g)
         w = rng.standard_normal((6, 3))
-        h_out, _ = bigcn_forward(adj, g.x, BiGCNLayer(w))
+        h_out, _ = bigcn_forward(adj, g.x, w)
         w_tilde = bl.binarize_columns(w).reconstruct()
         assert np.allclose(h_out, g.x @ w_tilde, atol=1e-9)
 
@@ -82,10 +78,10 @@ class TestBiGCNForward:
         g = random_graph(rng, 6, 5)
         adj = normalize_adjacency(g)
         w = rng.standard_normal((5, 3))
-        h_out, cache = bigcn_forward(adj, g.x, BiGCNLayer(w))
+        h_out, _ = bigcn_forward(adj, g.x, w)
         ref_out, ref_zeta = scalar_bigcn_forward(g.x, w, adj.to_dense())
         assert np.allclose(h_out, ref_out, atol=1e-9)
-        assert np.allclose(cache.zeta, ref_zeta, atol=1e-9)
+        assert np.allclose(h_out, adj.to_dense() @ ref_zeta, atol=1e-9)
 
     def test_training_and_inference_paths_agree(self):
         rng = np.random.default_rng(4)
@@ -93,17 +89,17 @@ class TestBiGCNForward:
             n, d, m = (int(v) for v in rng.integers(2, 40, size=3))
             g = random_graph(rng, n, d)
             adj = normalize_adjacency(g)
-            layer = BiGCNLayer(rng.standard_normal((d, m)))
-            h_eval, _ = bigcn_forward(adj, g.x, layer, training=False)
-            h_train, _ = bigcn_forward(adj, g.x, layer, training=True)
+            w = rng.standard_normal((d, m))
+            h_eval, _ = bigcn_forward(adj, g.x, w, training=False)
+            h_train, _ = bigcn_forward(adj, g.x, w, training=True)
             assert np.abs(h_eval - h_train).max() < 1e-5
 
     def test_dropout_masks_binarized_features(self):
         rng = np.random.default_rng(5)
         g = random_graph(rng, 8, 10)
         adj = normalize_adjacency(g)
-        layer = BiGCNLayer(rng.standard_normal((10, 4)))
-        h_out, cache = bigcn_forward(adj, g.x, layer, training=True,
+        w = rng.standard_normal((10, 4))
+        h_out, cache = bigcn_forward(adj, g.x, w, training=True,
                                      dropout=0.5, rng=np.random.default_rng(99))
         assert cache.drop_mask is not None
         dropped = cache.drop_mask == 0.0
@@ -111,20 +107,20 @@ class TestBiGCNForward:
         kept_scale = cache.drop_mask[~dropped]
         assert np.allclose(kept_scale, 2.0)  # inverted dropout at rate 0.5
         h_tilde = cache.beta[:, None] * cache.f_signs * cache.drop_mask
-        expected_zeta = h_tilde @ (cache.b_signs * cache.alpha[None, :])
-        assert np.allclose(cache.zeta, expected_zeta)
+        expected_zeta = h_tilde @ (cache.b_signs[0] * cache.alpha[0][None, :])
+        assert np.allclose(h_out, adj.to_dense() @ expected_zeta)
 
     def test_dropout_requires_rng(self):
         g = random_graph(np.random.default_rng(6), 3, 4)
         adj = normalize_adjacency(g)
         with pytest.raises(ValueError):
-            bigcn_forward(adj, g.x, BiGCNLayer(np.ones((4, 2))), training=True, dropout=0.5)
+            bigcn_forward(adj, g.x, np.ones((4, 2)), training=True, dropout=0.5)
 
     def test_shape_mismatch(self):
         g = random_graph(np.random.default_rng(7), 3, 4)
         adj = normalize_adjacency(g)
         with pytest.raises(ValueError):
-            bigcn_forward(adj, g.x, BiGCNLayer(np.ones((5, 2))))
+            bigcn_forward(adj, g.x, np.ones((5, 2)))
 
 
 class TestBiGCNBackward:
@@ -132,8 +128,8 @@ class TestBiGCNBackward:
         rng = np.random.default_rng(8)
         g = random_graph(rng, 4, 5)
         adj = normalize_adjacency(g)
-        layer = BiGCNLayer(rng.standard_normal((5, 2)))
-        _, cache = bigcn_forward(adj, g.x, layer, training=True)
+        w = rng.standard_normal((5, 2))
+        _, cache = bigcn_forward(adj, g.x, w, training=True)
         grad_h, grad_w = bigcn_backward(cache, adj, np.zeros((4, 2)))
         assert np.array_equal(grad_h, np.zeros((4, 5)))
         assert np.array_equal(grad_w, np.zeros((5, 2)))
@@ -143,8 +139,7 @@ class TestBiGCNBackward:
         g = random_graph(np.random.default_rng(9), 1, 1)
         g.x = np.array([[0.5]])
         adj = normalize_adjacency(g)
-        layer = BiGCNLayer(np.array([[0.75]]))
-        _, cache = bigcn_forward(adj, g.x, layer, training=True)
+        _, cache = bigcn_forward(adj, g.x, np.array([[0.75]]), training=True)
         grad_h, _ = bigcn_backward(cache, adj, np.array([[2.0]]), ste_mode="grad")
         # grad_h_tilde = 2.0 * 0.75 = 1.5 -> gated to zero
         assert grad_h[0, 0] == 0.0
@@ -163,8 +158,7 @@ class TestBiGCNBackward:
             g = random_graph(rng, n, d_in)
             adj = normalize_adjacency(g)
             w = rng.uniform(-1.5, 1.5, size=(d_in, d_out))
-            layer = BiGCNLayer(w)
-            _, cache = bigcn_forward(adj, g.x, layer, training=True)
+            _, cache = bigcn_forward(adj, g.x, w, training=True)
             grad_out = rng.standard_normal((n, d_out))
             grad_h, grad_w = bigcn_backward(cache, adj, grad_out, ste_mode=ste_mode)
             ref_h, ref_w = scalar_bigcn_backward(g.x, w, adj.to_dense(), grad_out,
@@ -177,8 +171,7 @@ class TestBiGCNBackward:
         g = random_graph(rng, 5, 6)
         adj = normalize_adjacency(g)
         w = rng.uniform(-1.2, 1.2, size=(6, 3))
-        layer = BiGCNLayer(w)
-        _, cache = bigcn_forward(adj, g.x, layer, training=True, dropout=0.4,
+        _, cache = bigcn_forward(adj, g.x, w, training=True, dropout=0.4,
                                  rng=np.random.default_rng(12))
         grad_out = rng.standard_normal((5, 3))
         grad_h, grad_w = bigcn_backward(cache, adj, grad_out)
@@ -191,7 +184,7 @@ class TestBiGCNBackward:
         rng = np.random.default_rng(13)
         g = random_graph(rng, 3, 4)
         adj = normalize_adjacency(g)
-        _, cache = bigcn_forward(adj, g.x, BiGCNLayer(np.ones((4, 2))))
+        _, cache = bigcn_forward(adj, g.x, np.ones((4, 2)))
         with pytest.raises(ValueError):
             bigcn_backward(cache, adj, np.zeros((3, 5)))
 
@@ -234,8 +227,7 @@ class TestGCN:
             n = int(rng.integers(2, 7))
             g = random_graph(rng, n, 4, n_classes=3)
             adj = normalize_adjacency(g)
-            layers = [GCNLayer(rng.standard_normal((4, 5))),
-                      GCNLayer(rng.standard_normal((5, 3)))]
+            layers = [rng.standard_normal((4, 5)), rng.standard_normal((5, 3))]
 
             def loss_of(ws):
                 h = g.x
@@ -252,7 +244,7 @@ class TestGCN:
 
             step = 1e-4
             for li, analytic in ((0, grad_w1), (1, grad_w2)):
-                ws = [layers[0].w.copy(), layers[1].w.copy()]
+                ws = [layers[0].copy(), layers[1].copy()]
                 fd = np.zeros_like(ws[li])
                 for idx in np.ndindex(*ws[li].shape):
                     ws[li][idx] += step
@@ -270,10 +262,10 @@ class TestBiSAGE:
         g = random_graph(np.random.default_rng(18), 3, 4, edge_factor=0)
         p = neighbor_mean_matrix(g)
         rng = np.random.default_rng(19)
-        layer = BiSAGELayer(rng.standard_normal((4, 2)), rng.standard_normal((4, 2)))
-        h_out, _ = bisage_forward(p, g.x, layer)
+        w_self, w_neigh = rng.standard_normal((4, 2)), rng.standard_normal((4, 2))
+        h_out, _ = bisage_forward(p, g.x, w_self, w_neigh)
         f = bl.binarize_rows(g.x)
-        b_self = bl.binarize_columns(layer.w_self)
+        b_self = bl.binarize_columns(w_self)
         assert np.allclose(h_out, bl.bin_gemm(f, b_self), atol=1e-9)
 
     def test_identical_neighbor_doubles_self_term(self):
@@ -283,25 +275,23 @@ class TestBiSAGE:
         p = neighbor_mean_matrix(g)
         rng = np.random.default_rng(21)
         w = rng.standard_normal((4, 3))
-        layer = BiSAGELayer(w.copy(), w.copy())
-        h_out, _ = bisage_forward(p, g.x, layer)
+        h_out, _ = bisage_forward(p, g.x, w.copy(), w.copy())
         self_term = bl.bin_gemm(bl.binarize_rows(g.x), bl.binarize_columns(w))
         assert np.allclose(h_out, 2.0 * self_term, atol=1e-9)
 
     def test_zero_weights(self):
         g = random_graph(np.random.default_rng(22), 4, 3)
         p = neighbor_mean_matrix(g)
-        layer = BiSAGELayer(np.zeros((3, 2)), np.zeros((3, 2)))
-        h_out, _ = bisage_forward(p, g.x, layer)
+        h_out, _ = bisage_forward(p, g.x, np.zeros((3, 2)), np.zeros((3, 2)))
         assert np.array_equal(h_out, np.zeros((4, 2)))
 
     def test_paths_agree(self):
         rng = np.random.default_rng(23)
         g = random_graph(rng, 12, 9)
         p = neighbor_mean_matrix(g)
-        layer = BiSAGELayer(rng.standard_normal((9, 4)), rng.standard_normal((9, 4)))
-        h_eval, _ = bisage_forward(p, g.x, layer, training=False)
-        h_train, _ = bisage_forward(p, g.x, layer, training=True)
+        w_self, w_neigh = rng.standard_normal((9, 4)), rng.standard_normal((9, 4))
+        h_eval, _ = bisage_forward(p, g.x, w_self, w_neigh, training=False)
+        h_train, _ = bisage_forward(p, g.x, w_self, w_neigh, training=True)
         assert np.abs(h_eval - h_train).max() < 1e-5
 
     def test_backward_matches_composed_scalar_reference(self):
@@ -313,8 +303,7 @@ class TestBiSAGE:
         p = neighbor_mean_matrix(g)
         w_self = rng.uniform(-1.2, 1.2, size=(6, 3))
         w_neigh = rng.uniform(-1.2, 1.2, size=(6, 3))
-        layer = BiSAGELayer(w_self, w_neigh)
-        _, cache = bisage_forward(p, g.x, layer, training=True)
+        _, cache = bisage_forward(p, g.x, w_self, w_neigh, training=True)
         grad_out = rng.standard_normal((5, 3))
         grad_h, grad_ws, grad_wn = bisage_backward(cache, p, grad_out)
 

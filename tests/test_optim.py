@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bingcn.optim import AdamState, adam_step
-from bingcn.train import BiGCNModel, ModelConfig
+from bingcn.train import Model, ModelConfig
 
 
 def test_zero_gradient_leaves_params_unchanged():
@@ -54,15 +54,8 @@ def test_moments_accumulate_across_steps():
 
 def test_latent_weights_clipped_after_update():
     config = ModelConfig(widths=[3, 2], model="bigcn", seed=0)
-    model = BiGCNModel(config, np.random.default_rng(0))
-    model.set_params([np.array([[1.2, -3.0], [0.5, 0.99], [-1.0, 1.0]])])
-    w = model.layers[0].w_latent
+    model = Model(config, np.random.default_rng(0))
+    model.update([np.array([[1.2, -3.0], [0.5, 0.99], [-1.0, 1.0]])])
+    w = model.weights[0]
     assert w.max() <= 1.0 and w.min() >= -1.0
     assert w[0, 0] == 1.0 and w[0, 1] == -1.0 and w[1, 0] == 0.5
-
-
-def test_clipping_can_be_disabled():
-    config = ModelConfig(widths=[2, 2], model="bigcn", clip_latent=False)
-    model = BiGCNModel(config, np.random.default_rng(0))
-    model.set_params([np.array([[1.2, -3.0], [0.5, 0.99]])])
-    assert model.layers[0].w_latent[0, 0] == 1.2

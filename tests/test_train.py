@@ -6,9 +6,10 @@ import pytest
 from bingcn.datasets import SBMParams, generate_sbm
 from bingcn.graph import normalize_adjacency
 from bingcn.train import (
+    Model,
     ModelConfig,
+    ModelFileError,
     _propagation_operator,
-    build_model,
     evaluate,
     load_model,
     save_model,
@@ -90,9 +91,9 @@ class TestTrainingLoop:
         config = ModelConfig(widths=[24, 16, 3], model="bigcn", seed=2,
                              max_epochs=120, lr=0.05)  # large lr to hit the clip
         result = train(config, g)
-        for layer in result.model.layers:
-            assert layer.w_latent.max() <= 1.0
-            assert layer.w_latent.min() >= -1.0
+        for w in result.model.weights:
+            assert w.max() <= 1.0
+            assert w.min() >= -1.0
 
     def test_test_metric_comes_from_best_checkpoint(self):
         g = small_sbm(seed=3)
@@ -128,6 +129,15 @@ class TestModelFiles:
         logits_loaded, _ = loaded.forward(prop, g.x, training=False)
         assert np.array_equal(logits_orig, logits_loaded)
 
+    @pytest.mark.parametrize("model", ["bigcn", "bisage"])
+    def test_rejects_missing_batch_norm_states(self, tmp_path, model):
+        net = Model(ModelConfig(widths=[24, 8, 3], model=model), np.random.default_rng(0))
+        net.bn_states = []
+        path = tmp_path / "model.bin"
+        save_model(path, net)
+        with pytest.raises(ModelFileError, match="batch-norm"):
+            load_model(path)
+
     def test_rejects_corrupt_file(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
@@ -139,7 +149,8 @@ class TestModelFiles:
         config = ModelConfig(widths=[24, 10, 3], model="gcn", seed=8, max_epochs=5)
         result = train(config, g)
         adj = normalize_adjacency(g)
-        hidden = result.model.hidden_activations(adj, g.x)
+        _, caches = result.model.forward(adj, g.x)
+        hidden = [cache.h_in for cache, _ in caches[1:]]
         assert len(hidden) == 1
         assert hidden[0].shape == (g.n_nodes, 10)
         assert (hidden[0] >= 0).all()  # post-ReLU
@@ -148,22 +159,17 @@ class TestModelFiles:
 class TestBatchNormPlacement:
     def test_bigcn_standardizes_input_only(self):
         config = ModelConfig(widths=[24, 8, 3], model="bigcn")
-        model = build_model(config, np.random.default_rng(0))
+        model = Model(config, np.random.default_rng(0))
         assert len(model.bn_states) == 1
         assert model.bn_states[0].running_mean.shape == (24,)
 
     def test_bisage_standardizes_every_layer(self):
         config = ModelConfig(widths=[24, 8, 3], model="bisage")
-        model = build_model(config, np.random.default_rng(0))
+        model = Model(config, np.random.default_rng(0))
         assert len(model.bn_states) == 2
         assert model.bn_states[1].running_mean.shape == (8,)
 
     def test_gcn_has_no_batch_norm_by_default(self):
         config = ModelConfig(widths=[24, 8, 3], model="gcn")
-        model = build_model(config, np.random.default_rng(0))
+        model = Model(config, np.random.default_rng(0))
         assert model.bn_states == []
-
-    def test_gcn_rejects_every_layer_placement(self):
-        config = ModelConfig(widths=[24, 8, 3], model="gcn", bn_placement="every-layer")
-        with pytest.raises(ValueError):
-            build_model(config, np.random.default_rng(0))
