@@ -28,7 +28,6 @@ from .capacity import (
 from .datasets import DatasetManifest, SBMParams, generate_sbm, load_dataset, save_dataset
 from .efficiency import (
     ArchSpec,
-    EfficiencyReport,
     GraphStats,
     acceleration_ratios,
     build_report,
@@ -68,7 +67,6 @@ __all__ = [
     "BitVector",
     "CapacityBound",
     "DatasetManifest",
-    "EfficiencyReport",
     "EntropyEstimate",
     "GraphStats",
     "LayerCache",

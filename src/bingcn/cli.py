@@ -1,4 +1,4 @@
-"""Command-line front end: train, eval, capacity, analyze, bench.
+"""Command-line front end: train, eval, capacity, analyze.
 
 Every command runs to completion and exits; nothing reads stdin. Exit
 codes: 0 success, 1 usage error, 2 data error, 3 runtime failure.
@@ -11,12 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
-import numpy as np
-
-from . import bitlinalg as bl
 from . import capacity as cap
 from .datasets import (
     DatasetError,
@@ -27,7 +23,7 @@ from .datasets import (
 )
 from .efficiency import GraphStats, build_report
 from .graph import normalize_adjacency
-from .layers import masked_accuracy
+from .layers import STE_MODES, masked_accuracy
 from .train import (
     MODEL_KINDS,
     ModelConfig,
@@ -85,6 +81,8 @@ def _resolve_train_settings(args) -> dict:
             file_conf = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise UsageError(f"{path}: invalid JSON ({exc})") from exc
+        if not isinstance(file_conf, dict):
+            raise UsageError(f"{path}: expected a JSON object of settings")
         unknown = set(file_conf) - set(TRAIN_DEFAULTS) - {"widths"}
         if unknown:
             raise UsageError(f"{path}: unknown config keys {sorted(unknown)}")
@@ -99,10 +97,10 @@ def _resolve_train_settings(args) -> dict:
 
 
 def _model_config(settings: dict, graph) -> ModelConfig:
-    widths = settings.get("widths")
-    if widths is None:
-        widths = [graph.n_features, int(settings["hidden"]), graph.n_classes]
     try:
+        widths = settings.get("widths")
+        if widths is None:
+            widths = [graph.n_features, int(settings["hidden"]), graph.n_classes]
         return ModelConfig(
             widths=widths,
             model=settings["model"],
@@ -113,7 +111,7 @@ def _model_config(settings: dict, graph) -> ModelConfig:
             ste_mode=settings["ste"],
             seed=int(settings["seed"]),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
 
 
@@ -192,6 +190,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_capacity(args) -> int:
+    if args.bins < 1:
+        raise UsageError(f"--bins must be at least 1, got {args.bins}")
     estimates = []
     for dump in args.dumps:
         try:
@@ -224,13 +224,12 @@ def cmd_capacity(args) -> int:
 def cmd_analyze(args) -> int:
     if args.dataset:
         graph = load_dataset(args.dataset)
-        stats = GraphStats(nodes=graph.n_nodes, edges=graph.n_edges,
-                           features=graph.n_features)
+        counts = (graph.n_nodes, graph.n_edges, graph.n_features)
         default_widths = [graph.n_features, 64, graph.n_classes]
     else:
         if args.nodes is None or args.edges is None or args.features is None:
             raise UsageError("analyze needs --dataset or all of --nodes/--edges/--features")
-        stats = GraphStats(nodes=args.nodes, edges=args.edges, features=args.features)
+        counts = (args.nodes, args.edges, args.features)
         default_widths = None
     if args.widths is not None:
         widths = _parse_widths(args.widths)
@@ -240,49 +239,14 @@ def cmd_analyze(args) -> int:
         raise UsageError("analyze needs --widths when no dataset is given")
 
     try:
-        report = build_report(widths, stats, ops_per_cycle=args.ops_per_cycle)
+        report = build_report(widths, GraphStats(*counts), ops_per_cycle=args.ops_per_cycle)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    out_text = json.dumps(report.to_dict(), indent=2)
+    out_text = json.dumps(report, indent=2)
     if args.out:
         out = _out_dir(args)
         (out / "efficiency.json").write_text(out_text + "\n")
     print(out_text)
-    return 0
-
-
-def cmd_bench(args) -> int:
-    try:
-        n, d, m = (int(tok) for tok in args.shape.split(","))
-    except ValueError as exc:
-        raise UsageError(f"--shape expects N,d,m, got {args.shape!r}") from exc
-    if args.repeats < 1:
-        raise UsageError(f"--repeats must be at least 1, got {args.repeats}")
-    rng = np.random.default_rng(args.seed or 0)
-    h = rng.standard_normal((n, d))
-    w = rng.standard_normal((d, m))
-    packed_f = bl.binarize_rows(h)
-    packed_b = bl.binarize_columns(w)
-
-    def timed(fn):
-        best = np.inf
-        for _ in range(args.repeats):
-            t0 = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    t_bin = timed(lambda: bl.bin_gemm(packed_f, packed_b))
-    t_float = timed(lambda: h @ w)
-    print(json.dumps({
-        "shape": [n, d, m],
-        "repeats": args.repeats,
-        "bin_gemm_seconds": t_bin,
-        "float_matmul_seconds": t_float,
-        "note": "informational wall-clock comparison; the packed kernel expands "
-                "its signs to float32 for a BLAS product, so neither time follows "
-                "the cycle model",
-    }, indent=2))
     return 0
 
 
@@ -309,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--lr", type=float, default=None)
     p_train.add_argument("--epochs", type=int, default=None)
     p_train.add_argument("--patience", type=int, default=None)
-    p_train.add_argument("--ste", choices=("grad", "input"), default=None,
+    p_train.add_argument("--ste", choices=STE_MODES, default=None,
                          help="straight-through gate: gradient or input magnitude")
     p_train.add_argument("--seed", type=int, default=None)
     p_train.add_argument("--config", help="JSON config file; flags override it")
@@ -340,11 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--out", help="also write efficiency.json here")
     p_an.set_defaults(fn=cmd_analyze)
 
-    p_bench = sub.add_parser("bench", help="time the packed kernel against float matmul")
-    p_bench.add_argument("--shape", default="1024,512,64", help="N,d,m")
-    p_bench.add_argument("--repeats", type=int, default=5)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.set_defaults(fn=cmd_bench)
     return parser
 
 

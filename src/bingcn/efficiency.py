@@ -99,6 +99,8 @@ def acceleration_ratios(
         raise ValueError("d_in must be >= 1")
     if avg_degree < 0:
         raise ValueError("average degree must be >= 0")
+    if ops_per_cycle < 1:
+        raise ValueError("ops_per_cycle must be >= 1")
     k = float(ops_per_cycle)
     s_fe = k * d_in / (d_in + 2.0 * k)
     half_deg = avg_degree / 2.0
@@ -118,6 +120,8 @@ def _layer_cycles(
 def cycle_ops(arch: ArchSpec, stats: GraphStats,
               ops_per_cycle: int = CYCLE_BINARY_OPS) -> int:
     """Total cycle operations of one full forward pass."""
+    if ops_per_cycle < 1:
+        raise ValueError("ops_per_cycle must be >= 1")
     total = 0
     for i in range(arch.n_layers):
         total += _layer_cycles(stats.nodes, stats.edges, arch.widths[i],
@@ -160,73 +164,12 @@ def format_size(bits: int, unit: str | None = None) -> str:
     return f"{text}{unit}" if unit != "B" else f"{text}B"
 
 
-@dataclass(frozen=True)
-class EfficiencyReport:
-    """Side-by-side float versus binarized cost summary."""
-
-    widths: tuple[int, ...]
-    nodes: int
-    edges: int
-    features: int
-    avg_degree: float
-    model_bits_float: int
-    model_bits_binary: int
-    data_bits_float: int
-    data_bits_binary: int
-    cycles_float: int
-    cycles_binary: int
-    param_compression_per_layer: tuple[float, ...]
-    param_compression_total: float
-    data_compression: float
-    s_fe_per_layer: tuple[float, ...]
-    s_full_per_layer: tuple[float, ...]
-    cycle_acceleration: float
-
-    def to_dict(self) -> dict:
-        model_unit = "M" if self.model_bits_float / 8 >= 1024**2 else "K"
-        data_unit = "M" if self.data_bits_float / 8 >= 1024**2 else "K"
-        return {
-            "arch": {"widths": list(self.widths)},
-            "graph": {
-                "nodes": self.nodes,
-                "edges": self.edges,
-                "features": self.features,
-                "avg_degree": self.avg_degree,
-            },
-            "model_size_bits": {
-                "float": self.model_bits_float,
-                "binary": self.model_bits_binary,
-            },
-            "model_size_display": {
-                "float": format_size(self.model_bits_float, model_unit),
-                "binary": format_size(self.model_bits_binary, model_unit),
-            },
-            "data_size_bits": {
-                "float": self.data_bits_float,
-                "binary": self.data_bits_binary,
-            },
-            "data_size_display": {
-                "float": format_size(self.data_bits_float, data_unit),
-                "binary": format_size(self.data_bits_binary, data_unit),
-            },
-            "cycle_ops": {
-                "float": self.cycles_float,
-                "binary": self.cycles_binary,
-            },
-            "ratios": {
-                "param_compression_per_layer": list(self.param_compression_per_layer),
-                "param_compression_total": self.param_compression_total,
-                "data_compression": self.data_compression,
-                "s_fe_per_layer": list(self.s_fe_per_layer),
-                "s_full_per_layer": list(self.s_full_per_layer),
-                "cycle_acceleration": self.cycle_acceleration,
-            },
-        }
-
-
 def build_report(widths, stats: GraphStats,
-                 ops_per_cycle: int = CYCLE_BINARY_OPS) -> EfficiencyReport:
-    """Compare the full-float and fully binarized variants of one stack."""
+                 ops_per_cycle: int = CYCLE_BINARY_OPS) -> dict:
+    """Compare the full-float and fully binarized variants of one stack.
+
+    Returns the JSON-ready report that `bingcn analyze` prints.
+    """
     widths = tuple(int(w) for w in widths)
     if widths and widths[0] != stats.features:
         raise ValueError(
@@ -235,32 +178,51 @@ def build_report(widths, stats: GraphStats,
     float_arch = ArchSpec.full_float(widths)
     bin_arch = ArchSpec.full_binary(widths)
 
-    model_float, _ = model_size_bits(float_arch)
-    _, model_binary = model_size_bits(bin_arch)
+    model_float, model_binary = model_size_bits(bin_arch)
     data_float, data_binary = data_size_bits(stats)
     cyc_float = cycle_ops(float_arch, stats, ops_per_cycle)
     cyc_binary = cycle_ops(bin_arch, stats, ops_per_cycle)
+    model_unit = "M" if model_float / 8 >= 1024**2 else "K"
+    data_unit = "M" if data_float / 8 >= 1024**2 else "K"
 
     per_layer = [acceleration_ratios(d_in, stats.avg_degree, ops_per_cycle)
                  for d_in in widths[:-1]]
-    return EfficiencyReport(
-        widths=widths,
-        nodes=stats.nodes,
-        edges=stats.edges,
-        features=stats.features,
-        avg_degree=stats.avg_degree,
-        model_bits_float=model_float,
-        model_bits_binary=model_binary,
-        data_bits_float=data_float,
-        data_bits_binary=data_binary,
-        cycles_float=cyc_float,
-        cycles_binary=cyc_binary,
-        param_compression_per_layer=tuple(
-            param_compression_ratio(d) for d in widths[:-1]
-        ),
-        param_compression_total=model_float / model_binary,
-        data_compression=data_float / data_binary,
-        s_fe_per_layer=tuple(s[0] for s in per_layer),
-        s_full_per_layer=tuple(s[1] for s in per_layer),
-        cycle_acceleration=cyc_float / cyc_binary,
-    )
+    return {
+        "arch": {"widths": list(widths)},
+        "graph": {
+            "nodes": stats.nodes,
+            "edges": stats.edges,
+            "features": stats.features,
+            "avg_degree": stats.avg_degree,
+        },
+        "model_size_bits": {
+            "float": model_float,
+            "binary": model_binary,
+        },
+        "model_size_display": {
+            "float": format_size(model_float, model_unit),
+            "binary": format_size(model_binary, model_unit),
+        },
+        "data_size_bits": {
+            "float": data_float,
+            "binary": data_binary,
+        },
+        "data_size_display": {
+            "float": format_size(data_float, data_unit),
+            "binary": format_size(data_binary, data_unit),
+        },
+        "cycle_ops": {
+            "float": cyc_float,
+            "binary": cyc_binary,
+        },
+        "ratios": {
+            "param_compression_per_layer": [
+                param_compression_ratio(d) for d in widths[:-1]
+            ],
+            "param_compression_total": model_float / model_binary,
+            "data_compression": data_float / data_binary,
+            "s_fe_per_layer": [s[0] for s in per_layer],
+            "s_full_per_layer": [s[1] for s in per_layer],
+            "cycle_acceleration": cyc_float / cyc_binary,
+        },
+    }

@@ -30,8 +30,8 @@ class AttributedGraph:
     """Node features, undirected edges, labels, and split masks.
 
     Edges are stored canonically (deduplicated, u < v, no self-loops);
-    pass any undirected pair list through `canonical_edges` first or use
-    `from_raw_edges`. Instances are treated as immutable once built.
+    pass any undirected pair list through `canonical_edges` first.
+    Instances are treated as immutable once built.
     """
 
     x: np.ndarray  # (N, d) float64 features
@@ -80,12 +80,6 @@ class AttributedGraph:
         if overlap.any():
             raise ValueError("train/val/test masks overlap")
 
-    @classmethod
-    def from_raw_edges(cls, x, raw_edges, labels, train_mask, val_mask, test_mask,
-                       n_classes: int = 0) -> "AttributedGraph":
-        return cls(x, canonical_edges(raw_edges), labels,
-                   train_mask, val_mask, test_mask, n_classes)
-
     @property
     def n_nodes(self) -> int:
         return self.x.shape[0]
@@ -113,18 +107,6 @@ class NormalizedAdjacency:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def row_offsets(self) -> np.ndarray:
-        return self.matrix.indptr
-
-    @property
-    def col_indices(self) -> np.ndarray:
-        return self.matrix.indices
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.matrix.data
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()

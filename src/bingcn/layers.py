@@ -327,9 +327,8 @@ class BatchNormState:
     eps: float = 1e-5
 
     @classmethod
-    def for_dim(cls, dim: int, momentum: float = 0.9, eps: float = 1e-5) -> "BatchNormState":
-        return cls(running_mean=np.zeros(dim), running_var=np.ones(dim),
-                   momentum=momentum, eps=eps)
+    def for_dim(cls, dim: int) -> "BatchNormState":
+        return cls(running_mean=np.zeros(dim), running_var=np.ones(dim))
 
 
 def batch_norm_apply(h: np.ndarray, training: bool, state: BatchNormState) -> np.ndarray:

@@ -19,12 +19,10 @@ class AdamState:
     eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params, beta1: float = 0.9, beta2: float = 0.999,
-                   eps: float = 1e-8) -> "AdamState":
+    def for_params(cls, params) -> "AdamState":
         return cls(
             m=[np.zeros_like(p) for p in params],
             v=[np.zeros_like(p) for p in params],
-            beta1=beta1, beta2=beta2, eps=eps,
         )
 
 

@@ -83,6 +83,8 @@ class ModelConfig:
             raise ValueError("widths must list at least [d_in, d_out] positive sizes")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
+        if not 0.0 < self.lr < np.inf:
+            raise ValueError("lr must be a finite number > 0")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if self.max_epochs < 0:
@@ -222,6 +224,11 @@ def train(config: ModelConfig, graph: AttributedGraph,
         val_logits, _ = model.forward(prop, graph.x, training=False)
         val_loss, _ = L.masked_softmax_xent(val_logits, graph.labels, graph.val_mask)
         val_acc = L.masked_accuracy(val_logits, graph.labels, graph.val_mask)
+        # Free the training caches before the next forward pass builds its
+        # own. Only these: freeing the logits and gradients too leaves the
+        # heap top free, so glibc trims it and the next epoch faults it back
+        # in (+20 % epoch time on the 700-node benchmark graph, 2 vCPUs).
+        del caches
         trace.append(EpochMetrics(epoch=epoch, train_loss=train_loss,
                                   train_acc=train_acc, val_loss=val_loss,
                                   val_acc=val_acc))

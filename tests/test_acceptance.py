@@ -251,8 +251,8 @@ def test_desk_scale_exclusions():
     dataset-gated tests above), all large-graph results (Reddit, Flickr,
     OGBN-*), the 97.37-bit entropy measurement of a specific trained
     checkpoint (replaced by the entropy-analytics properties), and
-    wall-clock speedup claims (the cycle model is the target; bench is
-    informational).
+    wall-clock speedup claims (the cycle model is the target; perfbench
+    timings are informational).
     """
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     assert "cycle" in readme.lower()

@@ -1,6 +1,9 @@
 """CLI behavior: subcommands, exit codes, and output files."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,34 @@ SBM_ARGS = json.dumps({
 
 def read_json(path):
     return json.loads(path.read_text())
+
+
+def _config_file(tmp_path, conf):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(conf))
+    return str(path)
+
+
+def _dump_file(tmp_path):
+    path = tmp_path / "acts.bin"
+    write_activation_dump(path, np.random.default_rng(0).standard_normal((20, 3)))
+    return str(path)
+
+
+ANALYZE_ARGS = ["analyze", "--edges", "4", "--features", "3", "--widths", "3,2"]
+# Each builds the argv of one malformed input from a scratch directory.
+MALFORMED_INPUTS = {
+    "config-widths-not-a-list": lambda tmp: [
+        "train", "--sbm", SBM_ARGS, "--config", _config_file(tmp, {"widths": 5})],
+    "config-not-an-object": lambda tmp: [
+        "train", "--sbm", SBM_ARGS, "--config", _config_file(tmp, [["lr"]])],
+    "lr-nan": lambda tmp: ["train", "--sbm", SBM_ARGS, "--lr", "nan"],
+    "lr-negative": lambda tmp: ["train", "--sbm", SBM_ARGS, "--lr", "-1"],
+    "analyze-zero-nodes": lambda tmp: ANALYZE_ARGS + ["--nodes", "0"],
+    "analyze-zero-ops-per-cycle": lambda tmp: ANALYZE_ARGS + [
+        "--nodes", "5", "--ops-per-cycle", "0"],
+    "capacity-zero-bins": lambda tmp: ["capacity", _dump_file(tmp), "--bins", "0"],
+}
 
 
 class TestAnalyze:
@@ -205,24 +236,23 @@ class TestCapacityCommand:
         assert run(["capacity", str(tmp_path / "missing.bin")]) == 2
 
 
-class TestBench:
-    def test_bench_smoke(self, capsys):
-        code = run(["bench", "--shape", "64,128,8", "--repeats", "1"])
-        assert code == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["shape"] == [64, 128, 8]
-        assert report["bin_gemm_seconds"] > 0
-
-    def test_bench_needs_a_repeat(self, capsys):
-        assert run(["bench", "--shape", "8,8,2", "--repeats", "0"]) == 1
-        assert "--repeats" in capsys.readouterr().err
-        assert run(["bench", "--shape", "8,8,2", "--repeats", "-3"]) == 1
-
-
 class TestExitCodes:
     def test_unknown_command_is_usage_error(self, capsys):
         assert run(["frobnicate"]) == 1
 
+    @pytest.mark.parametrize("argv_of", MALFORMED_INPUTS.values(), ids=list(MALFORMED_INPUTS))
+    def test_malformed_input_is_usage_error(self, argv_of, tmp_path, capsys):
+        assert run(argv_of(tmp_path)) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert run(["train", "--help"]) == 0
+
+
+def test_readme_lists_every_subcommand():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listed = re.search(r"Subcommands:([^.]*)\.", readme).group(1)
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(re.findall(r"`(\w+)`", listed)) == set(sub.choices)

@@ -111,8 +111,7 @@ class TestSizes:
 
 class TestReport:
     def test_cora_report_fields(self):
-        report = build_report(CORA_WIDTHS, CORA)
-        d = report.to_dict()
+        d = build_report(CORA_WIDTHS, CORA)
         assert d["cycle_ops"] == {"float": 249_954_739, "binary": 4_669_515}
         assert d["model_size_display"] == {"float": "360K", "binary": "11.53K"}
         assert d["data_size_display"] == {"float": "14.8M", "binary": "0.47M"}

@@ -118,7 +118,7 @@ class TestNormalizeAdjacency:
         adj = normalize_adjacency(g)
         dense = adj.to_dense()
         assert np.allclose(dense, dense.T)
-        vals = adj.values
+        vals = adj.matrix.data
         assert (vals > 0).all() and (vals <= 1).all()
         assert (np.diag(dense) > 0).all()  # every node keeps a self-loop
 
@@ -126,7 +126,7 @@ class TestNormalizeAdjacency:
         g = make_graph(5, [[0, 4], [0, 2], [0, 1]])
         adj = normalize_adjacency(g)
         for i in range(5):
-            row = adj.col_indices[adj.row_offsets[i]:adj.row_offsets[i + 1]]
+            row = adj.matrix.indices[adj.matrix.indptr[i]:adj.matrix.indptr[i + 1]]
             assert np.array_equal(row, np.sort(row))
 
 

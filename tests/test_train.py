@@ -1,5 +1,7 @@
 """Training loop behavior: determinism, early stopping, serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ModelConfig(widths=[4, 2], patience=0)
 
+    @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_lr_that_is_not_finite_and_positive(self, lr):
+        with pytest.raises(ValueError):
+            ModelConfig(widths=[4, 2], lr=lr)
+
     def test_rejects_unknown_model_and_ste(self):
         with pytest.raises(ValueError):
             ModelConfig(widths=[4, 2], model="mlp")
@@ -64,6 +71,22 @@ class TestTrainingLoop:
         assert trace_tuples(r1) == trace_tuples(r2)
         assert r1.test_acc == r2.test_acc
         assert r1.best_epoch == r2.best_epoch
+
+    @pytest.mark.parametrize("model", ["bigcn", "bisage"])
+    def test_peak_memory_does_not_grow_with_epochs(self, model):
+        # No epoch's caches may still be alive during the next epoch.
+        g = generate_sbm(SBMParams(nodes_per_class=100, n_classes=3,
+                                   n_features=300, seed=2))
+
+        def peak(epochs):
+            tracemalloc.start()
+            try:
+                train(ModelConfig(widths=[300, 16, 3], model=model, max_epochs=epochs), g)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(3) <= 1.05 * peak(1)
 
     def test_zero_epochs_returns_initialized_model(self):
         g = small_sbm()
