@@ -16,6 +16,12 @@ a BLAS float32 product. Every partial sum of a +-1 dot product of
 length t is an integer of magnitude at most t, so the float32 result is
 exact for t < 2**24 and equals the XNOR/popcount count that
 `xnor_popcount_dot` computes word by word.
+
+`binarize_rows` (optionally standardizing each block first),
+`column_moments` and `sign_t_matmul` (the transposed sign product a
+weight gradient needs, in float64) work in the same row blocks, so a
+fixed input can be held as packed words alone and is never expanded
+whole.
 """
 
 from __future__ import annotations
@@ -168,6 +174,10 @@ class PackedBinMatrix:
         self.words.setflags(write=False)
         self.scalars.setflags(write=False)
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.rows, self.cols
+
     def _bucket_shape(self) -> tuple[int, int]:
         if self.orientation == "row":
             return self.rows, self.cols
@@ -193,11 +203,15 @@ class PackedBinMatrix:
         return signs * self.scalars[None, :]
 
 
-def binarize_rows(h) -> PackedBinMatrix:
+def binarize_rows(h, standardize=None) -> PackedBinMatrix:
     """Binarize each row of an (N, d) matrix as its own bucket.
 
-    The per-row scalars act as node weights on the sign patterns. Rows
-    are processed in blocks, so no temporary grows with the row count.
+    The per-row scalars act as node weights on the sign patterns. With
+    `standardize` = (mean, inv_std), the rows binarized are those of
+    ``(h - mean) * inv_std``, computed with the same float operations as
+    `layers.batch_norm_forward`. Rows are processed in blocks, so no
+    temporary grows with the row count and the standardized matrix is
+    never held whole.
     """
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] == 0 or h.shape[1] == 0:
@@ -207,10 +221,38 @@ def binarize_rows(h) -> PackedBinMatrix:
     words = np.empty((n, (d + WORD_BITS - 1) // WORD_BITS), dtype=np.uint64)
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
-        block = _check_finite(h[start:stop], "matrix")
+        block = h[start:stop]
+        if standardize is not None:
+            mean, inv_std = standardize
+            block = block - mean
+            block *= inv_std
+        block = _check_finite(block, "matrix")
         scalars[start:stop] = np.abs(block).mean(axis=1)
         words[start:stop] = _pack_bits_2d(block >= 0)
     return PackedBinMatrix(rows=n, cols=d, orientation="row", words=words, scalars=scalars)
+
+
+def column_moments(h) -> tuple[np.ndarray, np.ndarray]:
+    """Column means and population variances of an (N, d) matrix.
+
+    Two passes over row blocks, so no temporary grows with the row
+    count; equal to ``h.mean(axis=0)`` and ``h.var(axis=0)`` up to
+    summation order.
+    """
+    h = np.asarray(h, dtype=np.float64)
+    if h.ndim != 2 or h.shape[0] == 0 or h.shape[1] == 0:
+        raise ValueError("matrix must be 2-D with positive dimensions")
+    n = h.shape[0]
+    total = np.zeros(h.shape[1])
+    for start in range(0, n, _BLOCK_ROWS):
+        total += h[start:start + _BLOCK_ROWS].sum(axis=0)
+    mean = total / n
+    squares = np.zeros(h.shape[1])
+    for start in range(0, n, _BLOCK_ROWS):
+        dev = h[start:start + _BLOCK_ROWS] - mean
+        dev *= dev
+        squares += dev.sum(axis=0)
+    return mean, squares / n
 
 
 def binarize_columns(w) -> PackedBinMatrix:
@@ -268,4 +310,23 @@ def bin_gemm(f: PackedBinMatrix, b: PackedBinMatrix) -> np.ndarray:
         out[start:stop] = _unpack_signs(f.words[start:stop], t, np.float32) @ b_signs
     out *= f.scalars[:, None]
     out *= b.scalars[None, :]
+    return out
+
+
+def sign_t_matmul(f: PackedBinMatrix, g) -> np.ndarray:
+    """sign(F)^T @ g for a row-bucketed (N, d) `f` and a real (N, m) `g`.
+
+    The bucket scalars are not applied. Row blocks of `f` are expanded to
+    float64 +-1 (float32 would round, as `g` is real) and their products
+    summed, so the result equals the dense product up to summation order.
+    """
+    if f.orientation != "row":
+        raise ValueError("sign_t_matmul needs a row-bucketed operand")
+    g = np.asarray(g, dtype=np.float64)
+    if g.ndim != 2 or g.shape[0] != f.rows:
+        raise ValueError(f"expected ({f.rows}, m) right operand, got {g.shape}")
+    out = np.zeros((f.cols, g.shape[1]))
+    for start in range(0, f.rows, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, f.rows)
+        out += _unpack_signs(f.words[start:stop], f.cols).T @ g[start:stop]
     return out

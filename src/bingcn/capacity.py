@@ -114,6 +114,12 @@ def write_activation_dump(path, activations) -> None:
 
 
 def read_activation_dump(path) -> np.ndarray:
+    """Read a `write_activation_dump` file; ValueError for a malformed one.
+
+    Besides the header and size, the values are checked: a dump with no
+    samples or no neurons, or with a non-finite entry, is rejected here
+    rather than by the estimator it is passed to.
+    """
     with open(path, "rb") as fh:
         header = fh.read(12)
         if len(header) != 12 or header[:4] != ACTIVATION_MAGIC:
@@ -125,4 +131,10 @@ def read_activation_dump(path) -> np.ndarray:
         raise ValueError(
             f"{path}: payload is {len(payload)} bytes, header implies {expected}"
         )
-    return np.frombuffer(payload, dtype="<f4").reshape(samples, neurons).astype(np.float32)
+    if samples == 0 or neurons == 0:
+        raise ValueError(f"{path}: dump holds {samples} samples of {neurons} neurons; "
+                         f"need at least one of each")
+    acts = np.frombuffer(payload, dtype="<f4").reshape(samples, neurons).astype(np.float32)
+    if not np.isfinite(acts).all():
+        raise ValueError(f"{path}: dump contains non-finite values")
+    return acts

@@ -9,11 +9,17 @@ neighbor-mean path. One forward and one backward core serve both.
 Latent full-precision weights are re-binarized every call. Two routes
 compute ``bin(H) x bin(W)`` and agree within float tolerance:
 
-* float simulation — dense products of the reconstructed scalar-rescaled
-  sign matrices; used in training so an inverted-dropout mask can zero
-  individual entries of the binarized features.
 * packed kernel — sign bits multiplied as exact float32 +-1 values by
-  `bitlinalg.bin_gemm`; used for inference.
+  `bitlinalg.bin_gemm`; used for inference, and in training for an
+  input that arrives already binarized (a `bitlinalg.PackedBinMatrix`).
+  The model passes layer 0's fixed input that way: it has no dropout,
+  and its weight gradient unpacks the signs in row blocks
+  (`bitlinalg.sign_t_matmul`), so no dense copy of the input is held.
+* float simulation — dense products of the reconstructed scalar-rescaled
+  sign matrices; used in training for a float input (the hidden layers),
+  so an inverted-dropout mask can zero individual entries of the
+  binarized features. It is also the reference the kernel is tested
+  against.
 
 The backward pass takes the gradient through the sign with a
 straight-through gate, selectable: ``grad`` gates on the gradient's own
@@ -44,11 +50,13 @@ class LayerCache:
     The list fields hold one entry per path. Neither the rescaled
     binarized features nor the per-path products are stored: the row
     scalars commute with the dropout mask and the weight product, so the
-    backward pass folds them into the (much smaller) gradient. Inference
-    leaves `f_signs` as None; backward recomputes them from `h_in`.
+    backward pass folds them into the (much smaller) gradient. `f_signs`
+    is set only by the float simulation; for a float `h_in` run through
+    the kernel, backward recomputes them from `h_in`, and for a packed
+    `h_in` it unpacks them in row blocks.
     """
 
-    h_in: np.ndarray  # pre-binarization input
+    h_in: np.ndarray | bl.PackedBinMatrix  # pre-binarization input, or its packed signs
     f_signs: np.ndarray | None  # (N, d_in) +-1 signs of h_in
     beta: np.ndarray  # (N,) row scalars
     b_signs: list[np.ndarray]  # (d_in, d_out) +-1 signs of each path's weights
@@ -74,19 +82,34 @@ def _binarized_forward(
 ) -> tuple[list[np.ndarray], LayerCache]:
     """bin(H) x bin(W_k) for each path's weights W_k, before propagation.
 
-    Training runs the float simulation, whose dropout can mask single
-    entries of the binarized features; inference runs the packed kernel.
+    A packed `h_in` (its row signs and scalars) always runs the packed
+    kernel and takes no dropout. A float `h_in` runs the float simulation
+    in training, whose dropout can mask single entries of the binarized
+    features, and the packed kernel in inference.
     """
-    h_in = np.asarray(h_in, dtype=np.float64)
     weights = [np.asarray(w, dtype=np.float64) for w in weights]
     shape = weights[0].shape
     if len(shape) != 2 or any(w.shape != shape for w in weights):
         raise ValueError("every path's weights must be 2-D and of one shape")
-    if h_in.ndim != 2 or h_in.shape[1] != shape[0]:
+    packed = isinstance(h_in, bl.PackedBinMatrix)
+    if packed:
+        if h_in.orientation != "row":
+            raise ValueError("a packed layer input must be row-bucketed")
+        if training and dropout > 0.0:
+            raise ValueError("dropout needs a float layer input: its mask zeroes "
+                             "single binarized entries")
+    else:
+        h_in = np.asarray(h_in, dtype=np.float64)
+    if len(h_in.shape) != 2 or h_in.shape[1] != shape[0]:
         raise ValueError(f"expected (N, {shape[0]}) input, got {h_in.shape}")
 
     drop_mask = None
-    if training:
+    f_signs = None
+    kernel = packed or not training
+    if packed:
+        packed_f = h_in
+        beta = packed_f.scalars
+    elif training:
         f_signs = bl.sign_pm1(h_in)
         beta = np.abs(h_in).mean(axis=1)
         fm = f_signs
@@ -95,7 +118,6 @@ def _binarized_forward(
             fm = f_signs * drop_mask
     else:
         packed_f = bl.binarize_rows(h_in)
-        f_signs = None
         beta = packed_f.scalars
 
     cache = LayerCache(h_in=h_in, f_signs=f_signs, beta=beta, b_signs=[], alpha=[],
@@ -104,10 +126,10 @@ def _binarized_forward(
     for w in weights:
         b_signs = bl.sign_pm1(w)
         alpha = np.abs(w).mean(axis=0)
-        if training:
-            zetas.append((fm @ (b_signs * alpha[None, :])) * beta[:, None])
-        else:
+        if kernel:
             zetas.append(bl.bin_gemm(packed_f, bl.binarize_columns(w)))
+        else:
+            zetas.append((fm @ (b_signs * alpha[None, :])) * beta[:, None])
         cache.b_signs.append(b_signs)
         cache.alpha.append(alpha)
     return zetas, cache
@@ -189,32 +211,38 @@ def _binarized_backward(
     """Gradients of a sum of binarized paths; `adjoints` are their transposed
     propagations (None: identity). Returns (grad_h_in, each path's
     full-precision latent weight gradient). The paths' feature gradients
-    add before the straight-through gate.
+    add before the straight-through gate. A packed input has signs but no
+    values to gate on, so it has no input gradient.
     """
     grad_out = np.asarray(grad_out, dtype=np.float64)
     expected = (cache.h_in.shape[0], cache.weights[0].shape[1])
     if grad_out.shape != expected:
         raise ValueError(f"gradient shape {grad_out.shape} != {expected}")
+    packed = isinstance(cache.h_in, bl.PackedBinMatrix)
+    if packed and need_input_grad:
+        raise ValueError("a packed layer input has no input gradient")
 
-    f_signs = cache.f_signs if cache.f_signs is not None else bl.sign_pm1(cache.h_in)
-    fm = f_signs * cache.drop_mask if cache.drop_mask is not None else f_signs
-    grads_w = []
-    grad_h_tilde = None
-    for adjoint, b_signs, alpha, w in zip(adjoints, cache.b_signs, cache.alpha,
-                                          cache.weights):
-        grad_zeta = grad_out if adjoint is None else adjoint @ grad_out
-        # (beta * fm)^T grad_zeta with the row scaling folded into the gradient
-        grad_w_tilde = fm.T @ (grad_zeta * cache.beta[:, None])
-        grads_w.append(_latent_weight_grad(grad_w_tilde, b_signs, alpha, w))
-        if need_input_grad:
+    if not packed:
+        f_signs = cache.f_signs if cache.f_signs is not None else bl.sign_pm1(cache.h_in)
+        fm = f_signs * cache.drop_mask if cache.drop_mask is not None else f_signs
+    grad_zetas = [grad_out if adjoint is None else adjoint @ grad_out for adjoint in adjoints]
+    # (beta * fm)^T grad_zeta for every path in one product, the row scaling
+    # folded into the gradient: a packed input is unpacked once per call.
+    scaled = np.hstack(grad_zetas)
+    scaled *= cache.beta[:, None]
+    grads_w_tilde = bl.sign_t_matmul(cache.h_in, scaled) if packed else fm.T @ scaled
+    grads_w = [_latent_weight_grad(g, b_signs, alpha, w) for g, b_signs, alpha, w in
+               zip(np.hsplit(grads_w_tilde, len(adjoints)), cache.b_signs, cache.alpha,
+                   cache.weights)]
+    grad_h_in = None
+    if need_input_grad:
+        grad_h_tilde = None
+        for grad_zeta, b_signs, alpha in zip(grad_zetas, cache.b_signs, cache.alpha):
             term = grad_zeta @ (b_signs * alpha[None, :]).T
             if grad_h_tilde is None:
                 grad_h_tilde = term
             else:
                 grad_h_tilde += term
-
-    grad_h_in = None
-    if need_input_grad:
         if cache.drop_mask is not None:
             grad_h_tilde = grad_h_tilde * cache.drop_mask
         grad_h_in = ste_gate(grad_h_tilde, cache.h_in, ste_mode)
@@ -319,7 +347,12 @@ def gcn_backward(
 
 @dataclass
 class BatchNormState:
-    """Running statistics for affine-free per-column standardization."""
+    """Running statistics for affine-free per-column standardization.
+
+    Training-mode batch norm folds each batch's statistics into them. A
+    binarized model's layer-0 state instead holds the exact statistics
+    of the fixed input, set once by `train.train`.
+    """
 
     running_mean: np.ndarray
     running_var: np.ndarray

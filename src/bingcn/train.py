@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bitlinalg as bl
 from . import layers as L
 from .datasets import DatasetError
 from .graph import AttributedGraph, NormalizedAdjacency, neighbor_mean_matrix, normalize_adjacency
@@ -45,11 +46,14 @@ class Family:
     forward: str
     backward: str
     paths: int  # weight matrices per layer
-    standardized: int | None  # leading layer inputs batch-normed; None: all
+    # Leading layer inputs standardized (None: all). For a binarized family,
+    # layer 0's input is standardized with the exact statistics of X and
+    # binarized once per train(); later ones get training-mode batch norm.
+    standardized: int | None
     binarized: bool = True  # False: float product, ReLU on hidden layers
 
     def bn_widths(self, widths: list[int]) -> list[int]:
-        """Widths of the layer inputs that get batch norm."""
+        """Widths of the standardized layer inputs: one batch-norm state each."""
         return widths[:-1][:self.standardized]
 
 
@@ -112,16 +116,30 @@ class Model:
                         for _ in range(self.family.paths)]
         self.bn_states = [L.BatchNormState.for_dim(w) for w in self.family.bn_widths(widths)]
 
-    def forward(self, prop, x: np.ndarray, training: bool = False,
+    def binarize_input(self, x: np.ndarray) -> bl.PackedBinMatrix:
+        """Layer 0's input of a binarized family: `x` standardized with the
+        first batch-norm state's statistics and binarized, in row blocks."""
+        state = self.bn_states[0]
+        inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
+        return bl.binarize_rows(x, (state.running_mean, inv_std))
+
+    def forward(self, prop, x, training: bool = False,
                 rng: np.random.Generator | None = None):
-        """Logits and per-layer (layer cache, batch-norm cache or None)."""
+        """Logits and per-layer (layer cache, batch-norm cache or None).
+
+        `x` is the float feature matrix, or for a binarized family the
+        `binarize_input` of it, which `train` computes once and reuses.
+        """
         forward = getattr(L, self.family.forward)
         p = self.family.paths
         h = x
         caches = []
         for i in range(self.n_layers):
             bn_cache = None
-            if i < len(self.bn_states):
+            if i == 0 and self.family.binarized:
+                if not isinstance(h, bl.PackedBinMatrix):
+                    h = self.binarize_input(h)
+            elif i < len(self.bn_states):
                 h, bn_cache = L.batch_norm_forward(h, training, self.bn_states[i])
             extra = {} if self.family.binarized else {"activation": i < self.n_layers - 1}
             h, cache = forward(prop, h, *self.weights[i * p:(i + 1) * p], training=training,
@@ -207,6 +225,13 @@ def train(config: ModelConfig, graph: AttributedGraph,
     model = Model(config, rng)
     prop = _propagation_operator(model, graph, adj)
     opt = AdamState.for_params(model.weights)
+    x = graph.x
+    if model.family.binarized:
+        # Full batch: the batch statistics of X never change, so standardize
+        # and binarize it once, exactly, and keep only the packed signs.
+        state = model.bn_states[0]
+        state.running_mean, state.running_var = bl.column_moments(graph.x)
+        x = model.binarize_input(graph.x)
 
     best_state = copy.deepcopy((model.weights, model.bn_states))
     best_val = np.inf
@@ -214,14 +239,14 @@ def train(config: ModelConfig, graph: AttributedGraph,
     trace: list[EpochMetrics] = []
 
     for epoch in range(1, config.max_epochs + 1):
-        logits, caches = model.forward(prop, graph.x, training=True, rng=rng)
+        logits, caches = model.forward(prop, x, training=True, rng=rng)
         train_loss, grad_logits = L.masked_softmax_xent(
             logits, graph.labels, graph.train_mask)
         train_acc = L.masked_accuracy(logits, graph.labels, graph.train_mask)
         grads = model.backward(prop, caches, grad_logits)
         model.update(adam_step(model.weights, grads, opt, config.lr))
 
-        val_logits, _ = model.forward(prop, graph.x, training=False)
+        val_logits, _ = model.forward(prop, x, training=False)
         val_loss, _ = L.masked_softmax_xent(val_logits, graph.labels, graph.val_mask)
         val_acc = L.masked_accuracy(val_logits, graph.labels, graph.val_mask)
         # Free the training caches before the next forward pass builds its
@@ -241,7 +266,8 @@ def train(config: ModelConfig, graph: AttributedGraph,
             break
 
     model.weights, model.bn_states = best_state
-    _, test_acc = evaluate(model, prop, graph, graph.test_mask)
+    test_logits, _ = model.forward(prop, x, training=False)
+    test_acc = L.masked_accuracy(test_logits, graph.labels, graph.test_mask)
     if not np.isfinite(best_val):
         best_val = float("nan")
     return TrainResult(model=model, trace=trace, test_acc=test_acc,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bingcn import bitlinalg as bl
+from bingcn.layers import BatchNormState, batch_norm_forward
 
 from reference_impl import best_binarization_by_search
 
@@ -295,6 +296,51 @@ class TestBinGemmExactness:
             bl.bin_gemm(f, b)
 
 
+class TestRowBlockedInputOps:
+    """The one-time input work: exact column moments, fused standardization
+    and binarization, and the transposed sign product, across block seams."""
+
+    @pytest.mark.parametrize("n", [1, 511, 512, 513, 1300])
+    def test_column_moments_match_numpy(self, n):
+        h = np.random.default_rng(n).standard_normal((n, 37)) * 3.0 + 1.5
+        mean, var = bl.column_moments(h)
+        assert np.allclose(mean, h.mean(axis=0), rtol=1e-12, atol=0)
+        assert np.allclose(var, h.var(axis=0), rtol=1e-12, atol=1e-300)
+
+    @pytest.mark.parametrize("n", [1, 511, 512, 513, 1300])
+    def test_fused_standardization_equals_batch_norm_then_binarize(self, n):
+        rng = np.random.default_rng(n + 1)
+        h = rng.standard_normal((n, 70)) * 2.0 - 0.5
+        state = BatchNormState(running_mean=rng.standard_normal(70),
+                               running_var=rng.uniform(0.5, 2.0, size=70))
+        standardized, _ = batch_norm_forward(h, False, state)
+        inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
+        fused = bl.binarize_rows(h, (state.running_mean, inv_std))
+        plain = bl.binarize_rows(standardized)
+        assert np.array_equal(fused.words, plain.words)
+        assert np.array_equal(fused.scalars, plain.scalars)
+
+    def test_fused_standardization_rejects_non_finite_result(self):
+        h = np.array([[1e308, 0.0], [-1e308, 0.0]])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            bl.binarize_rows(h, (np.zeros(2), np.full(2, 10.0)))
+
+    @pytest.mark.parametrize("n", [1, 511, 512, 513, 1300])
+    def test_sign_t_matmul_matches_dense(self, n):
+        rng = np.random.default_rng(n + 2)
+        f = bl.binarize_rows(rng.standard_normal((n, 65)))
+        g = rng.standard_normal((n, 6))
+        assert np.allclose(bl.sign_t_matmul(f, g), f.sign_matrix().T @ g,
+                           rtol=1e-12, atol=1e-12)
+
+    def test_sign_t_matmul_checks_operands(self):
+        f = bl.binarize_rows(np.ones((4, 3)))
+        with pytest.raises(ValueError):
+            bl.sign_t_matmul(f, np.ones((5, 2)))
+        with pytest.raises(ValueError):
+            bl.sign_t_matmul(bl.binarize_columns(np.ones((4, 3))), np.ones((4, 2)))
+
+
 def _peak_above_result(fn, *args):
     """Peak traced bytes while fn runs, minus the arrays it returns."""
     tracemalloc.start()
@@ -303,7 +349,10 @@ def _peak_above_result(fn, *args):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    arrays = (result.words, result.scalars) if isinstance(result, bl.PackedBinMatrix) else (result,)
+    if isinstance(result, bl.PackedBinMatrix):
+        arrays = (result.words, result.scalars)
+    else:
+        arrays = result if isinstance(result, tuple) else (result,)
     return peak - sum(a.nbytes for a in arrays)
 
 
@@ -326,4 +375,27 @@ class TestBlockedMemory:
             f = bl.PackedBinMatrix(rows=n, cols=self.D, orientation="row",
                                    words=words, scalars=np.ones(n))
             peaks.append(_peak_above_result(bl.bin_gemm, f, b))
+        assert peaks[1] <= 1.05 * peaks[0] + 65536
+
+    def test_standardized_binarize_rows_peak_independent_of_rows(self):
+        rng = np.random.default_rng(53)
+        stats = (rng.standard_normal(self.D), rng.uniform(0.5, 2.0, size=self.D))
+        peaks = [_peak_above_result(bl.binarize_rows, rng.standard_normal((n, self.D)), stats)
+                 for n in (1024, 8192)]
+        assert peaks[1] <= 1.05 * peaks[0] + 65536
+
+    def test_column_moments_peak_independent_of_rows(self):
+        rng = np.random.default_rng(59)
+        peaks = [_peak_above_result(bl.column_moments, rng.standard_normal((n, self.D)))
+                 for n in (1024, 8192)]
+        assert peaks[1] <= 1.05 * peaks[0] + 65536
+
+    def test_sign_t_matmul_peak_independent_of_rows(self):
+        rng = np.random.default_rng(61)
+        peaks = []
+        for n in (1024, 8192):
+            words = np.zeros((n, self.D // bl.WORD_BITS), dtype=np.uint64)
+            f = bl.PackedBinMatrix(rows=n, cols=self.D, orientation="row",
+                                   words=words, scalars=np.ones(n))
+            peaks.append(_peak_above_result(bl.sign_t_matmul, f, rng.standard_normal((n, self.M))))
         assert peaks[1] <= 1.05 * peaks[0] + 65536

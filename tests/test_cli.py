@@ -235,6 +235,18 @@ class TestCapacityCommand:
         assert run(["capacity", str(bad)]) == 2
         assert run(["capacity", str(tmp_path / "missing.bin")]) == 2
 
+    @pytest.mark.parametrize("acts", [
+        np.array([[0.5, np.nan], [1.0, 2.0]]),
+        np.array([[0.5, np.inf]]),
+        np.zeros((0, 3)),
+        np.zeros((4, 0)),
+    ], ids=["nan", "inf", "no-samples", "no-neurons"])
+    def test_well_formed_dump_with_bad_values_is_data_error(self, acts, tmp_path, capsys):
+        dump = tmp_path / "acts.bin"
+        write_activation_dump(dump, acts)
+        assert run(["capacity", str(dump)]) == 2
+        assert "data error" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_unknown_command_is_usage_error(self, capsys):

@@ -323,6 +323,48 @@ class TestBiSAGE:
         assert np.allclose(grad_h, expected_h, atol=1e-9)
 
 
+def _binarized_layer(family, g, rng, d_out):
+    """(propagation, weights, forward, backward) of one binarized family's layer."""
+    d_in = g.x.shape[1]
+    if family == "bigcn":
+        return (normalize_adjacency(g), [rng.uniform(-1.2, 1.2, size=(d_in, d_out))],
+                bigcn_forward, bigcn_backward)
+    return (neighbor_mean_matrix(g),
+            [rng.uniform(-1.2, 1.2, size=(d_in, d_out)) for _ in range(2)],
+            bisage_forward, bisage_backward)
+
+
+@pytest.mark.parametrize("family", ["bigcn", "bisage"])
+class TestPackedInput:
+    """Layer 0's route: the input arrives binarized, as `train` passes it."""
+
+    def test_training_matches_float_input(self, family):
+        rng = np.random.default_rng(29)
+        for n, d, m in [(1, 3, 2), (7, 5, 3), (40, 130, 8), (600, 70, 7), (1100, 33, 4)]:
+            g = random_graph(rng, n, d)
+            prop, weights, forward, backward = _binarized_layer(family, g, rng, m)
+            out_f, cache_f = forward(prop, g.x, *weights, training=True)
+            out_p, cache_p = forward(prop, bl.binarize_rows(g.x), *weights, training=True)
+            assert np.abs(out_p - out_f).max() <= 1e-12 * np.abs(out_f).max()
+            grad_out = rng.standard_normal((n, m))
+            _, *grads_f = backward(cache_f, prop, grad_out, need_input_grad=False)
+            _, *grads_p = backward(cache_p, prop, grad_out, need_input_grad=False)
+            for got, want in zip(grads_p, grads_f):
+                assert np.abs(got - want).max() <= 1e-9
+
+    def test_no_input_gradient_or_dropout(self, family):
+        rng = np.random.default_rng(30)
+        g = random_graph(rng, 6, 5)
+        prop, weights, forward, backward = _binarized_layer(family, g, rng, 3)
+        packed = bl.binarize_rows(g.x)
+        _, cache = forward(prop, packed, *weights, training=True)
+        with pytest.raises(ValueError, match="input gradient"):
+            backward(cache, prop, np.ones((6, 3)), need_input_grad=True)
+        with pytest.raises(ValueError, match="dropout"):
+            forward(prop, packed, *weights, training=True, dropout=0.5,
+                    rng=np.random.default_rng(0))
+
+
 class TestBatchNorm:
     def test_two_point_column(self):
         state = BatchNormState.for_dim(1)

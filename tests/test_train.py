@@ -88,6 +88,28 @@ class TestTrainingLoop:
 
         assert peak(3) <= 1.05 * peak(1)
 
+    @pytest.mark.parametrize("model", ["bigcn", "bisage"])
+    def test_peak_memory_below_the_float_input(self, model):
+        # Layer 0 trains on packed signs: with d >> hidden, no N x d float
+        # temporary may exist, so the peak stays below X's own float64 size.
+        g = generate_sbm(SBMParams(nodes_per_class=1000, n_classes=3,
+                                   n_features=1000, seed=2))
+        tracemalloc.start()
+        try:
+            train(ModelConfig(widths=[1000, 16, 3], model=model, max_epochs=2), g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < g.x.nbytes
+
+    @pytest.mark.parametrize("model", ["bigcn", "bisage"])
+    def test_input_statistics_are_exact(self, model):
+        g = small_sbm(seed=7)
+        result = train(ModelConfig(widths=[24, 8, 3], model=model, seed=7, max_epochs=5), g)
+        state = result.model.bn_states[0]
+        assert np.allclose(state.running_mean, g.x.mean(axis=0), rtol=1e-12, atol=1e-15)
+        assert np.allclose(state.running_var, g.x.var(axis=0), rtol=1e-12, atol=0)
+
     def test_zero_epochs_returns_initialized_model(self):
         g = small_sbm()
         result = train(ModelConfig(widths=[24, 8, 3], max_epochs=0), g)
