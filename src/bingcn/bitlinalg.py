@@ -118,9 +118,14 @@ def unpack(vec: BitVector) -> np.ndarray:
     return _unpack_signs(vec.words[None, :], vec.length)[0]
 
 
-def sign_pm1(x: np.ndarray) -> np.ndarray:
-    """Elementwise sign with sign(0) = +1, as float64 +-1."""
-    return (np.asarray(x) >= 0) * 2.0 - 1.0
+def sign_pm1(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise sign with sign(0) = +1, as float64 +-1 (into `out` if given)."""
+    if out is None:
+        return (np.asarray(x) >= 0) * 2.0 - 1.0
+    np.greater_equal(x, 0, out=out)
+    out *= 2.0
+    out -= 1.0
+    return out
 
 
 def _check_finite(x: np.ndarray, what: str) -> np.ndarray:
@@ -285,14 +290,16 @@ def xnor_popcount_dot(a: BitVector, b: BitVector) -> int:
     return 2 * matches - a.length
 
 
-def bin_gemm(f: PackedBinMatrix, b: PackedBinMatrix) -> np.ndarray:
+def bin_gemm(f: PackedBinMatrix, b: PackedBinMatrix,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Multiply a row-bucketed (N, d) by a column-bucketed (d, m) matrix.
 
     out[i, j] = xnor_popcount_dot(row_i, col_j) * beta_i * alpha_j, bit
     for bit; equal to the dense product of the two reconstructed matrices
     up to float summation order. Row blocks of `f` are expanded to
     float32 +-1 signs and multiplied by the expanded signs of `b`, which
-    is exact for d < 2**24. Pure function, safe to call concurrently.
+    is exact for d < 2**24. Pure function, safe to call concurrently
+    with distinct `out` arrays (float64, (N, m); None: a new one).
     """
     if f.orientation != "row" or b.orientation != "col":
         raise ValueError("bin_gemm needs a row-bucketed left and column-bucketed right operand")
@@ -304,7 +311,10 @@ def bin_gemm(f: PackedBinMatrix, b: PackedBinMatrix) -> np.ndarray:
                          f"(limit {_MAX_EXACT_INNER - 1})")
 
     b_signs = _unpack_signs(b.words, t, np.float32).T
-    out = np.empty((f.rows, b.cols), dtype=np.float64)
+    if out is None:
+        out = np.empty((f.rows, b.cols), dtype=np.float64)
+    elif out.shape != (f.rows, b.cols) or out.dtype != np.float64:
+        raise ValueError(f"out must be float64 of shape {(f.rows, b.cols)}")
     for start in range(0, f.rows, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, f.rows)
         out[start:stop] = _unpack_signs(f.words[start:stop], t, np.float32) @ b_signs

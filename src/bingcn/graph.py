@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 
 def canonical_edges(edges) -> np.ndarray:
@@ -134,12 +135,39 @@ def normalize_adjacency(g: AttributedGraph) -> NormalizedAdjacency:
     return NormalizedAdjacency(matrix=norm)
 
 
-def aggregate(adj: NormalizedAdjacency, z: np.ndarray) -> np.ndarray:
+def aggregate(adj: NormalizedAdjacency, z: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
     """Sparse-dense product of the normalized adjacency with (N, m) values."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] != adj.n:
         raise ValueError(f"expected ({adj.n}, m) input, got {z.shape}")
-    return adj.matrix @ z
+    return sparse_matmul(adj.matrix, z, out)
+
+
+def sparse_matmul(m, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``m @ z`` for a CSR or CSC matrix `m` (or a dense one) and a 2-D `z`.
+
+    With `out` (C-contiguous float64 of the product's shape) the product
+    is written there, for a sparse `m` by the kernel scipy's ``m @ z``
+    runs, so it is the same bit for bit.
+    """
+    if out is None:
+        return m @ z
+    if not sp.issparse(m):
+        return np.matmul(m, z, out=out)
+    z = np.ascontiguousarray(z, dtype=np.float64)
+    if z.ndim != 2 or z.shape[0] != m.shape[1]:
+        raise ValueError(f"expected ({m.shape[1]}, k) operand, got {z.shape}")
+    shape = (m.shape[0], z.shape[1])
+    if (out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous
+            or m.format not in ("csr", "csc") or m.dtype != np.float64):
+        raise ValueError("sparse_matmul writes a float64 CSR/CSC product into a "
+                         f"C-contiguous float64 {shape} array")
+    out.fill(0.0)
+    kernel = getattr(_sparsetools, m.format + "_matvecs")
+    kernel(m.shape[0], m.shape[1], shape[1], m.indptr, m.indices, m.data,
+           z.ravel(), out.ravel())
+    return out
 
 
 def neighbor_mean_matrix(g: AttributedGraph) -> sp.csr_matrix:

@@ -24,6 +24,10 @@ compute ``bin(H) x bin(W)`` and agree within float tolerance:
 The backward pass takes the gradient through the sign with a
 straight-through gate, selectable: ``grad`` gates on the gradient's own
 magnitude, ``input`` on the pre-binarization input magnitude.
+
+Every layer function takes an optional `Workspace` (`ws`): the memory
+its passes reuse from one epoch to the next. The results are the same
+bit for bit with and without one.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bitlinalg as bl
-from .graph import NormalizedAdjacency, aggregate
+from .graph import NormalizedAdjacency, aggregate, sparse_matmul
 
 STE_MODES = ("grad", "input")
 
@@ -41,6 +45,42 @@ STE_MODES = ("grad", "input")
 def xavier_uniform(rng: np.random.Generator, d_in: int, d_out: int) -> np.ndarray:
     bound = np.sqrt(6.0 / (d_in + d_out))
     return rng.uniform(-bound, bound, size=(d_in, d_out))
+
+
+class Workspace:
+    """Memory one layer's passes reuse from epoch to epoch, by role.
+
+    `train` gives each layer one workspace for all its epochs. From the
+    second epoch on, the passes write their large intermediates into the
+    memory of the epoch before instead of allocating new arrays, so the
+    heap top is not freed and grown again every epoch: glibc trims a
+    freed heap top, and the next epoch faults it back in page by page.
+
+    A role is a buffer that grows to the largest array taken from it.
+    Taking a role again overwrites what the last taker wrote, so one
+    role serves arrays that are never live at the same time: the
+    forward's output and scratch roles are reused by the backward pass,
+    by which time the next layer has consumed them. A cache built with
+    a workspace is valid for one backward pass. Without a workspace
+    (None) every array is new.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, role: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        """An uninitialized C-contiguous array of `shape` in `role`'s memory."""
+        dtype = np.dtype(dtype)
+        nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
+        buf = self._buffers.get(role)
+        if buf is None or buf.size < nbytes:
+            buf = self._buffers[role] = np.empty(nbytes, np.uint8)
+        return buf[:nbytes].view(dtype).reshape(shape)
+
+
+def _take(ws: Workspace | None, role: str, shape, dtype=np.float64) -> np.ndarray:
+    shape = tuple(shape)
+    return np.empty(shape, dtype) if ws is None else ws.take(role, shape, dtype)
 
 
 @dataclass
@@ -65,12 +105,14 @@ class LayerCache:
     drop_mask: np.ndarray | None = None
 
 
-def _dropout_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
+def _dropout_mask(rng: np.random.Generator, shape, rate: float,
+                  ws: Workspace | None = None) -> np.ndarray:
     """Inverted-dropout mask: zeros with probability `rate`, else 1/(1-rate)."""
     if rng is None:
         raise ValueError("training with dropout requires an rng")
-    keep = rng.random(shape) >= rate
-    return keep / (1.0 - rate)
+    draws = rng.random(shape, out=_take(ws, "drop_mask", shape))
+    keep = np.greater_equal(draws, rate, out=_take(ws, "keep", shape, bool))
+    return np.divide(keep, 1.0 - rate, out=draws)
 
 
 def _binarized_forward(
@@ -79,8 +121,10 @@ def _binarized_forward(
     training: bool,
     dropout: float,
     rng: np.random.Generator | None,
-) -> tuple[list[np.ndarray], LayerCache]:
-    """bin(H) x bin(W_k) for each path's weights W_k, before propagation.
+    ws: Workspace | None = None,
+) -> tuple[np.ndarray, LayerCache]:
+    """bin(H) x bin(W_k) for each path's weights W_k, before propagation,
+    stacked as a (paths, N, d_out) array.
 
     A packed `h_in` (its row signs and scalars) always runs the packed
     kernel and takes no dropout. A float `h_in` runs the float simulation
@@ -110,26 +154,27 @@ def _binarized_forward(
         packed_f = h_in
         beta = packed_f.scalars
     elif training:
-        f_signs = bl.sign_pm1(h_in)
-        beta = np.abs(h_in).mean(axis=1)
+        f_signs = bl.sign_pm1(h_in, out=_take(ws, "signs", h_in.shape))
+        beta = np.abs(h_in, out=_take(ws, "scratch", h_in.shape)).mean(axis=1)
         fm = f_signs
         if dropout > 0.0:
-            drop_mask = _dropout_mask(rng, h_in.shape, dropout)
-            fm = f_signs * drop_mask
+            drop_mask = _dropout_mask(rng, h_in.shape, dropout, ws)
+            fm = np.multiply(f_signs, drop_mask, out=_take(ws, "scratch", h_in.shape))
     else:
         packed_f = bl.binarize_rows(h_in)
         beta = packed_f.scalars
 
     cache = LayerCache(h_in=h_in, f_signs=f_signs, beta=beta, b_signs=[], alpha=[],
                        weights=weights, drop_mask=drop_mask)
-    zetas = []
-    for w in weights:
+    zetas = _take(ws, "zetas", (len(weights), h_in.shape[0], shape[1]))
+    for zeta, w in zip(zetas, weights):
         b_signs = bl.sign_pm1(w)
         alpha = np.abs(w).mean(axis=0)
         if kernel:
-            zetas.append(bl.bin_gemm(packed_f, bl.binarize_columns(w)))
+            bl.bin_gemm(packed_f, bl.binarize_columns(w), out=zeta)
         else:
-            zetas.append((fm @ (b_signs * alpha[None, :])) * beta[:, None])
+            np.matmul(fm, b_signs * alpha[None, :], out=zeta)
+            zeta *= beta[:, None]
         cache.b_signs.append(b_signs)
         cache.alpha.append(alpha)
     return zetas, cache
@@ -142,14 +187,15 @@ def bigcn_forward(
     training: bool = False,
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
+    ws: Workspace | None = None,
 ) -> tuple[np.ndarray, LayerCache]:
     """Binarized graph convolution: aggregate(bin(H) x bin(W)).
 
     No nonlinearity is applied; the sign in the next layer's input
     binarization plays that role.
     """
-    (zeta,), cache = _binarized_forward(h_in, [w], training, dropout, rng)
-    return aggregate(adj, zeta), cache
+    (zeta,), cache = _binarized_forward(h_in, [w], training, dropout, rng, ws)
+    return aggregate(adj, zeta, out=_take(ws, "out", zeta.shape)), cache
 
 
 def bisage_forward(
@@ -160,6 +206,7 @@ def bisage_forward(
     training: bool = False,
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
+    ws: Workspace | None = None,
 ) -> tuple[np.ndarray, LayerCache]:
     """Binarized GraphSAGE convolution with a mean aggregator.
 
@@ -169,17 +216,24 @@ def bisage_forward(
     input. No nonlinearity, as with the binarized graph convolution.
     """
     (zeta_self, zeta_neigh), cache = _binarized_forward(
-        h_in, [w_self, w_neigh], training, dropout, rng)
-    return zeta_self + neighbor_mean @ zeta_neigh, cache
+        h_in, [w_self, w_neigh], training, dropout, rng, ws)
+    out = sparse_matmul(neighbor_mean, zeta_neigh, _take(ws, "out", zeta_neigh.shape))
+    return np.add(zeta_self, out, out=out), cache
 
 
-def ste_gate(grad: np.ndarray, reference: np.ndarray, mode: str) -> np.ndarray:
-    """Straight-through gate: pass the gradient where |reference| < 1."""
+def ste_gate(grad: np.ndarray, reference: np.ndarray, mode: str,
+             ws: Workspace | None = None) -> np.ndarray:
+    """Straight-through gate: pass the gradient where |reference| < 1.
+
+    With a workspace, `grad` is gated in place.
+    """
     if mode == "grad":
-        return grad * (np.abs(grad) < 1.0)
-    if mode == "input":
-        return grad * (np.abs(reference) < 1.0)
-    raise ValueError(f"unknown STE mode {mode!r}; expected one of {STE_MODES}")
+        reference = grad
+    elif mode != "input":
+        raise ValueError(f"unknown STE mode {mode!r}; expected one of {STE_MODES}")
+    magnitude = np.abs(reference, out=_take(ws, "scratch", np.shape(reference)))
+    passes = np.less(magnitude, 1.0, out=_take(ws, "keep", magnitude.shape, bool))
+    return np.multiply(grad, passes, out=None if ws is None else grad)
 
 
 def _latent_weight_grad(
@@ -207,6 +261,7 @@ def _binarized_backward(
     adjoints: list,
     ste_mode: str,
     need_input_grad: bool,
+    ws: Workspace | None = None,
 ) -> tuple[np.ndarray | None, list[np.ndarray]]:
     """Gradients of a sum of binarized paths; `adjoints` are their transposed
     propagations (None: identity). Returns (grad_h_in, each path's
@@ -222,13 +277,29 @@ def _binarized_backward(
     if packed and need_input_grad:
         raise ValueError("a packed layer input has no input gradient")
 
+    n, m = grad_out.shape
     if not packed:
-        f_signs = cache.f_signs if cache.f_signs is not None else bl.sign_pm1(cache.h_in)
-        fm = f_signs * cache.drop_mask if cache.drop_mask is not None else f_signs
-    grad_zetas = [grad_out if adjoint is None else adjoint @ grad_out for adjoint in adjoints]
+        f_signs = cache.f_signs
+        if f_signs is None:
+            f_signs = bl.sign_pm1(cache.h_in, out=_take(ws, "signs", cache.h_in.shape))
+        fm = f_signs
+        if cache.drop_mask is not None:
+            fm = np.multiply(f_signs, cache.drop_mask,
+                             out=_take(ws, "scratch", f_signs.shape))
+    # The propagated gradients go into the forward's spent output role
+    # (one role per propagated path), their scaled stack into its zetas.
+    grad_zetas, propagated = [], 0
+    for adjoint in adjoints:
+        if adjoint is None:
+            grad_zetas.append(grad_out)
+            continue
+        role = "out" if propagated == 0 else f"out{propagated}"
+        propagated += 1
+        grad_zetas.append(sparse_matmul(adjoint, grad_out, _take(ws, role, (n, m))))
     # (beta * fm)^T grad_zeta for every path in one product, the row scaling
     # folded into the gradient: a packed input is unpacked once per call.
-    scaled = np.hstack(grad_zetas)
+    scaled = np.concatenate(grad_zetas, axis=1,
+                            out=_take(ws, "zetas", (n, m * len(grad_zetas))))
     scaled *= cache.beta[:, None]
     grads_w_tilde = bl.sign_t_matmul(cache.h_in, scaled) if packed else fm.T @ scaled
     grads_w = [_latent_weight_grad(g, b_signs, alpha, w) for g, b_signs, alpha, w in
@@ -236,16 +307,19 @@ def _binarized_backward(
                    cache.weights)]
     grad_h_in = None
     if need_input_grad:
-        grad_h_tilde = None
-        for grad_zeta, b_signs, alpha in zip(grad_zetas, cache.b_signs, cache.alpha):
-            term = grad_zeta @ (b_signs * alpha[None, :]).T
-            if grad_h_tilde is None:
-                grad_h_tilde = term
+        # Into the signs' role: fm, their last reader, is spent.
+        grad_h_tilde = _take(ws, "signs", cache.h_in.shape)
+        for k, (grad_zeta, b_signs, alpha) in enumerate(
+                zip(grad_zetas, cache.b_signs, cache.alpha)):
+            scaled_w = (b_signs * alpha[None, :]).T
+            if k == 0:
+                np.matmul(grad_zeta, scaled_w, out=grad_h_tilde)
             else:
-                grad_h_tilde += term
+                grad_h_tilde += np.matmul(grad_zeta, scaled_w,
+                                          out=_take(ws, "scratch", grad_h_tilde.shape))
         if cache.drop_mask is not None:
-            grad_h_tilde = grad_h_tilde * cache.drop_mask
-        grad_h_in = ste_gate(grad_h_tilde, cache.h_in, ste_mode)
+            grad_h_tilde *= cache.drop_mask
+        grad_h_in = ste_gate(grad_h_tilde, cache.h_in, ste_mode, ws)
     return grad_h_in, grads_w
 
 
@@ -255,10 +329,11 @@ def bigcn_backward(
     grad_out: np.ndarray,
     ste_mode: str = "grad",
     need_input_grad: bool = True,
+    ws: Workspace | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Gradients of a binarized graph convolution: (grad_h_in, grad_w_latent)."""
     grad_h_in, (grad_w,) = _binarized_backward(cache, grad_out, [adj.matrix.T],
-                                               ste_mode, need_input_grad)
+                                               ste_mode, need_input_grad, ws)
     return grad_h_in, grad_w
 
 
@@ -268,13 +343,14 @@ def bisage_backward(
     grad_out: np.ndarray,
     ste_mode: str = "grad",
     need_input_grad: bool = True,
+    ws: Workspace | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients of the binarized mean-aggregator convolution.
 
     Returns (grad_h_in, grad_w_self, grad_w_neigh).
     """
     grad_h_in, grads_w = _binarized_backward(cache, grad_out, [None, neighbor_mean.T],
-                                             ste_mode, need_input_grad)
+                                             ste_mode, need_input_grad, ws)
     return (grad_h_in, *grads_w)
 
 
@@ -310,16 +386,19 @@ def gcn_forward_cached(
     training: bool = False,
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
+    ws: Workspace | None = None,
 ) -> tuple[np.ndarray, GCNCache]:
     h_in = np.asarray(h_in, dtype=np.float64)
     if h_in.ndim != 2 or h_in.shape[1] != w.shape[0]:
         raise ValueError(f"shape mismatch: {h_in.shape} x {w.shape}")
     drop_mask = None
     if training and dropout > 0.0:
-        drop_mask = _dropout_mask(rng, h_in.shape, dropout)
-        h_in = h_in * drop_mask
-    pre_act = aggregate(adj, h_in @ w)
-    out = np.maximum(pre_act, 0.0) if activation else pre_act
+        drop_mask = _dropout_mask(rng, h_in.shape, dropout, ws)
+        h_in = np.multiply(h_in, drop_mask, out=_take(ws, "input", h_in.shape))
+    shape = (h_in.shape[0], w.shape[1])
+    product = np.matmul(h_in, w, out=_take(ws, "out", shape))
+    pre_act = aggregate(adj, product, out=_take(ws, "pre_act", shape))
+    out = np.maximum(pre_act, 0.0, out=product) if activation else pre_act
     return out, GCNCache(h_in=h_in, w=w, pre_act=pre_act,
                          activation=activation, drop_mask=drop_mask)
 
@@ -329,19 +408,24 @@ def gcn_backward(
     adj: NormalizedAdjacency,
     grad_out: np.ndarray,
     need_input_grad: bool = True,
+    ws: Workspace | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray]:
     grad_out = np.asarray(grad_out, dtype=np.float64)
-    if grad_out.shape != cache.pre_act.shape:
-        raise ValueError(f"gradient shape {grad_out.shape} != {cache.pre_act.shape}")
+    shape = cache.pre_act.shape
+    if grad_out.shape != shape:
+        raise ValueError(f"gradient shape {grad_out.shape} != {shape}")
+    # The forward's output and pre-activation roles are spent by now.
     if cache.activation:
-        grad_out = grad_out * (cache.pre_act > 0.0)
-    grad_z = adj.matrix.T @ grad_out
+        active = np.greater(cache.pre_act, 0.0, out=_take(ws, "keep", shape, bool))
+        grad_out = np.multiply(grad_out, active, out=_take(ws, "out", shape))
+    grad_z = sparse_matmul(adj.matrix.T, grad_out, _take(ws, "pre_act", shape))
     grad_w = cache.h_in.T @ grad_z
     grad_h = None
     if need_input_grad:
-        grad_h = grad_z @ cache.w.T
+        # Into the dropped input's role: grad_w was its last reader.
+        grad_h = np.matmul(grad_z, cache.w.T, out=_take(ws, "input", cache.h_in.shape))
         if cache.drop_mask is not None:
-            grad_h = grad_h * cache.drop_mask
+            grad_h *= cache.drop_mask
     return grad_h, grad_w
 
 
@@ -381,30 +465,41 @@ class BatchNormCache:
 
 
 def batch_norm_forward(
-    h: np.ndarray, training: bool, state: BatchNormState
+    h: np.ndarray, training: bool, state: BatchNormState, ws: Workspace | None = None
 ) -> tuple[np.ndarray, BatchNormCache]:
     h = np.asarray(h, dtype=np.float64)
     if training:
         mean = h.mean(axis=0)
-        var = h.var(axis=0)
+        # h.var(axis=0), the same operations without its N x d temporaries
+        dev = np.subtract(h, mean, out=_take(ws, "scratch", h.shape))
+        np.multiply(dev, dev, out=dev)
+        var = dev.sum(axis=0) / h.shape[0]
         state.running_mean = state.momentum * state.running_mean + (1 - state.momentum) * mean
         state.running_var = state.momentum * state.running_var + (1 - state.momentum) * var
     else:
         mean = state.running_mean
         var = state.running_var
     inv_std = 1.0 / np.sqrt(var + state.eps)
-    normalized = h - mean
-    normalized *= inv_std  # in place: one N x d temporary, not two
+    normalized = np.subtract(h, mean, out=_take(ws, "normalized", h.shape))
+    normalized *= inv_std
     return normalized, BatchNormCache(normalized=normalized, inv_std=inv_std)
 
 
-def batch_norm_backward(cache: BatchNormCache, grad_out: np.ndarray) -> np.ndarray:
+def batch_norm_backward(cache: BatchNormCache, grad_out: np.ndarray,
+                        ws: Workspace | None = None) -> np.ndarray:
     """Backward through training-mode standardization (batch statistics)."""
     n = grad_out.shape[0]
     y = cache.normalized
+    scratch = _take(ws, "scratch", y.shape)
     mean_g = grad_out.mean(axis=0)
-    mean_gy = (grad_out * y).mean(axis=0) if n > 1 else np.zeros(grad_out.shape[1])
-    return cache.inv_std * (grad_out - mean_g - y * mean_gy)
+    mean_gy = (np.multiply(grad_out, y, out=scratch).mean(axis=0) if n > 1
+               else np.zeros(grad_out.shape[1]))
+    y_term = np.multiply(y, mean_gy, out=scratch)
+    # Into the normalized input's role: y_term was its last reader.
+    grad = np.subtract(grad_out, mean_g, out=_take(ws, "normalized", y.shape))
+    grad -= y_term
+    grad *= cache.inv_std
+    return grad
 
 
 def masked_softmax_xent(

@@ -47,9 +47,16 @@ def adam_step(
     for i, (p, g) in enumerate(zip(params, grads)):
         if p.shape != g.shape:
             raise ValueError(f"param/grad shape mismatch at index {i}")
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * (g * g)
-        m_hat = state.m[i] / bias1
-        v_hat = state.v[i] / bias2
-        out.append(p - lr * m_hat / (np.sqrt(v_hat) + state.eps))
+        m, v = state.m[i], state.v[i]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (g * g)
+        step = m / bias1  # lr * m_hat / (sqrt(v_hat) + eps), in place
+        step *= lr
+        denom = v / bias2
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        step /= denom
+        out.append(p - step)
     return out

@@ -116,39 +116,61 @@ class Model:
                         for _ in range(self.family.paths)]
         self.bn_states = [L.BatchNormState.for_dim(w) for w in self.family.bn_widths(widths)]
 
-    def binarize_input(self, x: np.ndarray) -> bl.PackedBinMatrix:
-        """Layer 0's input of a binarized family: `x` standardized with the
-        first batch-norm state's statistics and binarized, in row blocks."""
+    def fit_input(self, x: np.ndarray):
+        """Set the layer-0 statistics from `x` and return `prepare_input(x)`.
+
+        For a binarized family the statistics are the exact column mean
+        and population variance of `x` (full batch: the batch statistics
+        never change), taken in row blocks and kept as the first
+        batch-norm state's running ones; nothing updates them afterwards.
+        """
+        if self.family.binarized:
+            state = self.bn_states[0]
+            state.running_mean, state.running_var = bl.column_moments(x)
+        return self.prepare_input(x)
+
+    def prepare_input(self, x: np.ndarray):
+        """The first layer's input for features `x`.
+
+        For a binarized family: `x` standardized with the layer-0
+        statistics (`fit_input`, or a model file) and binarized, in row
+        blocks, so only the packed signs and row scalars are held. For
+        gcn: `x` itself.
+        """
+        if not self.family.binarized or isinstance(x, bl.PackedBinMatrix):
+            return x
         state = self.bn_states[0]
         inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
         return bl.binarize_rows(x, (state.running_mean, inv_std))
 
     def forward(self, prop, x, training: bool = False,
-                rng: np.random.Generator | None = None):
+                rng: np.random.Generator | None = None,
+                workspaces: list[L.Workspace] | None = None):
         """Logits and per-layer (layer cache, batch-norm cache or None).
 
-        `x` is the float feature matrix, or for a binarized family the
-        `binarize_input` of it, which `train` computes once and reuses.
+        `x` is the float feature matrix or its `prepare_input`, which
+        `train` computes once and reuses. With `workspaces` (one per
+        layer) the pass writes into their arrays, overwriting the last
+        pass's logits and caches.
         """
         forward = getattr(L, self.family.forward)
         p = self.family.paths
-        h = x
+        h = self.prepare_input(x)
         caches = []
         for i in range(self.n_layers):
+            ws = workspaces[i] if workspaces is not None else None
             bn_cache = None
-            if i == 0 and self.family.binarized:
-                if not isinstance(h, bl.PackedBinMatrix):
-                    h = self.binarize_input(h)
-            elif i < len(self.bn_states):
-                h, bn_cache = L.batch_norm_forward(h, training, self.bn_states[i])
+            if 0 < i < len(self.bn_states):
+                h, bn_cache = L.batch_norm_forward(h, training, self.bn_states[i], ws=ws)
             extra = {} if self.family.binarized else {"activation": i < self.n_layers - 1}
             h, cache = forward(prop, h, *self.weights[i * p:(i + 1) * p], training=training,
                                dropout=self.config.dropout if i > 0 else 0.0, rng=rng,
-                               **extra)
+                               ws=ws, **extra)
             caches.append((cache, bn_cache))
         return h, caches
 
-    def backward(self, prop, caches, grad_logits) -> list[np.ndarray]:
+    def backward(self, prop, caches, grad_logits,
+                 workspaces: list[L.Workspace] | None = None) -> list[np.ndarray]:
         """Weight gradients, in the order of `weights`."""
         backward = getattr(L, self.family.backward)
         extra = {"ste_mode": self.config.ste_mode} if self.family.binarized else {}
@@ -156,11 +178,14 @@ class Model:
         grads = [None] * len(self.weights)
         grad = grad_logits
         for i in reversed(range(self.n_layers)):
+            ws = workspaces[i] if workspaces is not None else None
             cache, bn_cache = caches[i]
-            grad_h, *layer_grads = backward(cache, prop, grad, need_input_grad=i > 0, **extra)
+            grad_h, *layer_grads = backward(cache, prop, grad, need_input_grad=i > 0,
+                                            ws=ws, **extra)
             grads[i * p:(i + 1) * p] = layer_grads
             if i > 0:
-                grad = grad_h if bn_cache is None else L.batch_norm_backward(bn_cache, grad_h)
+                grad = (grad_h if bn_cache is None
+                        else L.batch_norm_backward(bn_cache, grad_h, ws=ws))
         return grads
 
     def update(self, weights: list[np.ndarray]) -> None:
@@ -196,9 +221,15 @@ def _propagation_operator(model: Model, graph: AttributedGraph,
     return adj if adj is not None else normalize_adjacency(graph)
 
 
-def evaluate(model: Model, prop, graph: AttributedGraph, mask: np.ndarray) -> tuple[float, float]:
-    """Inference-mode loss and accuracy on one mask."""
-    logits, _ = model.forward(prop, graph.x, training=False)
+def evaluate(model: Model, prop, graph: AttributedGraph, mask: np.ndarray,
+             x=None, workspaces: list[L.Workspace] | None = None) -> tuple[float, float]:
+    """Inference-mode loss and accuracy on one mask.
+
+    `x` is `model.prepare_input(graph.x)` if the caller holds it (None:
+    prepared here); `workspaces` as in `Model.forward`.
+    """
+    logits, _ = model.forward(prop, graph.x if x is None else x, training=False,
+                              workspaces=workspaces)
     loss, _ = L.masked_softmax_xent(logits, graph.labels, mask)
     return loss, L.masked_accuracy(logits, graph.labels, mask)
 
@@ -225,13 +256,8 @@ def train(config: ModelConfig, graph: AttributedGraph,
     model = Model(config, rng)
     prop = _propagation_operator(model, graph, adj)
     opt = AdamState.for_params(model.weights)
-    x = graph.x
-    if model.family.binarized:
-        # Full batch: the batch statistics of X never change, so standardize
-        # and binarize it once, exactly, and keep only the packed signs.
-        state = model.bn_states[0]
-        state.running_mean, state.running_var = bl.column_moments(graph.x)
-        x = model.binarize_input(graph.x)
+    x = model.fit_input(graph.x)
+    workspaces = [L.Workspace() for _ in range(model.n_layers)]
 
     best_state = copy.deepcopy((model.weights, model.bn_states))
     best_val = np.inf
@@ -239,21 +265,16 @@ def train(config: ModelConfig, graph: AttributedGraph,
     trace: list[EpochMetrics] = []
 
     for epoch in range(1, config.max_epochs + 1):
-        logits, caches = model.forward(prop, x, training=True, rng=rng)
+        logits, caches = model.forward(prop, x, training=True, rng=rng,
+                                       workspaces=workspaces)
         train_loss, grad_logits = L.masked_softmax_xent(
             logits, graph.labels, graph.train_mask)
         train_acc = L.masked_accuracy(logits, graph.labels, graph.train_mask)
-        grads = model.backward(prop, caches, grad_logits)
+        grads = model.backward(prop, caches, grad_logits, workspaces)
+        del logits, caches  # the validation pass overwrites their arrays
         model.update(adam_step(model.weights, grads, opt, config.lr))
 
-        val_logits, _ = model.forward(prop, x, training=False)
-        val_loss, _ = L.masked_softmax_xent(val_logits, graph.labels, graph.val_mask)
-        val_acc = L.masked_accuracy(val_logits, graph.labels, graph.val_mask)
-        # Free the training caches before the next forward pass builds its
-        # own. Only these: freeing the logits and gradients too leaves the
-        # heap top free, so glibc trims it and the next epoch faults it back
-        # in (+20 % epoch time on the 700-node benchmark graph, 2 vCPUs).
-        del caches
+        val_loss, val_acc = evaluate(model, prop, graph, graph.val_mask, x, workspaces)
         trace.append(EpochMetrics(epoch=epoch, train_loss=train_loss,
                                   train_acc=train_acc, val_loss=val_loss,
                                   val_acc=val_acc))
@@ -266,8 +287,7 @@ def train(config: ModelConfig, graph: AttributedGraph,
             break
 
     model.weights, model.bn_states = best_state
-    test_logits, _ = model.forward(prop, x, training=False)
-    test_acc = L.masked_accuracy(test_logits, graph.labels, graph.test_mask)
+    _, test_acc = evaluate(model, prop, graph, graph.test_mask, x, workspaces)
     if not np.isfinite(best_val):
         best_val = float("nan")
     return TrainResult(model=model, trace=trace, test_acc=test_acc,

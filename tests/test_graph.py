@@ -9,6 +9,7 @@ from bingcn.graph import (
     canonical_edges,
     neighbor_mean_matrix,
     normalize_adjacency,
+    sparse_matmul,
 )
 
 from reference_impl import dense_normalized_adjacency
@@ -164,6 +165,44 @@ class TestAggregate:
         adj = normalize_adjacency(g)
         with pytest.raises(ValueError):
             aggregate(adj, np.zeros((4, 2)))
+
+
+class TestSparseMatmul:
+    @pytest.mark.parametrize("k", [1, 3, 64])
+    def test_into_out_equals_scipy_bit_for_bit(self, k):
+        rng = np.random.default_rng(44)
+        g = make_graph(40, rng.integers(0, 40, size=(120, 2)))
+        for m in (normalize_adjacency(g).matrix, neighbor_mean_matrix(g).T):
+            z = rng.standard_normal((40, k))
+            out = np.full((40, k), np.nan)
+            assert sparse_matmul(m, z, out) is out
+            assert np.array_equal(out, m @ z)
+            assert np.array_equal(sparse_matmul(m, z), m @ z)
+
+    def test_dense_operator_and_aggregate_out(self):
+        rng = np.random.default_rng(45)
+        g = make_graph(6, [[0, 1], [1, 2], [4, 5]])
+        adj = normalize_adjacency(g)
+        z = rng.standard_normal((6, 2))
+        out = np.empty((6, 2))
+        assert aggregate(adj, z, out=out) is out
+        assert np.array_equal(out, adj.matrix @ z)
+        dense = adj.to_dense()
+        assert np.array_equal(sparse_matmul(dense, z, np.empty((6, 2))), dense @ z)
+
+    def test_rejects_operands_the_kernel_would_overrun(self):
+        g = make_graph(4, [[0, 1]])
+        m = normalize_adjacency(g).matrix
+        with pytest.raises(ValueError):
+            sparse_matmul(m, np.zeros((5, 2)), np.empty((4, 2)))
+        with pytest.raises(ValueError):
+            sparse_matmul(m, np.zeros(4), np.empty((4, 1)))
+        with pytest.raises(ValueError):
+            sparse_matmul(m, np.zeros((4, 2)), np.empty((4, 3)))
+        with pytest.raises(ValueError):
+            sparse_matmul(m, np.zeros((4, 2)), np.empty((4, 2), dtype=np.float32))
+        with pytest.raises(ValueError):
+            sparse_matmul(m, np.zeros((4, 2)), np.empty((2, 4)).T)
 
 
 class TestNeighborMean:

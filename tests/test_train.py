@@ -7,6 +7,8 @@ import pytest
 
 from bingcn.datasets import SBMParams, generate_sbm
 from bingcn.graph import normalize_adjacency
+from bingcn.layers import Workspace, masked_softmax_xent
+from bingcn.optim import AdamState, adam_step
 from bingcn.train import (
     Model,
     ModelConfig,
@@ -27,6 +29,16 @@ def small_sbm(seed=0):
 def trace_tuples(result):
     return [(m.epoch, m.train_loss, m.train_acc, m.val_loss, m.val_acc)
             for m in result.trace]
+
+
+def run_epoch(model, prop, g, x, opt, rng, workspaces):
+    """One epoch as `train` runs it; returns logits, gradients, val metrics."""
+    logits, caches = model.forward(prop, x, training=True, rng=rng, workspaces=workspaces)
+    logits = logits.copy()  # a workspace's next pass overwrites them
+    _, grad_logits = masked_softmax_xent(logits, g.labels, g.train_mask)
+    grads = model.backward(prop, caches, grad_logits, workspaces)
+    model.update(adam_step(model.weights, grads, opt, model.config.lr))
+    return logits, grads, evaluate(model, prop, g, g.val_mask, x, workspaces)
 
 
 class TestConfigValidation:
@@ -101,6 +113,48 @@ class TestTrainingLoop:
         finally:
             tracemalloc.stop()
         assert peak < g.x.nbytes
+
+    @pytest.mark.parametrize("ste_mode", ["grad", "input"])
+    @pytest.mark.parametrize("model", ["bigcn", "gcn", "bisage"])
+    def test_workspaces_change_no_result(self, model, ste_mode):
+        # Three layers: a gcn layer with dropout and ReLU, two bisage batch norms.
+        g = small_sbm(seed=9)
+        config = ModelConfig(widths=[24, 16, 8, 3], model=model, seed=9, ste_mode=ste_mode)
+        runs = []
+        for workspaces in (None, [Workspace() for _ in range(3)]):
+            net = Model(config, np.random.default_rng(9))
+            prop = _propagation_operator(net, g, None)
+            x = net.fit_input(g.x)
+            opt, rng = AdamState.for_params(net.weights), np.random.default_rng(10)
+            runs.append([run_epoch(net, prop, g, x, opt, rng, workspaces)
+                         for _ in range(4)])
+        for (logits, grads, val), (logits_ws, grads_ws, val_ws) in zip(*runs):
+            assert np.array_equal(logits, logits_ws)
+            assert all(np.array_equal(a, b) for a, b in zip(grads, grads_ws))
+            assert val == val_ws
+
+    @pytest.mark.parametrize("model", ["bigcn", "gcn", "bisage"])
+    def test_later_epochs_allocate_no_layer_sized_array(self, model):
+        # With workspaces an epoch after the first writes into the memory of
+        # the one before: its peak above what is held stays below a single
+        # N x hidden float64 array (1.5 MB here).
+        g = generate_sbm(SBMParams(nodes_per_class=1000, n_classes=3,
+                                   n_features=20, seed=3))
+        net = Model(ModelConfig(widths=[20, 64, 3], model=model), np.random.default_rng(3))
+        prop = _propagation_operator(net, g, None)
+        x = net.fit_input(g.x)
+        opt, rng = AdamState.for_params(net.weights), np.random.default_rng(4)
+        workspaces = [Workspace() for _ in range(net.n_layers)]
+        for _ in range(2):
+            run_epoch(net, prop, g, x, opt, rng, workspaces)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            run_epoch(net, prop, g, x, opt, rng, workspaces)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak < g.n_nodes * 64 * 8
 
     @pytest.mark.parametrize("model", ["bigcn", "bisage"])
     def test_input_statistics_are_exact(self, model):
