@@ -21,14 +21,13 @@ from .datasets import (
     generate_sbm,
     load_dataset,
 )
-from .efficiency import GraphStats, build_report
-from .graph import normalize_adjacency
+from .efficiency import CYCLE_BINARY_OPS, GraphStats, build_report
 from .layers import STE_MODES, masked_accuracy
 from .train import (
     MODEL_KINDS,
     ModelConfig,
-    _propagation_operator,
     load_model,
+    propagation_operator,
     save_model,
     train,
 )
@@ -149,7 +148,8 @@ def cmd_train(args) -> int:
     save_model(out / "model.bin", result.model)
 
     if args.dump_activations:
-        _, caches = result.model.forward(normalize_adjacency(graph), graph.x)
+        prop = propagation_operator(result.model.family, graph)
+        _, caches = result.model.forward(prop, graph.x)
         hidden = [cache.h_in for cache, _ in caches[1:]]  # post-ReLU hidden layers
         targets = _dump_paths(args.dump_activations, len(hidden))
         for path, acts in zip(targets, hidden):
@@ -178,7 +178,7 @@ def cmd_eval(args) -> int:
     if widths[-1] != graph.n_classes:
         raise DimensionMismatchError(
             f"model predicts {widths[-1]} classes, graph has {graph.n_classes}")
-    prop = _propagation_operator(model, graph, None)
+    prop = propagation_operator(model.family, graph)
     logits, _ = model.forward(prop, graph.x, training=False)
     report = {
         "train_acc": masked_accuracy(logits, graph.labels, graph.train_mask),
@@ -225,7 +225,7 @@ def cmd_analyze(args) -> int:
     if args.dataset:
         graph = load_dataset(args.dataset)
         counts = (graph.n_nodes, graph.n_edges, graph.n_features)
-        default_widths = [graph.n_features, 64, graph.n_classes]
+        default_widths = [graph.n_features, TRAIN_DEFAULTS["hidden"], graph.n_classes]
     else:
         if args.nodes is None or args.edges is None or args.features is None:
             raise UsageError("analyze needs --dataset or all of --nodes/--edges/--features")
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--edges", type=int)
     p_an.add_argument("--features", type=int)
     p_an.add_argument("--widths", help="comma-separated layer widths")
-    p_an.add_argument("--ops-per-cycle", type=int, default=64,
+    p_an.add_argument("--ops-per-cycle", type=int, default=CYCLE_BINARY_OPS,
                       help="binary operations per cycle in the cost model")
     p_an.add_argument("--out", help="also write efficiency.json here")
     p_an.set_defaults(fn=cmd_analyze)

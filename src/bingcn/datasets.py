@@ -3,19 +3,26 @@
 On-disk layout of a dataset directory:
 
 * ``edges.txt``   — one ``u v`` pair per line, 0-indexed, undirected;
-  duplicates and self-loops are tolerated on input and dropped.
+  blank lines are skipped; duplicates and self-loops are tolerated on
+  input and dropped.
 * ``features.bin`` — magic ``BGNF``, uint32 N, uint32 d (little-endian),
   then N*d row-major float32 values.
-* ``labels.txt``  — one integer class per line.
+* ``labels.txt``  — whitespace-separated integer classes, one per node
+  (written one per line).
 * ``masks.txt``   — one character per node: ``t`` train, ``v`` val,
   ``s`` test, ``-`` unassigned. Line breaks are ignored.
-* ``manifest.json`` — names the four files and declares N, d, C.
+* ``manifest.json`` — a JSON object that names the four files and
+  declares N, d, C.
+
+A malformed file (undecodable bytes, a non-integer or beyond-int64 value,
+a wrong column count) raises `FormatError` naming it; all are `DatasetError`.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,7 +78,7 @@ def load_manifest(path) -> DatasetManifest:
         raise MissingFileError(f"manifest not found: {path}")
     try:
         raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # undecodable bytes or invalid JSON
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
     try:
         base = path.parent
@@ -87,6 +94,8 @@ def load_manifest(path) -> DatasetManifest:
         )
     except KeyError as exc:
         raise FormatError(f"{path}: missing manifest key {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:  # not an object, or a bad value
+        raise FormatError(f"{path}: malformed manifest ({exc})") from exc
 
 
 def _require(path: Path) -> Path:
@@ -118,33 +127,31 @@ def write_features(path, x: np.ndarray) -> None:
 
 def read_edges(path) -> np.ndarray:
     path = _require(Path(path))
-    pairs = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"{path}:{lineno}: expected 'u v', got {line!r}")
-        try:
-            pairs.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: non-integer endpoint") from exc
-    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            edges = np.loadtxt(path, dtype=np.int64, comments=None, ndmin=2)
+    except ValueError as exc:  # also undecodable bytes and values beyond int64
+        raise FormatError(f"{path}: {exc}") from exc
+    if edges.size and edges.shape[1] != 2:
+        raise FormatError(f"{path}: expected 'u v' per line, got {edges.shape[1]} columns")
+    return edges.reshape(-1, 2)
 
 
 def read_labels(path) -> np.ndarray:
     path = _require(Path(path))
     try:
-        values = [int(s) for s in path.read_text().split()]
-    except ValueError as exc:
-        raise FormatError(f"{path}: non-integer label") from exc
-    return np.array(values, dtype=np.int64)
+        return np.array(path.read_text().split(), dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise FormatError(f"{path}: labels must be int64 integers ({exc})") from exc
 
 
 def read_masks(path, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     path = _require(Path(path))
-    chars = "".join(path.read_text().split())
+    try:
+        chars = "".join(path.read_text().split())
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     if len(chars) != n:
         raise DimensionMismatchError(f"{path}: {len(chars)} mask characters for {n} nodes")
     bad = set(chars) - set(_MASK_CHARS)
@@ -204,12 +211,9 @@ def save_dataset(dirpath, graph: AttributedGraph, name: str = "dataset") -> Path
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
     write_features(dirpath / "features.bin", graph.x)
-    with open(dirpath / "edges.txt", "w") as fh:
-        for u, v in graph.edges:
-            fh.write(f"{u} {v}\n")
-    with open(dirpath / "labels.txt", "w") as fh:
-        fh.write("\n".join(str(int(y)) for y in graph.labels))
-        fh.write("\n")
+    np.savetxt(dirpath / "edges.txt", graph.edges, fmt="%d")
+    # one row of N "\n"-delimited columns: one format call, one label per line
+    np.savetxt(dirpath / "labels.txt", graph.labels[None], fmt="%d", delimiter="\n")
     chars = np.full(graph.n_nodes, "-", dtype="U1")
     chars[graph.train_mask] = "t"
     chars[graph.val_mask] = "v"

@@ -1,4 +1,8 @@
-"""Attributed graph container, adjacency normalization, sparse aggregation."""
+"""Attributed graph container, adjacency normalization, sparse aggregation.
+
+Both propagation operators scale the `.data` of one unit symmetric CSR
+(with or without self-loops) from its row degrees.
+"""
 
 from __future__ import annotations
 
@@ -15,15 +19,14 @@ def canonical_edges(edges) -> np.ndarray:
     Returns an (E, 2) int64 array with u < v, sorted lexicographically.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if edges.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
     lo = np.minimum(edges[:, 0], edges[:, 1])
     hi = np.maximum(edges[:, 0], edges[:, 1])
     keep = lo != hi
-    pairs = np.stack([lo[keep], hi[keep]], axis=1)
-    if pairs.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.unique(pairs, axis=0)
+    order = np.lexsort((hi[keep], lo[keep]))  # 1-D sorts: any int64, no combined key
+    lo, hi = lo[keep][order], hi[keep][order]
+    first = np.ones(lo.size, dtype=bool)
+    first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    return np.stack([lo[first], hi[first]], axis=1)
 
 
 @dataclass
@@ -68,7 +71,7 @@ class AttributedGraph:
                 raise ValueError("edge endpoint out of range")
             if (self.edges[:, 0] >= self.edges[:, 1]).any():
                 raise ValueError("edges must be canonical (u < v, no self-loops)")
-            if len(np.unique(self.edges, axis=0)) != len(self.edges):
+            if len(canonical_edges(self.edges)) != len(self.edges):
                 raise ValueError("duplicate undirected edge")
         for m in (self.train_mask, self.val_mask, self.test_mask):
             if m.shape != (n,):
@@ -113,26 +116,23 @@ class NormalizedAdjacency:
         return self.matrix.toarray()
 
 
-def _self_loop_adjacency(n: int, edges: np.ndarray) -> sp.csr_matrix:
-    diag = np.arange(n, dtype=np.int64)
-    if edges.size:
-        rows = np.concatenate([edges[:, 0], edges[:, 1], diag])
-        cols = np.concatenate([edges[:, 1], edges[:, 0], diag])
-    else:
-        rows = cols = diag
-    data = np.ones(rows.shape[0], dtype=np.float64)
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+def _unit_symmetric_csr(n: int, edges: np.ndarray, self_loops: bool):
+    """CSR (sorted indices) of 1s at (u, v) and (v, u) per canonical edge and,
+    with `self_loops`, at (i, i); also the row of each stored entry."""
+    loops = np.arange(n if self_loops else 0, dtype=np.int64)
+    rows = np.concatenate([edges[:, 0], edges[:, 1], loops])
+    cols = np.concatenate([edges[:, 1], edges[:, 0], loops])
+    a = sp.csr_matrix((np.ones(rows.shape[0]), (rows, cols)), shape=(n, n))
+    a.sort_indices()
+    return a, np.repeat(np.arange(n), np.diff(a.indptr))
 
 
 def normalize_adjacency(g: AttributedGraph) -> NormalizedAdjacency:
     """Build D^{-1/2} (A + I) D^{-1/2} in CSR form."""
-    a_hat = _self_loop_adjacency(g.n_nodes, g.edges)
-    deg = np.asarray(a_hat.sum(axis=1)).ravel()
-    inv_sqrt = 1.0 / np.sqrt(deg)  # deg >= 1 thanks to the self-loop
-    norm = sp.diags(inv_sqrt) @ a_hat @ sp.diags(inv_sqrt)
-    norm = norm.tocsr()
-    norm.sort_indices()
-    return NormalizedAdjacency(matrix=norm)
+    a_hat, rows = _unit_symmetric_csr(g.n_nodes, g.edges, self_loops=True)
+    inv_sqrt = 1.0 / np.sqrt(np.diff(a_hat.indptr))  # deg >= 1 thanks to the self-loop
+    a_hat.data = inv_sqrt[rows] * inv_sqrt[a_hat.indices]
+    return NormalizedAdjacency(matrix=a_hat)
 
 
 def aggregate(adj: NormalizedAdjacency, z: np.ndarray,
@@ -176,16 +176,6 @@ def neighbor_mean_matrix(g: AttributedGraph) -> sp.csr_matrix:
     Rows of isolated nodes are all zero, so their aggregated neighbor
     term is the empty-sum convention of zero.
     """
-    n = g.n_nodes
-    if g.n_edges == 0:
-        return sp.csr_matrix((n, n), dtype=np.float64)
-    rows = np.concatenate([g.edges[:, 0], g.edges[:, 1]])
-    cols = np.concatenate([g.edges[:, 1], g.edges[:, 0]])
-    data = np.ones(rows.shape[0], dtype=np.float64)
-    adj = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-    deg = np.asarray(adj.sum(axis=1)).ravel()
-    scale = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
-    out = sp.diags(scale) @ adj
-    out = out.tocsr()
-    out.sort_indices()
-    return out
+    adj, rows = _unit_symmetric_csr(g.n_nodes, g.edges, self_loops=False)
+    adj.data = 1.0 / np.diff(adj.indptr)[rows]  # every stored row has deg >= 1
+    return adj

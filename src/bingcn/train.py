@@ -38,9 +38,9 @@ class ModelFileError(DatasetError, ValueError):
 class Family:
     """What sets one model family apart; everything else is shared.
 
-    `forward` and `backward` name the layer functions, which fix the
-    propagation; they are looked up on `layers` at call time, so a
-    function swapped there (to time it, say) is the one called.
+    `forward` and `backward` name the layer functions; they are looked
+    up on `layers` at call time, so a function swapped there (to time it,
+    say) is the one called.
     """
 
     forward: str
@@ -51,6 +51,7 @@ class Family:
     # binarized once per train(); later ones get training-mode batch norm.
     standardized: int | None
     binarized: bool = True  # False: float product, ReLU on hidden layers
+    neighbor_mean: bool = False  # propagate by neighbor mean, not normalized A + I
 
     def bn_widths(self, widths: list[int]) -> list[int]:
         """Widths of the standardized layer inputs: one batch-norm state each."""
@@ -61,7 +62,8 @@ FAMILIES = {
     "bigcn": Family("bigcn_forward", "bigcn_backward", paths=1, standardized=1),
     "gcn": Family("gcn_forward_cached", "gcn_backward", paths=1, standardized=0,
                   binarized=False),
-    "bisage": Family("bisage_forward", "bisage_backward", paths=2, standardized=None),
+    "bisage": Family("bisage_forward", "bisage_backward", paths=2, standardized=None,
+                     neighbor_mean=True),
 }
 MODEL_KINDS = tuple(FAMILIES)
 
@@ -214,9 +216,11 @@ class TrainResult:
     seed: int
 
 
-def _propagation_operator(model: Model, graph: AttributedGraph,
-                          adj: NormalizedAdjacency | None):
-    if model.config.model == "bisage":
+def propagation_operator(family: Family, graph: AttributedGraph,
+                         adj: NormalizedAdjacency | None = None):
+    """The operator `family`'s layers propagate with; `adj`, if given, is
+    `normalize_adjacency(graph)` already built."""
+    if family.neighbor_mean:
         return neighbor_mean_matrix(graph)
     return adj if adj is not None else normalize_adjacency(graph)
 
@@ -254,7 +258,7 @@ def train(config: ModelConfig, graph: AttributedGraph,
 
     rng = np.random.default_rng(config.seed)
     model = Model(config, rng)
-    prop = _propagation_operator(model, graph, adj)
+    prop = propagation_operator(model.family, graph, adj)
     opt = AdamState.for_params(model.weights)
     x = model.fit_input(graph.x)
     workspaces = [L.Workspace() for _ in range(model.n_layers)]

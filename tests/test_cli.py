@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bingcn import cli, efficiency
 from bingcn.capacity import write_activation_dump
-from bingcn.cli import _model_config, _resolve_train_settings, build_parser, run
+from bingcn.cli import TRAIN_DEFAULTS, _model_config, _resolve_train_settings, build_parser, run
 from bingcn.datasets import SBMParams, generate_sbm, save_dataset
 from bingcn.train import ModelConfig, load_model, save_model
 
@@ -51,6 +52,42 @@ MALFORMED_INPUTS = {
 }
 
 
+def _saved_dataset(tmp_path):
+    g = generate_sbm(SBMParams(nodes_per_class=60, n_classes=3, n_features=24, seed=1))
+    return save_dataset(tmp_path / "ds", g, name="sbm")
+
+
+def _manifest(mutate):
+    def corrupt(directory):
+        path = directory / "manifest.json"
+        path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+        return path
+    return corrupt
+
+
+def _prepend(name, data):
+    def corrupt(directory):
+        path = directory / name
+        path.write_bytes(data + path.read_bytes())
+        return path
+    return corrupt
+
+
+# Each corrupts one file of a saved dataset and returns that file's path.
+MALFORMED_DATASETS = {
+    "manifest-a-list": _manifest(lambda raw: [raw]),
+    "manifest-num-nodes-abc": _manifest(lambda raw: {**raw, "num_nodes": "abc"}),
+    "manifest-num-nodes-null": _manifest(lambda raw: {**raw, "num_nodes": None}),
+    "manifest-edges-file-5": _manifest(lambda raw: {**raw, "edges_file": 5}),
+    "manifest-0xff": _prepend("manifest.json", b"\xff"),
+    "edges-0xff": _prepend("edges.txt", b"\xff"),
+    "labels-0xff": _prepend("labels.txt", b"\xff"),
+    "masks-0xff": _prepend("masks.txt", b"\xff"),
+    "edges-20-digits": _prepend("edges.txt", b"12345678901234567890 1\n"),
+    "labels-20-digits": _prepend("labels.txt", b"12345678901234567890\n"),
+}
+
+
 class TestAnalyze:
     def test_cora_golden_numbers(self, tmp_path, capsys):
         code = run(["analyze", "--nodes", "2708", "--edges", "5429",
@@ -74,6 +111,18 @@ class TestAnalyze:
         code = run(["analyze", "--nodes", "10", "--edges", "2", "--features", "5",
                     "--widths", "8,2"])
         assert code == 1
+
+    def test_dataset_default_hidden_width_is_the_train_default(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        monkeypatch.setitem(TRAIN_DEFAULTS, "hidden", 5)
+        assert run(["analyze", "--dataset", str(_saved_dataset(tmp_path))]) == 0
+        assert json.loads(capsys.readouterr().out)["arch"]["widths"] == [24, 5, 3]
+
+    def test_ops_per_cycle_default_is_the_cost_model_default(self, monkeypatch):
+        assert build_parser().parse_args(ANALYZE_ARGS).ops_per_cycle == (
+            efficiency.CYCLE_BINARY_OPS)
+        monkeypatch.setattr(cli, "CYCLE_BINARY_OPS", 32)
+        assert build_parser().parse_args(ANALYZE_ARGS).ops_per_cycle == 32
 
     def test_from_dataset_manifest(self, tmp_path, capsys):
         g = generate_sbm(SBMParams(nodes_per_class=60, n_classes=3, n_features=24, seed=1))
@@ -256,6 +305,17 @@ class TestExitCodes:
     def test_malformed_input_is_usage_error(self, argv_of, tmp_path, capsys):
         assert run(argv_of(tmp_path)) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", [["analyze"], ["train", "--epochs", "1"]],
+                             ids=["analyze", "train"])
+    @pytest.mark.parametrize("corrupt", MALFORMED_DATASETS.values(),
+                             ids=list(MALFORMED_DATASETS))
+    def test_malformed_dataset_is_data_error(self, corrupt, command, tmp_path, capsys):
+        manifest = _saved_dataset(tmp_path)
+        bad = corrupt(manifest.parent)
+        assert run(command + ["--dataset", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(bad) in err
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from bingcn.datasets import (
     SBMParams,
     generate_sbm,
     load_dataset,
+    read_edges,
+    read_labels,
     save_dataset,
 )
 from bingcn.graph import AttributedGraph
@@ -69,6 +72,54 @@ class TestRoundtrip:
         (d / "edges.txt").write_text("0 0\n0 1\n1 0\n1 3\n")
         back = load_dataset(manifest)
         assert np.array_equal(back.edges, [[0, 1], [1, 3]])
+
+
+class TestTextFiles:
+    def test_saved_text_is_one_pair_and_one_label_per_line(self, tmp_path):
+        g = generate_sbm(SBMParams(nodes_per_class=60, n_classes=3, n_features=12, seed=5))
+        save_dataset(tmp_path, g)
+        assert (tmp_path / "edges.txt").read_text() == "".join(
+            f"{u} {v}\n" for u, v in g.edges)
+        assert (tmp_path / "labels.txt").read_text() == "".join(f"{y}\n" for y in g.labels)
+
+    def test_edges_skip_blank_lines(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text("\n0 1\n\n  \n 2\t3 \n\n")
+        assert read_edges(path).tolist() == [[0, 1], [2, 3]]
+
+    @pytest.mark.parametrize("text", ["", "\n \n"], ids=["empty", "blank"])
+    def test_edge_file_without_pairs_gives_none_and_no_warning(self, text, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            edges = read_edges(path)
+        assert edges.shape == (0, 2) and edges.dtype == np.int64
+
+    @pytest.mark.parametrize("blob", [
+        b"0 1 2\n", b"0\n1\n", b"0 1\n2\n", b"0 x\n", b"0 1.5\n",
+        b"0 12345678901234567890\n", b"\xff0 1\n", b"0 1 # note\n",
+    ], ids=["three-columns", "one-column", "short-line", "word", "float",
+            "beyond-int64", "undecodable", "comment"])
+    def test_bad_edge_file_is_format_error_naming_it(self, blob, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match="edges.txt"):
+            read_edges(path)
+
+    def test_labels_are_any_whitespace_separated_integers(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_text("0 1\n\n2\t-3  +4\n")
+        assert read_labels(path).tolist() == [0, 1, 2, -3, 4]
+
+    @pytest.mark.parametrize("blob", [b"0 x\n", b"1.5\n", b"12345678901234567890\n",
+                                      b"\xff1\n"],
+                             ids=["word", "float", "beyond-int64", "undecodable"])
+    def test_bad_label_file_is_format_error_naming_it(self, blob, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match="labels.txt"):
+            read_labels(path)
 
 
 class TestLoadErrors:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from bingcn.graph import (
     AttributedGraph,
@@ -36,7 +37,40 @@ def make_graph(n, edges, d=2, n_classes=2, seed=0):
     )
 
 
+def diags_operators(g):
+    """Both operators as the sp.diags products of unit adjacencies: the
+    construction the shared CSR builder replaced, kept as its oracle."""
+    n = g.n_nodes
+    rows = np.concatenate([g.edges[:, 0], g.edges[:, 1]])
+    cols = np.concatenate([g.edges[:, 1], g.edges[:, 0]])
+    diag = np.arange(n)
+    a_hat = sp.csr_matrix((np.ones(rows.size + n), (np.concatenate([rows, diag]),
+                                                    np.concatenate([cols, diag]))), shape=(n, n))
+    inv_sqrt = 1.0 / np.sqrt(np.asarray(a_hat.sum(axis=1)).ravel())
+    norm = (sp.diags(inv_sqrt) @ a_hat @ sp.diags(inv_sqrt)).tocsr()
+    adj = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    deg = np.asarray(adj.sum(axis=1)).ravel()
+    mean = (sp.diags(np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)) @ adj).tocsr()
+    norm.sort_indices()
+    mean.sort_indices()
+    return norm, mean
+
+
 class TestCanonicalEdges:
+    def test_matches_rowwise_unique(self):
+        rng = np.random.default_rng(46)
+        info = np.iinfo(np.int64)
+        extremes = np.array([info.min, info.min + 1, -1, 0, 1, info.max - 1, info.max])
+        for trial in range(40):
+            m = int(rng.integers(0, 200))
+            raw = (rng.choice(extremes, size=(m, 2)) if trial % 2
+                   else rng.integers(-6, 7, size=(m, 2)))
+            lo, hi = raw.min(axis=1), raw.max(axis=1)
+            pairs = np.stack([lo[lo != hi], hi[lo != hi]], axis=1)
+            expected = np.unique(pairs, axis=0).reshape(-1, 2)
+            got = canonical_edges(raw)
+            assert got.dtype == np.int64 and np.array_equal(got, expected)
+
     def test_dedup_and_orientation(self):
         edges = canonical_edges([[1, 0], [0, 1], [2, 1]])
         assert np.array_equal(edges, [[0, 1], [1, 2]])
@@ -50,6 +84,24 @@ class TestCanonicalEdges:
 
 
 class TestGraphValidation:
+    def test_duplicate_check_accepts_exactly_the_unique_edge_sets(self):
+        rng = np.random.default_rng(47)
+        g = make_graph(8, [])
+        verdicts = set()
+        for _ in range(60):
+            u = rng.integers(0, 7, size=int(rng.integers(1, 10)))
+            edges = np.stack([u, u + rng.integers(1, 8 - u)], axis=1)  # u < v, any order
+            unique = len(np.unique(edges, axis=0)) == len(edges)
+            verdicts.add(unique)
+            if unique:
+                assert np.array_equal(AttributedGraph(
+                    g.x, edges, g.labels, g.train_mask, g.val_mask, g.test_mask).edges, edges)
+            else:
+                with pytest.raises(ValueError, match="duplicate"):
+                    AttributedGraph(g.x, edges, g.labels, g.train_mask, g.val_mask,
+                                    g.test_mask)
+        assert verdicts == {True, False}
+
     def test_rejects_out_of_range_endpoint(self):
         with pytest.raises(ValueError):
             make_graph(2, [[0, 5]])
@@ -122,6 +174,18 @@ class TestNormalizeAdjacency:
         vals = adj.matrix.data
         assert (vals > 0).all() and (vals <= 1).all()
         assert (np.diag(dense) > 0).all()  # every node keeps a self-loop
+
+    def test_both_operators_equal_the_diags_products_bit_for_bit(self):
+        rng = np.random.default_rng(48)
+        graphs = [make_graph(5, []), make_graph(6, [[0, 1], [4, 5]])]
+        for _ in range(15):
+            n = int(rng.integers(2, 80))
+            graphs.append(make_graph(n, rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))))
+        for g in graphs:
+            for got, want in zip((normalize_adjacency(g).matrix, neighbor_mean_matrix(g)),
+                                 diags_operators(g)):
+                for part in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(got, part), getattr(want, part)), part
 
     def test_rows_sorted_by_column(self):
         g = make_graph(5, [[0, 4], [0, 2], [0, 1]])

@@ -13,9 +13,9 @@ from bingcn.train import (
     Model,
     ModelConfig,
     ModelFileError,
-    _propagation_operator,
     evaluate,
     load_model,
+    propagation_operator,
     save_model,
     train,
 )
@@ -123,7 +123,7 @@ class TestTrainingLoop:
         runs = []
         for workspaces in (None, [Workspace() for _ in range(3)]):
             net = Model(config, np.random.default_rng(9))
-            prop = _propagation_operator(net, g, None)
+            prop = propagation_operator(net.family, g)
             x = net.fit_input(g.x)
             opt, rng = AdamState.for_params(net.weights), np.random.default_rng(10)
             runs.append([run_epoch(net, prop, g, x, opt, rng, workspaces)
@@ -141,7 +141,7 @@ class TestTrainingLoop:
         g = generate_sbm(SBMParams(nodes_per_class=1000, n_classes=3,
                                    n_features=20, seed=3))
         net = Model(ModelConfig(widths=[20, 64, 3], model=model), np.random.default_rng(3))
-        prop = _propagation_operator(net, g, None)
+        prop = propagation_operator(net.family, g)
         x = net.fit_input(g.x)
         opt, rng = AdamState.for_params(net.weights), np.random.default_rng(4)
         workspaces = [Workspace() for _ in range(net.n_layers)]
@@ -198,7 +198,7 @@ class TestTrainingLoop:
         g = small_sbm(seed=3)
         config = ModelConfig(widths=[24, 8, 3], model="gcn", seed=3, max_epochs=60)
         result = train(config, g)
-        prop = _propagation_operator(result.model, g, None)
+        prop = propagation_operator(result.model.family, g)
         val_loss, _ = evaluate(result.model, prop, g, g.val_mask)
         assert val_loss == pytest.approx(result.best_val_loss, abs=1e-9)
 
@@ -223,7 +223,7 @@ class TestModelFiles:
         path = tmp_path / "model.bin"
         save_model(path, result.model)
         loaded = load_model(path)
-        prop = _propagation_operator(loaded, g, None)
+        prop = propagation_operator(loaded.family, g)
         logits_orig, _ = result.model.forward(prop, g.x, training=False)
         logits_loaded, _ = loaded.forward(prop, g.x, training=False)
         assert np.array_equal(logits_orig, logits_loaded)
