@@ -1,7 +1,7 @@
 """Binarized graph convolutional networks.
 
 Sign/scalar binarization of weights and node features, packed sign
-storage with an exact float32 +-1 product for inference, one binarized
+storage with an exact XNOR/popcount product for inference, one binarized
 layer shared by Bi-GCN and Bi-GraphSAGE, gradient-approximation training,
 an analytical efficiency model, and binned-entropy capacity bounds for
 binary hidden widths.

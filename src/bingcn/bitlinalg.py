@@ -10,23 +10,38 @@ bit position i % 64 (bit 1 encodes +1, bit 0 encodes -1). Padding bits
 past the logical length are canonically set to 1, so two equal-length
 vectors are equal iff their word arrays are equal.
 
-Packed words are the storage format. `bin_gemm` computes the +-1 product
-by expanding row blocks of the packed signs to float32 +-1 and calling
-a BLAS float32 product. Every partial sum of a +-1 dot product of
-length t is an integer of magnitude at most t, so the float32 result is
-exact for t < 2**24 and equals the XNOR/popcount count that
-`xnor_popcount_dot` computes word by word.
+Packed words are the storage format and what the kernel computes on.
+`bin_gemm` counts each +-1 dot product of length t with XOR and popcount
+over the uint64 words (t - 2 * mismatches), and `binarize_rows`
+standardizes, checks, packs and rescales each row in one pass. Both run
+in a small C library, `_packed.c`, compiled with the installed `cc` on
+first use into a per-user cache (``$XDG_CACHE_HOME/bingcn``, else
+``~/.cache/bingcn``) keyed by the source, the compile command and the
+CPU, and called through `ctypes`. Where it cannot be built or loaded,
+the numpy route runs instead, with the same results bit for bit: row
+blocks of the signs expanded to float32 +-1 and multiplied by BLAS,
+exact for t < 2**24 (every partial sum is an integer of magnitude at
+most t), and numpy passes per row block. It is also the kernel tests'
+oracle, next to the word-by-word `xnor_popcount_dot`.
 
-`binarize_rows` (optionally standardizing each block first),
-`column_moments` and `sign_t_matmul` (the transposed sign product a
-weight gradient needs, in float64) work in the same row blocks, so a
-fixed input can be held as packed words alone and is never expanded
+`binarize_rows`, `column_moments` and `sign_t_matmul` (the transposed
+sign product a weight gradient needs, in float64) work in row blocks, so
+a fixed input can be held as packed words alone and is never expanded
 whole.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
+import os
+import platform
+import subprocess
+import tempfile
+import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -39,6 +54,66 @@ _BLOCK_ROWS = 512
 # float32 holds every integer below 2**24 exactly, and no partial sum of a
 # +-1 dot product of length t exceeds t in magnitude.
 _MAX_EXACT_INNER = 2 ** 24
+
+_SOURCE = Path(__file__).with_name("_packed.c")
+# -ffp-contract=off: no fused multiply-add may change a standardized value.
+_COMPILE = ("cc", "-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def _cpu_id() -> str:
+    """What a -march=native build depends on: the CPU's model name and flags."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return "".join(sorted({line for line in fh
+                                   if line.startswith(("model name", "flags"))}))
+    except OSError:
+        return f"{platform.machine()} {platform.processor()}"
+
+
+def _load_native() -> ctypes.CDLL | None:
+    """Compile `_packed.c` into the per-user cache unless it is there, and load it.
+
+    The library's name is a hash of the source, the compile command and
+    the CPU, so a build is never loaded on another CPU. It is written
+    under a temporary name and renamed into place, so processes that
+    build it at once do not read a partial file. Returns None, with a
+    warning, where compiling or loading fails.
+    """
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "bingcn"
+    try:
+        source = _SOURCE.read_bytes()
+        key = hashlib.sha256(b"\0".join(
+            [source, " ".join(_COMPILE).encode(), _cpu_id().encode()])).hexdigest()
+        path = cache / f"_packed-{key[:16]}.so"
+        if not path.exists():
+            cache.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=cache, suffix=".so.tmp")
+            os.close(fd)
+            try:
+                subprocess.run([*_COMPILE, "-o", tmp, str(_SOURCE)], check=True,
+                               capture_output=True, timeout=300)
+                os.replace(tmp, path)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        lib = ctypes.CDLL(str(path))
+    except (OSError, subprocess.SubprocessError) as exc:
+        detail = getattr(exc, "stderr", None) or b""
+        warnings.warn(f"packed C kernel unavailable, using the numpy route: {exc} "
+                      f"{detail.decode(errors='replace').strip()}", RuntimeWarning)
+        return None
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    lib.bin_gemm.argtypes = [ptr, ptr, ptr, ptr, i64, i64, i64, i64, ctypes.c_uint64, ptr]
+    lib.bin_gemm.restype = None
+    lib.binarize_rows.argtypes = [ptr, ptr, ptr, ctypes.c_int, i64, i64, ptr, ptr, ptr]
+    lib.binarize_rows.restype = ctypes.c_int
+    return lib
+
+
+@functools.cache
+def _native() -> ctypes.CDLL | None:
+    """The C library, or None for the numpy route; decided once per process."""
+    return _load_native()
 
 
 def _pad_mask(length: int) -> np.uint64:
@@ -216,7 +291,8 @@ def binarize_rows(h, standardize=None) -> PackedBinMatrix:
     ``(h - mean) * inv_std``, computed with the same float operations as
     `layers.batch_norm_forward`. Rows are processed in blocks, so no
     temporary grows with the row count and the standardized matrix is
-    never held whole.
+    never held whole. The C route takes one pass per row; its scalars are
+    summed in numpy's pairwise order, so both routes agree bit for bit.
     """
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] == 0 or h.shape[1] == 0:
@@ -224,16 +300,32 @@ def binarize_rows(h, standardize=None) -> PackedBinMatrix:
     n, d = h.shape
     scalars = np.empty(n, dtype=np.float64)
     words = np.empty((n, (d + WORD_BITS - 1) // WORD_BITS), dtype=np.uint64)
+    lib = _native()
+    if lib is not None:
+        row = np.empty(d)  # the C code's scratch for one row
+        if standardize is None:
+            mean = inv_std = row  # not read
+        else:
+            mean, inv_std = (np.ascontiguousarray(np.broadcast_to(s, (d,)), dtype=np.float64)
+                             for s in standardize)
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
-        block = h[start:stop]
-        if standardize is not None:
-            mean, inv_std = standardize
-            block = block - mean
-            block *= inv_std
-        block = _check_finite(block, "matrix")
-        scalars[start:stop] = np.abs(block).mean(axis=1)
-        words[start:stop] = _pack_bits_2d(block >= 0)
+        if lib is not None:
+            block = np.ascontiguousarray(h[start:stop], dtype=np.float64)
+            if lib.binarize_rows(block.ctypes.data, mean.ctypes.data, inv_std.ctypes.data,
+                                 standardize is not None, stop - start, d, row.ctypes.data,
+                                 words[start:stop].ctypes.data,
+                                 scalars[start:stop].ctypes.data):
+                raise ValueError("matrix contains non-finite entries")
+        else:
+            block = h[start:stop]
+            if standardize is not None:
+                mean, inv_std = standardize
+                block = block - mean
+                block *= inv_std
+            block = _check_finite(block, "matrix")
+            scalars[start:stop] = np.abs(block).mean(axis=1)
+            words[start:stop] = _pack_bits_2d(block >= 0)
     return PackedBinMatrix(rows=n, cols=d, orientation="row", words=words, scalars=scalars)
 
 
@@ -296,10 +388,12 @@ def bin_gemm(f: PackedBinMatrix, b: PackedBinMatrix,
 
     out[i, j] = xnor_popcount_dot(row_i, col_j) * beta_i * alpha_j, bit
     for bit; equal to the dense product of the two reconstructed matrices
-    up to float summation order. Row blocks of `f` are expanded to
-    float32 +-1 signs and multiplied by the expanded signs of `b`, which
-    is exact for d < 2**24. Pure function, safe to call concurrently
-    with distinct `out` arrays (float64, (N, m); None: a new one).
+    up to float summation order. The C route counts each row's words
+    against the transposed words of `b`; the numpy route expands row
+    blocks of `f` to float32 +-1 signs and multiplies them by the
+    expanded signs of `b`, which is exact for d < 2**24, the limit both
+    routes keep. Pure function, safe to call concurrently with distinct
+    `out` arrays (C-contiguous float64, (N, m); None: a new one).
     """
     if f.orientation != "row" or b.orientation != "col":
         raise ValueError("bin_gemm needs a row-bucketed left and column-bucketed right operand")
@@ -309,12 +403,23 @@ def bin_gemm(f: PackedBinMatrix, b: PackedBinMatrix,
     if t >= _MAX_EXACT_INNER:
         raise ValueError(f"inner dimension {t} is too long for an exact float32 product "
                          f"(limit {_MAX_EXACT_INNER - 1})")
-
-    b_signs = _unpack_signs(b.words, t, np.float32).T
     if out is None:
         out = np.empty((f.rows, b.cols), dtype=np.float64)
-    elif out.shape != (f.rows, b.cols) or out.dtype != np.float64:
-        raise ValueError(f"out must be float64 of shape {(f.rows, b.cols)}")
+    elif (out.shape != (f.rows, b.cols) or out.dtype != np.float64
+          or not out.flags.c_contiguous):
+        raise ValueError(f"out must be C-contiguous float64 of shape {(f.rows, b.cols)}")
+
+    lib = _native()
+    if lib is not None:
+        f_words = np.ascontiguousarray(f.words, dtype=np.uint64)
+        b_words_t = np.ascontiguousarray(b.words.T, dtype=np.uint64)
+        beta = np.ascontiguousarray(f.scalars, dtype=np.float64)
+        alpha = np.ascontiguousarray(b.scalars, dtype=np.float64)
+        lib.bin_gemm(f_words.ctypes.data, b_words_t.ctypes.data, beta.ctypes.data,
+                     alpha.ctypes.data, f.rows, f_words.shape[1], b.cols, t,
+                     int(_pad_mask(t)), out.ctypes.data)
+        return out
+    b_signs = _unpack_signs(b.words, t, np.float32).T
     for start in range(0, f.rows, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, f.rows)
         out[start:stop] = _unpack_signs(f.words[start:stop], t, np.float32) @ b_signs

@@ -203,7 +203,11 @@ def load_dataset(manifest) -> AttributedGraph:
             n_classes=manifest.num_classes,
         )
     except ValueError as exc:
-        raise FormatError(f"{manifest.name}: {exc}") from exc
+        # The checks above leave the feature values (the features file is
+        # at fault) and the manifest's counts (the dataset directory is).
+        at_fault = (manifest.features_file if not np.isfinite(x).all()
+                    else manifest.features_file.parent)
+        raise FormatError(f"{at_fault}: {exc}") from exc
 
 
 def save_dataset(dirpath, graph: AttributedGraph, name: str = "dataset") -> Path:

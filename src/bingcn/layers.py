@@ -9,9 +9,10 @@ neighbor-mean path. One forward and one backward core serve both.
 Latent full-precision weights are re-binarized every call. Two routes
 compute ``bin(H) x bin(W)`` and agree within float tolerance:
 
-* packed kernel — sign bits multiplied as exact float32 +-1 values by
-  `bitlinalg.bin_gemm`; used for inference, and in training for an
-  input that arrives already binarized (a `bitlinalg.PackedBinMatrix`).
+* packed kernel — XNOR/popcount over the packed sign words
+  (`bitlinalg.bin_gemm`, in C, or its exact float32 numpy fallback);
+  used for inference, and in training for an input that arrives
+  already binarized (a `bitlinalg.PackedBinMatrix`).
   The model passes layer 0's fixed input that way: it has no dropout,
   and its weight gradient unpacks the signs in row blocks
   (`bitlinalg.sign_t_matmul`), so no dense copy of the input is held.

@@ -325,8 +325,9 @@ def load_model(path) -> Model:
     """Rebuild a model from `save_model` output.
 
     Every read is bounds-checked against the file size; a file that does
-    not hold exactly what its header announces, or whose batch-norm
-    states are not those of its model family, raises ModelFileError.
+    not hold exactly what its header announces, whose batch-norm states
+    are not those of its model family, or whose weights or statistics are
+    non-finite (or a variance negative) raises ModelFileError.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -358,6 +359,9 @@ def load_model(path) -> Model:
         (dim,) = take(1, "<u4", "batch-norm width")
         mean = take(int(dim), "<f8", "batch-norm running mean").copy()
         var = take(int(dim), "<f8", "batch-norm running variance").copy()
+        if not (np.isfinite(mean).all() and np.isfinite(var).all() and (var >= 0).all()):
+            raise ModelFileError(f"{path}: batch-norm statistics must be finite, "
+                                 f"with nonnegative variances")
         bn_states.append(L.BatchNormState(running_mean=mean, running_var=var))
 
     kind = _MODEL_KIND_NAMES[kind_code]
@@ -376,8 +380,10 @@ def load_model(path) -> Model:
         raise ModelFileError(f"{path}: {len(blob) - off - payload} trailing bytes "
                              f"in model file")
 
+    weights = [take(a * b, "<f8", "weights").reshape(a, b).copy() for a, b in shapes]
+    if not all(np.isfinite(w).all() for w in weights):
+        raise ModelFileError(f"{path}: weights contain non-finite entries")
     model = Model(ModelConfig(widths=widths, model=kind), np.random.default_rng(0))
     model.bn_states = bn_states
-    # installed as stored: no clipping on load
-    model.weights = [take(a * b, "<f8", "weights").reshape(a, b).copy() for a, b in shapes]
+    model.weights = weights  # installed as stored: no clipping on load
     return model

@@ -1,6 +1,13 @@
-"""Packing, binarization, and the binarized matmul kernel."""
+"""Packing, binarization, and the binarized matmul kernel.
 
+The kernel and binarization classes run the production route (the C
+library wherever it builds); their `...OnNumpyRoute` subclasses run the
+same tests on the numpy route, the fallback and oracle.
+"""
+
+import shutil
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -399,3 +406,135 @@ class TestBlockedMemory:
                                    words=words, scalars=np.ones(n))
             peaks.append(_peak_above_result(bl.sign_t_matmul, f, rng.standard_normal((n, self.M))))
         assert peaks[1] <= 1.05 * peaks[0] + 65536
+
+
+@pytest.fixture
+def numpy_route(monkeypatch):
+    monkeypatch.setattr(bl, "_native", lambda: None)
+
+
+@pytest.fixture
+def native_lib():
+    lib = bl._native()
+    if lib is None:
+        pytest.skip("the C kernel did not build on this host")
+    return lib
+
+
+@pytest.mark.usefixtures("numpy_route")
+class TestBinarizeMatricesOnNumpyRoute(TestBinarizeMatrices):
+    pass
+
+
+@pytest.mark.usefixtures("numpy_route")
+class TestBinGemmOnNumpyRoute(TestBinGemm):
+    pass
+
+
+@pytest.mark.usefixtures("numpy_route")
+class TestBinGemmExactnessOnNumpyRoute(TestBinGemmExactness):
+    pass
+
+
+@pytest.mark.usefixtures("numpy_route")
+class TestRowBlockedInputOpsOnNumpyRoute(TestRowBlockedInputOps):
+    pass
+
+
+@pytest.mark.usefixtures("numpy_route")
+class TestBlockedMemoryOnNumpyRoute(TestBlockedMemory):
+    pass
+
+
+def _on_numpy_route(monkeypatch, fn, *args):
+    with monkeypatch.context() as m:
+        m.setattr(bl, "_native", lambda: None)
+        return fn(*args)
+
+
+class TestNativeKernel:
+    """The C route against numpy's own arithmetic, bit for bit."""
+
+    WIDTHS = [*range(1, 301), 500, 1433]
+
+    def test_in_use_where_a_compiler_is(self):
+        if shutil.which("cc") is None:
+            pytest.skip("no cc on PATH")
+        assert bl._native() is not None
+
+    @pytest.mark.parametrize("standardized", [False, True], ids=["plain", "standardized"])
+    def test_row_scalars_are_numpys_mean_bit_for_bit(self, native_lib, standardized):
+        rng = np.random.default_rng(67)
+        for d in self.WIDTHS:
+            h = rng.standard_normal((3, d)) * rng.uniform(0.01, 100.0)
+            h[rng.random(h.shape) < 0.1] = 0.0
+            stats = (rng.standard_normal(d), rng.uniform(0.1, 3.0, size=d))
+            z = (h - stats[0]) * stats[1] if standardized else h
+            f = bl.binarize_rows(h, stats if standardized else None)
+            assert np.array_equal(f.scalars, np.abs(z).mean(axis=1)), d
+            assert np.array_equal(f.words, bl._pack_bits_2d(z >= 0)), d
+
+    def test_routes_agree_at_every_width(self, native_lib, monkeypatch):
+        rng = np.random.default_rng(71)
+        for d in self.WIDTHS:
+            h = rng.standard_normal((5, d))
+            b = bl.binarize_columns(rng.standard_normal((d, 1 + d % 70)))
+            native = bl.binarize_rows(h)
+            fallback = _on_numpy_route(monkeypatch, bl.binarize_rows, h)
+            assert np.array_equal(native.words, fallback.words), d
+            assert np.array_equal(native.scalars, fallback.scalars), d
+            assert np.array_equal(bl.bin_gemm(native, b),
+                                  _on_numpy_route(monkeypatch, bl.bin_gemm, native, b)), d
+
+    @pytest.mark.parametrize("route", ["production", "numpy"])
+    def test_padding_bits_never_change_the_product(self, route, monkeypatch):
+        if route == "numpy":
+            monkeypatch.setattr(bl, "_native", lambda: None)
+        rng = np.random.default_rng(73)
+        for d in (1, 63, 65, 130, 1433):
+            f = bl.binarize_rows(rng.standard_normal((9, d)))
+            b = bl.binarize_columns(rng.standard_normal((d, 5)))
+            expected = bl.bin_gemm(f, b)
+            for fill in (0, 0x5555555555555555):
+                dirty = []  # padding that disagrees between the operands
+                for m, pad in ((f, np.uint64(fill)), (b, ~np.uint64(fill))):
+                    words = m.words.copy()
+                    words[:, -1] = (words[:, -1] & bl._pad_mask(d)) | (pad & ~bl._pad_mask(d))
+                    dirty.append(bl.PackedBinMatrix(m.rows, m.cols, m.orientation,
+                                                    words, m.scalars))
+                assert np.array_equal(bl.bin_gemm(*dirty), expected), (d, fill)
+
+    def test_falls_back_when_compiling_fails(self, native_lib, tmp_path, monkeypatch):
+        rng = np.random.default_rng(79)
+        h = rng.standard_normal((600, 200))
+        b = bl.binarize_columns(rng.standard_normal((200, 7)))
+        native_f = bl.binarize_rows(h)
+        native_out = bl.bin_gemm(native_f, b)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(bl, "_COMPILE", ("/nonexistent/cc", *bl._COMPILE[1:]))
+        with pytest.warns(RuntimeWarning, match="numpy route"):
+            lib = bl._load_native()
+        assert lib is None
+        monkeypatch.setattr(bl, "_native", lambda: lib)
+        f = bl.binarize_rows(h)
+        assert np.array_equal(f.words, native_f.words)
+        assert np.array_equal(f.scalars, native_f.scalars)
+        assert np.array_equal(bl.bin_gemm(f, b), native_out)
+        assert list((tmp_path / "bingcn").iterdir()) == []  # no partial build left
+
+    def test_builds_once_per_source_and_cpu(self, native_lib, tmp_path, monkeypatch):
+        if shutil.which("cc") is None:
+            pytest.skip("no cc on PATH")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        assert bl._load_native() is not None
+        built = sorted((tmp_path / "bingcn").iterdir())
+        assert len(built) == 1 and built[0].suffix == ".so"
+        # A cached build loads with no compiler on PATH.
+        monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bl._load_native() is not None
+        # Another CPU gets its own build.
+        monkeypatch.setattr(bl, "_cpu_id", lambda: "another CPU")
+        with pytest.warns(RuntimeWarning):
+            assert bl._load_native() is None

@@ -3,6 +3,7 @@
 import argparse
 import json
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -73,8 +74,17 @@ def _prepend(name, data):
     return corrupt
 
 
+def _nan_feature(directory):
+    path = directory / "features.bin"
+    blob = bytearray(path.read_bytes())
+    blob[12:16] = struct.pack("<f", float("nan"))  # the first value, past the header
+    path.write_bytes(bytes(blob))
+    return path
+
+
 # Each corrupts one file of a saved dataset and returns that file's path.
 MALFORMED_DATASETS = {
+    "features-nan": _nan_feature,
     "manifest-a-list": _manifest(lambda raw: [raw]),
     "manifest-num-nodes-abc": _manifest(lambda raw: {**raw, "num_nodes": "abc"}),
     "manifest-num-nodes-null": _manifest(lambda raw: {**raw, "num_nodes": None}),
@@ -236,6 +246,26 @@ class TestEvalCommand:
         capsys.readouterr()
         assert run(["eval", str(tmp_path / "no_bn.bin"), "--sbm", SBM_ARGS]) == 2
         assert "batch-norm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family,field", [
+        ("gcn", "weight"), ("bigcn", "weight"), ("bisage", "weight"),
+        ("bigcn", "mean"), ("bigcn", "variance"), ("bigcn", "negative variance")])
+    def test_non_finite_model_values_are_data_errors(self, family, field, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["train", "--sbm", SBM_ARGS, "--widths", "24,16,3", "--model", family,
+                    "--epochs", "2", "--out", str(out)]) == 0
+        model = load_model(out / "model.bin")
+        if field == "weight":
+            model.weights[-1][-1, -1] = np.nan
+        elif field == "mean":
+            model.bn_states[0].running_mean[3] = np.inf
+        else:
+            model.bn_states[0].running_var[3] = -np.inf if field == "variance" else -2.0
+        save_model(tmp_path / "bad.bin", model)
+        capsys.readouterr()
+        assert run(["eval", str(tmp_path / "bad.bin"), "--sbm", SBM_ARGS]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(tmp_path / "bad.bin") in err
 
     def test_model_graph_width_mismatch_is_data_error(self, tmp_path, capsys):
         out = tmp_path / "run"

@@ -6,7 +6,8 @@ count; the text formats get a hostile token inserted instead. Only
 `DatasetError` may escape a reader (`ValueError` for the activation
 dump). The CLI command that reads the file must exit 2 when the reader
 rejects it, and may otherwise only succeed or report a data error found
-later (a label count that no longer matches the manifest, say).
+later (a label count that no longer matches the manifest, say). A
+non-finite value written over any float of a model file must be rejected.
 Examples are derandomized, so every run draws the same inputs.
 """
 
@@ -93,6 +94,37 @@ READERS = {
     **{f"model-{family}": (f"{family}.bin", load_model, True, _model, DatasetError)
        for family in ("gcn", "bigcn", "bisage")},
 }
+
+
+def _float_offsets(blob: bytes) -> list[int]:
+    """Offsets of the float64 values of a model file: statistics, then weights."""
+    (n_widths,) = struct.unpack_from("<I", blob, 12)
+    off = 16 + 4 * n_widths
+    (n_states,) = struct.unpack_from("<I", blob, off)
+    off += 4
+    offsets = []
+    for _ in range(n_states):
+        (dim,) = struct.unpack_from("<I", blob, off)
+        offsets += range(off + 4, off + 4 + 16 * dim, 8)
+        off += 4 + 16 * dim
+    return offsets + list(range(off, len(blob), 8))
+
+
+@pytest.mark.parametrize("family", ["gcn", "bigcn", "bisage"])
+@FUZZ
+@given(data=st.data())
+def test_non_finite_model_values_are_rejected(family, root, data):
+    path = root / f"{family}.bin"
+    valid = path.read_bytes()
+    at = data.draw(st.sampled_from(_float_offsets(valid)), label="offset")
+    value = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]), label="value")
+    path.write_bytes(valid[:at] + struct.pack("<d", value) + valid[at + 8:])
+    try:
+        with pytest.raises(DatasetError, match="finite"):
+            load_model(path)
+        assert run(_model(root, path)) == 2
+    finally:
+        path.write_bytes(valid)
 
 
 @pytest.mark.parametrize("name", list(READERS))
