@@ -27,7 +27,8 @@ oracle, next to the word-by-word `xnor_popcount_dot`.
 `binarize_rows`, `column_moments` and `sign_t_matmul` (the transposed
 sign product a weight gradient needs, in float64) work in row blocks, so
 a fixed input can be held as packed words alone and is never expanded
-whole.
+whole. `sign_t_matmul` expands only the rows where the gradient has a
+nonzero entry; in semi-supervised training the loss reaches few rows.
 """
 
 from __future__ import annotations
@@ -431,9 +432,13 @@ def bin_gemm(f: PackedBinMatrix, b: PackedBinMatrix,
 def sign_t_matmul(f: PackedBinMatrix, g) -> np.ndarray:
     """sign(F)^T @ g for a row-bucketed (N, d) `f` and a real (N, m) `g`.
 
-    The bucket scalars are not applied. Row blocks of `f` are expanded to
-    float64 +-1 (float32 would round, as `g` is real) and their products
-    summed, so the result equals the dense product up to summation order.
+    The bucket scalars are not applied. A zero row of `g` adds nothing,
+    so only the rows of `g` with a nonzero entry are visited: blocks of
+    them are gathered, their signs in `f` expanded to float64 +-1
+    (float32 would round, as `g` is real), and the block products summed.
+    The result equals the dense product up to summation order. When `g`
+    has no zero row the blocks are plain row slices, so the sum runs in
+    the same order as a product over every row.
     """
     if f.orientation != "row":
         raise ValueError("sign_t_matmul needs a row-bucketed operand")
@@ -441,7 +446,10 @@ def sign_t_matmul(f: PackedBinMatrix, g) -> np.ndarray:
     if g.ndim != 2 or g.shape[0] != f.rows:
         raise ValueError(f"expected ({f.rows}, m) right operand, got {g.shape}")
     out = np.zeros((f.cols, g.shape[1]))
-    for start in range(0, f.rows, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, f.rows)
-        out += _unpack_signs(f.words[start:stop], f.cols).T @ g[start:stop]
+    rows = np.flatnonzero(g.any(axis=1))
+    every_row = rows.size == f.rows
+    for start in range(0, rows.size, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, rows.size)
+        block = slice(start, stop) if every_row else rows[start:stop]
+        out += _unpack_signs(f.words[block], f.cols).T @ g[block]
     return out

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -259,10 +259,17 @@ class SBMParams:
     val_per_class: int = 30
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.type in (int, "int") and (isinstance(value, bool)
+                                               or not isinstance(value, (int, np.integer))):
+                raise ValueError(f"{field.name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not (0.0 <= self.p_out <= self.p_in <= 1.0):
             raise ValueError("need 0 <= p_out <= p_in <= 1")
-        if self.signal < 0:
-            raise ValueError("signal strength must be >= 0")
+        if not (np.isfinite(self.signal) and self.signal >= 0):
+            raise ValueError("signal strength must be finite and >= 0")
         if self.n_classes < 2:
             raise ValueError("need at least 2 classes")
         if self.n_features < self.n_classes:

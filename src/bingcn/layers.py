@@ -14,8 +14,9 @@ compute ``bin(H) x bin(W)`` and agree within float tolerance:
   used for inference, and in training for an input that arrives
   already binarized (a `bitlinalg.PackedBinMatrix`).
   The model passes layer 0's fixed input that way: it has no dropout,
-  and its weight gradient unpacks the signs in row blocks
-  (`bitlinalg.sign_t_matmul`), so no dense copy of the input is held.
+  and its weight gradient unpacks the signs in row blocks, only of the
+  rows the gradient reaches (`bitlinalg.sign_t_matmul`), so no dense
+  copy of the input is held.
 * float simulation — dense products of the reconstructed scalar-rescaled
   sign matrices; used in training for a float input (the hidden layers),
   so an inverted-dropout mask can zero individual entries of the

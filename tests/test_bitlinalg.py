@@ -337,8 +337,28 @@ class TestRowBlockedInputOps:
         rng = np.random.default_rng(n + 2)
         f = bl.binarize_rows(rng.standard_normal((n, 65)))
         g = rng.standard_normal((n, 6))
-        assert np.allclose(bl.sign_t_matmul(f, g), f.sign_matrix().T @ g,
-                           rtol=1e-12, atol=1e-12)
+        i = np.arange(n)
+        # Which rows of g stay nonzero: all, every other, a run across the
+        # first block seam, one.
+        for keep in (i >= 0, i % 2 == 0, (i >= 510) & (i <= 514), i == n // 2):
+            g_rows = np.where(keep[:, None], g, 0.0)
+            assert np.allclose(bl.sign_t_matmul(f, g_rows), f.sign_matrix().T @ g_rows,
+                               rtol=1e-12, atol=1e-12)
+
+    def test_sign_t_matmul_of_zero_gradient_is_zero(self):
+        f = bl.binarize_rows(np.random.default_rng(5).standard_normal((700, 65)))
+        out = bl.sign_t_matmul(f, np.zeros((700, 6)))
+        assert out.shape == (65, 6) and np.array_equal(out, np.zeros((65, 6)))
+
+    def test_sign_t_matmul_without_zero_rows_sums_in_row_block_order(self):
+        rng = np.random.default_rng(7)
+        n, d = 1300, 65
+        f = bl.binarize_rows(rng.standard_normal((n, d)))
+        g = rng.standard_normal((n, 6))
+        signs, want = f.sign_matrix(), np.zeros((d, 6))
+        for start in range(0, n, 512):
+            want += signs[start:start + 512].T @ g[start:start + 512]
+        assert np.array_equal(bl.sign_t_matmul(f, g), want)
 
     def test_sign_t_matmul_checks_operands(self):
         f = bl.binarize_rows(np.ones((4, 3)))
@@ -399,13 +419,17 @@ class TestBlockedMemory:
 
     def test_sign_t_matmul_peak_independent_of_rows(self):
         rng = np.random.default_rng(61)
-        peaks = []
-        for n in (1024, 8192):
-            words = np.zeros((n, self.D // bl.WORD_BITS), dtype=np.uint64)
-            f = bl.PackedBinMatrix(rows=n, cols=self.D, orientation="row",
-                                   words=words, scalars=np.ones(n))
-            peaks.append(_peak_above_result(bl.sign_t_matmul, f, rng.standard_normal((n, self.M))))
-        assert peaks[1] <= 1.05 * peaks[0] + 65536
+        for sparse in (False, True):  # every other row of g zero
+            peaks = []
+            for n in (1024, 8192):
+                words = np.zeros((n, self.D // bl.WORD_BITS), dtype=np.uint64)
+                f = bl.PackedBinMatrix(rows=n, cols=self.D, orientation="row",
+                                       words=words, scalars=np.ones(n))
+                g = rng.standard_normal((n, self.M))
+                if sparse:
+                    g[1::2] = 0.0
+                peaks.append(_peak_above_result(bl.sign_t_matmul, f, g))
+            assert peaks[1] <= 1.05 * peaks[0] + 65536
 
 
 @pytest.fixture

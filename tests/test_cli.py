@@ -37,6 +37,11 @@ def _dump_file(tmp_path):
     return str(path)
 
 
+def _train_sbm(**bad):
+    """The argv of a training run on SBM_ARGS with some parameters replaced."""
+    return lambda tmp: ["train", "--sbm", json.dumps({**json.loads(SBM_ARGS), **bad})]
+
+
 ANALYZE_ARGS = ["analyze", "--edges", "4", "--features", "3", "--widths", "3,2"]
 # Each builds the argv of one malformed input from a scratch directory.
 MALFORMED_INPUTS = {
@@ -50,6 +55,12 @@ MALFORMED_INPUTS = {
     "analyze-zero-ops-per-cycle": lambda tmp: ANALYZE_ARGS + [
         "--nodes", "5", "--ops-per-cycle", "0"],
     "capacity-zero-bins": lambda tmp: ["capacity", _dump_file(tmp), "--bins", "0"],
+    "sbm-seed-negative": _train_sbm(seed=-1),
+    "sbm-seed-fractional": _train_sbm(seed=1.5),
+    "sbm-nodes-per-class-fractional": _train_sbm(nodes_per_class=60.5),
+    "sbm-n-features-float": _train_sbm(n_features=70.0),
+    "sbm-signal-nan": _train_sbm(signal=float("nan")),
+    "sbm-signal-inf": _train_sbm(signal=float("inf")),
 }
 
 

@@ -347,10 +347,13 @@ class TestPackedInput:
             out_p, cache_p = forward(prop, bl.binarize_rows(g.x), *weights, training=True)
             assert np.abs(out_p - out_f).max() <= 1e-12 * np.abs(out_f).max()
             grad_out = rng.standard_normal((n, m))
-            _, *grads_f = backward(cache_f, prop, grad_out, need_input_grad=False)
-            _, *grads_p = backward(cache_p, prop, grad_out, need_input_grad=False)
-            for got, want in zip(grads_p, grads_f):
-                assert np.abs(got - want).max() <= 1e-9
+            # As in semi-supervised training: the loss reaches few rows.
+            reached = np.random.default_rng(n).random(n) < 0.1
+            for grad in (grad_out, grad_out * reached[:, None]):
+                _, *grads_f = backward(cache_f, prop, grad, need_input_grad=False)
+                _, *grads_p = backward(cache_p, prop, grad, need_input_grad=False)
+                for got, want in zip(grads_p, grads_f):
+                    assert np.abs(got - want).max() <= 1e-9
 
     def test_no_input_gradient_or_dropout(self, family):
         rng = np.random.default_rng(30)
@@ -363,6 +366,30 @@ class TestPackedInput:
         with pytest.raises(ValueError, match="dropout"):
             forward(prop, packed, *weights, training=True, dropout=0.5,
                     rng=np.random.default_rng(0))
+
+
+def test_packed_weight_gradient_expands_only_nonzero_gradient_rows(monkeypatch):
+    rng = np.random.default_rng(31)
+    n, d, m = 1300, 40, 5
+    g = random_graph(rng, n, d)
+    adj = normalize_adjacency(g)
+    w = rng.uniform(-1.2, 1.2, size=(d, m))
+    _, cache = bigcn_forward(adj, bl.binarize_rows(g.x), w, training=True)
+    grad_out = np.zeros((n, m))
+    grad_out[rng.choice(n, 20, replace=False)] = rng.standard_normal((20, m))
+    # The rows of the layer's gradient G * beta that carry a nonzero entry.
+    k = np.count_nonzero((adj.matrix.T @ grad_out * cache.beta[:, None]).any(axis=1))
+    expanded = []
+    unpack = bl._unpack_signs
+
+    def counting_unpack(words, *args, **kwargs):
+        expanded.append(words.shape[0])
+        return unpack(words, *args, **kwargs)
+
+    monkeypatch.setattr(bl, "_unpack_signs", counting_unpack)
+    bigcn_backward(cache, adj, grad_out, need_input_grad=False)
+    assert 0 < k < n
+    assert sum(expanded) == k
 
 
 class TestBatchNorm:
