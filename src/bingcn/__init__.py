@@ -8,15 +8,10 @@ binary hidden widths.
 """
 
 from .bitlinalg import (
-    BitVector,
     PackedBinMatrix,
     bin_gemm,
     binarize_columns,
     binarize_rows,
-    binarize_vector,
-    pack,
-    unpack,
-    xnor_popcount_dot,
 )
 from .capacity import (
     CapacityBound,
@@ -32,7 +27,6 @@ from .efficiency import (
     acceleration_ratios,
     build_report,
     cycle_ops,
-    data_compression_ratio,
     data_size_bits,
     model_size_bits,
     param_compression_ratio,
@@ -64,7 +58,6 @@ __all__ = [
     "AdamState",
     "AttributedGraph",
     "BatchNormState",
-    "BitVector",
     "CapacityBound",
     "DatasetManifest",
     "EntropyEstimate",
@@ -86,13 +79,11 @@ __all__ = [
     "bin_neuron_entropy",
     "binarize_columns",
     "binarize_rows",
-    "binarize_vector",
     "bisage_backward",
     "bisage_forward",
     "build_report",
     "capacity_lower_bound",
     "cycle_ops",
-    "data_compression_ratio",
     "data_size_bits",
     "evaluate",
     "gcn_forward",
@@ -105,11 +96,8 @@ __all__ = [
     "model_size_bits",
     "neighbor_mean_matrix",
     "normalize_adjacency",
-    "pack",
     "param_compression_ratio",
     "save_dataset",
     "save_model",
     "train",
-    "unpack",
-    "xnor_popcount_dot",
 ]

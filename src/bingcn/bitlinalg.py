@@ -1,14 +1,16 @@
 """Bit-packed sign matrices and the binarized matmul kernel.
 
-A real vector is approximated by a sign pattern plus one nonnegative
-scalar (the mean absolute value), which is the least-squares optimal
-rank-1 binary factorization. Matrices are binarized bucket-wise: one
-bucket per weight column or per feature row, each with its own scalar.
+Matrices are binarized bucket-wise, one bucket per feature row
+(`binarize_rows`) or per weight column (`binarize_columns`): each bucket
+is approximated by its sign pattern times one nonnegative scalar, the
+mean absolute value, which is the least-squares optimal rank-1 binary
+factorization of the bucket.
 
-Packing layout is LSB-first: bit i of a vector lives in word i // 64 at
-bit position i % 64 (bit 1 encodes +1, bit 0 encodes -1). Padding bits
-past the logical length are canonically set to 1, so two equal-length
-vectors are equal iff their word arrays are equal.
+Each bucket is one row of `PackedBinMatrix.words`, packed LSB-first: bit
+i lives in word i // 64 at bit position i % 64 (bit 1 encodes +1, bit 0
+encodes -1). Padding bits past the bucket length are canonically set to
+1, so two buckets of one length have the same signs iff their words are
+equal; `PackedBinMatrix.sign_matrix` decodes them.
 
 Packed words are the storage format and what the kernel computes on.
 `bin_gemm` counts each +-1 dot product of length t with XOR and popcount
@@ -21,8 +23,8 @@ CPU, and called through `ctypes`. Where it cannot be built or loaded,
 the numpy route runs instead, with the same results bit for bit: row
 blocks of the signs expanded to float32 +-1 and multiplied by BLAS,
 exact for t < 2**24 (every partial sum is an integer of magnitude at
-most t), and numpy passes per row block. It is also the kernel tests'
-oracle, next to the word-by-word `xnor_popcount_dot`.
+most t), and numpy passes per row block. It is also the oracle of the
+kernel tests.
 
 `binarize_rows`, `column_moments` and `sign_t_matmul` (the transposed
 sign product a weight gradient needs, in float64) work in row blocks, so
@@ -125,48 +127,6 @@ def _pad_mask(length: int) -> np.uint64:
     return np.uint64((1 << rem) - 1)
 
 
-@dataclass(frozen=True)
-class BitVector:
-    """Packed +-1 vector; bit 1 is +1, bit 0 is -1, padding bits are 1."""
-
-    words: np.ndarray  # 1-D uint64, length ceil(length / 64)
-    length: int
-
-    def __post_init__(self):
-        expected = (self.length + WORD_BITS - 1) // WORD_BITS
-        if self.words.shape != (expected,):
-            raise ValueError(
-                f"expected {expected} words for length {self.length}, got {self.words.shape}"
-            )
-        self.words.setflags(write=False)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BitVector):
-            return NotImplemented
-        return self.length == other.length and bool(
-            np.array_equal(self.words, other.words)
-        )
-
-    def __len__(self) -> int:
-        return self.length
-
-
-def pack(signs) -> BitVector:
-    """Pack a +-1 vector into a BitVector (padding canonicalized to 1)."""
-    signs = np.asarray(signs)
-    if signs.ndim != 1 or signs.size == 0:
-        raise ValueError("signs must be a non-empty 1-D vector")
-    if not np.isin(signs, (-1, 1)).all():
-        raise ValueError("signs entries must be -1 or +1")
-    return _pack_unchecked(signs > 0)
-
-
-def _pack_unchecked(bits: np.ndarray) -> BitVector:
-    """Pack a 1-D bool array; caller guarantees validity."""
-    words = _pack_bits_2d(bits[None, :])[0]
-    return BitVector(words=words, length=bits.size)
-
-
 def _pack_bits_2d(bits: np.ndarray) -> np.ndarray:
     """Pack an (n, t) bool array into (n, ceil(t/64)) uint64 words."""
     n, t = bits.shape
@@ -189,11 +149,6 @@ def _unpack_signs(words: np.ndarray, length: int, dtype=np.float64) -> np.ndarra
     return signs
 
 
-def unpack(vec: BitVector) -> np.ndarray:
-    """Inverse of pack: return the +-1 vector as float64."""
-    return _unpack_signs(vec.words[None, :], vec.length)[0]
-
-
 def sign_pm1(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise sign with sign(0) = +1, as float64 +-1 (into `out` if given)."""
     if out is None:
@@ -209,20 +164,6 @@ def _check_finite(x: np.ndarray, what: str) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError(f"{what} contains non-finite entries")
     return x
-
-
-def binarize_vector(v) -> tuple[BitVector, float]:
-    """Binarize a real vector into (sign pattern, scalar).
-
-    The scalar is the mean absolute value, which together with the sign
-    pattern minimizes the squared reconstruction error over all
-    (scalar, sign) pairs.
-    """
-    v = _check_finite(v, "vector")
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("vector must be non-empty and 1-D")
-    scalar = float(np.abs(v).mean())
-    return _pack_unchecked(v >= 0), scalar
 
 
 @dataclass(frozen=True)
@@ -268,20 +209,10 @@ class PackedBinMatrix:
     def bucket_length(self) -> int:
         return self._bucket_shape()[1]
 
-    def bucket(self, i: int) -> BitVector:
-        return BitVector(words=self.words[i].copy(), length=self.bucket_length)
-
     def sign_matrix(self) -> np.ndarray:
         """Unpack to a dense (rows, cols) +-1 float matrix."""
         signs = _unpack_signs(self.words, self.bucket_length)
         return signs if self.orientation == "row" else signs.T
-
-    def reconstruct(self) -> np.ndarray:
-        """Dense scalar-rescaled approximation of the source matrix."""
-        signs = self.sign_matrix()
-        if self.orientation == "row":
-            return self.scalars[:, None] * signs
-        return signs * self.scalars[None, :]
 
 
 def binarize_rows(h, standardize=None) -> PackedBinMatrix:
@@ -373,27 +304,17 @@ def binarize_columns(w) -> PackedBinMatrix:
     )
 
 
-def xnor_popcount_dot(a: BitVector, b: BitVector) -> int:
-    """+-1 inner product via XNOR and popcount: 2*matches - length."""
-    if a.length != b.length:
-        raise ValueError(f"length mismatch: {a.length} vs {b.length}")
-    xnor = ~(a.words ^ b.words)
-    xnor[-1] &= _pad_mask(a.length)
-    matches = int(np.bitwise_count(xnor).sum())
-    return 2 * matches - a.length
-
-
 def bin_gemm(f: PackedBinMatrix, b: PackedBinMatrix,
              out: np.ndarray | None = None) -> np.ndarray:
     """Multiply a row-bucketed (N, d) by a column-bucketed (d, m) matrix.
 
-    out[i, j] = xnor_popcount_dot(row_i, col_j) * beta_i * alpha_j, bit
-    for bit; equal to the dense product of the two reconstructed matrices
-    up to float summation order. The C route counts each row's words
-    against the transposed words of `b`; the numpy route expands row
-    blocks of `f` to float32 +-1 signs and multiplies them by the
-    expanded signs of `b`, which is exact for d < 2**24, the limit both
-    routes keep. Pure function, safe to call concurrently with distinct
+    out[i, j] = (d - 2 * popcount(row_i XOR col_j)) * beta_i * alpha_j,
+    bit for bit; equal to the dense product of the two scalar-rescaled
+    sign matrices up to float summation order. The C route counts each
+    row's words against the transposed words of `b`; the numpy route
+    expands row blocks of `f` to float32 +-1 signs and multiplies them by
+    the expanded signs of `b`, which is exact for d < 2**24, the limit
+    both routes keep. Pure function, safe to call concurrently with distinct
     `out` arrays (C-contiguous float64, (N, m); None: a new one).
     """
     if f.orientation != "row" or b.orientation != "col":

@@ -69,7 +69,6 @@ class CapacityBound:
 
     d_bin_lower: int
     per_layer_h_ind: tuple[float, ...]
-    d_fp: int | None
 
 
 def capacity_lower_bound(per_layer_estimates) -> CapacityBound:
@@ -83,19 +82,9 @@ def capacity_lower_bound(per_layer_estimates) -> CapacityBound:
     estimates = list(per_layer_estimates)
     if not estimates:
         raise ValueError("need at least one hidden-layer estimate")
-    h_values = []
-    widths = []
-    for est in estimates:
-        if isinstance(est, EntropyEstimate):
-            h_values.append(est.h_ind)
-            widths.append(est.n_neurons)
-        else:
-            h_values.append(float(est))
-    return CapacityBound(
-        d_bin_lower=math.ceil(max(h_values)),
-        per_layer_h_ind=tuple(h_values),
-        d_fp=max(widths) if widths else None,
-    )
+    h_values = tuple(est.h_ind if isinstance(est, EntropyEstimate) else float(est)
+                     for est in estimates)
+    return CapacityBound(d_bin_lower=math.ceil(max(h_values)), per_layer_h_ind=h_values)
 
 
 def write_activation_dump(path, activations) -> None:

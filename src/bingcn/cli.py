@@ -1,7 +1,8 @@
 """Command-line front end: train, eval, capacity, analyze.
 
 Every command runs to completion and exits; nothing reads stdin. Exit
-codes: 0 success, 1 usage error, 2 data error, 3 runtime failure.
+codes: 0 success, 1 usage error, 2 data error (also a path that cannot
+be read or written), 3 runtime failure.
 Training hyperparameters resolve as defaults < --config JSON < explicit
 flags.
 """
@@ -62,10 +63,10 @@ def _load_graph(args):
     if args.dataset:
         return load_dataset(args.dataset)
     raw = args.sbm
-    text = raw if raw.lstrip().startswith("{") else Path(raw).read_text()
     try:
+        text = raw if raw.lstrip().startswith("{") else Path(raw).read_text()
         params = SBMParams.from_json(json.loads(text))
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:  # also undecodable bytes and invalid JSON
         raise UsageError(f"bad SBM parameters: {exc}") from exc
     return generate_sbm(params)
 
@@ -78,7 +79,7 @@ def _resolve_train_settings(args) -> dict:
             raise UsageError(f"config file not found: {path}")
         try:
             file_conf = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # undecodable bytes or invalid JSON
             raise UsageError(f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(file_conf, dict):
             raise UsageError(f"{path}: expected a JSON object of settings")
@@ -126,6 +127,9 @@ def cmd_train(args) -> int:
     config = _model_config(settings, graph)
     if args.dump_activations and config.model != "gcn":
         raise UsageError("--dump-activations needs the full-precision baseline (--model gcn)")
+    if (config.widths[0], config.widths[-1]) != (graph.n_features, graph.n_classes):
+        raise UsageError(f"widths {config.widths} must run from the graph's "
+                         f"{graph.n_features} features to its {graph.n_classes} classes")
 
     result = train(config, graph)
     out = _out_dir(args)
@@ -319,7 +323,7 @@ def run(argv) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DatasetError, FileNotFoundError) as exc:
+    except (DatasetError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - last-resort diagnostic

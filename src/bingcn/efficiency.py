@@ -73,17 +73,13 @@ class GraphStats:
 
 
 def param_compression_ratio(d_in: int) -> float:
-    """Model-size shrink factor of one binarized layer: 32*d_in/(d_in+32)."""
+    """Model-size shrink factor of one binarized layer: 32*d_in/(d_in+32).
+
+    With the feature dimension as `d_in`, also the loaded-data shrink factor.
+    """
     if d_in < 1:
         raise ValueError("d_in must be >= 1")
     return 32.0 * d_in / (d_in + 32.0)
-
-
-def data_compression_ratio(d: int) -> float:
-    """Loaded-data shrink factor for d-dimensional features: 32*d/(d+32)."""
-    if d < 1:
-        raise ValueError("feature dimension must be >= 1")
-    return 32.0 * d / (d + 32.0)
 
 
 def acceleration_ratios(

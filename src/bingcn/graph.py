@@ -112,9 +112,6 @@ class NormalizedAdjacency:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
 
 def _unit_symmetric_csr(n: int, edges: np.ndarray, self_loops: bool):
     """CSR (sorted indices) of 1s at (u, v) and (v, u) per canonical edge and,

@@ -42,6 +42,10 @@ from . import bitlinalg as bl
 from .graph import NormalizedAdjacency, aggregate, sparse_matmul
 
 STE_MODES = ("grad", "input")
+# Training-mode batch norm: the share of the running statistics kept per
+# batch, and the variance offset under the square root.
+BN_MOMENTUM = 0.9
+BN_EPS = 1e-5
 
 
 def xavier_uniform(rng: np.random.Generator, d_in: int, d_out: int) -> np.ndarray:
@@ -93,9 +97,10 @@ class LayerCache:
     binarized features nor the per-path products are stored: the row
     scalars commute with the dropout mask and the weight product, so the
     backward pass folds them into the (much smaller) gradient. `f_signs`
-    is set only by the float simulation; for a float `h_in` run through
-    the kernel, backward recomputes them from `h_in`, and for a packed
-    `h_in` it unpacks them in row blocks.
+    is set only by the float simulation, that is by a training forward of
+    a float `h_in`; the backward pass of a packed `h_in` unpacks its signs
+    in row blocks. A cache of an inference forward of a float `h_in` has
+    neither, and backward rejects it.
     """
 
     h_in: np.ndarray | bl.PackedBinMatrix  # pre-binarization input, or its packed signs
@@ -281,13 +286,12 @@ def _binarized_backward(
 
     n, m = grad_out.shape
     if not packed:
-        f_signs = cache.f_signs
-        if f_signs is None:
-            f_signs = bl.sign_pm1(cache.h_in, out=_take(ws, "signs", cache.h_in.shape))
-        fm = f_signs
+        if cache.f_signs is None:
+            raise ValueError("a float layer input's cache from an inference forward "
+                             "(training=False) has no backward pass")
+        fm = cache.f_signs
         if cache.drop_mask is not None:
-            fm = np.multiply(f_signs, cache.drop_mask,
-                             out=_take(ws, "scratch", f_signs.shape))
+            fm = np.multiply(fm, cache.drop_mask, out=_take(ws, "scratch", fm.shape))
     # The propagated gradients go into the forward's spent output role
     # (one role per propagated path), their scaled stack into its zetas.
     grad_zetas, propagated = [], 0
@@ -442,8 +446,6 @@ class BatchNormState:
 
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.9
-    eps: float = 1e-5
 
     @classmethod
     def for_dim(cls, dim: int) -> "BatchNormState":
@@ -476,12 +478,12 @@ def batch_norm_forward(
         dev = np.subtract(h, mean, out=_take(ws, "scratch", h.shape))
         np.multiply(dev, dev, out=dev)
         var = dev.sum(axis=0) / h.shape[0]
-        state.running_mean = state.momentum * state.running_mean + (1 - state.momentum) * mean
-        state.running_var = state.momentum * state.running_var + (1 - state.momentum) * var
+        state.running_mean = BN_MOMENTUM * state.running_mean + (1 - BN_MOMENTUM) * mean
+        state.running_var = BN_MOMENTUM * state.running_var + (1 - BN_MOMENTUM) * var
     else:
         mean = state.running_mean
         var = state.running_var
-    inv_std = 1.0 / np.sqrt(var + state.eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     normalized = np.subtract(h, mean, out=_take(ws, "normalized", h.shape))
     normalized *= inv_std
     return normalized, BatchNormCache(normalized=normalized, inv_std=inv_std)

@@ -6,6 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+BETA1 = 0.9  # decay of the first-moment (mean) estimate
+BETA2 = 0.999  # decay of the second-moment (uncentred variance) estimate
+EPS = 1e-8  # added to the root of the second moment
+
 
 @dataclass
 class AdamState:
@@ -14,9 +18,6 @@ class AdamState:
     m: list[np.ndarray]
     v: list[np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params) -> "AdamState":
@@ -41,22 +42,22 @@ def adam_step(
         raise ValueError("params, grads, and state must be parallel lists")
     state.step += 1
     t = state.step
-    bias1 = 1.0 - state.beta1**t
-    bias2 = 1.0 - state.beta2**t
+    bias1 = 1.0 - BETA1**t
+    bias2 = 1.0 - BETA2**t
     out = []
     for i, (p, g) in enumerate(zip(params, grads)):
         if p.shape != g.shape:
             raise ValueError(f"param/grad shape mismatch at index {i}")
         m, v = state.m[i], state.v[i]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
         step = m / bias1  # lr * m_hat / (sqrt(v_hat) + eps), in place
         step *= lr
         denom = v / bias2
         np.sqrt(denom, out=denom)
-        denom += state.eps
+        denom += EPS
         step /= denom
         out.append(p - step)
     return out

@@ -142,7 +142,7 @@ class Model:
         if not self.family.binarized or isinstance(x, bl.PackedBinMatrix):
             return x
         state = self.bn_states[0]
-        inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
+        inv_std = 1.0 / np.sqrt(state.running_var + L.BN_EPS)
         return bl.binarize_rows(x, (state.running_mean, inv_std))
 
     def forward(self, prop, x, training: bool = False,

@@ -101,20 +101,28 @@ def test_kernel_oracle():
 
 
 @criterion("binarization optimality", limit_seconds=5.0)
-def test_binarization_optimality():
-    rng = np.random.default_rng(7)
-    for _ in range(500):
-        t = int(rng.integers(1, 13))
-        v = rng.standard_normal(t) * rng.uniform(0.1, 10.0)
-        bits, scalar = bl.binarize_vector(v)
-        err = float(((v - scalar * bl.unpack(bits)) ** 2).sum())
-        # exhaustive search over all 2^t sign patterns, closed-form scale
-        codes = np.arange(2 ** t)
-        patterns = np.where(((codes[:, None] >> np.arange(t)[None, :]) & 1).astype(bool),
-                            1.0, -1.0)
-        scales = (patterns @ v) / t
-        search = ((v[None, :] - scales[:, None] * patterns) ** 2).sum(axis=1)
-        assert err <= search.min() + 1e-12
+def test_binarization_optimality(monkeypatch):
+    """The binarizers the model runs, on one bucket: a 1 x t feature row
+    through `binarize_rows` and a t x 1 weight column through
+    `binarize_columns`, on the production route and the numpy route."""
+    for route in ("production", "numpy"):
+        with monkeypatch.context() as m:
+            if route == "numpy":
+                m.setattr(bl, "_native", lambda: None)
+            rng = np.random.default_rng(7)
+            for _ in range(500):
+                t = int(rng.integers(1, 13))
+                v = rng.standard_normal(t) * rng.uniform(0.1, 10.0)
+                # exhaustive search over all 2^t sign patterns, closed-form scale
+                codes = np.arange(2 ** t)
+                patterns = np.where(
+                    ((codes[:, None] >> np.arange(t)[None, :]) & 1).astype(bool), 1.0, -1.0)
+                scales = (patterns @ v) / t
+                search = ((v[None, :] - scales[:, None] * patterns) ** 2).sum(axis=1)
+                for packed in (bl.binarize_rows(v[None, :]), bl.binarize_columns(v[:, None])):
+                    approx = packed.scalars[0] * packed.sign_matrix().ravel()
+                    err = float(((v - approx) ** 2).sum())
+                    assert err <= search.min() + 1e-12, route
 
 
 @criterion("backward oracle", limit_seconds=10.0)
@@ -131,7 +139,7 @@ def test_backward_oracle():
         _, cache = bigcn_forward(adj, g.x, w, training=True)
         grad_out = rng.standard_normal((n, d_out))
         grad_h, grad_w = bigcn_backward(cache, adj, grad_out, ste_mode=mode)
-        ref_h, ref_w = scalar_bigcn_backward(g.x, w, adj.to_dense(), grad_out,
+        ref_h, ref_w = scalar_bigcn_backward(g.x, w, adj.matrix.toarray(), grad_out,
                                              ste_mode=mode)
         assert np.abs(grad_h - ref_h).max() < 1e-9
         assert np.abs(grad_w - ref_w).max() < 1e-9

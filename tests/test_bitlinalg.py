@@ -2,7 +2,8 @@
 
 The kernel and binarization classes run the production route (the C
 library wherever it builds); their `...OnNumpyRoute` subclasses run the
-same tests on the numpy route, the fallback and oracle.
+same tests on the numpy route, the fallback and oracle. The kernel's
+word-level oracle, `xnor_popcount_dot`, lives here with its own tests.
 """
 
 import shutil
@@ -13,88 +14,127 @@ import numpy as np
 import pytest
 
 from bingcn import bitlinalg as bl
-from bingcn.layers import BatchNormState, batch_norm_forward
+from bingcn.layers import BN_EPS, BatchNormState, batch_norm_forward
 
 from reference_impl import best_binarization_by_search
 
 
+def packed_row(v):
+    """A vector packed as `binarize_rows` stores a feature row: one bucket."""
+    return bl.binarize_rows(np.asarray(v, dtype=np.float64)[None, :])
+
+
+def dense(m):
+    """The scalar-rescaled sign matrix a PackedBinMatrix stands for."""
+    if m.orientation == "row":
+        return m.scalars[:, None] * m.sign_matrix()
+    return m.sign_matrix() * m.scalars[None, :]
+
+
+def xnor_popcount_dot(a, b, length):
+    """+-1 inner product of two packed sign vectors of `length` bits.
+
+    The word-level oracle of `bin_gemm`: 2 * matches - length, the
+    matches counted word by word as the set bits of XNOR (Python's
+    int.bit_count), with the padding bits past `length` masked off.
+    """
+    n_words = -(-length // bl.WORD_BITS)
+    if len(a) != n_words or len(b) != n_words:
+        raise ValueError(f"{len(a)} and {len(b)} words; {length} bits take {n_words}")
+    matches = 0
+    for k, (x, y) in enumerate(zip(a, b)):
+        valid = min(bl.WORD_BITS, length - k * bl.WORD_BITS)
+        matches += (~(int(x) ^ int(y)) & ((1 << valid) - 1)).bit_count()
+    return 2 * matches - length
+
+
 class TestPackUnpack:
+    """The storage format: a bucket's `.words`, decoded by `sign_matrix()`."""
+
     def test_roundtrip_small(self):
         v = np.array([1.0, -1.0])
-        bv = bl.pack(v)
-        assert bv.length == 2
-        assert np.array_equal(bl.unpack(bv), v)
+        f = packed_row(v)
+        assert f.bucket_length == 2
+        assert np.array_equal(f.sign_matrix()[0], v)
 
     def test_word_count_and_padding_at_65(self):
         v = np.ones(65)
         v[10] = -1
-        bv = bl.pack(v)
-        assert bv.words.shape == (2,)
-        assert np.array_equal(bl.unpack(bv), v)
+        f = packed_row(v)
+        assert f.words.shape == (1, 2)
+        assert np.array_equal(f.sign_matrix()[0], v)
         # padding must not leak into the dot product
-        assert bl.xnor_popcount_dot(bv, bv) == 65
+        assert xnor_popcount_dot(f.words[0], f.words[0], 65) == 65
 
     def test_all_minus_one_word(self):
-        bv = bl.pack(-np.ones(64))
-        assert bv.words[0] == 0
+        assert packed_row(-np.ones(64)).words[0, 0] == 0
 
     def test_padding_is_canonical_ones(self):
-        bv = bl.pack(-np.ones(3))
-        # bits 3..63 must read as 1
-        assert bv.words[0] == np.uint64(0xFFFFFFFFFFFFFFFF) ^ np.uint64(0b111)
+        # bits 3..63 must read as 1, in a row bucket and in a column bucket
+        for packed in (packed_row(-np.ones(3)), bl.binarize_columns(-np.ones((3, 1)))):
+            assert packed.words[0, 0] == np.uint64(0xFFFFFFFFFFFFFFFF) ^ np.uint64(0b111)
 
     def test_equality_is_wordwise(self):
-        a = bl.pack([1, -1, 1])
-        b = bl.pack([1, -1, 1])
-        c = bl.pack([1, -1, -1])
-        assert a == b
-        assert a != c
+        a, b, c = (packed_row(v).words for v in ([1, -1, 1], [1, -1, 1], [1, -1, -1]))
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
-    def test_rejects_non_sign_entries(self):
-        with pytest.raises(ValueError):
-            bl.pack([1, 0, -1])
-        with pytest.raises(ValueError):
-            bl.pack([2, 1])
+    def test_rejects_non_finite_entries(self):
+        for bad in ([1.0, np.nan, -1.0], [np.inf, 1.0]):
+            with pytest.raises(ValueError, match="non-finite"):
+                packed_row(bad)
+            with pytest.raises(ValueError, match="non-finite"):
+                bl.binarize_columns(np.array(bad)[:, None])
 
     def test_roundtrip_random_lengths(self):
         rng = np.random.default_rng(7)
         for t in [1, 2, 63, 64, 65, 127, 128, 129, 1000]:
             v = np.where(rng.random(t) < 0.5, 1.0, -1.0)
-            assert np.array_equal(bl.unpack(bl.pack(v)), v)
+            assert np.array_equal(packed_row(v).sign_matrix()[0], v)
+            assert np.array_equal(bl.binarize_columns(v[:, None]).sign_matrix()[:, 0], v)
 
 
 class TestBinarizeVector:
+    """One bucket: a 1 x t row through `binarize_rows` and a t x 1 column
+    through `binarize_columns`."""
+
+    @staticmethod
+    def binarize(v):
+        """(scalar, signs) of `v` as a row bucket, then as a column bucket."""
+        v = np.asarray(v, dtype=np.float64)
+        row, col = bl.binarize_rows(v[None, :]), bl.binarize_columns(v[:, None])
+        return [(row.scalars[0], row.sign_matrix()[0]), (col.scalars[0], col.sign_matrix()[:, 0])]
+
     def test_hand_example(self):
-        bv, scalar = bl.binarize_vector([0.5, -1.5, 1.0])
-        assert scalar == pytest.approx(1.0)
-        assert np.array_equal(bl.unpack(bv), [1.0, -1.0, 1.0])
+        for scalar, signs in self.binarize([0.5, -1.5, 1.0]):
+            assert scalar == pytest.approx(1.0)
+            assert np.array_equal(signs, [1.0, -1.0, 1.0])
 
     def test_zero_vector(self):
-        bv, scalar = bl.binarize_vector([0.0, 0.0, 0.0])
-        assert scalar == 0.0
-        assert np.array_equal(bl.unpack(bv), [1.0, 1.0, 1.0])
+        for scalar, signs in self.binarize([0.0, 0.0, 0.0]):
+            assert scalar == 0.0
+            assert np.array_equal(signs, [1.0, 1.0, 1.0])
 
     def test_constant_positive(self):
-        bv, scalar = bl.binarize_vector(np.full(9, 2.5))
-        assert scalar == pytest.approx(2.5)
-        assert np.array_equal(bl.unpack(bv), np.ones(9))
+        for scalar, signs in self.binarize(np.full(9, 2.5)):
+            assert scalar == pytest.approx(2.5)
+            assert np.array_equal(signs, np.ones(9))
 
     def test_rejects_empty_and_nonfinite(self):
-        with pytest.raises(ValueError):
-            bl.binarize_vector([])
-        with pytest.raises(ValueError):
-            bl.binarize_vector([1.0, np.nan])
-        with pytest.raises(ValueError):
-            bl.binarize_vector([np.inf, 1.0])
+        for bad in ([], [1.0, np.nan], [np.inf, 1.0]):
+            with pytest.raises(ValueError):
+                self.binarize(bad)
+            with pytest.raises(ValueError):
+                bl.binarize_columns(np.array(bad)[:, None])
 
     def test_optimal_among_all_sign_patterns(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             t = int(rng.integers(1, 9))
             v = rng.standard_normal(t) * rng.uniform(0.1, 5.0)
-            bv, scalar = bl.binarize_vector(v)
-            err = float(((v - scalar * bl.unpack(bv)) ** 2).sum())
-            assert err <= best_binarization_by_search(v) + 1e-12
+            for scalar, signs in self.binarize(v):
+                err = float(((v - scalar * signs) ** 2).sum())
+                assert err <= best_binarization_by_search(v) + 1e-12
 
 
 class TestBinarizeMatrices:
@@ -144,30 +184,36 @@ class TestBinarizeMatrices:
         w = rng.standard_normal((7, 3))
         b = bl.binarize_columns(w)
         expected = np.sign(w + (w == 0)) * np.abs(w).mean(axis=0)[None, :]
-        assert np.allclose(b.reconstruct(), expected)
+        assert np.allclose(dense(b), expected)
 
     def test_bucket_accessor(self):
+        # bucket j of a column-bucketed matrix is row j of its words
         w = np.array([[0.5, -0.5], [0.5, 0.5]])
         b = bl.binarize_columns(w)
-        col1 = b.bucket(1)
-        assert np.array_equal(bl.unpack(col1), [-1.0, 1.0])
+        assert np.array_equal(b.words[1], bl.binarize_columns(w[:, 1:]).words[0])
+        assert np.array_equal(b.sign_matrix()[:, 1], [-1.0, 1.0])
+
+
+def _signs_dot(sa, sb):
+    return xnor_popcount_dot(packed_row(sa).words[0], packed_row(sb).words[0], len(sa))
 
 
 class TestXnorPopcountDot:
+    """The word-level oracle itself, on words that `binarize_rows` packed."""
+
     def test_hand_example(self):
-        a = bl.pack([1, -1, 1, 1])
-        b = bl.pack([1, 1, -1, 1])
-        assert bl.xnor_popcount_dot(a, b) == 0
+        assert _signs_dot([1, -1, 1, 1], [1, 1, -1, 1]) == 0
 
     def test_identity_and_negation(self):
-        a = bl.pack([1, -1, 1, 1])
-        neg = bl.pack([-1, 1, -1, -1])
-        assert bl.xnor_popcount_dot(a, a) == 4
-        assert bl.xnor_popcount_dot(a, neg) == -4
+        a = [1, -1, 1, 1]
+        assert _signs_dot(a, a) == 4
+        assert _signs_dot(a, [-1, 1, -1, -1]) == -4
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            bl.xnor_popcount_dot(bl.pack([1, 1]), bl.pack([1, 1, 1]))
+        two, wide = packed_row(np.ones(2)).words[0], packed_row(np.ones(65)).words[0]
+        for length in (2, 65):
+            with pytest.raises(ValueError):
+                xnor_popcount_dot(two, wide, length)
 
     def test_matches_float_dot_and_parity(self):
         rng = np.random.default_rng(13)
@@ -175,7 +221,7 @@ class TestXnorPopcountDot:
             t = int(rng.integers(1, 200))
             sa = np.where(rng.random(t) < 0.5, 1.0, -1.0)
             sb = np.where(rng.random(t) < 0.5, 1.0, -1.0)
-            dot = bl.xnor_popcount_dot(bl.pack(sa), bl.pack(sb))
+            dot = _signs_dot(sa, sb)
             assert dot == int(sa @ sb)
             assert -t <= dot <= t
             assert (dot - t) % 2 == 0
@@ -185,11 +231,11 @@ class TestXnorPopcountDot:
         for t in [1, 63, 64, 65, 100]:
             sa = np.where(rng.random(t) < 0.5, 1.0, -1.0)
             sb = np.where(rng.random(t) < 0.5, 1.0, -1.0)
-            base = bl.xnor_popcount_dot(bl.pack(sa), bl.pack(sb))
+            base = _signs_dot(sa, sb)
             for extra in [1, 7, 64]:
                 wider_a = np.concatenate([sa, np.ones(extra)])
                 wider_b = np.concatenate([sb, -np.ones(extra)])
-                widened = bl.xnor_popcount_dot(bl.pack(wider_a), bl.pack(wider_b))
+                widened = _signs_dot(wider_a, wider_b)
                 assert widened == base - extra  # appended bits all disagree
 
 
@@ -211,7 +257,7 @@ class TestBinGemm:
         h = rng.standard_normal((8, 16))
         w = rng.standard_normal((16, 4))
         f, b = bl.binarize_rows(h), bl.binarize_columns(w)
-        ref = f.reconstruct() @ b.reconstruct()
+        ref = dense(f) @ dense(b)
         assert np.allclose(bl.bin_gemm(f, b), ref, atol=1e-9)
 
     def test_dimension_mismatch(self):
@@ -232,7 +278,7 @@ class TestBinGemm:
             h = rng.standard_normal((n, d)) * rng.uniform(0.1, 3.0)
             w = rng.standard_normal((d, m))
             f, b = bl.binarize_rows(h), bl.binarize_columns(w)
-            ref = f.reconstruct() @ b.reconstruct()
+            ref = dense(f) @ dense(b)
             assert np.abs(bl.bin_gemm(f, b) - ref).max() < 1e-6
 
     def test_spans_word_boundaries(self):
@@ -241,7 +287,7 @@ class TestBinGemm:
             h = rng.standard_normal((4, d))
             w = rng.standard_normal((d, 3))
             f, b = bl.binarize_rows(h), bl.binarize_columns(w)
-            ref = f.reconstruct() @ b.reconstruct()
+            ref = dense(f) @ dense(b)
             assert np.allclose(bl.bin_gemm(f, b), ref, atol=1e-9)
 
     def test_concurrent_invocations_agree(self):
@@ -258,13 +304,12 @@ class TestBinGemm:
 
 
 def xnor_reference(f, b):
-    """bin_gemm from the scalar oracle, in the kernel's order: dot, *beta, *alpha."""
-    rows = [f.bucket(i) for i in range(f.rows)]
-    cols = [b.bucket(j) for j in range(b.cols)]
+    """bin_gemm from the word-level oracle, in the kernel's order: dot, *beta, *alpha."""
+    cols = b.words.tolist()
     out = np.empty((f.rows, b.cols))
-    for i, row in enumerate(rows):
+    for i, row in enumerate(f.words.tolist()):
         for j, col in enumerate(cols):
-            out[i, j] = float(bl.xnor_popcount_dot(row, col)) * f.scalars[i] * b.scalars[j]
+            out[i, j] = float(xnor_popcount_dot(row, col, f.cols)) * f.scalars[i] * b.scalars[j]
     return out
 
 
@@ -321,7 +366,7 @@ class TestRowBlockedInputOps:
         state = BatchNormState(running_mean=rng.standard_normal(70),
                                running_var=rng.uniform(0.5, 2.0, size=70))
         standardized, _ = batch_norm_forward(h, False, state)
-        inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
+        inv_std = 1.0 / np.sqrt(state.running_var + BN_EPS)
         fused = bl.binarize_rows(h, (state.running_mean, inv_std))
         plain = bl.binarize_rows(standardized)
         assert np.array_equal(fused.words, plain.words)
@@ -443,6 +488,16 @@ def native_lib():
     if lib is None:
         pytest.skip("the C kernel did not build on this host")
     return lib
+
+
+@pytest.mark.usefixtures("numpy_route")
+class TestPackUnpackOnNumpyRoute(TestPackUnpack):
+    pass
+
+
+@pytest.mark.usefixtures("numpy_route")
+class TestBinarizeVectorOnNumpyRoute(TestBinarizeVector):
+    pass
 
 
 @pytest.mark.usefixtures("numpy_route")

@@ -114,7 +114,7 @@ class TestCapacityBound:
         bound = capacity_lower_bound([est])
         assert isinstance(bound, CapacityBound)
         assert bound.d_bin_lower == 12  # ceil(3 * log2 16)
-        assert bound.d_fp == 3
+        assert bound.per_layer_h_ind == (est.h_ind,)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

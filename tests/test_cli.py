@@ -31,6 +31,18 @@ def _config_file(tmp_path, conf):
     return str(path)
 
 
+def _non_utf8_file(tmp_path):
+    path = tmp_path / "not-utf8.json"
+    path.write_bytes(b"\xff{}")
+    return str(path)
+
+
+def _existing_file(tmp_path):
+    path = tmp_path / "a-file"
+    path.touch()
+    return str(path)
+
+
 def _dump_file(tmp_path):
     path = tmp_path / "acts.bin"
     write_activation_dump(path, np.random.default_rng(0).standard_normal((20, 3)))
@@ -61,6 +73,27 @@ MALFORMED_INPUTS = {
     "sbm-n-features-float": _train_sbm(n_features=70.0),
     "sbm-signal-nan": _train_sbm(signal=float("nan")),
     "sbm-signal-inf": _train_sbm(signal=float("inf")),
+    "sbm-file-not-utf8": lambda tmp: ["train", "--sbm", _non_utf8_file(tmp)],
+    "config-not-utf8": lambda tmp: [
+        "train", "--sbm", SBM_ARGS, "--config", _non_utf8_file(tmp)],
+    "widths-not-from-the-feature-count": lambda tmp: [
+        "train", "--sbm", SBM_ARGS, "--widths", "25,16,3"],
+    "widths-not-to-the-class-count": lambda tmp: [
+        "train", "--sbm", SBM_ARGS, "--widths", "24,16,4"],
+}
+# Each builds the argv of a run given a path it cannot read or write (a
+# directory for a file, a file for a directory) from a scratch directory.
+UNUSABLE_PATHS = {
+    "sbm-a-directory": lambda tmp: ["train", "--sbm", str(tmp)],
+    "eval-model-a-directory": lambda tmp: ["eval", str(tmp), "--sbm", SBM_ARGS],
+    "capacity-dump-a-directory": lambda tmp: ["capacity", str(tmp)],
+    "dump-activations-a-directory": lambda tmp: [
+        "train", "--sbm", SBM_ARGS, "--epochs", "1", "--model", "gcn",
+        "--out", str(tmp / "run"), "--dump-activations", str(tmp)],
+    "train-out-an-existing-file": lambda tmp: [
+        "train", "--sbm", SBM_ARGS, "--epochs", "1", "--out", _existing_file(tmp)],
+    "analyze-out-an-existing-file": lambda tmp: ANALYZE_ARGS + [
+        "--nodes", "5", "--out", _existing_file(tmp)],
 }
 
 
@@ -346,6 +379,11 @@ class TestExitCodes:
     def test_malformed_input_is_usage_error(self, argv_of, tmp_path, capsys):
         assert run(argv_of(tmp_path)) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv_of", UNUSABLE_PATHS.values(), ids=list(UNUSABLE_PATHS))
+    def test_unusable_path_is_data_error(self, argv_of, tmp_path, capsys):
+        assert run(argv_of(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
 
     @pytest.mark.parametrize("command", [["analyze"], ["train", "--epochs", "1"]],
                              ids=["analyze", "train"])

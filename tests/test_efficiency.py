@@ -8,7 +8,6 @@ from bingcn.efficiency import (
     acceleration_ratios,
     build_report,
     cycle_ops,
-    data_compression_ratio,
     data_size_bits,
     format_size,
     model_size_bits,
@@ -28,9 +27,13 @@ class TestClosedForms:
             assert param_compression_ratio(d) < 32.0
 
     def test_data_compression_values(self):
-        assert data_compression_ratio(32) == pytest.approx(16.0)
-        assert data_compression_ratio(1) == pytest.approx(32.0 / 33.0)
-        assert data_compression_ratio(1433) == pytest.approx(31.30, abs=5e-3)
+        def ratio(d):
+            report = build_report((d, 2), GraphStats(nodes=7, edges=0, features=d))
+            return report["ratios"]["data_compression"]
+
+        assert ratio(32) == pytest.approx(16.0)
+        assert ratio(1) == pytest.approx(32.0 / 33.0)
+        assert ratio(1433) == pytest.approx(31.30, abs=5e-3)
 
     def test_feature_extraction_speedups(self):
         s_fe_1433, _ = acceleration_ratios(1433, 0.0)
@@ -134,7 +137,7 @@ class TestReport:
         for n, d in ((2708, 1433), (5, 3)):
             stats = GraphStats(nodes=n, edges=0, features=d)
             f_bits, b_bits = data_size_bits(stats)
-            assert f_bits / b_bits == pytest.approx(data_compression_ratio(d))
+            assert f_bits / b_bits == pytest.approx(param_compression_ratio(d))
 
     def test_ops_per_cycle_is_overridable(self):
         stats = GraphStats(nodes=10, edges=0, features=64)

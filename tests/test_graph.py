@@ -141,15 +141,15 @@ class TestNormalizeAdjacency:
     def test_two_node_edge(self):
         g = make_graph(2, [[0, 1]])
         adj = normalize_adjacency(g)
-        assert np.allclose(adj.to_dense(), [[0.5, 0.5], [0.5, 0.5]])
+        assert np.allclose(adj.matrix.toarray(), [[0.5, 0.5], [0.5, 0.5]])
 
     def test_isolated_node(self):
         g = make_graph(1, [])
-        assert np.allclose(normalize_adjacency(g).to_dense(), [[1.0]])
+        assert np.allclose(normalize_adjacency(g).matrix.toarray(), [[1.0]])
 
     def test_star_graph(self):
         g = make_graph(4, [[0, 1], [0, 2], [0, 3]])
-        dense = normalize_adjacency(g).to_dense()
+        dense = normalize_adjacency(g).matrix.toarray()
         assert dense[0, 0] == pytest.approx(0.25)
         for leaf in (1, 2, 3):
             assert dense[leaf, leaf] == pytest.approx(0.5)
@@ -164,12 +164,12 @@ class TestNormalizeAdjacency:
             edges = canonical_edges(raw)
             g = make_graph(n, edges)
             expected = dense_normalized_adjacency(n, edges)
-            assert np.allclose(normalize_adjacency(g).to_dense(), expected, atol=1e-12)
+            assert np.allclose(normalize_adjacency(g).matrix.toarray(), expected, atol=1e-12)
 
     def test_symmetry_and_value_range(self):
         g = make_graph(30, np.random.default_rng(2).integers(0, 30, size=(50, 2)))
         adj = normalize_adjacency(g)
-        dense = adj.to_dense()
+        dense = adj.matrix.toarray()
         assert np.allclose(dense, dense.T)
         vals = adj.matrix.data
         assert (vals > 0).all() and (vals <= 1).all()
@@ -251,7 +251,7 @@ class TestSparseMatmul:
         out = np.empty((6, 2))
         assert aggregate(adj, z, out=out) is out
         assert np.array_equal(out, adj.matrix @ z)
-        dense = adj.to_dense()
+        dense = adj.matrix.toarray()
         assert np.array_equal(sparse_matmul(dense, z, np.empty((6, 2))), dense @ z)
 
     def test_rejects_operands_the_kernel_would_overrun(self):

@@ -70,7 +70,8 @@ class TestBiGCNForward:
         adj = normalize_adjacency(g)
         w = rng.standard_normal((6, 3))
         h_out, _ = bigcn_forward(adj, g.x, w)
-        w_tilde = bl.binarize_columns(w).reconstruct()
+        b = bl.binarize_columns(w)
+        w_tilde = b.sign_matrix() * b.scalars[None, :]
         assert np.allclose(h_out, g.x @ w_tilde, atol=1e-9)
 
     def test_matches_scalar_forward(self):
@@ -79,9 +80,9 @@ class TestBiGCNForward:
         adj = normalize_adjacency(g)
         w = rng.standard_normal((5, 3))
         h_out, _ = bigcn_forward(adj, g.x, w)
-        ref_out, ref_zeta = scalar_bigcn_forward(g.x, w, adj.to_dense())
+        ref_out, ref_zeta = scalar_bigcn_forward(g.x, w, adj.matrix.toarray())
         assert np.allclose(h_out, ref_out, atol=1e-9)
-        assert np.allclose(h_out, adj.to_dense() @ ref_zeta, atol=1e-9)
+        assert np.allclose(h_out, adj.matrix.toarray() @ ref_zeta, atol=1e-9)
 
     def test_training_and_inference_paths_agree(self):
         rng = np.random.default_rng(4)
@@ -108,7 +109,7 @@ class TestBiGCNForward:
         assert np.allclose(kept_scale, 2.0)  # inverted dropout at rate 0.5
         h_tilde = cache.beta[:, None] * cache.f_signs * cache.drop_mask
         expected_zeta = h_tilde @ (cache.b_signs[0] * cache.alpha[0][None, :])
-        assert np.allclose(h_out, adj.to_dense() @ expected_zeta)
+        assert np.allclose(h_out, adj.matrix.toarray() @ expected_zeta)
 
     def test_dropout_requires_rng(self):
         g = random_graph(np.random.default_rng(6), 3, 4)
@@ -161,7 +162,7 @@ class TestBiGCNBackward:
             _, cache = bigcn_forward(adj, g.x, w, training=True)
             grad_out = rng.standard_normal((n, d_out))
             grad_h, grad_w = bigcn_backward(cache, adj, grad_out, ste_mode=ste_mode)
-            ref_h, ref_w = scalar_bigcn_backward(g.x, w, adj.to_dense(), grad_out,
+            ref_h, ref_w = scalar_bigcn_backward(g.x, w, adj.matrix.toarray(), grad_out,
                                                  ste_mode=ste_mode)
             assert np.allclose(grad_h, ref_h, atol=1e-9)
             assert np.allclose(grad_w, ref_w, atol=1e-9)
@@ -175,7 +176,7 @@ class TestBiGCNBackward:
                                  rng=np.random.default_rng(12))
         grad_out = rng.standard_normal((5, 3))
         grad_h, grad_w = bigcn_backward(cache, adj, grad_out)
-        ref_h, ref_w = scalar_bigcn_backward(g.x, w, adj.to_dense(), grad_out,
+        ref_h, ref_w = scalar_bigcn_backward(g.x, w, adj.matrix.toarray(), grad_out,
                                              drop_mask=cache.drop_mask)
         assert np.allclose(grad_h, ref_h, atol=1e-9)
         assert np.allclose(grad_w, ref_w, atol=1e-9)
@@ -218,7 +219,7 @@ class TestGCN:
         g = random_graph(rng, 7, 4)
         adj = normalize_adjacency(g)
         w = rng.standard_normal((4, 3))
-        expected = np.maximum(adj.to_dense() @ (g.x @ w), 0.0)
+        expected = np.maximum(adj.matrix.toarray() @ (g.x @ w), 0.0)
         assert np.allclose(gcn_forward(adj, g.x, w, activation=True), expected)
 
     def test_end_to_end_finite_difference(self):
@@ -366,6 +367,17 @@ class TestPackedInput:
         with pytest.raises(ValueError, match="dropout"):
             forward(prop, packed, *weights, training=True, dropout=0.5,
                     rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("family", ["bigcn", "bisage"])
+def test_backward_rejects_a_float_input_cache_from_inference(family):
+    rng = np.random.default_rng(32)
+    g = random_graph(rng, 6, 5)
+    prop, weights, forward, backward = _binarized_layer(family, g, rng, 3)
+    _, cache = forward(prop, g.x, *weights, training=False)
+    for need_input_grad in (False, True):
+        with pytest.raises(ValueError, match="inference forward"):
+            backward(cache, prop, np.ones((6, 3)), need_input_grad=need_input_grad)
 
 
 def test_packed_weight_gradient_expands_only_nonzero_gradient_rows(monkeypatch):
