@@ -29,8 +29,9 @@ kernel tests.
 `binarize_rows`, `column_moments` and `sign_t_matmul` (the transposed
 sign product a weight gradient needs, in float64) work in row blocks, so
 a fixed input can be held as packed words alone and is never expanded
-whole. `sign_t_matmul` expands only the rows where the gradient has a
-nonzero entry; in semi-supervised training the loss reaches few rows.
+whole. In semi-supervised training the loss reaches few rows: training
+passes the packed rows of the input that a row plan reads
+(`graph.row_plan`), so `sign_t_matmul` expands only those.
 """
 
 from __future__ import annotations
@@ -353,13 +354,10 @@ def bin_gemm(f: PackedBinMatrix, b: PackedBinMatrix,
 def sign_t_matmul(f: PackedBinMatrix, g) -> np.ndarray:
     """sign(F)^T @ g for a row-bucketed (N, d) `f` and a real (N, m) `g`.
 
-    The bucket scalars are not applied. A zero row of `g` adds nothing,
-    so only the rows of `g` with a nonzero entry are visited: blocks of
-    them are gathered, their signs in `f` expanded to float64 +-1
-    (float32 would round, as `g` is real), and the block products summed.
-    The result equals the dense product up to summation order. When `g`
-    has no zero row the blocks are plain row slices, so the sum runs in
-    the same order as a product over every row.
+    The bucket scalars are not applied. Row blocks of `f` have their
+    signs expanded to float64 +-1 (float32 would round, as `g` is real)
+    and the block products are summed, in row order. The result equals
+    the dense product up to summation order.
     """
     if f.orientation != "row":
         raise ValueError("sign_t_matmul needs a row-bucketed operand")
@@ -367,10 +365,7 @@ def sign_t_matmul(f: PackedBinMatrix, g) -> np.ndarray:
     if g.ndim != 2 or g.shape[0] != f.rows:
         raise ValueError(f"expected ({f.rows}, m) right operand, got {g.shape}")
     out = np.zeros((f.cols, g.shape[1]))
-    rows = np.flatnonzero(g.any(axis=1))
-    every_row = rows.size == f.rows
-    for start in range(0, rows.size, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, rows.size)
-        block = slice(start, stop) if every_row else rows[start:stop]
+    for start in range(0, f.rows, _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
         out += _unpack_signs(f.words[block], f.cols).T @ g[block]
     return out

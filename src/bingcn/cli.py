@@ -131,8 +131,18 @@ def cmd_train(args) -> int:
         raise UsageError(f"widths {config.widths} must run from the graph's "
                          f"{graph.n_features} features to its {graph.n_classes} classes")
 
-    result = train(config, graph)
+    # Unusable output paths fail here, before any training.
     out = _out_dir(args)
+    targets = []
+    if args.dump_activations:
+        targets = _dump_paths(args.dump_activations, len(config.widths) - 2)
+        for path in targets:
+            if path.is_dir():
+                raise IsADirectoryError(f"activation dump target is a directory: {path}")
+            if not path.parent.is_dir():
+                raise FileNotFoundError(f"no directory for the activation dump {path}")
+
+    result = train(config, graph)
 
     with open(out / "metrics.jsonl", "w") as fh:
         for m in result.trace:
@@ -155,7 +165,6 @@ def cmd_train(args) -> int:
         prop = propagation_operator(result.model.family, graph)
         _, caches = result.model.forward(prop, graph.x)
         hidden = [cache.h_in for cache, _ in caches[1:]]  # post-ReLU hidden layers
-        targets = _dump_paths(args.dump_activations, len(hidden))
         for path, acts in zip(targets, hidden):
             cap.write_activation_dump(path, acts)
 

@@ -1,7 +1,9 @@
 """Attributed graph container, adjacency normalization, sparse aggregation.
 
 Both propagation operators scale the `.data` of one unit symmetric CSR
-(with or without self-loops) from its row degrees.
+(with or without self-loops) from its row degrees. A row plan
+(`row_plan`) slices the normalized adjacency down to the rows a
+masked loss reads.
 """
 
 from __future__ import annotations
@@ -35,7 +37,9 @@ class AttributedGraph:
 
     Edges are stored canonically (deduplicated, u < v, no self-loops);
     pass any undirected pair list through `canonical_edges` first.
-    Instances are treated as immutable once built.
+    Instances are immutable once built: the arrays are read-only views,
+    so what is derived from them once (a row plan, say) stays valid. The
+    caller's own arrays stay writable.
     """
 
     x: np.ndarray  # (N, d) float64 features
@@ -52,6 +56,10 @@ class AttributedGraph:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         for name in ("train_mask", "val_mask", "test_mask"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=bool))
+        for name in ("x", "edges", "labels", "train_mask", "val_mask", "test_mask"):
+            view = getattr(self, name).view()
+            view.flags.writeable = False
+            setattr(self, name, view)
         if self.n_classes == 0:
             self.n_classes = int(self.labels.max()) + 1 if self.labels.size else 0
 
@@ -104,13 +112,15 @@ class NormalizedAdjacency:
     Entry (i, j) is 1 / sqrt(deg_i * deg_j) with degrees counted after
     adding one self-loop per node, so every stored value lies in (0, 1]
     and every node has a diagonal entry.
+
+    A layer of a `RowPlan` holds the rectangular slice P[R_out, R_in]:
+    `in_rows` then lists the node ids of its columns, R_in, out of
+    `n_nodes`. None: the columns are all nodes.
     """
 
     matrix: sp.csr_matrix
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
+    in_rows: np.ndarray | None = None
+    n_nodes: int | None = None
 
 
 def _unit_symmetric_csr(n: int, edges: np.ndarray, self_loops: bool):
@@ -134,11 +144,69 @@ def normalize_adjacency(g: AttributedGraph) -> NormalizedAdjacency:
 
 def aggregate(adj: NormalizedAdjacency, z: np.ndarray,
               out: np.ndarray | None = None) -> np.ndarray:
-    """Sparse-dense product of the normalized adjacency with (N, m) values."""
+    """Sparse-dense product of the normalized adjacency (or a row plan's
+    slice of it) with values on its column nodes."""
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[0] != adj.n:
-        raise ValueError(f"expected ({adj.n}, m) input, got {z.shape}")
+    n = adj.matrix.shape[1]
+    if z.ndim != 2 or z.shape[0] != n:
+        raise ValueError(f"expected ({n}, m) input, got {z.shape}")
     return sparse_matmul(adj.matrix, z, out)
+
+
+@dataclass(frozen=True)
+class RowPlan:
+    """The rows each layer of a pass computes for a loss on one mask.
+
+    `rows[-1]` are the mask's node ids and `rows[l]` the ones layer l
+    reads: `rows[l + 1]` and the column support of P[rows[l + 1], :]. All
+    are sorted. `ops[l]` is P[rows[l + 1], rows[l]]. A layer that computes
+    its output rows from these input rows alone gives the full pass's
+    values on them, since each sliced row keeps its stored entries in
+    their order.
+    """
+
+    rows: tuple[np.ndarray, ...]
+    ops: tuple[NormalizedAdjacency, ...]
+
+
+def row_plan(adj: NormalizedAdjacency, mask, n_layers: int) -> RowPlan | None:
+    """The `RowPlan` of `n_layers` layers propagating with `adj` for `mask`.
+
+    A layer's rows are found from the positions of its output rows'
+    stored entries in `indptr`/`indices`, with no copy of the operator.
+    None where layer 0 reads every node: then only the later, narrower
+    layers would shrink, while the slices would copy most of the operator,
+    so a full pass is cheaper. A slice takes its rows' stored entries in
+    order and renumbers their column ids monotonically, so it keeps them
+    sorted.
+    """
+    m = adj.matrix
+    n = m.shape[0]
+    rows, entries = [np.flatnonzero(mask)], []
+    for _ in range(n_layers):
+        r_out = rows[0]
+        starts = m.indptr[r_out]
+        counts = m.indptr[r_out + 1] - starts
+        indptr = np.zeros(r_out.size + 1, dtype=m.indptr.dtype)
+        np.cumsum(counts, out=indptr[1:])
+        # Positions of the rows' stored entries, row after row.
+        at = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
+        read = np.zeros(n, dtype=bool)
+        read[r_out] = True
+        read[m.indices[at]] = True
+        rows.insert(0, np.flatnonzero(read))
+        entries.insert(0, (indptr, at))
+    if rows[0].size == n:
+        return None
+    local = np.empty(n, dtype=m.indices.dtype)
+    ops = []
+    for r_in, (indptr, at) in zip(rows, entries):
+        local[r_in] = np.arange(r_in.size)
+        op = sp.csr_matrix((m.data[at], local[m.indices[at]], indptr),
+                           shape=(indptr.size - 1, r_in.size))
+        op.has_sorted_indices = True
+        ops.append(NormalizedAdjacency(matrix=op, in_rows=r_in, n_nodes=n))
+    return RowPlan(rows=tuple(rows), ops=tuple(ops))
 
 
 def sparse_matmul(m, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

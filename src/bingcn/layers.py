@@ -14,9 +14,9 @@ compute ``bin(H) x bin(W)`` and agree within float tolerance:
   used for inference, and in training for an input that arrives
   already binarized (a `bitlinalg.PackedBinMatrix`).
   The model passes layer 0's fixed input that way: it has no dropout,
-  and its weight gradient unpacks the signs in row blocks, only of the
-  rows the gradient reaches (`bitlinalg.sign_t_matmul`), so no dense
-  copy of the input is held.
+  and its weight gradient unpacks the signs in row blocks
+  (`bitlinalg.sign_t_matmul`), so no dense copy of the input is held.
+  In training the input holds only the rows its row plan reads (below).
 * float simulation — dense products of the reconstructed scalar-rescaled
   sign matrices; used in training for a float input (the hidden layers),
   so an inverted-dropout mask can zero individual entries of the
@@ -30,6 +30,14 @@ magnitude, ``input`` on the pre-binarization input magnitude.
 Every layer function takes an optional `Workspace` (`ws`): the memory
 its passes reuse from one epoch to the next. The results are the same
 bit for bit with and without one.
+
+The graph convolutions also take a row plan's rectangular slice
+P[R_out, R_in] of the normalized adjacency (`graph.row_plan`) in place
+of the whole operator: the layer then computes its output rows R_out
+from its input rows R_in alone. A float input of all N rows is read at
+rows R_in, in blocks of at most 1 MiB; dropout draws the mask of all N
+rows, as a full pass does, and applies its rows R_in. The output rows
+are the full pass's bit for bit, but for the case `_product` names.
 """
 
 from __future__ import annotations
@@ -46,6 +54,8 @@ STE_MODES = ("grad", "input")
 # batch, and the variance offset under the square root.
 BN_MOMENTUM = 0.9
 BN_EPS = 1e-5
+# Bytes of a float input's rows that a row plan's layer gathers at once.
+_GATHER_BYTES = 1 << 20
 
 
 def xavier_uniform(rng: np.random.Generator, d_in: int, d_out: int) -> np.ndarray:
@@ -66,21 +76,24 @@ class Workspace:
     Taking a role again overwrites what the last taker wrote, so one
     role serves arrays that are never live at the same time: the
     forward's output and scratch roles are reused by the backward pass,
-    by which time the next layer has consumed them. A cache built with
-    a workspace is valid for one backward pass. Without a workspace
-    (None) every array is new.
+    by which time the next layer has consumed them; in a row-planned
+    layer, the dropout draw of every node's row and the all-node operand
+    of the product share the "nodes" role. A cache built with a
+    workspace is valid for one backward pass. Without a workspace (None)
+    every array is new.
     """
 
     def __init__(self):
         self._buffers: dict[str, np.ndarray] = {}
 
     def take(self, role: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-        """An uninitialized C-contiguous array of `shape` in `role`'s memory."""
+        """A C-contiguous array of `shape` in `role`'s memory: zeros where
+        the memory is new, else what the role's last taker left there."""
         dtype = np.dtype(dtype)
         nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
         buf = self._buffers.get(role)
         if buf is None or buf.size < nbytes:
-            buf = self._buffers[role] = np.empty(nbytes, np.uint8)
+            buf = self._buffers[role] = np.zeros(nbytes, np.uint8)
         return buf[:nbytes].view(dtype).reshape(shape)
 
 
@@ -112,14 +125,77 @@ class LayerCache:
     drop_mask: np.ndarray | None = None
 
 
+def _input_route(adj, h) -> str:
+    """How a layer on the propagation `adj` reads its input `h`.
+
+    "full": `adj` is a whole operator (or None), with a column per node,
+    and `h` holds every node's row. A row plan's slice has a column per
+    node of `adj.in_rows`; "rows": `h` holds those rows alone (a hidden
+    layer's input, or layer 0's packed input, gathered once per plan);
+    "gather": `h` holds every node's row (layer 0's float input, read at
+    those rows where it is used, never copied whole).
+    """
+    rows = None if adj is None else adj.in_rows
+    if rows is None:
+        return "full"
+    return "rows" if h.shape[0] == rows.size else "gather"
+
+
 def _dropout_mask(rng: np.random.Generator, shape, rate: float,
-                  ws: Workspace | None = None) -> np.ndarray:
-    """Inverted-dropout mask: zeros with probability `rate`, else 1/(1-rate)."""
+                  ws: Workspace | None = None, adj=None, route: str = "full") -> np.ndarray:
+    """Inverted-dropout mask: zeros with probability `rate`, else 1/(1-rate).
+
+    On the "rows" route (`_input_route`) the draw is that of every node's
+    row, so the generator's stream is the full pass's, and the mask holds
+    the rows `adj.in_rows`.
+    """
     if rng is None:
         raise ValueError("training with dropout requires an rng")
-    draws = rng.random(shape, out=_take(ws, "drop_mask", shape))
+    drawn = (adj.n_nodes, shape[1]) if route == "rows" else shape
+    draws = rng.random(drawn, out=_take(ws, "nodes", drawn))
+    if route == "rows":
+        draws = np.take(draws, adj.in_rows, axis=0, out=_take(ws, "drop_rows", shape))
     keep = np.greater_equal(draws, rate, out=_take(ws, "keep", shape, bool))
     return np.divide(keep, 1.0 - rate, out=draws)
+
+
+def _product(h: np.ndarray, w: np.ndarray, adj, route: str, ws: Workspace | None,
+             out: np.ndarray) -> np.ndarray:
+    """``h @ w`` into `out`, one row per column of the propagation `adj`;
+    `route` is `_input_route(adj, h)`.
+
+    BLAS may round a row of a product differently with the shape of the
+    call, so on a row plan's slice each row is computed as a full pass
+    computes it. On the "rows" route `h` goes into an all-node operand at
+    its nodes' rows and takes one all-node product; the operand's other
+    rows hold zeros, dropout draws or earlier inputs, all finite, which
+    cost time but change nothing. On the "gather" route `h` is read at the slice's input rows in
+    near-equal gathered blocks of at most 1 MiB. BLAS computes their rows
+    as in the full product only while a block's product is large enough
+    for its general kernel, which a narrow output (a few columns) can
+    defeat: the rows then agree with the full pass's to rounding.
+    """
+    if route == "full":
+        return np.matmul(h, w, out=out)
+    rows = adj.in_rows
+    if route == "rows":
+        shape = (adj.n_nodes, h.shape[1])
+        at_nodes = np.zeros(shape) if ws is None else ws.take("nodes", shape)
+        at_nodes[rows] = h
+        product = np.matmul(at_nodes, w, out=_take(ws, "node_product", (shape[0], w.shape[1])))
+        return np.take(product, rows, axis=0, out=out)
+    for block, gathered in _gathered_blocks(h, rows):
+        np.matmul(gathered, w, out=out[block])
+    return out
+
+
+def _gathered_blocks(h: np.ndarray, rows: np.ndarray):
+    """(block, ``h[rows[block]]``) for near-equal blocks of `rows`, each at
+    most `_GATHER_BYTES` of `h`'s rows."""
+    n_blocks = -(-rows.size * h.shape[1] * h.itemsize // _GATHER_BYTES)
+    bounds = np.linspace(0, rows.size, n_blocks + 1).round().astype(int)
+    for start, stop in zip(bounds, bounds[1:]):
+        yield slice(start, stop), h[rows[start:stop]]
 
 
 def _binarized_forward(
@@ -129,6 +205,7 @@ def _binarized_forward(
     dropout: float,
     rng: np.random.Generator | None,
     ws: Workspace | None = None,
+    adj=None,
 ) -> tuple[np.ndarray, LayerCache]:
     """bin(H) x bin(W_k) for each path's weights W_k, before propagation,
     stacked as a (paths, N, d_out) array.
@@ -136,7 +213,8 @@ def _binarized_forward(
     A packed `h_in` (its row signs and scalars) always runs the packed
     kernel and takes no dropout. A float `h_in` runs the float simulation
     in training, whose dropout can mask single entries of the binarized
-    features, and the packed kernel in inference.
+    features, and the packed kernel in inference. `adj` is the
+    propagation, for a row plan's slice: `h_in` then holds its input rows.
     """
     weights = [np.asarray(w, dtype=np.float64) for w in weights]
     shape = weights[0].shape
@@ -153,6 +231,9 @@ def _binarized_forward(
         h_in = np.asarray(h_in, dtype=np.float64)
     if len(h_in.shape) != 2 or h_in.shape[1] != shape[0]:
         raise ValueError(f"expected (N, {shape[0]}) input, got {h_in.shape}")
+    route = _input_route(adj, h_in)
+    if route == "gather":
+        raise ValueError("a binarized layer on a row plan's slice takes its input rows alone")
 
     drop_mask = None
     f_signs = None
@@ -165,7 +246,7 @@ def _binarized_forward(
         beta = np.abs(h_in, out=_take(ws, "scratch", h_in.shape)).mean(axis=1)
         fm = f_signs
         if dropout > 0.0:
-            drop_mask = _dropout_mask(rng, h_in.shape, dropout, ws)
+            drop_mask = _dropout_mask(rng, h_in.shape, dropout, ws, adj, route)
             fm = np.multiply(f_signs, drop_mask, out=_take(ws, "scratch", h_in.shape))
     else:
         packed_f = bl.binarize_rows(h_in)
@@ -180,7 +261,7 @@ def _binarized_forward(
         if kernel:
             bl.bin_gemm(packed_f, bl.binarize_columns(w), out=zeta)
         else:
-            np.matmul(fm, b_signs * alpha[None, :], out=zeta)
+            _product(fm, b_signs * alpha[None, :], adj, route, ws, out=zeta)
             zeta *= beta[:, None]
         cache.b_signs.append(b_signs)
         cache.alpha.append(alpha)
@@ -201,8 +282,9 @@ def bigcn_forward(
     No nonlinearity is applied; the sign in the next layer's input
     binarization plays that role.
     """
-    (zeta,), cache = _binarized_forward(h_in, [w], training, dropout, rng, ws)
-    return aggregate(adj, zeta, out=_take(ws, "out", zeta.shape)), cache
+    (zeta,), cache = _binarized_forward(h_in, [w], training, dropout, rng, ws, adj)
+    out = _take(ws, "out", (adj.matrix.shape[0], zeta.shape[1]))
+    return aggregate(adj, zeta, out=out), cache
 
 
 def bisage_forward(
@@ -277,14 +359,15 @@ def _binarized_backward(
     values to gate on, so it has no input gradient.
     """
     grad_out = np.asarray(grad_out, dtype=np.float64)
-    expected = (cache.h_in.shape[0], cache.weights[0].shape[1])
-    if grad_out.shape != expected:
-        raise ValueError(f"gradient shape {grad_out.shape} != {expected}")
+    n, m = cache.h_in.shape[0], cache.weights[0].shape[1]
+    # One row per output node: those of a propagation, else the input's.
+    n_out = next((a.shape[1] for a in adjoints if a is not None), n)
+    if grad_out.shape != (n_out, m):
+        raise ValueError(f"gradient shape {grad_out.shape} != {(n_out, m)}")
     packed = isinstance(cache.h_in, bl.PackedBinMatrix)
     if packed and need_input_grad:
         raise ValueError("a packed layer input has no input gradient")
 
-    n, m = grad_out.shape
     if not packed:
         if cache.f_signs is None:
             raise ValueError("a float layer input's cache from an inference forward "
@@ -367,6 +450,7 @@ class GCNCache:
     pre_act: np.ndarray
     activation: bool
     drop_mask: np.ndarray | None = None
+    route: str = "full"  # the forward's `_input_route`
 
 
 def gcn_forward(
@@ -394,19 +478,28 @@ def gcn_forward_cached(
     rng: np.random.Generator | None = None,
     ws: Workspace | None = None,
 ) -> tuple[np.ndarray, GCNCache]:
+    """Cached full-precision graph convolution.
+
+    On a row plan's slice `adj`, an `h_in` of all N rows (the fixed input
+    of layer 0) is read at the slice's input rows, in gathered blocks, by
+    the product and by the weight gradient, so no copy of those rows is
+    held whole; it has no input gradient.
+    """
     h_in = np.asarray(h_in, dtype=np.float64)
     if h_in.ndim != 2 or h_in.shape[1] != w.shape[0]:
         raise ValueError(f"shape mismatch: {h_in.shape} x {w.shape}")
+    n_out, n_in = adj.matrix.shape
+    route = _input_route(adj, h_in)
     drop_mask = None
     if training and dropout > 0.0:
-        drop_mask = _dropout_mask(rng, h_in.shape, dropout, ws)
+        drop_mask = _dropout_mask(rng, h_in.shape, dropout, ws, adj, route)
         h_in = np.multiply(h_in, drop_mask, out=_take(ws, "input", h_in.shape))
-    shape = (h_in.shape[0], w.shape[1])
-    product = np.matmul(h_in, w, out=_take(ws, "out", shape))
-    pre_act = aggregate(adj, product, out=_take(ws, "pre_act", shape))
-    out = np.maximum(pre_act, 0.0, out=product) if activation else pre_act
-    return out, GCNCache(h_in=h_in, w=w, pre_act=pre_act,
-                         activation=activation, drop_mask=drop_mask)
+    product = _product(h_in, w, adj, route, ws, out=_take(ws, "out", (n_in, w.shape[1])))
+    pre_act = aggregate(adj, product, out=_take(ws, "pre_act", (n_out, w.shape[1])))
+    # R_out is a subset of R_in: the output fits in the product's leading rows.
+    out = np.maximum(pre_act, 0.0, out=product[:n_out]) if activation else pre_act
+    return out, GCNCache(h_in=h_in, w=w, pre_act=pre_act, activation=activation,
+                         drop_mask=drop_mask, route=route)
 
 
 def gcn_backward(
@@ -420,16 +513,26 @@ def gcn_backward(
     shape = cache.pre_act.shape
     if grad_out.shape != shape:
         raise ValueError(f"gradient shape {grad_out.shape} != {shape}")
+    gathered = cache.route == "gather"
+    if gathered and need_input_grad:
+        raise ValueError("an input read at a row plan's rows has no input gradient")
     # The forward's output and pre-activation roles are spent by now.
     if cache.activation:
         active = np.greater(cache.pre_act, 0.0, out=_take(ws, "keep", shape, bool))
         grad_out = np.multiply(grad_out, active, out=_take(ws, "out", shape))
-    grad_z = sparse_matmul(adj.matrix.T, grad_out, _take(ws, "pre_act", shape))
-    grad_w = cache.h_in.T @ grad_z
+    n_in = adj.matrix.shape[1]
+    grad_z = sparse_matmul(adj.matrix.T, grad_out, _take(ws, "pre_act", (n_in, shape[1])))
+    if gathered:  # read at the slice's input rows, as in the forward
+        grad_w = np.zeros(cache.w.shape)
+        for block, rows in _gathered_blocks(cache.h_in, adj.in_rows):
+            grad_w += rows.T @ grad_z[block]
+    else:
+        grad_w = cache.h_in.T @ grad_z
     grad_h = None
     if need_input_grad:
         # Into the dropped input's role: grad_w was its last reader.
-        grad_h = np.matmul(grad_z, cache.w.T, out=_take(ws, "input", cache.h_in.shape))
+        grad_h = np.matmul(grad_z, cache.w.T,
+                           out=_take(ws, "input", (n_in, cache.w.shape[0])))
         if cache.drop_mask is not None:
             grad_h *= cache.drop_mask
     return grad_h, grad_w

@@ -5,6 +5,15 @@ Adam, mean cross-entropy on the training mask, early stopping on the
 best validation loss, and the test metric taken from the best-validation
 checkpoint. Everything is driven by one numpy Generator, so a seed fixes
 the whole trace bit for bit.
+
+A training step and a validation pass compute only the rows their
+mask's loss reads (a `graph.RowPlan`, built once per `train()`), unless
+the family batch-normalizes a hidden layer's input: batch statistics
+read every row. For the same weights the mask's logits and loss are the
+full pass's bit for bit, except that BLAS may round gcn's layer-0
+product of gathered rows differently when the hidden layer is narrow
+(`layers._product`); the weight gradients differ only in summation
+order.
 """
 
 from __future__ import annotations
@@ -18,7 +27,8 @@ import numpy as np
 from . import bitlinalg as bl
 from . import layers as L
 from .datasets import DatasetError
-from .graph import AttributedGraph, NormalizedAdjacency, neighbor_mean_matrix, normalize_adjacency
+from .graph import (AttributedGraph, NormalizedAdjacency, RowPlan, neighbor_mean_matrix,
+                    normalize_adjacency, row_plan)
 from .optim import AdamState, adam_step
 
 MODEL_FILE_MAGIC = b"BGNM"
@@ -56,6 +66,12 @@ class Family:
     def bn_widths(self, widths: list[int]) -> list[int]:
         """Widths of the standardized layer inputs: one batch-norm state each."""
         return widths[:-1][:self.standardized]
+
+    @property
+    def full_pass(self) -> bool:
+        """Whether every pass computes all rows: a hidden layer input is
+        batch-normalized with statistics over all of them."""
+        return self.standardized is None or self.standardized > 1
 
 
 FAMILIES = {
@@ -131,49 +147,62 @@ class Model:
             state.running_mean, state.running_var = bl.column_moments(x)
         return self.prepare_input(x)
 
-    def prepare_input(self, x: np.ndarray):
+    def prepare_input(self, x: np.ndarray, plan: RowPlan | None = None):
         """The first layer's input for features `x`.
 
         For a binarized family: `x` standardized with the layer-0
         statistics (`fit_input`, or a model file) and binarized, in row
-        blocks, so only the packed signs and row scalars are held. For
-        gcn: `x` itself.
+        blocks, so only the packed signs and row scalars are held; with a
+        row plan, only the rows layer 0 reads. For gcn: `x` itself, whose
+        layer reads the rows it needs.
         """
-        if not self.family.binarized or isinstance(x, bl.PackedBinMatrix):
+        if not self.family.binarized:
             return x
-        state = self.bn_states[0]
-        inv_std = 1.0 / np.sqrt(state.running_var + L.BN_EPS)
-        return bl.binarize_rows(x, (state.running_mean, inv_std))
+        if not isinstance(x, bl.PackedBinMatrix):
+            state = self.bn_states[0]
+            inv_std = 1.0 / np.sqrt(state.running_var + L.BN_EPS)
+            x = bl.binarize_rows(x, (state.running_mean, inv_std))
+        rows = None if plan is None else plan.rows[0]
+        if rows is None or x.rows == rows.size:  # all rows needed, or gathered already
+            return x
+        return bl.PackedBinMatrix(rows=rows.size, cols=x.cols, orientation="row",
+                                  words=x.words[rows], scalars=x.scalars[rows])
 
     def forward(self, prop, x, training: bool = False,
                 rng: np.random.Generator | None = None,
-                workspaces: list[L.Workspace] | None = None):
+                workspaces: list[L.Workspace] | None = None,
+                plan: RowPlan | None = None):
         """Logits and per-layer (layer cache, batch-norm cache or None).
 
         `x` is the float feature matrix or its `prepare_input`, which
         `train` computes once and reuses. With `workspaces` (one per
         layer) the pass writes into their arrays, overwriting the last
-        pass's logits and caches.
+        pass's logits and caches. With a row plan of `prop` for a mask,
+        layer l computes only the plan's rows l + 1, and the logits are
+        the mask's rows, in node order.
         """
         forward = getattr(L, self.family.forward)
         p = self.family.paths
-        h = self.prepare_input(x)
+        h = self.prepare_input(x, plan)
         caches = []
         for i in range(self.n_layers):
             ws = workspaces[i] if workspaces is not None else None
+            layer_prop = prop if plan is None else plan.ops[i]
             bn_cache = None
             if 0 < i < len(self.bn_states):
                 h, bn_cache = L.batch_norm_forward(h, training, self.bn_states[i], ws=ws)
             extra = {} if self.family.binarized else {"activation": i < self.n_layers - 1}
-            h, cache = forward(prop, h, *self.weights[i * p:(i + 1) * p], training=training,
+            h, cache = forward(layer_prop, h, *self.weights[i * p:(i + 1) * p],
+                               training=training,
                                dropout=self.config.dropout if i > 0 else 0.0, rng=rng,
                                ws=ws, **extra)
             caches.append((cache, bn_cache))
         return h, caches
 
     def backward(self, prop, caches, grad_logits,
-                 workspaces: list[L.Workspace] | None = None) -> list[np.ndarray]:
-        """Weight gradients, in the order of `weights`."""
+                 workspaces: list[L.Workspace] | None = None,
+                 plan: RowPlan | None = None) -> list[np.ndarray]:
+        """Weight gradients, in the order of `weights`; `plan` as in the forward."""
         backward = getattr(L, self.family.backward)
         extra = {"ste_mode": self.config.ste_mode} if self.family.binarized else {}
         p = self.family.paths
@@ -182,7 +211,8 @@ class Model:
         for i in reversed(range(self.n_layers)):
             ws = workspaces[i] if workspaces is not None else None
             cache, bn_cache = caches[i]
-            grad_h, *layer_grads = backward(cache, prop, grad, need_input_grad=i > 0,
+            layer_prop = prop if plan is None else plan.ops[i]
+            grad_h, *layer_grads = backward(cache, layer_prop, grad, need_input_grad=i > 0,
                                             ws=ws, **extra)
             grads[i * p:(i + 1) * p] = layer_grads
             if i > 0:
@@ -225,17 +255,28 @@ def propagation_operator(family: Family, graph: AttributedGraph,
     return adj if adj is not None else normalize_adjacency(graph)
 
 
+def _targets(labels: np.ndarray, mask: np.ndarray, plan: RowPlan | None):
+    """(labels, mask) of the rows a pass with `plan`, `mask`'s row plan, computes."""
+    if plan is None:
+        return labels, mask
+    rows = plan.rows[-1]
+    return labels[rows], np.ones(rows.size, dtype=bool)
+
+
 def evaluate(model: Model, prop, graph: AttributedGraph, mask: np.ndarray,
-             x=None, workspaces: list[L.Workspace] | None = None) -> tuple[float, float]:
+             x=None, workspaces: list[L.Workspace] | None = None,
+             plan: RowPlan | None = None) -> tuple[float, float]:
     """Inference-mode loss and accuracy on one mask.
 
     `x` is `model.prepare_input(graph.x)` if the caller holds it (None:
-    prepared here); `workspaces` as in `Model.forward`.
+    prepared here); `workspaces` as in `Model.forward`. With `mask`'s row
+    plan the pass computes only the rows the mask reads.
     """
     logits, _ = model.forward(prop, graph.x if x is None else x, training=False,
-                              workspaces=workspaces)
-    loss, _ = L.masked_softmax_xent(logits, graph.labels, mask)
-    return loss, L.masked_accuracy(logits, graph.labels, mask)
+                              workspaces=workspaces, plan=plan)
+    labels, mask = _targets(graph.labels, mask, plan)
+    loss, _ = L.masked_softmax_xent(logits, labels, mask)
+    return loss, L.masked_accuracy(logits, labels, mask)
 
 
 def train(config: ModelConfig, graph: AttributedGraph,
@@ -244,7 +285,9 @@ def train(config: ModelConfig, graph: AttributedGraph,
 
     Returns the model restored to its best-validation checkpoint along
     with the per-epoch metric trace and the test accuracy at that
-    checkpoint. Identical seeds give bit-identical traces.
+    checkpoint. Identical seeds give bit-identical traces. The training
+    step and the validation pass run on their masks' row plans, unless
+    the family needs full passes; the test evaluation is a full pass.
     """
     if graph.n_features != config.widths[0]:
         raise ValueError(f"widths[0]={config.widths[0]} does not match feature dim "
@@ -261,6 +304,11 @@ def train(config: ModelConfig, graph: AttributedGraph,
     prop = propagation_operator(model.family, graph, adj)
     opt = AdamState.for_params(model.weights)
     x = model.fit_input(graph.x)
+    masks = (graph.train_mask, graph.val_mask)
+    train_plan, val_plan = ((None, None) if model.family.full_pass else
+                            (row_plan(prop, m, model.n_layers) for m in masks))
+    x_train, x_val = (model.prepare_input(x, plan) for plan in (train_plan, val_plan))
+    train_labels, train_mask = _targets(graph.labels, graph.train_mask, train_plan)
     workspaces = [L.Workspace() for _ in range(model.n_layers)]
 
     best_state = copy.deepcopy((model.weights, model.bn_states))
@@ -269,16 +317,16 @@ def train(config: ModelConfig, graph: AttributedGraph,
     trace: list[EpochMetrics] = []
 
     for epoch in range(1, config.max_epochs + 1):
-        logits, caches = model.forward(prop, x, training=True, rng=rng,
-                                       workspaces=workspaces)
-        train_loss, grad_logits = L.masked_softmax_xent(
-            logits, graph.labels, graph.train_mask)
-        train_acc = L.masked_accuracy(logits, graph.labels, graph.train_mask)
-        grads = model.backward(prop, caches, grad_logits, workspaces)
+        logits, caches = model.forward(prop, x_train, training=True, rng=rng,
+                                       workspaces=workspaces, plan=train_plan)
+        train_loss, grad_logits = L.masked_softmax_xent(logits, train_labels, train_mask)
+        train_acc = L.masked_accuracy(logits, train_labels, train_mask)
+        grads = model.backward(prop, caches, grad_logits, workspaces, train_plan)
         del logits, caches  # the validation pass overwrites their arrays
         model.update(adam_step(model.weights, grads, opt, config.lr))
 
-        val_loss, val_acc = evaluate(model, prop, graph, graph.val_mask, x, workspaces)
+        val_loss, val_acc = evaluate(model, prop, graph, graph.val_mask, x_val, workspaces,
+                                     val_plan)
         trace.append(EpochMetrics(epoch=epoch, train_loss=train_loss,
                                   train_acc=train_acc, val_loss=val_loss,
                                   val_acc=val_acc))

@@ -235,6 +235,22 @@ class TestTrain:
         assert code == 0
         assert dump.exists()
 
+    @pytest.mark.parametrize("unusable", [
+        lambda tmp: ["--out", _existing_file(tmp)],
+        lambda tmp: ["--model", "gcn", "--out", str(tmp / "run"), "--dump-activations", str(tmp)],
+        lambda tmp: ["--model", "gcn", "--out", str(tmp / "run"),
+                     "--dump-activations", str(tmp / "missing" / "acts.bin")],
+    ], ids=["out-an-existing-file", "dump-a-directory", "dump-in-a-missing-directory"])
+    def test_unusable_output_path_fails_before_training(self, unusable, tmp_path, capsys,
+                                                        monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train() ran despite an unusable output path")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        assert run(["train", "--sbm", SBM_ARGS, "--epochs", "1"] + unusable(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert not (tmp_path / "run" / "metrics.jsonl").exists()
+
     def test_defaults_are_the_model_config_defaults(self):
         args = build_parser().parse_args(["train", "--sbm", SBM_ARGS])
         graph = generate_sbm(SBMParams.from_json(json.loads(SBM_ARGS)))

@@ -128,6 +128,18 @@ class TestGraphValidation:
             AttributedGraph(g.x, g.edges, labels,
                             g.train_mask, g.val_mask, g.test_mask, g.n_classes)
 
+    def test_arrays_are_read_only_views_of_the_callers(self):
+        g = make_graph(3, [[0, 1]])
+        names = ("x", "edges", "labels", "train_mask", "val_mask", "test_mask")
+        own = [getattr(g, name).copy() for name in names]
+        held = AttributedGraph(*own, g.n_classes)
+        for name, array in zip(names, own):
+            view = getattr(held, name)
+            assert np.shares_memory(view, array)
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = view[0]
+            array[0] = array[0]  # the caller's own array stays writable
+
     def test_rejects_nonfinite_features(self):
         g = make_graph(3, [[0, 1]])
         x = g.x.copy()

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from bingcn import bitlinalg as bl
-from bingcn.graph import AttributedGraph, canonical_edges, neighbor_mean_matrix, normalize_adjacency
+from bingcn.graph import (
+    AttributedGraph,
+    canonical_edges,
+    neighbor_mean_matrix,
+    normalize_adjacency,
+    row_plan,
+)
 from bingcn.layers import (
     BatchNormState,
     batch_norm_apply,
@@ -21,6 +27,7 @@ from bingcn.layers import (
     masked_softmax_xent,
     ste_gate,
 )
+from bingcn.train import Model, ModelConfig
 
 from reference_impl import scalar_bigcn_backward, scalar_bigcn_forward
 
@@ -380,17 +387,115 @@ def test_backward_rejects_a_float_input_cache_from_inference(family):
             backward(cache, prop, np.ones((6, 3)), need_input_grad=need_input_grad)
 
 
-def test_packed_weight_gradient_expands_only_nonzero_gradient_rows(monkeypatch):
+def _dense_bfs_rows(adj, mask, n_layers):
+    """Oracle row sets: each layer's input rows are its output rows and
+    every node with a stored entry in one of their rows."""
+    reaches = adj.matrix.toarray() != 0
+    rows = [np.asarray(mask, dtype=bool)]
+    for _ in range(n_layers):
+        rows.insert(0, rows[0] | reaches[rows[0]].any(axis=0))
+    return [np.flatnonzero(r) for r in rows]
+
+
+class TestRowPlan:
+    def test_rows_and_slices_match_a_dense_bfs(self):
+        rng = np.random.default_rng(37)
+        planned = 0
+        for _ in range(60):
+            n = int(rng.integers(2, 150))
+            linked = int(rng.integers(1, n + 1))  # nodes from `linked` on are isolated
+            raw = rng.integers(0, linked, size=(int(rng.integers(0, n)), 2))
+            labels = np.arange(n) % 2
+            none = np.zeros(n, dtype=bool)
+            g = AttributedGraph(np.zeros((n, 1)), canonical_edges(raw), labels,
+                                none, none, none)
+            adj = normalize_adjacency(g)
+            dense = adj.matrix.toarray()
+            mask = rng.random(n) < 0.05
+            mask[rng.integers(n)] = True
+            if linked < n:
+                mask[rng.integers(linked, n)] = True
+            for n_layers in (1, 2, 3):
+                want = _dense_bfs_rows(adj, mask, n_layers)
+                plan = row_plan(adj, mask, n_layers)
+                if want[0].size == n:
+                    assert plan is None
+                    continue
+                planned += 1
+                assert len(plan.rows) == n_layers + 1 and len(plan.ops) == n_layers
+                for got, expected in zip(plan.rows, want):
+                    assert np.array_equal(got, expected)
+                for i, op in enumerate(plan.ops):
+                    assert np.array_equal(op.in_rows, plan.rows[i]) and op.n_nodes == n
+                    assert op.matrix.has_sorted_indices
+                    assert np.array_equal(op.matrix.toarray(),
+                                          dense[np.ix_(plan.rows[i + 1], plan.rows[i])])
+        assert planned > 50
+
+    @pytest.mark.parametrize("family", ["bigcn", "gcn"])
+    def test_a_slice_computes_the_full_rows(self, family):
+        rng = np.random.default_rng(41)
+        n, d, m = 400, 12, 5
+        g = random_graph(rng, n, d, edge_factor=1)
+        adj = normalize_adjacency(g)
+        mask = np.zeros(n, dtype=bool)
+        mask[rng.choice(n, 8, replace=False)] = True
+        op = row_plan(adj, mask, 1).ops[0]
+        rows = op.in_rows
+        w = rng.uniform(-1.2, 1.2, size=(d, m))
+        if family == "bigcn":
+            forward, backward, extra = bigcn_forward, bigcn_backward, {}
+        else:
+            forward, backward, extra = gcn_forward_cached, gcn_backward, {"activation": True}
+        grad = rng.standard_normal((n, m)) * mask[:, None]
+        for training, dropout in ((False, 0.0), (True, 0.0), (True, 0.5)):
+            rngs = [np.random.default_rng(3), np.random.default_rng(3)]
+            full, cache = forward(adj, g.x, w, training=training, dropout=dropout,
+                                  rng=rngs[0], **extra)
+            part, cache_p = forward(op, g.x[rows], w, training=training, dropout=dropout,
+                                    rng=rngs[1], **extra)
+            assert np.array_equal(part, full[mask])
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+            if family == "gcn" and dropout == 0.0:
+                # Layer 0's route: the whole input, read at the slice's rows.
+                assert np.array_equal(forward(op, g.x, w, training=training, **extra)[0], part)
+            if training:
+                grad_h, grad_w = backward(cache, adj, grad)
+                grad_h_p, grad_w_p = backward(cache_p, op, grad[mask])
+                assert np.abs(grad_w_p - grad_w).max() <= 1e-12 * np.abs(grad_w).max()
+                assert np.allclose(grad_h_p, grad_h[rows], rtol=1e-12, atol=1e-15)
+                assert not np.delete(grad_h, rows, axis=0).any()
+
+
+def test_planned_step_expands_only_the_rows_layer_0_reads(monkeypatch):
     rng = np.random.default_rng(31)
-    n, d, m = 1300, 40, 5
+    n, d = 1300, 40
     g = random_graph(rng, n, d)
     adj = normalize_adjacency(g)
-    w = rng.uniform(-1.2, 1.2, size=(d, m))
-    _, cache = bigcn_forward(adj, bl.binarize_rows(g.x), w, training=True)
-    grad_out = np.zeros((n, m))
-    grad_out[rng.choice(n, 20, replace=False)] = rng.standard_normal((20, m))
-    # The rows of the layer's gradient G * beta that carry a nonzero entry.
-    k = np.count_nonzero((adj.matrix.T @ grad_out * cache.beta[:, None]).any(axis=1))
+    mask = np.zeros(n, dtype=bool)
+    mask[rng.choice(n, 20, replace=False)] = True
+    net = Model(ModelConfig(widths=[d, 16, 2], model="bigcn"), np.random.default_rng(0))
+    x = net.fit_input(g.x)
+    plan = row_plan(adj, mask, net.n_layers)
+    assert plan.rows[0].size < n
+    # The rows where the full pass's layer-0 gradient G * beta is nonzero.
+    reached = []
+    sign_t_matmul = bl.sign_t_matmul
+
+    def recording(f, grad):
+        reached.append(np.flatnonzero(grad.any(axis=1)))
+        return sign_t_matmul(f, grad)
+
+    logits, caches = net.forward(adj, x, training=True, rng=np.random.default_rng(1))
+    _, grad_logits = masked_softmax_xent(logits, g.labels, mask)
+    monkeypatch.setattr(bl, "sign_t_matmul", recording)
+    net.backward(adj, caches, grad_logits)
+    monkeypatch.undo()
+    assert 0 < reached[0].size and np.isin(reached[0], plan.rows[0]).all()
+
+    logits, caches = net.forward(adj, net.prepare_input(x, plan), training=True,
+                                 rng=np.random.default_rng(1), plan=plan)
+    _, grad_logits = masked_softmax_xent(logits, g.labels[mask], np.ones(mask.sum(), bool))
     expanded = []
     unpack = bl._unpack_signs
 
@@ -399,9 +504,8 @@ def test_packed_weight_gradient_expands_only_nonzero_gradient_rows(monkeypatch):
         return unpack(words, *args, **kwargs)
 
     monkeypatch.setattr(bl, "_unpack_signs", counting_unpack)
-    bigcn_backward(cache, adj, grad_out, need_input_grad=False)
-    assert 0 < k < n
-    assert sum(expanded) == k
+    net.backward(adj, caches, grad_logits, plan=plan)
+    assert sum(expanded) == plan.rows[0].size
 
 
 class TestBatchNorm:

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from bingcn.datasets import SBMParams, generate_sbm
-from bingcn.graph import normalize_adjacency
-from bingcn.layers import Workspace, masked_softmax_xent
+from bingcn.graph import RowPlan, normalize_adjacency, row_plan
+from bingcn.layers import Workspace, masked_accuracy, masked_softmax_xent
 from bingcn.optim import AdamState, adam_step
 from bingcn.train import (
+    FAMILIES,
     Model,
     ModelConfig,
     ModelFileError,
@@ -24,6 +25,13 @@ from bingcn.train import (
 def small_sbm(seed=0):
     return generate_sbm(SBMParams(nodes_per_class=60, n_classes=3, p_in=0.12,
                                   p_out=0.01, n_features=24, signal=2.0, seed=seed))
+
+
+def sparse_sbm(seed=0):
+    """Sparse, with few labels: a two-layer loss reads a fraction of the rows."""
+    return generate_sbm(SBMParams(nodes_per_class=200, n_classes=3, p_in=0.01, p_out=0.001,
+                                  n_features=24, signal=2.0, seed=seed, train_per_class=5,
+                                  val_per_class=10))
 
 
 def trace_tuples(result):
@@ -272,3 +280,103 @@ class TestBatchNormPlacement:
         config = ModelConfig(widths=[24, 8, 3], model="gcn")
         model = Model(config, np.random.default_rng(0))
         assert model.bn_states == []
+
+
+class TestRowPlans:
+    """The training step and validation pass of bigcn and gcn run on row plans."""
+
+    @pytest.mark.parametrize("model", ["bigcn", "gcn"])
+    def test_planned_passes_match_the_full_pass(self, model):
+        g = sparse_sbm(seed=12)
+        net = Model(ModelConfig(widths=[24, 16, 3], model=model), np.random.default_rng(12))
+        prop = propagation_operator(net.family, g)
+        x = net.fit_input(g.x)
+        for mask in (g.train_mask, g.val_mask):
+            plan = row_plan(prop, mask, net.n_layers)
+            assert plan.rows[0].size < g.n_nodes
+            rngs = [np.random.default_rng(13), np.random.default_rng(13)]
+            full, caches = net.forward(prop, x, training=True, rng=rngs[0])
+            part, caches_p = net.forward(prop, net.prepare_input(x, plan), training=True,
+                                         rng=rngs[1], plan=plan)
+            assert np.array_equal(part, full[mask])
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+            loss, grad = masked_softmax_xent(full, g.labels, mask)
+            loss_p, grad_p = masked_softmax_xent(part, g.labels[mask], np.ones(mask.sum(), bool))
+            assert loss == loss_p
+            grads = net.backward(prop, caches, grad)
+            grads_p = net.backward(prop, caches_p, grad_p, plan=plan)
+            for got, want in zip(grads_p, grads):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            assert evaluate(net, prop, g, mask, x, plan=plan) == evaluate(net, prop, g, mask, x)
+
+    @pytest.mark.parametrize("model", ["bigcn", "gcn"])
+    @pytest.mark.parametrize("hidden", [2, 64])
+    def test_planned_logits_at_a_narrow_hidden_width(self, model, hidden):
+        # gcn's layer 0 multiplies gathered rows of the input: BLAS may round
+        # a narrow product of fewer rows differently, so its planned logits
+        # are the full pass's only to rounding. bigcn's layer 0 runs the
+        # packed kernel and its hidden layer an all-node product: bit for bit.
+        g = generate_sbm(SBMParams(nodes_per_class=200, n_classes=3, p_in=0.01, p_out=0.001,
+                                   n_features=256, signal=2.0, seed=17, train_per_class=5,
+                                   val_per_class=10))
+        net = Model(ModelConfig(widths=[256, hidden, 3], model=model), np.random.default_rng(17))
+        prop = propagation_operator(net.family, g)
+        x = net.fit_input(g.x)
+        plan = row_plan(prop, g.train_mask, net.n_layers)
+        full, _ = net.forward(prop, x, training=True, rng=np.random.default_rng(18))
+        part, _ = net.forward(prop, net.prepare_input(x, plan), training=True,
+                              rng=np.random.default_rng(18), plan=plan)
+        want = full[g.train_mask]
+        if model == "bigcn":
+            assert np.array_equal(part, want)
+        else:
+            assert np.abs(part - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("model", ["bigcn", "gcn"])
+    def test_an_all_rows_plan_is_the_full_pass(self, model):
+        g = small_sbm(seed=15)
+        net = Model(ModelConfig(widths=[24, 16, 3], model=model), np.random.default_rng(15))
+        prop = propagation_operator(net.family, g)
+        x = net.fit_input(g.x)
+        assert row_plan(prop, np.ones(g.n_nodes, dtype=bool), net.n_layers) is None
+        every = np.arange(g.n_nodes)
+        plan = RowPlan(rows=(every,) * (net.n_layers + 1), ops=(prop,) * net.n_layers)
+        runs = []
+        for p in (None, plan):
+            logits, caches = net.forward(prop, x, training=True, rng=np.random.default_rng(16),
+                                         plan=p)
+            _, grad = masked_softmax_xent(logits, g.labels, g.train_mask)
+            runs.append((logits, net.backward(prop, caches, grad, plan=p)))
+        (logits, grads), (logits_p, grads_p) = runs
+        assert np.array_equal(logits, logits_p)
+        assert all(np.array_equal(a, b) for a, b in zip(grads, grads_p))
+
+    @pytest.mark.parametrize("model", ["bigcn", "gcn", "bisage"])
+    def test_train_matches_a_loop_of_full_passes(self, model):
+        # bisage normalizes a hidden layer with statistics of every row, so
+        # its passes stay full and its trace is the loop's bit for bit. The
+        # others match in the first training loss; later values carry the
+        # summation order of the weight gradients.
+        assert FAMILIES[model].full_pass == (model == "bisage")
+        g = sparse_sbm(seed=14)
+        config = ModelConfig(widths=[24, 16, 3], model=model, seed=14, max_epochs=3,
+                             patience=3)
+        result = train(config, g)
+        rng = np.random.default_rng(config.seed)
+        net = Model(config, rng)
+        prop = propagation_operator(net.family, g)
+        x = net.fit_input(g.x)
+        opt = AdamState.for_params(net.weights)
+        loop = []
+        for epoch in range(1, 4):
+            logits, _, (val_loss, val_acc) = run_epoch(net, prop, g, x, opt, rng, None)
+            train_loss, _ = masked_softmax_xent(logits, g.labels, g.train_mask)
+            train_acc = masked_accuracy(logits, g.labels, g.train_mask)
+            loop.append((epoch, train_loss, train_acc, val_loss, val_acc))
+        trace = trace_tuples(result)
+        if model == "bisage":
+            assert trace == loop
+        else:
+            assert trace[0][:3] == loop[0][:3]
+            for got, want in zip(trace, loop):
+                assert got == pytest.approx(want, rel=1e-9)
