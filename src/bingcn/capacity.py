@@ -12,10 +12,11 @@ information.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
+
+from .datasets import FormatError, read_matrix, write_matrix
 
 ACTIVATION_MAGIC = b"BGNA"
 
@@ -88,42 +89,21 @@ def capacity_lower_bound(per_layer_estimates) -> CapacityBound:
 
 
 def write_activation_dump(path, activations) -> None:
-    """Write a (samples, neurons) activation matrix as the flat dump format.
-
-    Little-endian header of three 32-bit fields (magic, samples,
-    neurons) followed by row-major float32 values.
-    """
-    acts = np.asarray(activations, dtype=np.float32)
-    if acts.ndim != 2:
-        raise ValueError("activations must be 2-D")
-    with open(path, "wb") as fh:
-        fh.write(ACTIVATION_MAGIC)
-        fh.write(struct.pack("<II", acts.shape[0], acts.shape[1]))
-        fh.write(np.ascontiguousarray(acts, dtype="<f4").tobytes())
+    """Write a (samples, neurons) activation matrix: the ``features.bin`` layout."""
+    write_matrix(path, ACTIVATION_MAGIC, activations)
 
 
 def read_activation_dump(path) -> np.ndarray:
-    """Read a `write_activation_dump` file; ValueError for a malformed one.
+    """Read a `write_activation_dump` file; `FormatError` for a malformed one.
 
     Besides the header and size, the values are checked: a dump with no
     samples or no neurons, or with a non-finite entry, is rejected here
     rather than by the estimator it is passed to.
     """
-    with open(path, "rb") as fh:
-        header = fh.read(12)
-        if len(header) != 12 or header[:4] != ACTIVATION_MAGIC:
-            raise ValueError(f"{path}: not an activation dump (bad header)")
-        samples, neurons = struct.unpack("<II", header[4:])
-        payload = fh.read()
-    expected = 4 * samples * neurons
-    if len(payload) != expected:
-        raise ValueError(
-            f"{path}: payload is {len(payload)} bytes, header implies {expected}"
-        )
-    if samples == 0 or neurons == 0:
-        raise ValueError(f"{path}: dump holds {samples} samples of {neurons} neurons; "
-                         f"need at least one of each")
-    acts = np.frombuffer(payload, dtype="<f4").reshape(samples, neurons).astype(np.float32)
+    acts = read_matrix(path, ACTIVATION_MAGIC)
+    if 0 in acts.shape:
+        raise FormatError(f"{path}: dump holds {acts.shape[0]} samples of {acts.shape[1]} "
+                          f"neurons; need at least one of each")
     if not np.isfinite(acts).all():
-        raise ValueError(f"{path}: dump contains non-finite values")
+        raise FormatError(f"{path}: dump contains non-finite values")
     return acts

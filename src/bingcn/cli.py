@@ -125,8 +125,8 @@ def cmd_train(args) -> int:
     graph = _load_graph(args)
     settings = _resolve_train_settings(args)
     config = _model_config(settings, graph)
-    if args.dump_activations and config.model != "gcn":
-        raise UsageError("--dump-activations needs the full-precision baseline (--model gcn)")
+    if args.dump_activations and (config.model != "gcn" or len(config.widths) < 3):
+        raise UsageError("--dump-activations needs the --model gcn baseline with a hidden layer")
     if (config.widths[0], config.widths[-1]) != (graph.n_features, graph.n_classes):
         raise UsageError(f"widths {config.widths} must run from the graph's "
                          f"{graph.n_features} features to its {graph.n_classes} classes")
@@ -207,10 +207,7 @@ def cmd_capacity(args) -> int:
         raise UsageError(f"--bins must be at least 1, got {args.bins}")
     estimates = []
     for dump in args.dumps:
-        try:
-            acts = cap.read_activation_dump(dump)
-        except ValueError as exc:
-            raise DatasetError(str(exc)) from exc
+        acts = cap.read_activation_dump(dump)
         estimates.append(cap.layer_entropy_independent(acts, args.bins))
     bound = cap.capacity_lower_bound(estimates)
     report = {

@@ -15,7 +15,9 @@ On-disk layout of a dataset directory:
   declares N, d, C.
 
 A malformed file (undecodable bytes, a non-integer or beyond-int64 value,
-a wrong column count) raises `FormatError` naming it; all are `DatasetError`.
+a wrong column count) raises `FormatError` naming it, also a `ValueError`;
+all are `DatasetError`. `read_matrix`/`write_matrix` own the float32 layout
+of ``features.bin``, which activation dumps share under their own magic.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ class MissingFileError(DatasetError):
     pass
 
 
-class FormatError(DatasetError):
-    pass
+class FormatError(DatasetError, ValueError):
+    """A file is malformed. Also a ValueError: the file holds a bad value."""
 
 
 class DimensionMismatchError(DatasetError):
@@ -100,29 +102,41 @@ def load_manifest(path) -> DatasetManifest:
 
 def _require(path: Path) -> Path:
     if not path.is_file():
-        raise MissingFileError(f"dataset file not found: {path}")
+        raise MissingFileError(f"input file not found: {path}")
     return path
 
 
-def read_features(path) -> np.ndarray:
+def read_matrix(path, magic: bytes) -> np.ndarray:
+    """The (rows, columns) float32 payload of a `write_matrix` file under `magic`."""
     path = _require(Path(path))
     blob = path.read_bytes()
-    if len(blob) < 12 or blob[:4] != FEATURES_MAGIC:
-        raise FormatError(f"{path}: bad feature-file header")
+    if len(blob) < 12 or blob[:4] != magic:
+        raise FormatError(f"{path}: bad header, expected magic {magic!r}")
     n, d = struct.unpack("<II", blob[4:12])
     expected = 12 + 4 * n * d
     if len(blob) != expected:
         raise FormatError(f"{path}: payload is {len(blob) - 12} bytes, "
                           f"header implies {expected - 12}")
-    return np.frombuffer(blob, dtype="<f4", offset=12).reshape(n, d).astype(np.float64)
+    return np.frombuffer(blob, dtype="<f4", offset=12).reshape(n, d)
 
 
-def write_features(path, x: np.ndarray) -> None:
+def write_matrix(path, magic: bytes, x) -> None:
+    """Write a 2-D matrix as magic, uint32 rows, uint32 columns, row-major float32."""
     x = np.asarray(x)
+    if x.ndim != 2:
+        raise ValueError(f"a matrix file holds a 2-D array, got {x.ndim}-D")
     with open(path, "wb") as fh:
-        fh.write(FEATURES_MAGIC)
-        fh.write(struct.pack("<II", x.shape[0], x.shape[1]))
+        fh.write(magic)
+        fh.write(struct.pack("<II", *x.shape))
         fh.write(np.ascontiguousarray(x, dtype="<f4").tobytes())
+
+
+def read_features(path) -> np.ndarray:
+    return read_matrix(path, FEATURES_MAGIC)
+
+
+def write_features(path, x) -> None:
+    write_matrix(path, FEATURES_MAGIC, x)
 
 
 def read_edges(path) -> np.ndarray:

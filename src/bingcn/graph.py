@@ -42,7 +42,7 @@ class AttributedGraph:
     caller's own arrays stay writable.
     """
 
-    x: np.ndarray  # (N, d) float64 features
+    x: np.ndarray  # (N, d) float64; checked finite before widening (float32 is half the bytes)
     edges: np.ndarray  # (E, 2) int64, canonical
     labels: np.ndarray  # (N,) int64 in [0, n_classes)
     train_mask: np.ndarray
@@ -51,7 +51,12 @@ class AttributedGraph:
     n_classes: int = field(default=0)
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float64)
+        x = np.asarray(self.x)
+        if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
+            raise ValueError("features must be a non-empty (N, d) matrix")
+        if not np.isfinite(x).all():
+            raise ValueError("features contain non-finite entries")
+        self.x = x.astype(np.float64, copy=False)
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         for name in ("train_mask", "val_mask", "test_mask"):
@@ -64,10 +69,6 @@ class AttributedGraph:
             self.n_classes = int(self.labels.max()) + 1 if self.labels.size else 0
 
         n = self.x.shape[0]
-        if self.x.ndim != 2 or n < 1 or self.x.shape[1] < 1:
-            raise ValueError("features must be a non-empty (N, d) matrix")
-        if not np.isfinite(self.x).all():
-            raise ValueError("features contain non-finite entries")
         if self.labels.shape != (n,):
             raise ValueError("labels must have one entry per node")
         if self.n_classes < 2:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import bitlinalg as bl
 from . import layers as L
-from .datasets import DatasetError
+from .datasets import FormatError
 from .graph import (AttributedGraph, NormalizedAdjacency, RowPlan, neighbor_mean_matrix,
                     normalize_adjacency, row_plan)
 from .optim import AdamState, adam_step
@@ -36,12 +36,8 @@ _MODEL_KIND_CODES = {"bigcn": 1, "gcn": 2, "bisage": 3}
 _MODEL_KIND_NAMES = {v: k for k, v in _MODEL_KIND_CODES.items()}
 
 
-class ModelFileError(DatasetError, ValueError):
-    """A model file is truncated, malformed, or of an unknown version or kind.
-
-    A data error like any bad input file; also a ValueError, which is
-    what `load_model` raised for a bad file before this class existed.
-    """
+class ModelFileError(FormatError):
+    """A model file is truncated, malformed, or of an unknown version or kind."""
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from bingcn.capacity import (
     read_activation_dump,
     write_activation_dump,
 )
+from bingcn.datasets import DatasetError, FormatError, read_features, write_features
 
 
 def uniform_over_bins(n_bins, per_bin=5):
@@ -121,31 +122,49 @@ class TestCapacityBound:
             capacity_lower_bound([])
 
 
+# The two files of the float32 matrix layout: (magic, writer, reader).
+MATRIX_FILES = [
+    (b"BGNA", write_activation_dump, read_activation_dump),
+    (b"BGNF", write_features, read_features),
+]
+
+
 class TestActivationDump:
+    """Activation dumps and features files: one layout under two magics."""
+
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(6)
         acts = rng.standard_normal((37, 5)).astype(np.float32)
-        path = tmp_path / "acts.bin"
-        write_activation_dump(path, acts)
-        back = read_activation_dump(path)
-        assert back.dtype == np.float32
-        assert np.array_equal(back, acts)
+        for magic, write, read in MATRIX_FILES:
+            path = tmp_path / "acts.bin"
+            write(path, acts)
+            back = read(path)
+            assert back.dtype == np.float32
+            assert np.array_equal(back, acts)
+            write(path, acts.astype(np.float64))  # narrowed to the same float32 bytes
+            assert np.array_equal(read(path), acts)
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "acts.bin"
-        write_activation_dump(path, np.zeros((3, 2), dtype=np.float32))
-        blob = path.read_bytes()
-        assert blob[:4] == b"BGNA"
-        assert int.from_bytes(blob[4:8], "little") == 3
-        assert int.from_bytes(blob[8:12], "little") == 2
-        assert len(blob) == 12 + 4 * 6
+        for magic, write, _ in MATRIX_FILES:
+            write(path, np.arange(6, dtype=np.float32).reshape(3, 2))
+            blob = path.read_bytes()
+            assert blob[:4] == magic
+            assert int.from_bytes(blob[4:8], "little") == 3
+            assert int.from_bytes(blob[8:12], "little") == 2
+            assert blob[12:] == np.arange(6, dtype="<f4").tobytes()
 
     def test_rejects_bad_magic_and_truncation(self, tmp_path):
-        bad = tmp_path / "bad.bin"
-        bad.write_bytes(b"XXXX" + b"\x00" * 8)
-        with pytest.raises(ValueError):
-            read_activation_dump(bad)
-        short = tmp_path / "short.bin"
-        short.write_bytes(b"BGNA" + (5).to_bytes(4, "little") + (4).to_bytes(4, "little"))
-        with pytest.raises(ValueError):
-            read_activation_dump(short)
+        for magic, _, read in MATRIX_FILES:
+            other = b"BGNF" if magic == b"BGNA" else b"BGNA"
+            header = (5).to_bytes(4, "little") + (4).to_bytes(4, "little")
+            for name, blob in [("bad", b"XXXX" + b"\x00" * 8),
+                               ("other-magic", other + header + b"\x00" * 80),
+                               ("short", magic + header),
+                               ("no-header", magic[:3])]:
+                path = tmp_path / f"{name}.bin"
+                path.write_bytes(blob)
+                with pytest.raises(FormatError) as info:
+                    read(path)
+                assert isinstance(info.value, ValueError)
+                assert isinstance(info.value, DatasetError)

@@ -235,6 +235,19 @@ class TestTrain:
         assert code == 0
         assert dump.exists()
 
+    def test_dump_activations_without_hidden_layer_is_usage_error(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train() ran for a dump with no hidden layer")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        dump = tmp_path / "acts.bin"
+        code = run(["train", "--sbm", SBM_ARGS, "--widths", "24,3", "--model", "gcn",
+                    "--out", str(tmp_path / "run"), "--dump-activations", str(dump)])
+        assert code == 1
+        assert "hidden layer" in capsys.readouterr().err
+        assert not dump.exists()
+
     @pytest.mark.parametrize("unusable", [
         lambda tmp: ["--out", _existing_file(tmp)],
         lambda tmp: ["--model", "gcn", "--out", str(tmp / "run"), "--dump-activations", str(tmp)],

@@ -3,8 +3,7 @@
 Each reader gets a valid file cut short, with one byte changed, and, for
 the binary formats, with a wrong magic number or a huge uint32 header
 count; the text formats get a hostile token inserted instead. Only
-`DatasetError` may escape a reader (`ValueError` for the activation
-dump). The CLI command that reads the file must exit 2 when the reader
+`DatasetError` may escape a reader. The CLI command that reads the file must exit 2 when the reader
 rejects it, and may otherwise only succeed or report a data error found
 later (a label count that no longer matches the manifest, say). A
 non-finite value written over any float of a model file must be rejected.
@@ -90,7 +89,7 @@ READERS = {
               DatasetError),
     "manifest": ("ds/manifest.json", load_manifest, False, _dataset, DatasetError),
     "activation-dump": ("acts.bin", read_activation_dump, True,
-                        lambda root, path: ["capacity", str(path)], ValueError),
+                        lambda root, path: ["capacity", str(path)], DatasetError),
     **{f"model-{family}": (f"{family}.bin", load_model, True, _model, DatasetError)
        for family in ("gcn", "bigcn", "bisage")},
 }
