@@ -135,8 +135,8 @@ class TestActivationDump:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(6)
         acts = rng.standard_normal((37, 5)).astype(np.float32)
-        for magic, write, read in MATRIX_FILES:
-            path = tmp_path / "acts.bin"
+        path = tmp_path / "matrix.bin"
+        for _, write, read in MATRIX_FILES:
             write(path, acts)
             back = read(path)
             assert back.dtype == np.float32
@@ -145,7 +145,7 @@ class TestActivationDump:
             assert np.array_equal(read(path), acts)
 
     def test_header_layout(self, tmp_path):
-        path = tmp_path / "acts.bin"
+        path = tmp_path / "matrix.bin"
         for magic, write, _ in MATRIX_FILES:
             write(path, np.arange(6, dtype=np.float32).reshape(3, 2))
             blob = path.read_bytes()

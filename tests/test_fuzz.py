@@ -3,9 +3,9 @@
 Each reader gets a valid file cut short, with one byte changed, and, for
 the binary formats, with a wrong magic number or a huge uint32 header
 count; the text formats get a hostile token inserted instead. Only
-`DatasetError` may escape a reader. The CLI command that reads the file must exit 2 when the reader
-rejects it, and may otherwise only succeed or report a data error found
-later (a label count that no longer matches the manifest, say). A
+`DatasetError` may escape a reader. The CLI command that reads the file
+must exit 2 when the reader rejects it, and may otherwise only succeed
+or report a data error found later (a label count that no longer matches the manifest, say). A
 non-finite value written over any float of a model file must be rejected.
 Examples are derandomized, so every run draws the same inputs.
 """
@@ -80,17 +80,16 @@ def _model(root, path):
     return ["eval", str(path), "--sbm", json.dumps(SBM)]
 
 
-# name: (file under the fixture root, reader, binary format, CLI argv, reader error)
+# name: (file under the fixture root, reader, binary format, CLI argv)
 READERS = {
-    "features": ("ds/features.bin", read_features, True, _dataset, DatasetError),
-    "edges": ("ds/edges.txt", read_edges, False, _dataset, DatasetError),
-    "labels": ("ds/labels.txt", read_labels, False, _dataset, DatasetError),
-    "masks": ("ds/masks.txt", lambda p: read_masks(p, N_NODES), False, _dataset,
-              DatasetError),
-    "manifest": ("ds/manifest.json", load_manifest, False, _dataset, DatasetError),
+    "features": ("ds/features.bin", read_features, True, _dataset),
+    "edges": ("ds/edges.txt", read_edges, False, _dataset),
+    "labels": ("ds/labels.txt", read_labels, False, _dataset),
+    "masks": ("ds/masks.txt", lambda p: read_masks(p, N_NODES), False, _dataset),
+    "manifest": ("ds/manifest.json", load_manifest, False, _dataset),
     "activation-dump": ("acts.bin", read_activation_dump, True,
-                        lambda root, path: ["capacity", str(path)], DatasetError),
-    **{f"model-{family}": (f"{family}.bin", load_model, True, _model, DatasetError)
+                        lambda root, path: ["capacity", str(path)]),
+    **{f"model-{family}": (f"{family}.bin", load_model, True, _model)
        for family in ("gcn", "bigcn", "bisage")},
 }
 
@@ -130,7 +129,7 @@ def test_non_finite_model_values_are_rejected(family, root, data):
 @FUZZ
 @given(data=st.data())
 def test_only_data_errors_escape(name, root, data):
-    rel, reader, binary, argv_of, error = READERS[name]
+    rel, reader, binary, argv_of = READERS[name]
     path = root / rel
     valid = path.read_bytes()
     path.write_bytes(data.draw(mutations(valid, binary), label="file"))
@@ -138,7 +137,7 @@ def test_only_data_errors_escape(name, root, data):
         try:
             reader(path)
             rejected = False
-        except error:
+        except DatasetError:
             rejected = True
         code = run(argv_of(root, path))
         assert code == 2 if rejected else code in (0, 2)
