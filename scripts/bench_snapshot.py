@@ -8,17 +8,18 @@ the machine. Reads back the JSON object each run prints last and writes,
 per side, the median, quartiles and IQR of every metric and each run's
 `correct`/`attempted`/`failed`; per pair, the ratio change / parent of
 every metric; and for each end-to-end metric of BENCHMARK.json, how much
-worse the change's median reads than the parent's, against its bound.
+worse the change's median reads than the parent's, against its bound,
+and in how many pairs the change reads better.
 Also records both trees' git revisions and the environment: Python,
 numpy and scipy versions, the C compiler, the CPU count, the BLAS thread
 count the benchmark fixes, and whether the packed C kernel loads.
 
 Usage:
     git clone <this repo> /tmp/parent && git -C /tmp/parent checkout <parent>
-    python3 scripts/bench_snapshot.py 13 --parent /tmp/parent
+    python3 scripts/bench_snapshot.py 14 --parent /tmp/parent
 
 The workloads and the seconds per run are those of this tree's
-BENCHMARK.json; the seeds are 1..5.
+BENCHMARK.json; the seeds are 1..10, ten pairs per workload.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SEEDS = [1, 2, 3, 4, 5]
+SEEDS = list(range(1, 11))
 SIDES = ("change", "parent")
 
 
@@ -112,18 +113,24 @@ def _ratios(pairs: list[dict]) -> dict:
     return {name: _summary(v) for name, v in sorted(ratios.items())}
 
 
-def _worse_by(sides: dict, end_to_end: list[dict]) -> dict:
-    """How much worse the change's median reads than the parent's, per metric."""
+def _worse_by(sides: dict, pairs: list[dict], end_to_end: list[dict]) -> dict:
+    """How much worse the change's median reads than the parent's, per metric,
+    and in how many pairs the change reads better (ties count for neither)."""
     out = {}
     for metric in end_to_end:
         name = metric["name"]
         if not all(name in sides[side]["metrics"] for side in SIDES):
             continue
+        sign = 1 if metric["better"] == "lower" else -1
         change, parent = (sides[side]["metrics"][name]["median"] for side in SIDES)
-        worse = (change - parent) if metric["better"] == "lower" else (parent - change)
+        worse = sign * (change - parent)
         rel = worse / parent if parent else 0.0
+        better = sum(sign * (p["change"]["metrics"][name]["value"]
+                             - p["parent"]["metrics"][name]["value"]) < 0
+                     for p in pairs if all(name in p[side]["metrics"] for side in SIDES))
         out[name] = {"worse_by": rel, "bound": metric["bound"],
-                     "within_bound": rel <= metric["bound"]}
+                     "within_bound": rel <= metric["bound"],
+                     "better_pairs": f"{better}/{len(pairs)}"}
     return out
 
 
@@ -136,7 +143,8 @@ def run_workload(trees: dict, workload: str, seconds: float, first: int,
         order.append(sides[0])
         pairs.append({side: run_once(trees[side], workload, seed, seconds) for side in sides})
     result = {"first": order, **{side: _side([p[side] for p in pairs]) for side in SIDES}}
-    return {**result, "ratios": _ratios(pairs), "end_to_end": _worse_by(result, end_to_end)}
+    return {**result, "ratios": _ratios(pairs),
+            "end_to_end": _worse_by(result, pairs, end_to_end)}
 
 
 def main(argv=None) -> int:

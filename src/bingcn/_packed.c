@@ -1,9 +1,11 @@
-/* XNOR/popcount sign product and fused row binarization over packed words.
+/* XNOR/popcount sign product, fused row binarization over packed words,
+   and exact column moments.
 
    Words are LSB-first uint64: bit j % 64 of word j / 64 holds the sign of
    entry j (1 for +1, 0 for -1), and a row's padding bits are 1. Built and
    loaded by bitlinalg.py; the numpy code there is the reference. */
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 
 #define TILE 64 /* output columns counted at once */
@@ -35,32 +37,35 @@ void bin_gemm(const uint64_t *f, const uint64_t *bt, const double *beta,
     }
 }
 
-/* sum |v_i| in numpy's pairwise order (pairwise_sum in loops_utils.h), so
-   the row scalar equals np.abs(v).mean() bit for bit. */
-static double pairwise_abs_sum(const double *v, int64_t n)
+/* sum v_i, or |v_i| with `absolute`, in numpy's pairwise order (pairwise_sum
+   in loops_utils.h), so the row scalar equals np.abs(v).mean() and a
+   column's sum equals numpy's bit for bit. */
+static double pairwise_sum(const double *v, int64_t n, int absolute)
 {
+#define TERM(x) (absolute ? fabs(x) : (x))
     if (n < 8) {
         double s = 0.;
         for (int64_t i = 0; i < n; i++)
-            s += fabs(v[i]);
+            s += TERM(v[i]);
         return s;
     }
     if (n <= 128) {
         double r[8], s;
         int64_t i;
         for (int j = 0; j < 8; j++)
-            r[j] = fabs(v[j]);
+            r[j] = TERM(v[j]);
         for (i = 8; i < n - n % 8; i += 8)
             for (int j = 0; j < 8; j++)
-                r[j] += fabs(v[i + j]);
+                r[j] += TERM(v[i + j]);
         s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
         for (; i < n; i++)
-            s += fabs(v[i]);
+            s += TERM(v[i]);
         return s;
     }
+#undef TERM
     int64_t n2 = n / 2;
     n2 -= n2 % 8;
-    return pairwise_abs_sum(v, n2) + pairwise_abs_sum(v + n2, n - n2);
+    return pairwise_sum(v, n2, absolute) + pairwise_sum(v + n2, n - n2, absolute);
 }
 
 /* Binarize the n rows of h (n, d): with standardize, of (h - mean) * inv_std.
@@ -89,7 +94,58 @@ int binarize_rows(const double *h, const double *mean, const double *inv_std,
                 bits |= (uint64_t)(vk[b] >= 0) << b;
             w[k] = len < 64 ? bits | (~(uint64_t)0 << len) : bits;
         }
-        scalars[i] = pairwise_abs_sum(v, d) / (double)d;
+        scalars[i] = pairwise_sum(v, d, 1) / (double)d;
     }
     return 0;
+}
+
+/* total[j] += numpy's axis-0 sum over the m rows of b (m, d) of b[i, j] or,
+   with `mean`, of (b[i, j] - mean[j])^2: from 0, row after row, except
+   that numpy sums a single column (d == 1) pairwise. `acc` is scratch for
+   max(m, d) doubles. */
+static void add_block_sums(const double *b, int64_t m, int64_t d, const double *mean,
+                           double *acc, double *total)
+{
+    if (d == 1) {
+        for (int64_t i = 0; i < m; i++) {
+            const double v = mean ? b[i] - mean[0] : b[i];
+            acc[i] = mean ? v * v : v;
+        }
+        total[0] += pairwise_sum(acc, m, 0);
+        return;
+    }
+    for (int64_t j = 0; j < d; j++)
+        acc[j] = 0.;
+    for (int64_t i = 0; i < m; i++) {
+        const double *row = b + i * d;
+        if (mean)
+            for (int64_t j = 0; j < d; j++) {
+                const double v = row[j] - mean[j];
+                acc[j] += v * v;
+            }
+        else
+            for (int64_t j = 0; j < d; j++)
+                acc[j] += row[j];
+    }
+    for (int64_t j = 0; j < d; j++)
+        total[j] += acc[j];
+}
+
+/* Column means and population variances of h (n, d) in two passes over
+   blocks of `block` rows, each block's sums added into a zeroed total, as
+   bitlinalg's numpy route takes them, so both agree bit for bit. `acc` is
+   scratch for max(block, d) doubles. */
+void column_moments(const double *h, int64_t n, int64_t d, int64_t block,
+                    double *mean, double *var, double *acc)
+{
+    for (int64_t j = 0; j < d; j++)
+        mean[j] = var[j] = 0.;
+    for (int64_t i = 0; i < n; i += block)
+        add_block_sums(h + i * d, n - i < block ? n - i : block, d, NULL, acc, mean);
+    for (int64_t j = 0; j < d; j++)
+        mean[j] /= (double)n;
+    for (int64_t i = 0; i < n; i += block)
+        add_block_sums(h + i * d, n - i < block ? n - i : block, d, mean, acc, var);
+    for (int64_t j = 0; j < d; j++)
+        var[j] /= (double)n;
 }

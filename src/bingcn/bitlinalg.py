@@ -14,8 +14,9 @@ equal; `PackedBinMatrix.sign_matrix` decodes them.
 
 Packed words are the storage format and what the kernel computes on.
 `bin_gemm` counts each +-1 dot product of length t with XOR and popcount
-over the uint64 words (t - 2 * mismatches), and `binarize_rows`
-standardizes, checks, packs and rescales each row in one pass. Both run
+over the uint64 words (t - 2 * mismatches), `binarize_rows`
+standardizes, checks, packs and rescales each row in one pass, and
+`column_moments` sums each row block in numpy's order. All three run
 in a small C library, `_packed.c`, compiled with the installed `cc` on
 first use into a per-user cache (``$XDG_CACHE_HOME/bingcn``, else
 ``~/.cache/bingcn``) keyed by the source, the compile command and the
@@ -31,7 +32,9 @@ sign product a weight gradient needs, in float64) work in row blocks, so
 a fixed input can be held as packed words alone and is never expanded
 whole. In semi-supervised training the loss reaches few rows: training
 passes the packed rows of the input that a row plan reads
-(`graph.row_plan`), so `sign_t_matmul` expands only those.
+(`graph.row_plan`), so `sign_t_matmul` expands only those. `train`
+takes the moments and the packed input once per graph and keeps them in
+the graph's memo.
 """
 
 from __future__ import annotations
@@ -111,6 +114,8 @@ def _load_native() -> ctypes.CDLL | None:
     lib.bin_gemm.restype = None
     lib.binarize_rows.argtypes = [ptr, ptr, ptr, ctypes.c_int, i64, i64, ptr, ptr, ptr]
     lib.binarize_rows.restype = ctypes.c_int
+    lib.column_moments.argtypes = [ptr, i64, i64, i64, ptr, ptr, ptr]
+    lib.column_moments.restype = None
     return lib
 
 
@@ -267,17 +272,24 @@ def column_moments(h) -> tuple[np.ndarray, np.ndarray]:
 
     Two passes over row blocks, so no temporary grows with the row
     count; equal to ``h.mean(axis=0)`` and ``h.var(axis=0)`` up to
-    summation order.
+    summation order. The C route takes a C-contiguous `h` and sums each
+    block in numpy's order, so both routes agree bit for bit.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 2 or h.shape[0] == 0 or h.shape[1] == 0:
         raise ValueError("matrix must be 2-D with positive dimensions")
-    n = h.shape[0]
-    total = np.zeros(h.shape[1])
+    n, d = h.shape
+    lib = _native()
+    if lib is not None and h.flags.c_contiguous:
+        mean, var, acc = np.empty(d), np.empty(d), np.empty(max(d, _BLOCK_ROWS))
+        lib.column_moments(h.ctypes.data, n, d, _BLOCK_ROWS, mean.ctypes.data,
+                           var.ctypes.data, acc.ctypes.data)
+        return mean, var
+    total = np.zeros(d)
     for start in range(0, n, _BLOCK_ROWS):
         total += h[start:start + _BLOCK_ROWS].sum(axis=0)
     mean = total / n
-    squares = np.zeros(h.shape[1])
+    squares = np.zeros(d)
     for start in range(0, n, _BLOCK_ROWS):
         dev = h[start:start + _BLOCK_ROWS] - mean
         dev *= dev

@@ -14,6 +14,7 @@ import json
 import sys
 from pathlib import Path
 
+from . import bitlinalg as bl
 from . import capacity as cap
 from .datasets import (
     DatasetError,
@@ -252,6 +253,12 @@ def cmd_analyze(args) -> int:
         report = build_report(widths, GraphStats(*counts), ops_per_cycle=args.ops_per_cycle)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if args.dataset:
+        # The input as training holds it: float64 rows, or each row's
+        # packed sign words and its float64 scalar.
+        n, _, d = counts
+        report["input_bytes"] = {"float64": 8 * n * d,
+                                 "packed": 8 * n * (-(-d // bl.WORD_BITS) + 1)}
     out_text = json.dumps(report, indent=2)
     if args.out:
         out = _out_dir(args)

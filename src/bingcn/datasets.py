@@ -121,14 +121,26 @@ def read_matrix(path, magic: bytes) -> np.ndarray:
 
 
 def write_matrix(path, magic: bytes, x) -> None:
-    """Write a 2-D matrix as magic, uint32 rows, uint32 columns, row-major float32."""
+    """Write a 2-D matrix as magic, uint32 rows, uint32 columns, row-major float32.
+
+    A non-finite value, or one that float32 rounds to infinity, raises
+    ValueError before the file is opened: `read_matrix`'s callers would
+    reject the file.
+    """
     x = np.asarray(x)
     if x.ndim != 2:
         raise ValueError(f"a matrix file holds a 2-D array, got {x.ndim}-D")
+    if not np.isfinite(x).all():
+        raise ValueError("a matrix file holds finite values only")
+    with np.errstate(over="ignore"):
+        payload = np.ascontiguousarray(x, dtype="<f4")
+    if not np.isfinite(payload).all():
+        raise ValueError("a matrix file holds float32 values: a value beyond "
+                         f"+-{np.finfo(np.float32).max} does not fit")
     with open(path, "wb") as fh:
         fh.write(magic)
         fh.write(struct.pack("<II", *x.shape))
-        fh.write(np.ascontiguousarray(x, dtype="<f4").tobytes())
+        fh.write(payload.tobytes())
 
 
 def read_features(path) -> np.ndarray:
@@ -328,6 +340,7 @@ def generate_sbm(params: SBMParams) -> AttributedGraph:
     for ci in range(c):
         means[ci, ci * block: (ci + 1) * block] = params.signal
     x = means[labels] + rng.standard_normal((n, params.n_features))
+    x.flags.writeable = False  # handed to the graph, which then needs no copy
 
     train = np.zeros(n, dtype=bool)
     val = np.zeros(n, dtype=bool)

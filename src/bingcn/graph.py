@@ -31,15 +31,26 @@ def canonical_edges(edges) -> np.ndarray:
     return np.stack([lo[first], hi[first]], axis=1)
 
 
+def _frozen(a: np.ndarray) -> bool:
+    """Whether `a` and every array it views are read-only."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return True
+
+
 @dataclass
 class AttributedGraph:
     """Node features, undirected edges, labels, and split masks.
 
     Edges are stored canonically (deduplicated, u < v, no self-loops);
     pass any undirected pair list through `canonical_edges` first.
-    Instances are immutable once built: the arrays are read-only views,
-    so what is derived from them once (a row plan, say) stays valid. The
-    caller's own arrays stay writable.
+    Instances are immutable once built: the arrays are read-only, so what
+    is derived from them once (a row plan, say) stays valid. The other
+    arrays are views of the caller's, which stay writable; `x` is copied
+    where it would alias an array the caller can still write, since
+    `input_memo` keeps work derived from it.
     """
 
     x: np.ndarray  # (N, d) float64; checked finite before widening (float32 is half the bytes)
@@ -49,6 +60,8 @@ class AttributedGraph:
     val_mask: np.ndarray
     test_mask: np.ndarray
     n_classes: int = field(default=0)
+    # (the x it was derived from, the memo): see `input_memo`.
+    _memo: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = np.asarray(self.x)
@@ -56,12 +69,16 @@ class AttributedGraph:
             raise ValueError("features must be a non-empty (N, d) matrix")
         if not np.isfinite(x).all():
             raise ValueError("features contain non-finite entries")
-        self.x = x.astype(np.float64, copy=False)
+        x = x.astype(np.float64, copy=False)  # a new array unless x was float64
+        if (x is self.x or not x.flags.owndata) and not _frozen(x):
+            x = x.copy()
+        x.flags.writeable = False
+        self.x = x
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         for name in ("train_mask", "val_mask", "test_mask"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=bool))
-        for name in ("x", "edges", "labels", "train_mask", "val_mask", "test_mask"):
+        for name in ("edges", "labels", "train_mask", "val_mask", "test_mask"):
             view = getattr(self, name).view()
             view.flags.writeable = False
             setattr(self, name, view)
@@ -92,6 +109,16 @@ class AttributedGraph:
         )
         if overlap.any():
             raise ValueError("train/val/test masks overlap")
+
+    def input_memo(self) -> dict:
+        """A dict for work derived from `x` alone, which `train` fills on
+        first use and reads afterwards. Empty until then, and emptied when
+        `x` is reassigned."""
+        x, memo = self._memo
+        if x is not self.x:
+            memo = {}
+            self._memo = (self.x, memo)
+        return memo
 
     @property
     def n_nodes(self) -> int:

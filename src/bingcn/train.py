@@ -14,6 +14,13 @@ full pass's bit for bit, except that BLAS may round gcn's layer-0
 product of gathered rows differently when the hidden layer is narrow
 (`layers._product`); the weight gradients differ only in summation
 order.
+
+Work on the fixed input runs once per graph, not once per call: the
+exact column moments of X (`input_moments`, computed in C where the
+packed kernel builds) and, for a binarized family, X standardized with
+them and binarized (`Model.graph_input`) are kept in the graph's memo
+(`AttributedGraph.input_memo`). Later `train()` calls on the graph, and
+`evaluate()` without a prepared input, reuse them.
 """
 
 from __future__ import annotations
@@ -54,7 +61,7 @@ class Family:
     paths: int  # weight matrices per layer
     # Leading layer inputs standardized (None: all). For a binarized family,
     # layer 0's input is standardized with the exact statistics of X and
-    # binarized once per train(); later ones get training-mode batch norm.
+    # binarized once per graph; later ones get training-mode batch norm.
     standardized: int | None
     binarized: bool = True  # False: float product, ReLU on hidden layers
     neighbor_mean: bool = False  # propagate by neighbor mean, not normalized A + I
@@ -130,18 +137,40 @@ class Model:
                         for _ in range(self.family.paths)]
         self.bn_states = [L.BatchNormState.for_dim(w) for w in self.family.bn_widths(widths)]
 
-    def fit_input(self, x: np.ndarray):
-        """Set the layer-0 statistics from `x` and return `prepare_input(x)`.
+    def fit_input(self, graph: AttributedGraph):
+        """Set the layer-0 statistics from `graph.x` and return `graph_input(graph)`.
 
         For a binarized family the statistics are the exact column mean
         and population variance of `x` (full batch: the batch statistics
-        never change), taken in row blocks and kept as the first
-        batch-norm state's running ones; nothing updates them afterwards.
+        never change), kept as the first batch-norm state's running ones;
+        nothing updates them afterwards. They are the graph's read-only
+        `input_moments`, shared, not copied.
         """
         if self.family.binarized:
             state = self.bn_states[0]
-            state.running_mean, state.running_var = bl.column_moments(x)
-        return self.prepare_input(x)
+            state.running_mean, state.running_var = input_moments(graph)
+        return self.graph_input(graph)
+
+    def graph_input(self, graph: AttributedGraph):
+        """`prepare_input(graph.x)`, taken once per graph where it can be.
+
+        The graph's memo holds one packed input, standardized with its
+        `input_moments`. It is filled and returned where this model's
+        layer-0 statistics equal them, as they do after `fit_input` on
+        the graph. Other statistics (a model file trained on another
+        graph, say) get a fresh binarization, which is not kept.
+        """
+        if not self.family.binarized:
+            return graph.x
+        memo = graph.input_memo()
+        state = self.bn_states[0]
+        moments = memo.get("moments")
+        if moments is None or not (np.array_equal(state.running_mean, moments[0])
+                                   and np.array_equal(state.running_var, moments[1])):
+            return self.prepare_input(graph.x)
+        if "packed" not in memo:
+            memo["packed"] = self.prepare_input(graph.x)
+        return memo["packed"]
 
     def prepare_input(self, x: np.ndarray, plan: RowPlan | None = None):
         """The first layer's input for features `x`.
@@ -242,6 +271,18 @@ class TrainResult:
     seed: int
 
 
+def input_moments(graph: AttributedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The exact column mean and population variance of `graph.x`, taken on
+    first use and kept, read-only, in the graph's memo."""
+    memo = graph.input_memo()
+    if "moments" not in memo:
+        moments = bl.column_moments(graph.x)
+        for a in moments:
+            a.flags.writeable = False
+        memo["moments"] = moments
+    return memo["moments"]
+
+
 def propagation_operator(family: Family, graph: AttributedGraph,
                          adj: NormalizedAdjacency | None = None):
     """The operator `family`'s layers propagate with; `adj`, if given, is
@@ -265,14 +306,24 @@ def evaluate(model: Model, prop, graph: AttributedGraph, mask: np.ndarray,
     """Inference-mode loss and accuracy on one mask.
 
     `x` is `model.prepare_input(graph.x)` if the caller holds it (None:
-    prepared here); `workspaces` as in `Model.forward`. With `mask`'s row
-    plan the pass computes only the rows the mask reads.
+    `model.graph_input(graph)`, which reuses the graph's packed input on
+    the graph the model was trained on); `workspaces` as in
+    `Model.forward`. With `mask`'s row plan the pass computes only the
+    rows the mask reads.
     """
-    logits, _ = model.forward(prop, graph.x if x is None else x, training=False,
-                              workspaces=workspaces, plan=plan)
+    logits, _ = model.forward(prop, model.graph_input(graph) if x is None else x,
+                              training=False, workspaces=workspaces, plan=plan)
     labels, mask = _targets(graph.labels, mask, plan)
     loss, _ = L.masked_softmax_xent(logits, labels, mask)
     return loss, L.masked_accuracy(logits, labels, mask)
+
+
+def _checkpoint(model: Model):
+    """A deep copy of (weights, batch-norm states) that shares the read-only
+    arrays, the graph's moments in layer 0's state, which nothing writes."""
+    shared = {id(a): a for state in model.bn_states
+              for a in (state.running_mean, state.running_var) if not a.flags.writeable}
+    return copy.deepcopy((model.weights, model.bn_states), shared)
 
 
 def train(config: ModelConfig, graph: AttributedGraph,
@@ -299,7 +350,7 @@ def train(config: ModelConfig, graph: AttributedGraph,
     model = Model(config, rng)
     prop = propagation_operator(model.family, graph, adj)
     opt = AdamState.for_params(model.weights)
-    x = model.fit_input(graph.x)
+    x = model.fit_input(graph)
     masks = (graph.train_mask, graph.val_mask)
     train_plan, val_plan = ((None, None) if model.family.full_pass else
                             (row_plan(prop, m, model.n_layers) for m in masks))
@@ -307,7 +358,7 @@ def train(config: ModelConfig, graph: AttributedGraph,
     train_labels, train_mask = _targets(graph.labels, graph.train_mask, train_plan)
     workspaces = [L.Workspace() for _ in range(model.n_layers)]
 
-    best_state = copy.deepcopy((model.weights, model.bn_states))
+    best_state = _checkpoint(model)
     best_val = np.inf
     best_epoch = 0
     trace: list[EpochMetrics] = []
@@ -330,11 +381,12 @@ def train(config: ModelConfig, graph: AttributedGraph,
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            best_state = copy.deepcopy((model.weights, model.bn_states))
+            best_state = _checkpoint(model)
         elif epoch - best_epoch >= config.patience:
             break
 
     model.weights, model.bn_states = best_state
+    del x_train, x_val  # a plan's gathered input rows: not needed by the full pass
     _, test_acc = evaluate(model, prop, graph, graph.test_mask, x, workspaces)
     if not np.isfinite(best_val):
         best_val = float("nan")

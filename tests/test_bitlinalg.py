@@ -565,6 +565,20 @@ class TestNativeKernel:
             assert np.array_equal(bl.bin_gemm(native, b),
                                   _on_numpy_route(monkeypatch, bl.bin_gemm, native, b)), d
 
+    @pytest.mark.parametrize("n", [1, 8, 9, 100, 511, 512, 513, 1300])
+    def test_column_moments_equal_the_numpy_route(self, n, monkeypatch):
+        # Across block seams, and at d == 1, where numpy sums a column
+        # pairwise. With no compiler both sides run the numpy route.
+        rng = np.random.default_rng(n)
+        for d in (1, 2, 7, 64, 65):
+            h = rng.standard_normal((n, d)) * rng.uniform(0.01, 100.0, size=d)
+            h += rng.standard_normal(d)
+            h[rng.random(h.shape) < 0.1] = 0.0
+            mean, var = bl.column_moments(h)
+            expected = _on_numpy_route(monkeypatch, bl.column_moments, h)
+            assert np.array_equal(mean, expected[0]), d
+            assert np.array_equal(var, expected[1]), d
+
     @pytest.mark.parametrize("route", ["production", "numpy"])
     def test_padding_bits_never_change_the_product(self, route, monkeypatch):
         if route == "numpy":

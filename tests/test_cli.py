@@ -172,6 +172,16 @@ class TestAnalyze:
         assert run(["analyze", "--dataset", str(_saved_dataset(tmp_path))]) == 0
         assert json.loads(capsys.readouterr().out)["arch"]["widths"] == [24, 5, 3]
 
+    def test_dataset_input_bytes(self, tmp_path, capsys):
+        # 180 nodes of 24 features: 24 float64 values, or one packed word
+        # and one float64 scalar, per row.
+        assert run(["analyze", "--dataset", str(_saved_dataset(tmp_path))]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["input_bytes"] == {"float64": 180 * 24 * 8, "packed": 180 * 2 * 8}
+        assert "data_compression" in report["ratios"]
+        assert run(ANALYZE_ARGS + ["--nodes", "5"]) == 0
+        assert "input_bytes" not in json.loads(capsys.readouterr().out)
+
     def test_ops_per_cycle_default_is_the_cost_model_default(self, monkeypatch):
         assert build_parser().parse_args(ANALYZE_ARGS).ops_per_cycle == (
             efficiency.CYCLE_BINARY_OPS)
@@ -394,8 +404,9 @@ class TestCapacityCommand:
         np.zeros((4, 0)),
     ], ids=["nan", "inf", "no-samples", "no-neurons"])
     def test_well_formed_dump_with_bad_values_is_data_error(self, acts, tmp_path, capsys):
+        # Written byte by byte: write_activation_dump refuses non-finite values.
         dump = tmp_path / "acts.bin"
-        write_activation_dump(dump, acts)
+        dump.write_bytes(b"BGNA" + struct.pack("<II", *acts.shape) + acts.astype("<f4").tobytes())
         assert run(["capacity", str(dump)]) == 2
         assert "data error" in capsys.readouterr().err
 

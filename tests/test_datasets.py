@@ -20,6 +20,7 @@ from bingcn.datasets import (
     read_edges,
     read_labels,
     save_dataset,
+    write_features,
 )
 from bingcn.graph import AttributedGraph
 
@@ -56,6 +57,34 @@ class TestRoundtrip:
         manifest = save_dataset(tmp_path / "t2", g)
         back = load_dataset(manifest)
         assert np.array_equal(back.x, g.x)
+
+    @pytest.mark.parametrize("value", [1e39, -1e39])
+    def test_features_beyond_float32_are_rejected_before_writing(self, value, tmp_path):
+        g = tiny_graph()
+        x = g.x.copy()
+        x[1, 2] = value
+        g = AttributedGraph(x, g.edges, g.labels, g.train_mask, g.val_mask, g.test_mask,
+                            g.n_classes)
+        with pytest.raises(ValueError, match="float32"):
+            save_dataset(tmp_path / "big", g)
+        assert not (tmp_path / "big" / "features.bin").exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_are_rejected_before_writing(self, value, tmp_path):
+        x = np.zeros((2, 3))
+        x[0, 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            write_features(tmp_path / "features.bin", x)
+        assert not (tmp_path / "features.bin").exists()
+
+    def test_largest_float32_is_written(self, tmp_path):
+        top = float(np.finfo(np.float32).max)
+        g = tiny_graph()
+        x = g.x.copy()
+        x[0] = [top, -top, 0.0]
+        g = AttributedGraph(x, g.edges, g.labels, g.train_mask, g.val_mask, g.test_mask,
+                            g.n_classes)
+        assert np.array_equal(load_dataset(save_dataset(tmp_path / "top", g)).x, x)
 
     def test_empty_edge_file_gives_isolated_nodes(self, tmp_path):
         g = tiny_graph()

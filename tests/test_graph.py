@@ -129,10 +129,11 @@ class TestGraphValidation:
                             g.train_mask, g.val_mask, g.test_mask, g.n_classes)
 
     def test_arrays_are_read_only_views_of_the_callers(self):
+        # All but x, which the graph owns (TestFeatureOwnership).
         g = make_graph(3, [[0, 1]])
-        names = ("x", "edges", "labels", "train_mask", "val_mask", "test_mask")
+        names = ("edges", "labels", "train_mask", "val_mask", "test_mask")
         own = [getattr(g, name).copy() for name in names]
-        held = AttributedGraph(*own, g.n_classes)
+        held = AttributedGraph(g.x, *own, g.n_classes)
         for name, array in zip(names, own):
             view = getattr(held, name)
             assert np.shares_memory(view, array)
@@ -147,6 +148,51 @@ class TestGraphValidation:
         with pytest.raises(ValueError):
             AttributedGraph(x, g.edges, g.labels,
                             g.train_mask, g.val_mask, g.test_mask, g.n_classes)
+
+
+def with_features(g, x):
+    return AttributedGraph(x, g.edges, g.labels, g.train_mask, g.val_mask, g.test_mask,
+                           g.n_classes)
+
+
+class TestFeatureOwnership:
+    """x is copied only where the caller could still write the memory it aliases."""
+
+    @pytest.mark.parametrize("caller", ["array", "view", "read-only view", "fortran"])
+    def test_writable_memory_is_copied(self, caller):
+        g = make_graph(3, [[0, 1]], d=4)
+        base = g.x.copy()
+        x = {"array": base, "view": base[:, :3], "fortran": np.asfortranarray(base),
+             "read-only view": base.view()}[caller]
+        if caller == "read-only view":
+            x.flags.writeable = False
+        held = with_features(g, x)
+        assert not np.shares_memory(held.x, base) and not np.shares_memory(held.x, x)
+        assert np.array_equal(held.x, x) and held.x.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            held.x[0, 0] = 1.0
+        base[0, 0] += 1.0  # the caller's array stays writable
+        assert held.x[0, 0] != base[0, 0]
+
+    def test_read_only_memory_is_shared(self):
+        g = make_graph(3, [[0, 1]])
+        assert with_features(g, g.x).x is g.x  # no copy of a graph's own x
+
+    def test_widened_features_are_not_copied_again(self):
+        g = make_graph(3, [[0, 1]])
+        x32 = g.x.astype(np.float32)
+        held = with_features(g, x32)
+        assert held.x.dtype == np.float64 and held.x.flags.owndata
+        assert not held.x.flags.writeable
+
+    def test_input_memo_starts_empty_and_follows_x(self):
+        g = make_graph(3, [[0, 1]])
+        memo = g.input_memo()
+        assert memo == {} and g.input_memo() is memo
+        memo["work"] = 1
+        assert "_memo" not in repr(g)
+        g.x = g.x * 2.0  # reassigning x empties the memo
+        assert g.input_memo() == {}
 
 
 class TestNormalizeAdjacency:

@@ -475,7 +475,7 @@ def test_planned_step_expands_only_the_rows_layer_0_reads(monkeypatch):
     mask = np.zeros(n, dtype=bool)
     mask[rng.choice(n, 20, replace=False)] = True
     net = Model(ModelConfig(widths=[d, 16, 2], model="bigcn"), np.random.default_rng(0))
-    x = net.fit_input(g.x)
+    x = net.fit_input(g)
     plan = row_plan(adj, mask, net.n_layers)
     assert plan.rows[0].size < n
     # The rows where the full pass's layer-0 gradient G * beta is nonzero.

@@ -1,12 +1,14 @@
 """Training loop behavior: determinism, early stopping, serialization."""
 
+import copy
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from bingcn import bitlinalg as bl
 from bingcn.datasets import SBMParams, generate_sbm
-from bingcn.graph import RowPlan, normalize_adjacency, row_plan
+from bingcn.graph import AttributedGraph, RowPlan, normalize_adjacency, row_plan
 from bingcn.layers import Workspace, masked_accuracy, masked_softmax_xent
 from bingcn.optim import AdamState, adam_step
 from bingcn.train import (
@@ -94,11 +96,11 @@ class TestTrainingLoop:
 
     @pytest.mark.parametrize("model", ["bigcn", "bisage"])
     def test_peak_memory_does_not_grow_with_epochs(self, model):
-        # No epoch's caches may still be alive during the next epoch.
-        g = generate_sbm(SBMParams(nodes_per_class=100, n_classes=3,
-                                   n_features=300, seed=2))
-
+        # No epoch's caches may still be alive during the next epoch. Each
+        # run gets a fresh graph, so each fills the graph's input memo.
         def peak(epochs):
+            g = generate_sbm(SBMParams(nodes_per_class=100, n_classes=3,
+                                       n_features=300, seed=2))
             tracemalloc.start()
             try:
                 train(ModelConfig(widths=[300, 16, 3], model=model, max_epochs=epochs), g)
@@ -132,7 +134,7 @@ class TestTrainingLoop:
         for workspaces in (None, [Workspace() for _ in range(3)]):
             net = Model(config, np.random.default_rng(9))
             prop = propagation_operator(net.family, g)
-            x = net.fit_input(g.x)
+            x = net.fit_input(g)
             opt, rng = AdamState.for_params(net.weights), np.random.default_rng(10)
             runs.append([run_epoch(net, prop, g, x, opt, rng, workspaces)
                          for _ in range(4)])
@@ -150,7 +152,7 @@ class TestTrainingLoop:
                                    n_features=20, seed=3))
         net = Model(ModelConfig(widths=[20, 64, 3], model=model), np.random.default_rng(3))
         prop = propagation_operator(net.family, g)
-        x = net.fit_input(g.x)
+        x = net.fit_input(g)
         opt, rng = AdamState.for_params(net.weights), np.random.default_rng(4)
         workspaces = [Workspace() for _ in range(net.n_layers)]
         for _ in range(2):
@@ -222,6 +224,88 @@ class TestTrainingLoop:
         assert all(np.isfinite(m.val_loss) for m in r_input.trace)
 
 
+def input_binarizations(monkeypatch, g) -> list:
+    """Record each `bl.binarize_rows` call on an (N, d) input from here on
+    (hidden layers binarize their own inputs on every pass)."""
+    calls, binarize = [], bl.binarize_rows
+
+    def counted(h, *args, **kwargs):
+        if np.shape(h) == g.x.shape:
+            calls.append(h)
+        return binarize(h, *args, **kwargs)
+
+    monkeypatch.setattr(bl, "binarize_rows", counted)
+    return calls
+
+
+class TestInputMemo:
+    """The graph keeps its column moments and standardized packed input."""
+
+    CONFIG = dict(widths=[24, 16, 3], max_epochs=6, seed=4)
+
+    @pytest.mark.parametrize("model", ["bigcn", "bisage"])
+    def test_evaluate_reuses_the_trained_graphs_input(self, model, monkeypatch):
+        g = small_sbm(seed=4)
+        assert g.input_memo() == {}  # nothing is filled at construction
+        result = train(ModelConfig(**self.CONFIG, model=model), g)
+        prop = propagation_operator(result.model.family, g)
+        fresh = evaluate(result.model, prop, g, g.test_mask, result.model.prepare_input(g.x))
+        calls = input_binarizations(monkeypatch, g)
+        assert evaluate(result.model, prop, g, g.test_mask) == fresh
+        assert calls == []
+
+    def test_other_statistics_miss_the_memo(self, monkeypatch):
+        g = small_sbm(seed=4)
+        result = train(ModelConfig(**self.CONFIG), g)
+        packed = g.input_memo()["packed"]
+        other = copy.deepcopy(result.model)
+        other.bn_states[0].running_mean = other.bn_states[0].running_mean + 0.25
+        prop = propagation_operator(other.family, g)
+        fresh = evaluate(other, prop, g, g.test_mask, other.prepare_input(g.x))
+        calls = input_binarizations(monkeypatch, g)
+        assert evaluate(other, prop, g, g.test_mask) == fresh
+        assert len(calls) == 1 and g.input_memo()["packed"] is packed
+        assert fresh != evaluate(result.model, prop, g, g.test_mask)
+
+    def test_repeated_training_on_one_graph_matches_fresh_graphs(self):
+        # bisage's layer 0 takes the packed input bigcn's training left.
+        g = small_sbm(seed=5)
+        for model in ("bigcn", "gcn", "bisage", "bigcn"):
+            config = ModelConfig(**self.CONFIG, model=model)
+            shared, fresh = train(config, g), train(config, small_sbm(seed=5))
+            assert trace_tuples(shared) == trace_tuples(fresh), model
+            assert shared.test_acc == fresh.test_acc, model
+
+    def test_layer0_statistics_share_the_graphs_read_only_moments(self):
+        g = small_sbm(seed=6)
+        net = Model(ModelConfig(**self.CONFIG), np.random.default_rng(6))
+        x = net.fit_input(g)
+        mean, var = g.input_memo()["moments"]
+        state = net.bn_states[0]
+        assert state.running_mean is mean and state.running_var is var
+        assert not (mean.flags.writeable or var.flags.writeable)
+        assert x is g.input_memo()["packed"] and net.fit_input(g) is x
+        trained = train(ModelConfig(**self.CONFIG), g).model.bn_states[0]  # checkpoints share them
+        assert trained.running_mean is mean and trained.running_var is var
+
+    def test_caller_writes_change_neither_x_nor_the_memo(self):
+        source = small_sbm(seed=7)
+        x = source.x.copy()
+        g = AttributedGraph(x, source.edges, source.labels, source.train_mask,
+                            source.val_mask, source.test_mask, source.n_classes)
+        result = train(ModelConfig(**self.CONFIG), g)
+        prop = propagation_operator(result.model.family, g)
+        before = evaluate(result.model, prop, g, g.test_mask)
+        packed = g.input_memo()["packed"]
+        words = packed.words.copy()
+        x[:] = -x
+        assert np.array_equal(g.x, source.x)
+        assert g.input_memo()["packed"] is packed and np.array_equal(packed.words, words)
+        assert evaluate(result.model, prop, g, g.test_mask) == before
+        assert before == evaluate(result.model, prop, g, g.test_mask,
+                                  result.model.prepare_input(source.x))
+
+
 class TestModelFiles:
     @pytest.mark.parametrize("model", ["bigcn", "gcn", "bisage"])
     def test_roundtrip_preserves_predictions(self, tmp_path, model):
@@ -290,7 +374,7 @@ class TestRowPlans:
         g = sparse_sbm(seed=12)
         net = Model(ModelConfig(widths=[24, 16, 3], model=model), np.random.default_rng(12))
         prop = propagation_operator(net.family, g)
-        x = net.fit_input(g.x)
+        x = net.fit_input(g)
         for mask in (g.train_mask, g.val_mask):
             plan = row_plan(prop, mask, net.n_layers)
             assert plan.rows[0].size < g.n_nodes
@@ -321,7 +405,7 @@ class TestRowPlans:
                                    val_per_class=10))
         net = Model(ModelConfig(widths=[256, hidden, 3], model=model), np.random.default_rng(17))
         prop = propagation_operator(net.family, g)
-        x = net.fit_input(g.x)
+        x = net.fit_input(g)
         plan = row_plan(prop, g.train_mask, net.n_layers)
         full, _ = net.forward(prop, x, training=True, rng=np.random.default_rng(18))
         part, _ = net.forward(prop, net.prepare_input(x, plan), training=True,
@@ -337,7 +421,7 @@ class TestRowPlans:
         g = small_sbm(seed=15)
         net = Model(ModelConfig(widths=[24, 16, 3], model=model), np.random.default_rng(15))
         prop = propagation_operator(net.family, g)
-        x = net.fit_input(g.x)
+        x = net.fit_input(g)
         assert row_plan(prop, np.ones(g.n_nodes, dtype=bool), net.n_layers) is None
         every = np.arange(g.n_nodes)
         plan = RowPlan(rows=(every,) * (net.n_layers + 1), ops=(prop,) * net.n_layers)
@@ -365,7 +449,7 @@ class TestRowPlans:
         rng = np.random.default_rng(config.seed)
         net = Model(config, rng)
         prop = propagation_operator(net.family, g)
-        x = net.fit_input(g.x)
+        x = net.fit_input(g)
         opt = AdamState.for_params(net.weights)
         loop = []
         for epoch in range(1, 4):
