@@ -130,13 +130,11 @@ def write_matrix(path, magic: bytes, x) -> None:
     x = np.asarray(x)
     if x.ndim != 2:
         raise ValueError(f"a matrix file holds a 2-D array, got {x.ndim}-D")
-    if not np.isfinite(x).all():
-        raise ValueError("a matrix file holds finite values only")
     with np.errstate(over="ignore"):
         payload = np.ascontiguousarray(x, dtype="<f4")
     if not np.isfinite(payload).all():
-        raise ValueError("a matrix file holds float32 values: a value beyond "
-                         f"+-{np.finfo(np.float32).max} does not fit")
+        raise ValueError("a matrix file holds finite float32 values: a value is "
+                         f"non-finite or beyond +-{np.finfo(np.float32).max}")
     with open(path, "wb") as fh:
         fh.write(magic)
         fh.write(struct.pack("<II", *x.shape))
