@@ -12,7 +12,9 @@ worse the change's median reads than the parent's, against its bound,
 and in how many pairs the change reads better.
 Also records both trees' git revisions and the environment: Python,
 numpy and scipy versions, the C compiler, the CPU count, the BLAS thread
-count the benchmark fixes, and whether the packed C kernel loads.
+count the benchmark fixes, whether the packed C kernel loads, and the
+threads its large calls are split over (1 for a tree whose kernels have
+no threads).
 
 Usage:
     git clone <this repo> /tmp/parent && git -C /tmp/parent checkout <parent>
@@ -51,7 +53,8 @@ def _environment(checkout: Path) -> dict:
              "from bingcn import bitlinalg; "
              "print(json.dumps({'python': platform.python_version(), "
              "'numpy': numpy.__version__, 'scipy': scipy.__version__, "
-             "'c_route': bitlinalg._native() is not None}))")
+             "'c_route': bitlinalg._native() is not None, "
+             "'kernel_threads': getattr(bitlinalg, '_threads', lambda: 1)()}))")
     found = _output([sys.executable, "-c", probe], checkout)
     cc = _output(["cc", "--version"], checkout)
     return {**(json.loads(found) if found else {}),

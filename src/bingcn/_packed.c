@@ -1,32 +1,95 @@
-/* XNOR/popcount sign product, fused row binarization over packed words,
-   and exact column moments.
+/* XNOR/popcount sign product, fused row binarization and sign expansion
+   over packed words, exact column moments, and the sparse-dense product
+   of a CSR or CSC operator.
 
    Words are LSB-first uint64: bit j % 64 of word j / 64 holds the sign of
-   entry j (1 for +1, 0 for -1), and a row's padding bits are 1. Built and
-   loaded by bitlinalg.py; the numpy code there is the reference. */
+   entry j (1 for +1, 0 for -1), and a row's padding bits are 1.
+
+   Every exported kernel takes `threads` and splits its output rows (its
+   columns, for column_moments) into that many contiguous ranges, each
+   computed in the one-thread order by a pthread spawned and joined inside
+   the call, so the result does not depend on the thread count. Built and
+   loaded by bitlinalg.py; the numpy and scipy code there and in graph.py
+   is the reference. */
 #include <math.h>
+#include <pthread.h>
 #include <stddef.h>
 #include <stdint.h>
 
 #define TILE 64 /* output columns counted at once */
+#define MAX_THREADS 8
 
-/* out[i, j] = (t - 2 popcount(f_i ^ b_j)) * beta_i * alpha_j, where f is
-   (n, nw) and bt holds the m columns' words transposed, (nw, m). The last
-   word is masked, so padding bits of either operand never count. */
-void bin_gemm(const uint64_t *f, const uint64_t *bt, const double *beta,
-              const double *alpha, int64_t n, int64_t nw, int64_t m, int64_t t,
-              uint64_t last_mask, double *out)
+/* Computes items [lo, hi), range k of a call. */
+typedef void (*range_fn)(const void *arg, int k, int64_t lo, int64_t hi);
+
+struct range {
+    range_fn fn;
+    const void *arg;
+    int k;
+    int64_t lo, hi;
+};
+
+static void *run_range(void *p)
 {
+    const struct range *r = p;
+    r->fn(r->arg, r->k, r->lo, r->hi);
+    return NULL;
+}
+
+/* Split [0, n) into min(threads, n, MAX_THREADS) contiguous ranges of
+   near-equal size. Range 0 runs on the calling thread, each other one on a
+   thread spawned here and joined before returning (or on the calling
+   thread, where no thread can be spawned). */
+static void parallel_for(range_fn fn, const void *arg, int64_t n, int threads)
+{
+    struct range r[MAX_THREADS];
+    pthread_t tid[MAX_THREADS];
+    int spawned[MAX_THREADS] = {0};
+    if (threads > MAX_THREADS)
+        threads = MAX_THREADS;
+    if (threads > n)
+        threads = (int)n;
+    if (threads < 1)
+        threads = 1;
+    for (int k = 0; k < threads; k++)
+        r[k] = (struct range){fn, arg, k, n * k / threads, n * (k + 1) / threads};
+    for (int k = 1; k < threads; k++)
+        spawned[k] = pthread_create(&tid[k], NULL, run_range, &r[k]) == 0;
+    run_range(&r[0]);
+    for (int k = 1; k < threads; k++) {
+        if (spawned[k])
+            pthread_join(tid[k], NULL);
+        else
+            run_range(&r[k]);
+    }
+}
+
+struct gemm {
+    const uint64_t *f, *bt;
+    const double *beta, *alpha;
+    int64_t nw, m, t;
+    uint64_t last_mask;
+    double *out;
+};
+
+static void gemm_rows(const void *arg, int k, int64_t lo, int64_t hi)
+{
+    const struct gemm *a = arg;
+    const uint64_t *f = a->f, *bt = a->bt, last_mask = a->last_mask;
+    const double *beta = a->beta, *alpha = a->alpha;
+    const int64_t nw = a->nw, m = a->m, t = a->t;
+    double *out = a->out;
     int64_t mism[TILE];
-    for (int64_t i = 0; i < n; i++) {
+    (void)k;
+    for (int64_t i = lo; i < hi; i++) {
         const uint64_t *row = f + i * nw;
         for (int64_t j0 = 0; j0 < m; j0 += TILE) {
             int64_t w = m - j0 < TILE ? m - j0 : TILE;
             for (int64_t j = 0; j < w; j++)
                 mism[j] = 0;
-            for (int64_t k = 0; k < nw; k++) {
-                const uint64_t *col = bt + k * m + j0;
-                const uint64_t x = row[k], mask = k == nw - 1 ? last_mask : ~(uint64_t)0;
+            for (int64_t q = 0; q < nw; q++) {
+                const uint64_t *col = bt + q * m + j0;
+                const uint64_t x = row[q], mask = q == nw - 1 ? last_mask : ~(uint64_t)0;
                 for (int64_t j = 0; j < w; j++)
                     mism[j] += __builtin_popcountll((x ^ col[j]) & mask);
             }
@@ -35,6 +98,17 @@ void bin_gemm(const uint64_t *f, const uint64_t *bt, const double *beta,
                 o[j] = (double)(t - 2 * mism[j]) * beta[i] * alpha[j0 + j];
         }
     }
+}
+
+/* out[i, j] = (t - 2 popcount(f_i ^ b_j)) * beta_i * alpha_j, where f is
+   (n, nw) and bt holds the m columns' words transposed, (nw, m). The last
+   word is masked, so padding bits of either operand never count. */
+void bin_gemm(const uint64_t *f, const uint64_t *bt, const double *beta,
+              const double *alpha, int64_t n, int64_t nw, int64_t m, int64_t t,
+              uint64_t last_mask, double *out, int threads)
+{
+    const struct gemm a = {f, bt, beta, alpha, nw, m, t, last_mask, out};
+    parallel_for(gemm_rows, &a, n, threads);
 }
 
 /* sum v_i, or |v_i| with `absolute`, in numpy's pairwise order (pairwise_sum
@@ -68,43 +142,104 @@ static double pairwise_sum(const double *v, int64_t n, int absolute)
     return pairwise_sum(v, n2, absolute) + pairwise_sum(v + n2, n - n2, absolute);
 }
 
-/* Binarize the n rows of h (n, d): with standardize, of (h - mean) * inv_std.
-   Writes each row's sign words (nw per row, padding 1) and mean |v|; `v` is
-   scratch for one row (d doubles). Returns 0, or -1 on a non-finite value. */
-int binarize_rows(const double *h, const double *mean, const double *inv_std,
-                  int standardize, int64_t n, int64_t d, double *v,
-                  uint64_t *words, double *scalars)
+struct binarize {
+    const double *h, *mean, *inv_std;
+    int standardize;
+    int64_t d;
+    double *scratch;
+    uint64_t *words;
+    double *scalars;
+    int *bad;
+};
+
+static void binarize_range(const void *arg, int k, int64_t lo, int64_t hi)
 {
-    const int64_t nw = (d + 63) / 64;
-    for (int64_t i = 0; i < n; i++) {
-        const double *x = h + i * d;
+    const struct binarize *a = arg;
+    const double *mean = a->mean, *inv_std = a->inv_std;
+    const int standardize = a->standardize;
+    const int64_t d = a->d, nw = (d + 63) / 64;
+    double *v = a->scratch + k * d;
+    for (int64_t i = lo; i < hi; i++) {
+        const double *x = a->h + i * d;
         int finite = 1;
         for (int64_t j = 0; j < d; j++) {
             v[j] = standardize ? (x[j] - mean[j]) * inv_std[j] : x[j];
             finite &= isfinite(v[j]) != 0;
         }
-        if (!finite)
-            return -1;
-        uint64_t *w = words + i * nw;
-        for (int64_t k = 0; k < nw; k++) {
-            const double *vk = v + 64 * k;
-            const int64_t len = d - 64 * k < 64 ? d - 64 * k : 64;
+        if (!finite) {
+            a->bad[k] = 1;
+            return;
+        }
+        uint64_t *w = a->words + i * nw;
+        for (int64_t q = 0; q < nw; q++) {
+            const double *vq = v + 64 * q;
+            const int64_t len = d - 64 * q < 64 ? d - 64 * q : 64;
             uint64_t bits = 0;
             for (int64_t b = 0; b < len; b++)
-                bits |= (uint64_t)(vk[b] >= 0) << b;
-            w[k] = len < 64 ? bits | (~(uint64_t)0 << len) : bits;
+                bits |= (uint64_t)(vq[b] >= 0) << b;
+            w[q] = len < 64 ? bits | (~(uint64_t)0 << len) : bits;
         }
-        scalars[i] = pairwise_sum(v, d, 1) / (double)d;
+        a->scalars[i] = pairwise_sum(v, d, 1) / (double)d;
     }
+}
+
+/* Binarize the n rows of h (n, d): with standardize, of (h - mean) * inv_std.
+   Writes each row's sign words (nw per row, padding 1) and mean |v|;
+   `scratch` holds one row (d doubles) per thread. Returns 0, or -1 on a
+   non-finite value. */
+int binarize_rows(const double *h, const double *mean, const double *inv_std,
+                  int standardize, int64_t n, int64_t d, double *scratch,
+                  uint64_t *words, double *scalars, int threads)
+{
+    int bad[MAX_THREADS] = {0};
+    const struct binarize a = {h, mean, inv_std, standardize, d, scratch, words,
+                               scalars, bad};
+    parallel_for(binarize_range, &a, n, threads);
+    for (int k = 0; k < MAX_THREADS; k++)
+        if (bad[k])
+            return -1;
     return 0;
 }
 
-/* total[j] += numpy's axis-0 sum over the m rows of b (m, d) of b[i, j] or,
-   with `mean`, of (b[i, j] - mean[j])^2: from 0, row after row, except
-   that numpy sums a single column (d == 1) pairwise. `acc` is scratch for
-   max(m, d) doubles. */
-static void add_block_sums(const double *b, int64_t m, int64_t d, const double *mean,
-                           double *acc, double *total)
+struct expand {
+    const uint64_t *words;
+    int64_t nw, d;
+    double *out;
+};
+
+static void expand_rows(const void *arg, int k, int64_t lo, int64_t hi)
+{
+    const struct expand *a = arg;
+    const int64_t nw = a->nw, d = a->d;
+    (void)k;
+    for (int64_t i = lo; i < hi; i++) {
+        const uint64_t *w = a->words + i * nw;
+        double *o = a->out + i * d;
+        for (int64_t q = 0; q < nw; q++) {
+            const uint64_t x = w[q];
+            const int64_t len = d - 64 * q < 64 ? d - 64 * q : 64;
+            for (int64_t b = 0; b < len; b++)
+                o[64 * q + b] = (x >> b) & 1 ? 1. : -1.;
+        }
+    }
+}
+
+/* out (n, d) = the +-1 signs of the n rows of words (nw per row), as
+   doubles. */
+void expand_signs(const uint64_t *words, int64_t n, int64_t nw, int64_t d, double *out,
+                  int threads)
+{
+    const struct expand a = {words, nw, d, out};
+    parallel_for(expand_rows, &a, n, threads);
+}
+
+/* total[j] += numpy's axis-0 sum over the m rows of b (m rows of stride d)
+   of b[i, j] or, with `mean`, of (b[i, j] - mean[j])^2, for the columns j
+   in [lo, hi): from 0, row after row, except that numpy sums a single
+   column (d == 1) pairwise. `acc` is scratch for max(m, d) doubles, of
+   which this reads and writes [lo, hi) (all m where d == 1). */
+static void add_block_sums(const double *b, int64_t m, int64_t d, int64_t lo, int64_t hi,
+                           const double *mean, double *acc, double *total)
 {
     if (d == 1) {
         for (int64_t i = 0; i < m; i++) {
@@ -114,38 +249,116 @@ static void add_block_sums(const double *b, int64_t m, int64_t d, const double *
         total[0] += pairwise_sum(acc, m, 0);
         return;
     }
-    for (int64_t j = 0; j < d; j++)
+    for (int64_t j = lo; j < hi; j++)
         acc[j] = 0.;
     for (int64_t i = 0; i < m; i++) {
         const double *row = b + i * d;
         if (mean)
-            for (int64_t j = 0; j < d; j++) {
+            for (int64_t j = lo; j < hi; j++) {
                 const double v = row[j] - mean[j];
                 acc[j] += v * v;
             }
         else
-            for (int64_t j = 0; j < d; j++)
+            for (int64_t j = lo; j < hi; j++)
                 acc[j] += row[j];
     }
-    for (int64_t j = 0; j < d; j++)
+    for (int64_t j = lo; j < hi; j++)
         total[j] += acc[j];
+}
+
+struct moments {
+    const double *h;
+    int64_t n, d, block;
+    double *mean, *var, *acc;
+};
+
+static void moments_columns(const void *arg, int k, int64_t lo, int64_t hi)
+{
+    const struct moments *a = arg;
+    const int64_t n = a->n, d = a->d, block = a->block;
+    (void)k;
+    for (int64_t j = lo; j < hi; j++)
+        a->mean[j] = a->var[j] = 0.;
+    for (int64_t i = 0; i < n; i += block)
+        add_block_sums(a->h + i * d, n - i < block ? n - i : block, d, lo, hi, NULL, a->acc,
+                       a->mean);
+    for (int64_t j = lo; j < hi; j++)
+        a->mean[j] /= (double)n;
+    for (int64_t i = 0; i < n; i += block)
+        add_block_sums(a->h + i * d, n - i < block ? n - i : block, d, lo, hi, a->mean,
+                       a->acc, a->var);
+    for (int64_t j = lo; j < hi; j++)
+        a->var[j] /= (double)n;
 }
 
 /* Column means and population variances of h (n, d) in two passes over
    blocks of `block` rows, each block's sums added into a zeroed total, as
    bitlinalg's numpy route takes them, so both agree bit for bit. `acc` is
-   scratch for max(block, d) doubles. */
+   scratch for max(block, d) doubles. Threads split the columns, so a single
+   column (summed pairwise through `acc`) stays on one thread. */
 void column_moments(const double *h, int64_t n, int64_t d, int64_t block,
-                    double *mean, double *var, double *acc)
+                    double *mean, double *var, double *acc, int threads)
 {
-    for (int64_t j = 0; j < d; j++)
-        mean[j] = var[j] = 0.;
-    for (int64_t i = 0; i < n; i += block)
-        add_block_sums(h + i * d, n - i < block ? n - i : block, d, NULL, acc, mean);
-    for (int64_t j = 0; j < d; j++)
-        mean[j] /= (double)n;
-    for (int64_t i = 0; i < n; i += block)
-        add_block_sums(h + i * d, n - i < block ? n - i : block, d, mean, acc, var);
-    for (int64_t j = 0; j < d; j++)
-        var[j] /= (double)n;
+    const struct moments a = {h, n, d, block, mean, var, acc};
+    parallel_for(moments_columns, &a, d, threads);
+}
+
+struct spmm {
+    int csc;
+    int64_t n_in, k;
+    const int32_t *indptr, *indices;
+    const double *data, *z;
+    double *out;
+};
+
+static void spmm_rows(const void *arg, int t, int64_t lo, int64_t hi)
+{
+    const struct spmm *a = arg;
+    const int32_t *indptr = a->indptr, *indices = a->indices;
+    const double *data = a->data, *z = a->z;
+    const int64_t k = a->k;
+    double *out = a->out;
+    (void)t;
+    if (!a->csc) {
+        for (int64_t i = lo; i < hi; i++) {
+            double *restrict y = out + i * k;
+            for (int64_t c = 0; c < k; c++)
+                y[c] = 0.;
+            for (int64_t p = indptr[i]; p < indptr[i + 1]; p++) {
+                const double v = data[p];
+                const double *restrict x = z + indices[p] * k;
+                for (int64_t c = 0; c < k; c++)
+                    y[c] += v * x[c];
+            }
+        }
+        return;
+    }
+    for (int64_t q = lo * k; q < hi * k; q++)
+        out[q] = 0.;
+    for (int64_t j = 0; j < a->n_in; j++) {
+        const double *restrict x = z + j * k;
+        for (int64_t p = indptr[j]; p < indptr[j + 1]; p++) {
+            const int64_t i = indices[p];
+            if (i < lo || i >= hi)
+                continue;
+            double *restrict y = out + i * k;
+            const double v = data[p];
+            for (int64_t c = 0; c < k; c++)
+                y[c] += v * x[c];
+        }
+    }
+}
+
+/* out (n_out, k) = a @ z for z (n_in, k) and the (n_out, n_in) operator a
+   stored as CSR (indptr over its rows) or, with `csc`, as CSC (indptr over
+   its columns), with int32 indices. Each output row starts at 0 and adds
+   a_ij * z_j, a product then a sum, for its stored entries in the order
+   scipy's csr_matvecs and csc_matvecs add them: a CSR row's in stored
+   order; for CSC, column after column. */
+void sparse_matmul(int csc, int64_t n_out, int64_t n_in, int64_t k, const int32_t *indptr,
+                   const int32_t *indices, const double *data, const double *z,
+                   double *out, int threads)
+{
+    const struct spmm a = {csc, n_in, k, indptr, indices, data, z, out};
+    parallel_for(spmm_rows, &a, n_out, threads);
 }

@@ -16,16 +16,27 @@ Packed words are the storage format and what the kernel computes on.
 `bin_gemm` counts each +-1 dot product of length t with XOR and popcount
 over the uint64 words (t - 2 * mismatches), `binarize_rows`
 standardizes, checks, packs and rescales each row in one pass, and
-`column_moments` sums each row block in numpy's order. All three run
-in a small C library, `_packed.c`, compiled with the installed `cc` on
-first use into a per-user cache (``$XDG_CACHE_HOME/bingcn``, else
-``~/.cache/bingcn``) keyed by the source, the compile command and the
-CPU, and called through `ctypes`. Where it cannot be built or loaded,
-the numpy route runs instead, with the same results bit for bit: row
-blocks of the signs expanded to float32 +-1 and multiplied by BLAS,
-exact for t < 2**24 (every partial sum is an integer of magnitude at
-most t), and numpy passes per row block. It is also the oracle of the
-kernel tests.
+`column_moments` sums each row block in numpy's order. All three, the
+expansion of packed signs to float64 +-1 that `sign_t_matmul` multiplies
+by BLAS, and `graph.sparse_matmul`'s aggregation run in a small C
+library, `_packed.c`, compiled with the installed `cc` on first use into
+a per-user cache (``$XDG_CACHE_HOME/bingcn``, else ``~/.cache/bingcn``)
+keyed by the source, the compile command and the CPU, and called
+through `ctypes`. Where it cannot be built or loaded, the numpy route
+runs instead, with the same results bit for bit: row blocks of the signs
+expanded to float32 +-1 and multiplied by BLAS, exact for t < 2**24
+(every partial sum is an integer of magnitude at most t), and numpy
+passes per row block. It is also the oracle of the kernel tests.
+
+A C call of at least 2**20 inner-loop steps (`_MIN_THREADED_WORK`;
+below it, spawning a thread cost more than it saved, measured on the
+benchmark's shapes) is split over the CPUs the process may run on, at
+most 8 (`_threads`, decided once per process; there is no option, and
+the BLAS thread settings are not read). Each thread is spawned and
+joined inside the call and owns a contiguous range of output rows (of
+columns, in `column_moments`, where a single column stays on one
+thread), computed in the one-thread order, so every result is the same
+bit for bit at any thread count.
 
 `binarize_rows`, `column_moments` and `sign_t_matmul` (the transposed
 sign product a weight gradient needs, in float64) work in row blocks, so
@@ -63,8 +74,17 @@ _BLOCK_ROWS = 512
 _MAX_EXACT_INNER = 2 ** 24
 
 _SOURCE = Path(__file__).with_name("_packed.c")
-# -ffp-contract=off: no fused multiply-add may change a standardized value.
-_COMPILE = ("cc", "-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
+# -ffp-contract=off: no fused multiply-add may change a standardized value
+# or a term of a sparse product.
+_COMPILE = ("cc", "-O3", "-march=native", "-ffp-contract=off", "-pthread", "-shared",
+            "-fPIC")
+
+# The most threads a native kernel call is split over.
+_MAX_THREADS = 8
+# Inner-loop steps (popcount words, multiply-adds, matrix entries) below
+# which a native kernel call stays on the calling thread, where spawning
+# and joining a thread would cost more than it saves.
+_MIN_THREADED_WORK = 1 << 20
 
 
 def _cpu_id() -> str:
@@ -109,13 +129,18 @@ def _load_native() -> ctypes.CDLL | None:
         warnings.warn(f"packed C kernel unavailable, using the numpy route: {exc} "
                       f"{detail.decode(errors='replace').strip()}", RuntimeWarning)
         return None
-    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    lib.bin_gemm.argtypes = [ptr, ptr, ptr, ptr, i64, i64, i64, i64, ctypes.c_uint64, ptr]
+    ptr, i64, int_ = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int
+    lib.bin_gemm.argtypes = [ptr, ptr, ptr, ptr, i64, i64, i64, i64, ctypes.c_uint64, ptr,
+                             int_]
     lib.bin_gemm.restype = None
-    lib.binarize_rows.argtypes = [ptr, ptr, ptr, ctypes.c_int, i64, i64, ptr, ptr, ptr]
+    lib.binarize_rows.argtypes = [ptr, ptr, ptr, int_, i64, i64, ptr, ptr, ptr, int_]
     lib.binarize_rows.restype = ctypes.c_int
-    lib.column_moments.argtypes = [ptr, i64, i64, i64, ptr, ptr, ptr]
+    lib.expand_signs.argtypes = [ptr, i64, i64, i64, ptr, int_]
+    lib.expand_signs.restype = None
+    lib.column_moments.argtypes = [ptr, i64, i64, i64, ptr, ptr, ptr, int_]
     lib.column_moments.restype = None
+    lib.sparse_matmul.argtypes = [int_, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, int_]
+    lib.sparse_matmul.restype = None
     return lib
 
 
@@ -123,6 +148,22 @@ def _load_native() -> ctypes.CDLL | None:
 def _native() -> ctypes.CDLL | None:
     """The C library, or None for the numpy route; decided once per process."""
     return _load_native()
+
+
+@functools.cache
+def _threads() -> int:
+    """Threads a large native kernel call is split over: the CPUs this
+    process may run on, at most `_MAX_THREADS`; decided once per process."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, _MAX_THREADS))
+
+
+def _threads_for(work: int) -> int:
+    """Threads for a native kernel call of `work` inner-loop steps."""
+    return _threads() if work >= _MIN_THREADED_WORK else 1
 
 
 def _pad_mask(length: int) -> np.uint64:
@@ -146,13 +187,24 @@ def _pack_bits_2d(bits: np.ndarray) -> np.ndarray:
     return words
 
 
-def _unpack_signs(words: np.ndarray, length: int, dtype=np.float64) -> np.ndarray:
-    """Unpack (n, n_words) packed words into an (n, length) +-1 matrix."""
-    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
-    signs = np.unpackbits(raw, axis=1, count=length, bitorder="little").astype(dtype)
-    signs *= 2
-    signs -= 1
-    return signs
+def _unpack_signs(words: np.ndarray, length: int, dtype=np.float64,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Unpack (n, n_words) packed words into an (n, length) +-1 matrix, into
+    `out` (C-contiguous, of that shape) if given. The C library expands
+    float64 signs."""
+    words = np.ascontiguousarray(words, dtype="<u8")
+    n = words.shape[0]
+    if out is None:
+        out = np.empty((n, length), dtype=dtype)
+    lib = _native()
+    if lib is not None and out.dtype == np.float64:
+        lib.expand_signs(words.ctypes.data, n, words.shape[1], length, out.ctypes.data,
+                         _threads_for(out.size))
+        return out
+    out[...] = np.unpackbits(words.view(np.uint8), axis=1, count=length, bitorder="little")
+    out *= 2
+    out -= 1
+    return out
 
 
 def sign_pm1(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -239,21 +291,25 @@ def binarize_rows(h, standardize=None) -> PackedBinMatrix:
     scalars = np.empty(n, dtype=np.float64)
     words = np.empty((n, (d + WORD_BITS - 1) // WORD_BITS), dtype=np.uint64)
     lib = _native()
+    step = _BLOCK_ROWS
     if lib is not None:
-        row = np.empty(d)  # the C code's scratch for one row
+        if h.dtype == np.float64 and h.flags.c_contiguous:
+            step = n  # no block needs converting: one call over all rows
+        threads = _threads_for(min(step, n) * d)
+        scratch = np.empty((threads, d))  # one row per thread
         if standardize is None:
-            mean = inv_std = row  # not read
+            mean = inv_std = scratch  # not read
         else:
             mean, inv_std = (np.ascontiguousarray(np.broadcast_to(s, (d,)), dtype=np.float64)
                              for s in standardize)
-    for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
         if lib is not None:
             block = np.ascontiguousarray(h[start:stop], dtype=np.float64)
             if lib.binarize_rows(block.ctypes.data, mean.ctypes.data, inv_std.ctypes.data,
-                                 standardize is not None, stop - start, d, row.ctypes.data,
-                                 words[start:stop].ctypes.data,
-                                 scalars[start:stop].ctypes.data):
+                                 standardize is not None, stop - start, d,
+                                 scratch.ctypes.data, words[start:stop].ctypes.data,
+                                 scalars[start:stop].ctypes.data, threads):
                 raise ValueError("matrix contains non-finite entries")
         else:
             block = h[start:stop]
@@ -283,7 +339,7 @@ def column_moments(h) -> tuple[np.ndarray, np.ndarray]:
     if lib is not None and h.flags.c_contiguous:
         mean, var, acc = np.empty(d), np.empty(d), np.empty(max(d, _BLOCK_ROWS))
         lib.column_moments(h.ctypes.data, n, d, _BLOCK_ROWS, mean.ctypes.data,
-                           var.ctypes.data, acc.ctypes.data)
+                           var.ctypes.data, acc.ctypes.data, _threads_for(n * d))
         return mean, var
     total = np.zeros(d)
     for start in range(0, n, _BLOCK_ROWS):
@@ -352,7 +408,8 @@ def bin_gemm(f: PackedBinMatrix, b: PackedBinMatrix,
         alpha = np.ascontiguousarray(b.scalars, dtype=np.float64)
         lib.bin_gemm(f_words.ctypes.data, b_words_t.ctypes.data, beta.ctypes.data,
                      alpha.ctypes.data, f.rows, f_words.shape[1], b.cols, t,
-                     int(_pad_mask(t)), out.ctypes.data)
+                     int(_pad_mask(t)), out.ctypes.data,
+                     _threads_for(f.rows * f_words.shape[1] * b.cols))
         return out
     b_signs = _unpack_signs(b.words, t, np.float32).T
     for start in range(0, f.rows, _BLOCK_ROWS):
@@ -377,7 +434,9 @@ def sign_t_matmul(f: PackedBinMatrix, g) -> np.ndarray:
     if g.ndim != 2 or g.shape[0] != f.rows:
         raise ValueError(f"expected ({f.rows}, m) right operand, got {g.shape}")
     out = np.zeros((f.cols, g.shape[1]))
+    signs = np.empty((min(_BLOCK_ROWS, f.rows), f.cols))  # each block's, in turn
     for start in range(0, f.rows, _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
-        out += _unpack_signs(f.words[block], f.cols).T @ g[block]
+        rows = min(_BLOCK_ROWS, f.rows - start)
+        out += _unpack_signs(f.words[block], f.cols, out=signs[:rows]).T @ g[block]
     return out

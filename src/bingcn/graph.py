@@ -14,6 +14,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
+from . import bitlinalg as bl
+
 
 def canonical_edges(edges) -> np.ndarray:
     """Deduplicate an undirected edge list and drop self-loops.
@@ -237,15 +239,35 @@ def row_plan(adj: NormalizedAdjacency, mask, n_layers: int) -> RowPlan | None:
     return RowPlan(rows=tuple(rows), ops=tuple(ops))
 
 
+def _native_operator(m) -> bool:
+    """Whether the C library can take the sparse `m` as it is stored: float64
+    CSR or CSC with contiguous int32 indices."""
+    return (m.format in ("csr", "csc") and m.dtype == np.float64
+            and all(a.dtype == np.int32 and a.flags.c_contiguous
+                    for a in (m.indptr, m.indices))
+            and m.data.flags.c_contiguous)
+
+
 def sparse_matmul(m, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``m @ z`` for a CSR or CSC matrix `m` (or a dense one) and a 2-D `z`.
 
     With `out` (C-contiguous float64 of the product's shape) the product
-    is written there, for a sparse `m` by the kernel scipy's ``m @ z``
-    runs, so it is the same bit for bit.
+    is written there. A sparse float64 `m` with int32 indices (what
+    `normalize_adjacency`, `neighbor_mean_matrix`, `row_plan` and their
+    transposes give) runs in the C library of `bitlinalg`, split by output
+    rows over its threads for a product of at least
+    `bitlinalg._MIN_THREADED_WORK` multiply-adds: each output row starts
+    at zero and adds its terms in the order of the kernels scipy's
+    ``m @ z`` runs (``csr_matvecs``, ``csc_matvecs``), so the product is
+    the same bit for bit at any thread count. The operator is read as
+    stored, never copied. Other sparse operands, and machines with no C
+    library, take scipy's kernels.
     """
+    lib = bl._native() if sp.issparse(m) and _native_operator(m) else None
     if out is None:
-        return m @ z
+        if lib is None or np.ndim(z) != 2 or np.asarray(z).dtype != np.float64:
+            return m @ z
+        out = np.empty((m.shape[0], np.shape(z)[1]))
     if not sp.issparse(m):
         return np.matmul(m, z, out=out)
     z = np.ascontiguousarray(z, dtype=np.float64)
@@ -256,6 +278,11 @@ def sparse_matmul(m, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
             or m.format not in ("csr", "csc") or m.dtype != np.float64):
         raise ValueError("sparse_matmul writes a float64 CSR/CSC product into a "
                          f"C-contiguous float64 {shape} array")
+    if lib is not None:
+        lib.sparse_matmul(m.format == "csc", shape[0], m.shape[1], shape[1],
+                          m.indptr.ctypes.data, m.indices.ctypes.data, m.data.ctypes.data,
+                          z.ctypes.data, out.ctypes.data, bl._threads_for(m.nnz * shape[1]))
+        return out
     out.fill(0.0)
     kernel = getattr(_sparsetools, m.format + "_matvecs")
     kernel(m.shape[0], m.shape[1], shape[1], m.indptr, m.indices, m.data,

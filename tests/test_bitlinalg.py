@@ -6,9 +6,11 @@ same tests on the numpy route, the fallback and oracle. The kernel's
 word-level oracle, `xnor_popcount_dot`, lives here with its own tests.
 """
 
+import os
 import shutil
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -631,3 +633,99 @@ class TestNativeKernel:
         monkeypatch.setattr(bl, "_cpu_id", lambda: "another CPU")
         with pytest.warns(RuntimeWarning):
             assert bl._load_native() is None
+
+
+def _at_threads(monkeypatch, threads, fn, *args):
+    """fn(*args) with the kernels' thread count forced to `threads`."""
+    with monkeypatch.context() as m:
+        m.setattr(bl, "_threads", lambda: threads)
+        return fn(*args)
+
+
+def _packed_equal(a, b):
+    return np.array_equal(a.words, b.words) and np.array_equal(a.scalars, b.scalars)
+
+
+class TestThreadCount:
+    """A call split over threads gives the one-thread result bit for bit: on
+    shapes whose work crosses the threshold, on shapes below it, and with
+    the threshold at 0, where a call can have fewer rows than threads."""
+
+    THREADS = (2, 3, 4)
+
+    @pytest.fixture(params=["threshold", "every call"])
+    def min_work(self, request, monkeypatch):
+        if request.param == "every call":
+            monkeypatch.setattr(bl, "_MIN_THREADED_WORK", 0)
+        return bl._MIN_THREADED_WORK
+
+    def test_threads_are_the_usable_cpus_at_most_eight(self):
+        assert 1 <= bl._threads() <= min(8, len(os.sched_getaffinity(0)))
+        assert bl._threads_for(bl._MIN_THREADED_WORK - 1) == 1
+        assert bl._threads_for(bl._MIN_THREADED_WORK) == bl._threads()
+
+    @pytest.mark.parametrize("n, d", [(1, 70), (3, 1433), (100, 130), (2000, 1433)])
+    def test_bin_gemm(self, monkeypatch, min_work, n, d):
+        rng = np.random.default_rng(n)
+        f = bl.binarize_rows(rng.standard_normal((n, d)))
+        b = bl.binarize_columns(rng.standard_normal((d, 64)))
+        crosses = n * f.words.shape[1] * 64 >= min_work
+        assert crosses == (n == 2000 or min_work == 0)
+        one = _at_threads(monkeypatch, 1, bl.bin_gemm, f, b)
+        assert np.array_equal(one, _on_numpy_route(monkeypatch, bl.bin_gemm, f, b))
+        for t in self.THREADS:
+            assert np.array_equal(_at_threads(monkeypatch, t, bl.bin_gemm, f, b), one), t
+
+    @pytest.mark.parametrize("standardized", [False, True], ids=["plain", "standardized"])
+    @pytest.mark.parametrize("n, d", [(2, 70), (3, 65), (700, 70), (2100, 500)])
+    def test_binarize_rows(self, monkeypatch, min_work, standardized, n, d):
+        rng = np.random.default_rng(n + d)
+        h = rng.standard_normal((n, d))
+        stats = (rng.standard_normal(d), rng.uniform(0.1, 3.0, size=d)) if standardized else None
+        assert (n * d >= min_work) == (n == 2100 or min_work == 0)
+        one = _at_threads(monkeypatch, 1, bl.binarize_rows, h, stats)
+        assert _packed_equal(one, _on_numpy_route(monkeypatch, bl.binarize_rows, h, stats))
+        for t in self.THREADS:
+            assert _packed_equal(_at_threads(monkeypatch, t, bl.binarize_rows, h, stats),
+                                 one), t
+
+    @pytest.mark.parametrize("n, d", [(3, 70), (2100, 500)])
+    def test_non_finite_value_in_the_last_chunk_raises(self, monkeypatch, min_work, n, d):
+        h = np.random.default_rng(3).standard_normal((n, d))
+        h[-1, d // 2] = np.nan
+        for t in (1, *self.THREADS):
+            with pytest.raises(ValueError, match="non-finite"):
+                _at_threads(monkeypatch, t, bl.binarize_rows, h)
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (1300, 1), (1 << 20, 1), (3, 7), (700, 70),
+                                      (2100, 500)])
+    def test_column_moments(self, monkeypatch, min_work, n, d):
+        h = np.random.default_rng(n + d).standard_normal((n, d)) * 3.0 + 1.5
+        one = _at_threads(monkeypatch, 1, bl.column_moments, h)
+        expected = _on_numpy_route(monkeypatch, bl.column_moments, h)
+        assert np.array_equal(one[0], expected[0]) and np.array_equal(one[1], expected[1])
+        for t in self.THREADS:
+            mean, var = _at_threads(monkeypatch, t, bl.column_moments, h)
+            assert np.array_equal(mean, one[0]) and np.array_equal(var, one[1]), t
+
+    @pytest.mark.parametrize("n, d", [(3, 65), (1300, 70), (1300, 2100)])
+    def test_sign_t_matmul(self, monkeypatch, min_work, n, d):
+        rng = np.random.default_rng(n + d)
+        f = bl.binarize_rows(rng.standard_normal((n, d)))
+        g = rng.standard_normal((n, 6))
+        assert (min(n, 512) * d >= min_work) == (d == 2100 or min_work == 0)
+        one = _at_threads(monkeypatch, 1, bl.sign_t_matmul, f, g)
+        assert np.array_equal(one, _on_numpy_route(monkeypatch, bl.sign_t_matmul, f, g))
+        for t in self.THREADS:
+            assert np.array_equal(_at_threads(monkeypatch, t, bl.sign_t_matmul, f, g), one), t
+
+    def test_no_thread_outlives_its_call(self, native_lib, monkeypatch):
+        tasks = Path("/proc/self/task")
+        if not tasks.is_dir():
+            pytest.skip("no /proc/self/task on this host")
+        rng = np.random.default_rng(83)
+        f = bl.binarize_rows(rng.standard_normal((2000, 1433)))
+        b = bl.binarize_columns(rng.standard_normal((1433, 64)))
+        before = len(list(tasks.iterdir()))
+        _at_threads(monkeypatch, 4, bl.bin_gemm, f, b)
+        assert len(list(tasks.iterdir())) == before

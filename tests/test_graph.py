@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from bingcn import bitlinalg as bl
 from bingcn.graph import (
     AttributedGraph,
     aggregate,
     canonical_edges,
     neighbor_mean_matrix,
     normalize_adjacency,
+    row_plan,
     sparse_matmul,
 )
 
@@ -325,6 +327,110 @@ class TestSparseMatmul:
             sparse_matmul(m, np.zeros((4, 2)), np.empty((4, 2), dtype=np.float32))
         with pytest.raises(ValueError):
             sparse_matmul(m, np.zeros((4, 2)), np.empty((2, 4)).T)
+
+
+@pytest.fixture
+def scipy_route(monkeypatch):
+    monkeypatch.setattr(bl, "_native", lambda: None)
+
+
+@pytest.mark.usefixtures("scipy_route")
+class TestSparseMatmulOnScipyRoute(TestSparseMatmul):
+    pass
+
+
+class _CallLog:
+    """The C library, recording the name of each kernel called."""
+
+    def __init__(self, lib):
+        self.lib, self.calls = lib, []
+
+    def __getattr__(self, name):
+        kernel = getattr(self.lib, name)
+
+        def call(*args):
+            self.calls.append(name)
+            return kernel(*args)
+        return call
+
+
+@pytest.fixture
+def native_calls(monkeypatch):
+    lib = bl._native()
+    if lib is None:
+        pytest.skip("the C kernel did not build on this host")
+    log = _CallLog(lib)
+    monkeypatch.setattr(bl, "_native", lambda: log)
+    return log.calls
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestNativeSparseMatmul:
+    """The C product is scipy's bit for bit, for CSR operators and their CSC
+    transposes, at every thread count."""
+
+    @staticmethod
+    def operators(n=300, isolated=50, edges_per_node=1, seed=46):
+        rng = np.random.default_rng(seed)
+        # The last `isolated` nodes have no edges: empty neighbor-mean rows.
+        g = make_graph(n, rng.integers(0, n - isolated, size=(n * edges_per_node, 2)))
+        adj = normalize_adjacency(g)
+        mask = np.zeros(n, dtype=bool)
+        mask[[3, 70, 200]] = True
+        plan = row_plan(adj, mask, 2)
+        assert plan is not None
+        for m in (adj.matrix, neighbor_mean_matrix(g), plan.ops[0].matrix,
+                  plan.ops[1].matrix):
+            yield m
+            yield m.T
+
+    @staticmethod
+    def operand(rows, k, seed=47):
+        z = np.random.default_rng(seed).standard_normal((rows, k))
+        z[::3, 0] = -0.0
+        z[rows // 2, k // 2] = np.nan
+        return z
+
+    @pytest.mark.parametrize("k", [1, 3, 64])
+    def test_equals_scipy_at_every_thread_count(self, native_calls, monkeypatch, k):
+        monkeypatch.setattr(bl, "_MIN_THREADED_WORK", 0)
+        for m in self.operators():
+            assert m.format in ("csr", "csc") and m.indices.dtype == np.int32
+            z = self.operand(m.shape[1], k)
+            expected = _bits(m @ z)
+            for t in (1, 2, 3, 4):
+                monkeypatch.setattr(bl, "_threads", lambda t=t: t)
+                out = np.full((m.shape[0], k), np.nan)
+                assert np.array_equal(_bits(sparse_matmul(m, z, out)), expected)
+                assert np.array_equal(_bits(sparse_matmul(m, z)), expected)
+        assert native_calls and set(native_calls) == {"sparse_matmul"}
+
+    def test_above_the_threshold(self, native_calls, monkeypatch):
+        for m in self.operators(n=3000, isolated=100, edges_per_node=3):
+            z = self.operand(m.shape[1], 80)
+            if m.shape[0] == 3000:
+                assert m.nnz * 80 >= bl._MIN_THREADED_WORK
+            expected = _bits(m @ z)
+            for t in (1, 2, 4):
+                monkeypatch.setattr(bl, "_threads", lambda t=t: t)
+                assert np.array_equal(_bits(sparse_matmul(m, z, np.empty((m.shape[0], 80)))),
+                                      expected)
+        assert native_calls
+
+    def test_int64_indices_take_the_scipy_route(self, native_calls):
+        m = normalize_adjacency(make_graph(40, [[0, 1], [1, 2], [5, 9]])).matrix
+        z = self.operand(40, 4)
+        for op in (m.copy(), m.T.copy()):
+            op.indices, op.indptr = op.indices.astype(np.int64), op.indptr.astype(np.int64)
+            assert np.array_equal(_bits(sparse_matmul(op, z, np.empty((40, 4)))),
+                                  _bits(op @ z))
+            assert np.array_equal(_bits(sparse_matmul(op, z)), _bits(op @ z))
+        assert native_calls == []
+        sparse_matmul(m, z, np.empty((40, 4)))
+        assert native_calls == ["sparse_matmul"]
 
 
 class TestNeighborMean:
