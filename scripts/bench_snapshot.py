@@ -10,6 +10,15 @@ per side, the median, quartiles and IQR of every metric and each run's
 every metric; and for each end-to-end metric of BENCHMARK.json, how much
 worse the change's median reads than the parent's, against its bound,
 and in how many pairs the change reads better.
+
+Whole runs drift together on a shared machine, so each run is bracketed
+by a reference step that imports nothing from bingcn (a fixed float64
+GEMM and a fixed scipy CSR product, `REFERENCE`), timed in a short
+subprocess just before and just after it. Each time metric's per-pair
+ratio is also given divided by the pair's reference ratio
+(`normalized_ratios`), with its median and the pairs the change wins,
+next to the raw figures. The bound check stays on the raw medians: the
+normalized view is evidence for a claim, not a gate.
 Also records both trees' git revisions and the environment: Python,
 numpy and scipy versions, the C compiler, the CPU count, the BLAS thread
 count the benchmark fixes, whether the packed C kernel loads, and the
@@ -37,6 +46,27 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = list(range(1, 11))
 SIDES = ("change", "parent")
+# The reference step: ms per round (median) of fixed products, over about
+# `REFERENCE_SECONDS`, on the one BLAS thread perfbench/run.py fixes.
+REFERENCE_SECONDS = 1.0
+REFERENCE = """
+import statistics, sys, time
+import numpy as np
+import scipy.sparse as sp
+rng = np.random.default_rng(0)
+a, b = rng.standard_normal((2, 384, 384))
+n = 20000
+m = sp.csr_matrix((rng.random(5 * n), rng.integers(0, n, (2, 5 * n))), shape=(n, n))
+z = rng.standard_normal((20000, 64))
+times, stop = [], time.perf_counter() + float(sys.argv[1])
+while len(times) < 5 or time.perf_counter() < stop:
+    start = time.perf_counter()
+    a @ b
+    m @ z
+    times.append(time.perf_counter() - start)
+print(statistics.median(times) * 1e3)
+"""
+TIME_UNITS = ("ms", "s")
 
 
 def _output(cmd, cwd) -> str | None:
@@ -74,12 +104,24 @@ def _summary(values: list[float], unit: str | None = None) -> dict:
             "iqr": q3 - q1, "values": values}
 
 
+def reference_ms() -> float:
+    """One timing of the reference step, in a fresh interpreter."""
+    env = {**os.environ, **{var: "1" for var in
+                            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+    done = subprocess.run([sys.executable, "-c", REFERENCE, str(REFERENCE_SECONDS)],
+                          capture_output=True, text=True, env=env, check=True)
+    return float(done.stdout)
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One `--trace 0` run: its status, metric values and units, BLAS threads."""
+    """One `--trace 0` run: its status, metric values and units, BLAS threads,
+    and the reference step's ms just before and just after it."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     print(f"[{checkout}] " + " ".join(cmd), file=sys.stderr, flush=True)
+    before = reference_ms()
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    after = reference_ms()
     lines = done.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -89,7 +131,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     blas_threads = (json.loads(record.read_text()).get("env", {}).get("blas_threads")
                     if record.is_file() else None)
     return {"run": {"seed": seed, "returncode": done.returncode,
-                    **{k: result.get(k) for k in ("correct", "attempted", "failed")}},
+                    **{k: result.get(k) for k in ("correct", "attempted", "failed")},
+                    "reference_ms": [before, after]},
             "metrics": result.get("metrics", {}), "blas_threads": blas_threads}
 
 
@@ -114,6 +157,27 @@ def _ratios(pairs: list[dict]) -> dict:
                 ratios.setdefault(name, []).append(change[name]["value"]
                                                    / parent[name]["value"])
     return {name: _summary(v) for name, v in sorted(ratios.items())}
+
+
+def _reference_ratio(pair: dict) -> float:
+    """change / parent of the reference step, each side's the mean of the
+    timings around its run."""
+    change, parent = (statistics.fmean(pair[side]["run"]["reference_ms"]) for side in SIDES)
+    return change / parent
+
+
+def _normalized_ratios(pairs: list[dict]) -> dict:
+    """Each time metric's per-pair ratio divided by the pair's reference
+    ratio, with the pairs the change wins (every time metric is better lower)."""
+    ratios = {}
+    for pair in pairs:
+        change, parent = pair["change"]["metrics"], pair["parent"]["metrics"]
+        for name in change.keys() & parent.keys():
+            if change[name]["unit"] in TIME_UNITS and parent[name]["value"]:
+                ratios.setdefault(name, []).append(change[name]["value"] / parent[name]["value"]
+                                                   / _reference_ratio(pair))
+    return {name: {**_summary(values), "better_pairs": f"{sum(v < 1 for v in values)}/"
+                   f"{len(values)}"} for name, values in sorted(ratios.items())}
 
 
 def _worse_by(sides: dict, pairs: list[dict], end_to_end: list[dict]) -> dict:
@@ -146,8 +210,15 @@ def run_workload(trees: dict, workload: str, seconds: float, first: int,
         order.append(sides[0])
         pairs.append({side: run_once(trees[side], workload, seed, seconds) for side in sides})
     result = {"first": order, **{side: _side([p[side] for p in pairs]) for side in SIDES}}
-    return {**result, "ratios": _ratios(pairs),
-            "end_to_end": _worse_by(result, pairs, end_to_end)}
+    normalized = _normalized_ratios(pairs)
+    worse_by = _worse_by(result, pairs, end_to_end)
+    for name, metric in worse_by.items():
+        if name in normalized:
+            metric["normalized_median_ratio"] = normalized[name]["median"]
+            metric["normalized_better_pairs"] = normalized[name]["better_pairs"]
+    return {**result, "ratios": _ratios(pairs), "normalized_ratios": normalized,
+            "reference_ratios": _summary([_reference_ratio(p) for p in pairs]),
+            "end_to_end": worse_by}
 
 
 def main(argv=None) -> int:

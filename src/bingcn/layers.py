@@ -1,10 +1,14 @@
-"""Binarized and full-precision graph convolution layers.
+"""Graph convolution layers, binarized and full-precision, on one core.
 
-A binarized layer is a sum over paths, ``sum_k P_k (bin(H) x bin(W_k))``:
-the paths share the binarized input and differ in their weights and in
-the propagation ``P_k``. Bi-GCN has one path, the normalized adjacency;
-the mean-aggregator model (Bi-GraphSAGE) a self path (``P = I``) and a
-neighbor-mean path. One forward and one backward core serve both.
+A layer is a sum over paths, ``sum_k P_k (H x W_k)``: the paths share the
+input and differ in their weights and in the propagation ``P_k``. GCN and
+Bi-GCN have one path, the normalized adjacency; the mean-aggregator model
+(Bi-GraphSAGE) a self path (``P = I``) and a neighbor-mean path. A
+binarized layer computes ``bin(H) x bin(W_k)``; the float GCN layer is the
+same layer with no binarization and a ReLU on hidden layers. One forward
+and one backward core serve all three families; each public layer
+function is one call into it, so a function swapped in at a public name
+(to time it, say) sees one call per layer.
 
 Latent full-precision weights are re-binarized every call. Two routes
 compute ``bin(H) x bin(W)`` and agree within float tolerance:
@@ -104,25 +108,25 @@ def _take(ws: Workspace | None, role: str, shape, dtype=np.float64) -> np.ndarra
 
 @dataclass
 class LayerCache:
-    """Forward intermediates a binarized layer's backward pass needs.
+    """Forward intermediates a layer's backward pass needs.
 
-    The list fields hold one entry per path. Neither the rescaled
-    binarized features nor the per-path products are stored: the row
-    scalars commute with the dropout mask and the weight product, so the
-    backward pass folds them into the (much smaller) gradient. `f_signs`
-    is set only by the float simulation, that is by a training forward of
-    a float `h_in`; the backward pass of a packed `h_in` unpacks its signs
-    in row blocks. A cache of an inference forward of a float `h_in` has
-    neither, and backward rejects it.
+    `operand` is the product's left operand after dropout: sign(H) * mask
+    for a binarized layer, H * mask for a float one, or a packed input's
+    signs. Neither the row-scaled operand, the weights' scaled signs nor
+    the per-path products are stored: the row scalars commute with the
+    dropout mask and the weight product, so the backward pass folds them
+    into the (much smaller) gradient, and it binarizes the weights again.
+    A binarized inference forward of a float `h_in` runs the packed kernel
+    and keeps no operand; backward rejects its cache.
     """
 
-    h_in: np.ndarray | bl.PackedBinMatrix  # pre-binarization input, or its packed signs
-    f_signs: np.ndarray | None  # (N, d_in) +-1 signs of h_in
-    beta: np.ndarray  # (N,) row scalars
-    b_signs: list[np.ndarray]  # (d_in, d_out) +-1 signs of each path's weights
-    alpha: list[np.ndarray]  # (d_out,) column scalars of each path's weights
-    weights: list[np.ndarray]  # each path's latent weights
+    h_in: np.ndarray | bl.PackedBinMatrix  # the layer input as given
+    operand: np.ndarray | bl.PackedBinMatrix | None
+    beta: np.ndarray | None  # (N,) row scalars; None: a float layer
+    weights: list[np.ndarray]  # each path's latent (or float) weights
     drop_mask: np.ndarray | None = None
+    pre_act: np.ndarray | None = None  # the ReLU's input, where the layer has one
+    gather_rows: np.ndarray | None = None  # the input rows the "gather" route read
 
 
 def _input_route(adj, h) -> str:
@@ -198,29 +202,40 @@ def _gathered_blocks(h: np.ndarray, rows: np.ndarray):
         yield slice(start, stop), h[rows[start:stop]]
 
 
-def _binarized_forward(
-    h_in: np.ndarray,
+def _scaled_signs(w: np.ndarray) -> np.ndarray:
+    """bin(W): the signs of `w` times its columns' mean absolute values."""
+    return bl.sign_pm1(w) * np.abs(w).mean(axis=0)[None, :]
+
+
+def _forward(
+    prop,
+    h_in: np.ndarray | bl.PackedBinMatrix,
     weights: list[np.ndarray],
+    binarized: bool,
     training: bool,
     dropout: float,
     rng: np.random.Generator | None,
-    ws: Workspace | None = None,
-    adj=None,
+    ws: Workspace | None,
+    activation: bool = False,
 ) -> tuple[np.ndarray, LayerCache]:
-    """bin(H) x bin(W_k) for each path's weights W_k, before propagation,
-    stacked as a (paths, N, d_out) array.
+    """The layer ``sum_k P_k (H x W_k)``, with ReLU if `activation`.
 
-    A packed `h_in` (its row signs and scalars) always runs the packed
-    kernel and takes no dropout. A float `h_in` runs the float simulation
-    in training, whose dropout can mask single entries of the binarized
-    features, and the packed kernel in inference. `adj` is the
-    propagation, for a row plan's slice: `h_in` then holds its input rows.
+    Every path of `weights` but the last is a self path (``P = I``); the
+    last is propagated by `prop`: a `NormalizedAdjacency`, whole or a row
+    plan's slice, or a sparse matrix. A binarized layer's packed `h_in`
+    always runs the packed kernel and takes no dropout; its float `h_in`
+    runs the float simulation in training, whose dropout can mask single
+    entries of the binarized features, and the packed kernel in
+    inference. A float layer computes ``(H * mask) x W``. On a row plan's
+    slice `h_in` holds the slice's input rows, or, for a float layer, the
+    row of every node, read at those rows by the product and by the weight
+    gradient in gathered blocks, so no copy of them is held whole.
     """
     weights = [np.asarray(w, dtype=np.float64) for w in weights]
     shape = weights[0].shape
     if len(shape) != 2 or any(w.shape != shape for w in weights):
         raise ValueError("every path's weights must be 2-D and of one shape")
-    packed = isinstance(h_in, bl.PackedBinMatrix)
+    packed = binarized and isinstance(h_in, bl.PackedBinMatrix)
     if packed:
         if h_in.orientation != "row":
             raise ValueError("a packed layer input must be row-bucketed")
@@ -231,41 +246,54 @@ def _binarized_forward(
         h_in = np.asarray(h_in, dtype=np.float64)
     if len(h_in.shape) != 2 or h_in.shape[1] != shape[0]:
         raise ValueError(f"expected (N, {shape[0]}) input, got {h_in.shape}")
+    adj = prop if isinstance(prop, NormalizedAdjacency) else None
     route = _input_route(adj, h_in)
+    gather_rows = None
     if route == "gather":
-        raise ValueError("a binarized layer on a row plan's slice takes its input rows alone")
+        if binarized:
+            raise ValueError("a binarized layer on a row plan's slice takes its input "
+                             "rows alone")
+        gather_rows = adj.in_rows
 
-    drop_mask = None
-    f_signs = None
-    kernel = packed or not training
+    operand = beta = drop_mask = None
+    kernel = packed or (binarized and not training)
     if packed:
-        packed_f = h_in
-        beta = packed_f.scalars
-    elif training:
-        f_signs = bl.sign_pm1(h_in, out=_take(ws, "signs", h_in.shape))
-        beta = np.abs(h_in, out=_take(ws, "scratch", h_in.shape)).mean(axis=1)
-        fm = f_signs
-        if dropout > 0.0:
-            drop_mask = _dropout_mask(rng, h_in.shape, dropout, ws, adj, route)
-            fm = np.multiply(f_signs, drop_mask, out=_take(ws, "scratch", h_in.shape))
-    else:
+        packed_f = operand = h_in
+        beta = h_in.scalars
+    elif kernel:
         packed_f = bl.binarize_rows(h_in)
         beta = packed_f.scalars
+    else:
+        operand = h_in
+        if binarized:
+            operand = bl.sign_pm1(h_in, out=_take(ws, "operand", h_in.shape))
+            beta = np.abs(h_in, out=_take(ws, "scratch", h_in.shape)).mean(axis=1)
+        if training and dropout > 0.0:
+            drop_mask = _dropout_mask(rng, h_in.shape, dropout, ws, adj, route)
+            operand = np.multiply(operand, drop_mask, out=_take(ws, "operand", h_in.shape))
 
-    cache = LayerCache(h_in=h_in, f_signs=f_signs, beta=beta, b_signs=[], alpha=[],
-                       weights=weights, drop_mask=drop_mask)
-    zetas = _take(ws, "zetas", (len(weights), h_in.shape[0], shape[1]))
+    n_rows = h_in.shape[0] if gather_rows is None else gather_rows.size
+    zetas = _take(ws, "zetas", (len(weights), n_rows, shape[1]))
     for zeta, w in zip(zetas, weights):
-        b_signs = bl.sign_pm1(w)
-        alpha = np.abs(w).mean(axis=0)
         if kernel:
             bl.bin_gemm(packed_f, bl.binarize_columns(w), out=zeta)
         else:
-            _product(fm, b_signs * alpha[None, :], adj, route, ws, out=zeta)
-            zeta *= beta[:, None]
-        cache.b_signs.append(b_signs)
-        cache.alpha.append(alpha)
-    return zetas, cache
+            _product(operand, _scaled_signs(w) if binarized else w, adj, route, ws, out=zeta)
+            if binarized:
+                zeta *= beta[:, None]
+    if adj is None:
+        out = sparse_matmul(prop, zetas[-1], _take(ws, "out", (prop.shape[0], shape[1])))
+    else:
+        out = aggregate(adj, zetas[-1], out=_take(ws, "out", (adj.matrix.shape[0], shape[1])))
+    for zeta in zetas[:-1]:  # the self paths
+        out = np.add(zeta, out, out=out)
+    cache = LayerCache(h_in=h_in, operand=operand, beta=beta, weights=weights,
+                       drop_mask=drop_mask, gather_rows=gather_rows)
+    if activation:
+        # R_out is a subset of R_in: the output fits in the product's leading rows.
+        cache.pre_act = out
+        out = np.maximum(out, 0.0, out=zetas[0][:out.shape[0]])
+    return out, cache
 
 
 def bigcn_forward(
@@ -282,9 +310,26 @@ def bigcn_forward(
     No nonlinearity is applied; the sign in the next layer's input
     binarization plays that role.
     """
-    (zeta,), cache = _binarized_forward(h_in, [w], training, dropout, rng, ws, adj)
-    out = _take(ws, "out", (adj.matrix.shape[0], zeta.shape[1]))
-    return aggregate(adj, zeta, out=out), cache
+    return _forward(adj, h_in, [w], True, training, dropout, rng, ws)
+
+
+def gcn_forward_cached(
+    adj: NormalizedAdjacency,
+    h_in: np.ndarray,
+    w: np.ndarray,
+    activation: bool,
+    training: bool = False,
+    dropout: float = 0.0,
+    rng: np.random.Generator | None = None,
+    ws: Workspace | None = None,
+) -> tuple[np.ndarray, LayerCache]:
+    """Full-precision graph convolution, ReLU optional: aggregate(H x W).
+
+    On a row plan's slice `adj`, an `h_in` of all N rows (the fixed input
+    of layer 0) is read at the slice's input rows; it has no input
+    gradient.
+    """
+    return _forward(adj, h_in, [w], False, training, dropout, rng, ws, activation)
 
 
 def bisage_forward(
@@ -304,10 +349,7 @@ def bisage_forward(
     neighbor term. Both weight matrices consume the same binarized
     input. No nonlinearity, as with the binarized graph convolution.
     """
-    (zeta_self, zeta_neigh), cache = _binarized_forward(
-        h_in, [w_self, w_neigh], training, dropout, rng, ws)
-    out = sparse_matmul(neighbor_mean, zeta_neigh, _take(ws, "out", zeta_neigh.shape))
-    return np.add(zeta_self, out, out=out), cache
+    return _forward(neighbor_mean, h_in, [w_self, w_neigh], True, training, dropout, rng, ws)
 
 
 def ste_gate(grad: np.ndarray, reference: np.ndarray, mode: str,
@@ -325,12 +367,7 @@ def ste_gate(grad: np.ndarray, reference: np.ndarray, mode: str,
     return np.multiply(grad, passes, out=None if ws is None else grad)
 
 
-def _latent_weight_grad(
-    grad_w_tilde: np.ndarray,
-    b_signs: np.ndarray,
-    alpha: np.ndarray,
-    w_latent: np.ndarray,
-) -> np.ndarray:
+def _latent_weight_grad(grad_w_tilde: np.ndarray, w_latent: np.ndarray) -> np.ndarray:
     """Full-precision weight gradient through the column binarization.
 
     Each column couples through its shared scalar (the mean absolute
@@ -338,78 +375,82 @@ def _latent_weight_grad(
     gradient mass, plus the straight-through term for the sign itself.
     """
     d_in = w_latent.shape[0]
+    b_signs = bl.sign_pm1(w_latent)
     col_mass = (grad_w_tilde * b_signs).sum(axis=0)
     scalar_term = b_signs * (col_mass[None, :] / d_in)
-    sign_term = alpha[None, :] * grad_w_tilde * (np.abs(w_latent) < 1.0)
+    sign_term = np.abs(w_latent).mean(axis=0)[None, :] * grad_w_tilde * (np.abs(w_latent) < 1.0)
     return scalar_term + sign_term
 
 
-def _binarized_backward(
+def _backward(
     cache: LayerCache,
+    prop,
     grad_out: np.ndarray,
-    adjoints: list,
     ste_mode: str,
     need_input_grad: bool,
-    ws: Workspace | None = None,
+    ws: Workspace | None,
 ) -> tuple[np.ndarray | None, list[np.ndarray]]:
-    """Gradients of a sum of binarized paths; `adjoints` are their transposed
-    propagations (None: identity). Returns (grad_h_in, each path's
-    full-precision latent weight gradient). The paths' feature gradients
-    add before the straight-through gate. A packed input has signs but no
-    values to gate on, so it has no input gradient.
+    """Gradients of a `_forward` layer on the propagation `prop`: (grad_h_in,
+    each path's weight gradient, a binarized layer's through its latent
+    weights). The paths' feature gradients add before a binarized layer's
+    straight-through gate. A packed input has signs but no values to gate
+    on, and an input read at a row plan's rows is layer 0's fixed input:
+    neither has an input gradient.
     """
     grad_out = np.asarray(grad_out, dtype=np.float64)
-    n, m = cache.h_in.shape[0], cache.weights[0].shape[1]
-    # One row per output node: those of a propagation, else the input's.
-    n_out = next((a.shape[1] for a in adjoints if a is not None), n)
+    matrix = prop.matrix if isinstance(prop, NormalizedAdjacency) else prop
+    (n_out, n), (d_in, m) = matrix.shape, cache.weights[0].shape
     if grad_out.shape != (n_out, m):
         raise ValueError(f"gradient shape {grad_out.shape} != {(n_out, m)}")
-    packed = isinstance(cache.h_in, bl.PackedBinMatrix)
-    if packed and need_input_grad:
-        raise ValueError("a packed layer input has no input gradient")
+    packed = isinstance(cache.operand, bl.PackedBinMatrix)
+    if need_input_grad and (packed or cache.gather_rows is not None):
+        raise ValueError("a packed layer input, or one read at a row plan's rows, "
+                         "has no input gradient")
+    if cache.operand is None:
+        raise ValueError("a float layer input's cache from an inference forward "
+                         "(training=False) has no backward pass")
 
-    if not packed:
-        if cache.f_signs is None:
-            raise ValueError("a float layer input's cache from an inference forward "
-                             "(training=False) has no backward pass")
-        fm = cache.f_signs
-        if cache.drop_mask is not None:
-            fm = np.multiply(fm, cache.drop_mask, out=_take(ws, "scratch", fm.shape))
-    # The propagated gradients go into the forward's spent output role
-    # (one role per propagated path), their scaled stack into its zetas.
-    grad_zetas, propagated = [], 0
-    for adjoint in adjoints:
-        if adjoint is None:
-            grad_zetas.append(grad_out)
-            continue
-        role = "out" if propagated == 0 else f"out{propagated}"
-        propagated += 1
-        grad_zetas.append(sparse_matmul(adjoint, grad_out, _take(ws, role, (n, m))))
-    # (beta * fm)^T grad_zeta for every path in one product, the row scaling
-    # folded into the gradient: a packed input is unpacked once per call.
-    scaled = np.concatenate(grad_zetas, axis=1,
-                            out=_take(ws, "zetas", (n, m * len(grad_zetas))))
-    scaled *= cache.beta[:, None]
-    grads_w_tilde = bl.sign_t_matmul(cache.h_in, scaled) if packed else fm.T @ scaled
-    grads_w = [_latent_weight_grad(g, b_signs, alpha, w) for g, b_signs, alpha, w in
-               zip(np.hsplit(grads_w_tilde, len(adjoints)), cache.b_signs, cache.alpha,
-                   cache.weights)]
-    grad_h_in = None
-    if need_input_grad:
-        # Into the signs' role: fm, their last reader, is spent.
-        grad_h_tilde = _take(ws, "signs", cache.h_in.shape)
-        for k, (grad_zeta, b_signs, alpha) in enumerate(
-                zip(grad_zetas, cache.b_signs, cache.alpha)):
-            scaled_w = (b_signs * alpha[None, :]).T
-            if k == 0:
-                np.matmul(grad_zeta, scaled_w, out=grad_h_tilde)
-            else:
-                grad_h_tilde += np.matmul(grad_zeta, scaled_w,
-                                          out=_take(ws, "scratch", grad_h_tilde.shape))
-        if cache.drop_mask is not None:
-            grad_h_tilde *= cache.drop_mask
-        grad_h_in = ste_gate(grad_h_tilde, cache.h_in, ste_mode, ws)
-    return grad_h_in, grads_w
+    if cache.pre_act is not None:  # into the spent output's role
+        active = np.greater(cache.pre_act, 0.0, out=_take(ws, "keep", grad_out.shape, bool))
+        grad_out = np.multiply(grad_out, active, out=_take(ws, "zetas", grad_out.shape))
+    # The self paths' gradients are grad_out; the propagated one goes into
+    # the forward's spent output role.
+    grad_zetas = [grad_out] * (len(cache.weights) - 1)
+    grad_zetas.append(sparse_matmul(matrix.T, grad_out, _take(ws, "out", (n, m))))
+    binarized = cache.beta is not None
+    if binarized:
+        # (beta * operand)^T grad_zeta for every path in one product, the row
+        # scaling folded into the gradient: a packed input is unpacked once.
+        grad = np.concatenate(grad_zetas, axis=1,
+                              out=_take(ws, "zetas", (n, m * len(grad_zetas))))
+        grad *= cache.beta[:, None]
+    else:  # a float layer: one path, no row scalars
+        (grad,) = grad_zetas
+    f = cache.operand
+    if packed:
+        grads_w = bl.sign_t_matmul(f, grad)
+    elif cache.gather_rows is None:
+        grads_w = f.T @ grad
+    else:  # read at the slice's input rows, as in the forward
+        grads_w = np.zeros((d_in, grad.shape[1]))
+        for block, rows in _gathered_blocks(f, cache.gather_rows):
+            grads_w += rows.T @ grad[block]
+    grads_w = np.hsplit(grads_w, len(grad_zetas))
+    if binarized:
+        grads_w = [_latent_weight_grad(g, w) for g, w in zip(grads_w, cache.weights)]
+    if not need_input_grad:
+        return None, grads_w
+    # Into the operand's role: the weight gradient was its last reader.
+    grad_h = _take(ws, "operand", (n, d_in))
+    for k, (grad_zeta, w) in enumerate(zip(grad_zetas, cache.weights)):
+        w_t = (_scaled_signs(w) if binarized else w).T
+        if k == 0:
+            np.matmul(grad_zeta, w_t, out=grad_h)
+        else:
+            grad_h += np.matmul(grad_zeta, w_t, out=_take(ws, "scratch", grad_h.shape))
+    if cache.drop_mask is not None:
+        grad_h *= cache.drop_mask
+    return (ste_gate(grad_h, cache.h_in, ste_mode, ws) if binarized else grad_h), grads_w
 
 
 def bigcn_backward(
@@ -421,8 +462,19 @@ def bigcn_backward(
     ws: Workspace | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Gradients of a binarized graph convolution: (grad_h_in, grad_w_latent)."""
-    grad_h_in, (grad_w,) = _binarized_backward(cache, grad_out, [adj.matrix.T],
-                                               ste_mode, need_input_grad, ws)
+    grad_h_in, (grad_w,) = _backward(cache, adj, grad_out, ste_mode, need_input_grad, ws)
+    return grad_h_in, grad_w
+
+
+def gcn_backward(
+    cache: LayerCache,
+    adj: NormalizedAdjacency,
+    grad_out: np.ndarray,
+    need_input_grad: bool = True,
+    ws: Workspace | None = None,
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Gradients of a full-precision graph convolution: (grad_h_in, grad_w)."""
+    grad_h_in, (grad_w,) = _backward(cache, adj, grad_out, "grad", need_input_grad, ws)
     return grad_h_in, grad_w
 
 
@@ -438,104 +490,9 @@ def bisage_backward(
 
     Returns (grad_h_in, grad_w_self, grad_w_neigh).
     """
-    grad_h_in, grads_w = _binarized_backward(cache, grad_out, [None, neighbor_mean.T],
-                                             ste_mode, need_input_grad, ws)
+    grad_h_in, grads_w = _backward(cache, neighbor_mean, grad_out, ste_mode,
+                                   need_input_grad, ws)
     return (grad_h_in, *grads_w)
-
-
-@dataclass
-class GCNCache:
-    h_in: np.ndarray  # input after dropout, as fed to the product
-    w: np.ndarray
-    pre_act: np.ndarray
-    activation: bool
-    drop_mask: np.ndarray | None = None
-    route: str = "full"  # the forward's `_input_route`
-
-
-def gcn_forward(
-    adj: NormalizedAdjacency,
-    h_in: np.ndarray,
-    w: np.ndarray,
-    activation: bool,
-) -> np.ndarray:
-    """Full-precision graph convolution, ReLU optional (uncached reference)."""
-    h_in = np.asarray(h_in, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    if h_in.ndim != 2 or h_in.shape[1] != w.shape[0]:
-        raise ValueError(f"shape mismatch: {h_in.shape} x {w.shape}")
-    out = aggregate(adj, h_in @ w)
-    return np.maximum(out, 0.0) if activation else out
-
-
-def gcn_forward_cached(
-    adj: NormalizedAdjacency,
-    h_in: np.ndarray,
-    w: np.ndarray,
-    activation: bool,
-    training: bool = False,
-    dropout: float = 0.0,
-    rng: np.random.Generator | None = None,
-    ws: Workspace | None = None,
-) -> tuple[np.ndarray, GCNCache]:
-    """Cached full-precision graph convolution.
-
-    On a row plan's slice `adj`, an `h_in` of all N rows (the fixed input
-    of layer 0) is read at the slice's input rows, in gathered blocks, by
-    the product and by the weight gradient, so no copy of those rows is
-    held whole; it has no input gradient.
-    """
-    h_in = np.asarray(h_in, dtype=np.float64)
-    if h_in.ndim != 2 or h_in.shape[1] != w.shape[0]:
-        raise ValueError(f"shape mismatch: {h_in.shape} x {w.shape}")
-    n_out, n_in = adj.matrix.shape
-    route = _input_route(adj, h_in)
-    drop_mask = None
-    if training and dropout > 0.0:
-        drop_mask = _dropout_mask(rng, h_in.shape, dropout, ws, adj, route)
-        h_in = np.multiply(h_in, drop_mask, out=_take(ws, "input", h_in.shape))
-    product = _product(h_in, w, adj, route, ws, out=_take(ws, "out", (n_in, w.shape[1])))
-    pre_act = aggregate(adj, product, out=_take(ws, "pre_act", (n_out, w.shape[1])))
-    # R_out is a subset of R_in: the output fits in the product's leading rows.
-    out = np.maximum(pre_act, 0.0, out=product[:n_out]) if activation else pre_act
-    return out, GCNCache(h_in=h_in, w=w, pre_act=pre_act, activation=activation,
-                         drop_mask=drop_mask, route=route)
-
-
-def gcn_backward(
-    cache: GCNCache,
-    adj: NormalizedAdjacency,
-    grad_out: np.ndarray,
-    need_input_grad: bool = True,
-    ws: Workspace | None = None,
-) -> tuple[np.ndarray | None, np.ndarray]:
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    shape = cache.pre_act.shape
-    if grad_out.shape != shape:
-        raise ValueError(f"gradient shape {grad_out.shape} != {shape}")
-    gathered = cache.route == "gather"
-    if gathered and need_input_grad:
-        raise ValueError("an input read at a row plan's rows has no input gradient")
-    # The forward's output and pre-activation roles are spent by now.
-    if cache.activation:
-        active = np.greater(cache.pre_act, 0.0, out=_take(ws, "keep", shape, bool))
-        grad_out = np.multiply(grad_out, active, out=_take(ws, "out", shape))
-    n_in = adj.matrix.shape[1]
-    grad_z = sparse_matmul(adj.matrix.T, grad_out, _take(ws, "pre_act", (n_in, shape[1])))
-    if gathered:  # read at the slice's input rows, as in the forward
-        grad_w = np.zeros(cache.w.shape)
-        for block, rows in _gathered_blocks(cache.h_in, adj.in_rows):
-            grad_w += rows.T @ grad_z[block]
-    else:
-        grad_w = cache.h_in.T @ grad_z
-    grad_h = None
-    if need_input_grad:
-        # Into the dropped input's role: grad_w was its last reader.
-        grad_h = np.matmul(grad_z, cache.w.T,
-                           out=_take(ws, "input", (n_in, cache.w.shape[0])))
-        if cache.drop_mask is not None:
-            grad_h *= cache.drop_mask
-    return grad_h, grad_w
 
 
 @dataclass

@@ -371,6 +371,7 @@ def train(config: ModelConfig, graph: AttributedGraph,
         grads = model.backward(prop, caches, grad_logits, workspaces, train_plan)
         del logits, caches  # the validation pass overwrites their arrays
         model.update(adam_step(model.weights, grads, opt, config.lr))
+        del grads  # else they outlive the next epoch's peak
 
         val_loss, val_acc = evaluate(model, prop, graph, graph.val_mask, x_val, workspaces,
                                      val_plan)

@@ -154,3 +154,14 @@ def scalar_bigcn_forward(h_in, w_latent, adj_dense):
         for j in range(d_out):
             out[i, j] = sum(adj_dense[i, p] * zeta[p, j] for p in range(n))
     return out, zeta
+
+
+def gcn_forward(adj, h_in, w, activation):
+    """Uncached full-precision graph convolution, ReLU optional, from dense
+    products: relu(A_hat (H W)) with `adj`'s normalized adjacency A_hat."""
+    h_in = np.asarray(h_in, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    if h_in.ndim != 2 or h_in.shape[1] != w.shape[0]:
+        raise ValueError(f"shape mismatch: {h_in.shape} x {w.shape}")
+    out = adj.matrix.toarray() @ (h_in @ w)
+    return np.maximum(out, 0.0) if activation else out

@@ -25,13 +25,12 @@ from bingcn.layers import (
     bigcn_backward,
     bigcn_forward,
     gcn_backward,
-    gcn_forward,
     gcn_forward_cached,
     masked_softmax_xent,
 )
 from bingcn.train import ModelConfig, train
 
-from reference_impl import scalar_bigcn_backward
+from reference_impl import gcn_forward, scalar_bigcn_backward
 from test_layers import random_graph
 
 

@@ -1,5 +1,7 @@
 """Layer forward/backward passes, batch norm, and the masked loss."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,6 @@ from bingcn.layers import (
     bisage_backward,
     bisage_forward,
     gcn_backward,
-    gcn_forward,
     gcn_forward_cached,
     masked_accuracy,
     masked_softmax_xent,
@@ -29,7 +30,7 @@ from bingcn.layers import (
 )
 from bingcn.train import Model, ModelConfig
 
-from reference_impl import scalar_bigcn_backward, scalar_bigcn_forward
+from reference_impl import gcn_forward, scalar_bigcn_backward, scalar_bigcn_forward
 
 
 def random_graph(rng, n, d, n_classes=2, edge_factor=2):
@@ -114,8 +115,10 @@ class TestBiGCNForward:
         assert dropped.any() and not dropped.all()
         kept_scale = cache.drop_mask[~dropped]
         assert np.allclose(kept_scale, 2.0)  # inverted dropout at rate 0.5
-        h_tilde = cache.beta[:, None] * cache.f_signs * cache.drop_mask
-        expected_zeta = h_tilde @ (cache.b_signs[0] * cache.alpha[0][None, :])
+        signs = np.where(g.x >= 0, 1.0, -1.0)
+        assert np.array_equal(cache.operand, signs * cache.drop_mask)
+        h_tilde = cache.beta[:, None] * cache.operand
+        expected_zeta = h_tilde @ (np.where(w >= 0, 1.0, -1.0) * np.abs(w).mean(axis=0))
         assert np.allclose(h_out, adj.matrix.toarray() @ expected_zeta)
 
     def test_dropout_requires_rng(self):
@@ -211,15 +214,17 @@ class TestGCN:
     def test_identity_passthrough(self):
         g = random_graph(np.random.default_rng(14), 3, 3, edge_factor=0)
         adj = normalize_adjacency(g)
-        out = gcn_forward(adj, g.x, np.eye(3), activation=False)
-        assert np.allclose(out, g.x)
+        for out in (gcn_forward_cached(adj, g.x, np.eye(3), activation=False)[0],
+                    gcn_forward(adj, g.x, np.eye(3), activation=False)):
+            assert np.allclose(out, g.x)
 
     def test_relu_clamp(self):
         g = random_graph(np.random.default_rng(15), 1, 2, edge_factor=0)
         g.x = np.array([[1.0, -2.0]])
         adj = normalize_adjacency(g)
-        out = gcn_forward(adj, g.x, np.eye(2), activation=True)
-        assert np.allclose(out, [[1.0, 0.0]])
+        for out in (gcn_forward_cached(adj, g.x, np.eye(2), activation=True)[0],
+                    gcn_forward(adj, g.x, np.eye(2), activation=True)):
+            assert np.allclose(out, [[1.0, 0.0]])
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(16)
@@ -228,6 +233,7 @@ class TestGCN:
         w = rng.standard_normal((4, 3))
         expected = np.maximum(adj.matrix.toarray() @ (g.x @ w), 0.0)
         assert np.allclose(gcn_forward(adj, g.x, w, activation=True), expected)
+        assert np.allclose(gcn_forward_cached(adj, g.x, w, activation=True)[0], expected)
 
     def test_end_to_end_finite_difference(self):
         rng = np.random.default_rng(17)
@@ -385,6 +391,102 @@ def test_backward_rejects_a_float_input_cache_from_inference(family):
     for need_input_grad in (False, True):
         with pytest.raises(ValueError, match="inference forward"):
             backward(cache, prop, np.ones((6, 3)), need_input_grad=need_input_grad)
+
+
+def _layer(family, g, rng, d_out):
+    """(propagation, weights, forward, backward) of one layer of any family;
+    gcn's forward has its ReLU."""
+    if family != "gcn":
+        return _binarized_layer(family, g, rng, d_out)
+    return (normalize_adjacency(g), [rng.uniform(-1.2, 1.2, size=(g.x.shape[1], d_out))],
+            functools.partial(gcn_forward_cached, activation=True), gcn_backward)
+
+
+def _slice_of_a_sparse_graph(rng, n=400, d=12):
+    """A graph and layer 0's slice of its one-layer row plan for 8 nodes."""
+    g = random_graph(rng, n, d, edge_factor=1)
+    mask = np.zeros(n, dtype=bool)
+    mask[rng.choice(n, 8, replace=False)] = True
+    op = row_plan(normalize_adjacency(g), mask, 1).ops[0]
+    assert op.in_rows.size < n
+    return g, mask, op
+
+
+class TestCoreRejects:
+    """What the layer core rejects, pinned by message, for each family that
+    can reach it."""
+
+    @pytest.mark.parametrize("family", ["bigcn", "gcn", "bisage"])
+    def test_a_wrong_gradient_shape(self, family):
+        rng = np.random.default_rng(50)
+        g = random_graph(rng, 6, 5)
+        prop, weights, forward, backward = _layer(family, g, rng, 3)
+        _, cache = forward(prop, g.x, *weights, training=True)
+        for shape in ((6, 4), (5, 3), (6,)):
+            for need_input_grad in (False, True):
+                with pytest.raises(ValueError, match="gradient shape"):
+                    backward(cache, prop, np.ones(shape), need_input_grad=need_input_grad)
+
+    def test_a_slice_checks_the_gradient_against_its_output_rows(self):
+        g, mask, op = _slice_of_a_sparse_graph(np.random.default_rng(51))
+        w = np.ones((12, 3))
+        for forward, backward in ((bigcn_forward, bigcn_backward),
+                                  (functools.partial(gcn_forward_cached, activation=True),
+                                   gcn_backward)):
+            _, cache = forward(op, g.x[op.in_rows], w, training=True)
+            backward(cache, op, np.ones((mask.sum(), 3)))
+            with pytest.raises(ValueError, match="gradient shape"):
+                backward(cache, op, np.ones((g.n_nodes, 3)))
+
+    @pytest.mark.parametrize("family", ["bigcn", "gcn", "bisage"])
+    def test_weights_that_are_not_2d(self, family):
+        rng = np.random.default_rng(52)
+        g = random_graph(rng, 6, 5)
+        prop, weights, forward, _ = _layer(family, g, rng, 3)
+        with pytest.raises(ValueError, match="2-D and of one shape"):
+            forward(prop, g.x, *(w[:, 0] for w in weights))
+
+    def test_paths_whose_weight_shapes_differ(self):
+        rng = np.random.default_rng(53)
+        g = random_graph(rng, 6, 5)
+        p = neighbor_mean_matrix(g)
+        for w_self, w_neigh in (((5, 3), (5, 2)), ((5, 3), (4, 3))):
+            with pytest.raises(ValueError, match="2-D and of one shape"):
+                bisage_forward(p, g.x, np.ones(w_self), np.ones(w_neigh), training=True)
+
+    @pytest.mark.parametrize("family", ["bigcn", "gcn", "bisage"])
+    def test_an_input_of_the_wrong_width(self, family):
+        rng = np.random.default_rng(54)
+        g = random_graph(rng, 6, 5)
+        prop, weights, forward, _ = _layer(family, g, rng, 3)
+        for training in (False, True):
+            with pytest.raises(ValueError, match=r"expected \(N, 5\) input"):
+                forward(prop, g.x[:, :4], *weights, training=training)
+
+    def test_a_binarized_layer_on_a_slice_takes_its_input_rows_alone(self):
+        # bisage has no row plan: its neighbor mean is never sliced.
+        g, mask, op = _slice_of_a_sparse_graph(np.random.default_rng(55))
+        w = np.random.default_rng(56).uniform(-1.2, 1.2, size=(12, 3))
+        for h in (g.x, bl.binarize_rows(g.x)):
+            for training in (False, True):
+                with pytest.raises(ValueError, match="takes its input rows alone"):
+                    bigcn_forward(op, h, w, training=training)
+        out, _ = bigcn_forward(op, g.x[op.in_rows], w)
+        assert out.shape == (mask.sum(), 3)
+
+    def test_a_gcn_input_read_at_a_slices_rows_has_no_input_gradient(self):
+        g, mask, op = _slice_of_a_sparse_graph(np.random.default_rng(57))
+        w = np.random.default_rng(58).uniform(-1.2, 1.2, size=(12, 3))
+        grad = np.random.default_rng(59).standard_normal((mask.sum(), 3))
+        _, gathered = gcn_forward_cached(op, g.x, w, activation=True, training=True)
+        with pytest.raises(ValueError, match="no input gradient"):
+            gcn_backward(gathered, op, grad)
+        _, rows = gcn_forward_cached(op, g.x[op.in_rows], w, activation=True, training=True)
+        grad_h, grad_w = gcn_backward(rows, op, grad)
+        assert grad_h.shape == (op.in_rows.size, 12)
+        no_grad_h, grad_w_gathered = gcn_backward(gathered, op, grad, need_input_grad=False)
+        assert no_grad_h is None
+        assert np.allclose(grad_w_gathered, grad_w, rtol=1e-12, atol=1e-15)
 
 
 def _dense_bfs_rows(adj, mask, n_layers):

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from bingcn import bitlinalg as bl
+from bingcn import layers as L
 from bingcn.datasets import SBMParams, generate_sbm
 from bingcn.graph import AttributedGraph, RowPlan, normalize_adjacency, row_plan
 from bingcn.layers import Workspace, masked_accuracy, masked_softmax_xent
 from bingcn.optim import AdamState, adam_step
 from bingcn.train import (
     FAMILIES,
+    MODEL_KINDS,
     Model,
     ModelConfig,
     ModelFileError,
@@ -364,6 +366,40 @@ class TestBatchNormPlacement:
         config = ModelConfig(widths=[24, 8, 3], model="gcn")
         model = Model(config, np.random.default_rng(0))
         assert model.bn_states == []
+
+
+LAYER_FUNCTIONS = ("bigcn_forward", "gcn_forward_cached", "bisage_forward",
+                   "bigcn_backward", "gcn_backward", "bisage_backward")
+
+
+@pytest.mark.parametrize("family", MODEL_KINDS)
+@pytest.mark.parametrize("widths", [[24, 8, 3], [24, 8, 6, 3]])
+def test_a_pass_calls_its_family_layer_function_once_per_layer(monkeypatch, family, widths):
+    """A wrapper swapped in at a public layer name, as a tracer that counts
+    layer indices by call does, sees exactly one call per layer."""
+    calls = []
+    for name in LAYER_FUNCTIONS:
+        def counting(*args, _name=name, _fn=getattr(L, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(L, name, counting)
+    g = sparse_sbm(seed=4)
+    net = Model(ModelConfig(widths=widths, model=family), np.random.default_rng(4))
+    prop = propagation_operator(net.family, g)
+    x = net.fit_input(g)
+    plans = [None] if net.family.full_pass else [None, row_plan(prop, g.train_mask,
+                                                                 net.n_layers)]
+    for plan in plans:
+        calls.clear()
+        logits, caches = net.forward(prop, net.prepare_input(x, plan), training=True,
+                                     rng=np.random.default_rng(5), plan=plan)
+        assert calls == [net.family.forward] * net.n_layers
+        labels, mask = (g.labels, g.train_mask) if plan is None else (
+            g.labels[g.train_mask], np.ones(g.train_mask.sum(), bool))
+        _, grad = masked_softmax_xent(logits, labels, mask)
+        calls.clear()
+        net.backward(prop, caches, grad, plan=plan)
+        assert calls == [net.family.backward] * net.n_layers
 
 
 class TestRowPlans:
