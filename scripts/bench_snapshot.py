@@ -10,6 +10,11 @@ per side, the median, quartiles and IQR of every metric and each run's
 every metric; and for each end-to-end metric of BENCHMARK.json, how much
 worse the change's median reads than the parent's, against its bound,
 and in how many pairs the change reads better.
+Also records both trees' git revisions and the environment: Python,
+numpy and scipy versions, the C compiler, the CPU count, the BLAS thread
+count the benchmark fixes, whether the packed C kernel loads, and the
+threads its large calls are split over (1 for a tree whose kernels have
+no threads).
 
 Whole runs drift together on a shared machine, so each run is bracketed
 by a reference step that imports nothing from bingcn (a fixed float64
@@ -19,11 +24,6 @@ ratio is also given divided by the pair's reference ratio
 (`normalized_ratios`), with its median and the pairs the change wins,
 next to the raw figures. The bound check stays on the raw medians: the
 normalized view is evidence for a claim, not a gate.
-Also records both trees' git revisions and the environment: Python,
-numpy and scipy versions, the C compiler, the CPU count, the BLAS thread
-count the benchmark fixes, whether the packed C kernel loads, and the
-threads its large calls are split over (1 for a tree whose kernels have
-no threads).
 
 Usage:
     git clone <this repo> /tmp/parent && git -C /tmp/parent checkout <parent>
@@ -57,7 +57,7 @@ rng = np.random.default_rng(0)
 a, b = rng.standard_normal((2, 384, 384))
 n = 20000
 m = sp.csr_matrix((rng.random(5 * n), rng.integers(0, n, (2, 5 * n))), shape=(n, n))
-z = rng.standard_normal((20000, 64))
+z = rng.standard_normal((n, 64))
 times, stop = [], time.perf_counter() + float(sys.argv[1])
 while len(times) < 5 or time.perf_counter() < stop:
     start = time.perf_counter()
