@@ -112,7 +112,7 @@ def _model_config(settings: dict, graph) -> ModelConfig:
             ste_mode=settings["ste"],
             seed=int(settings["seed"]),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(str(exc)) from exc
 
 

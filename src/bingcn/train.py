@@ -116,6 +116,8 @@ class ModelConfig:
             raise ValueError("max_epochs must be >= 0")
         if self.ste_mode not in L.STE_MODES:
             raise ValueError(f"bad ste_mode {self.ste_mode!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 class Model:

@@ -63,6 +63,9 @@ MALFORMED_INPUTS = {
         "train", "--sbm", SBM_ARGS, "--config", _config_file(tmp, [["lr"]])],
     "lr-nan": lambda tmp: ["train", "--sbm", SBM_ARGS, "--lr", "nan"],
     "lr-negative": lambda tmp: ["train", "--sbm", SBM_ARGS, "--lr", "-1"],
+    "train-seed-negative": lambda tmp: ["train", "--sbm", SBM_ARGS, "--seed", "-1"],
+    "config-epochs-infinite": lambda tmp: [
+        "train", "--sbm", SBM_ARGS, "--config", _config_file(tmp, {"epochs": float("inf")})],
     "analyze-zero-nodes": lambda tmp: ANALYZE_ARGS + ["--nodes", "0"],
     "analyze-zero-ops-per-cycle": lambda tmp: ANALYZE_ARGS + [
         "--nodes", "5", "--ops-per-cycle", "0"],
