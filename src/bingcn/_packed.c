@@ -15,6 +15,7 @@
 #include <pthread.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <stdlib.h>
 
 #define TILE 64 /* output columns counted at once */
 #define MAX_THREADS 8
@@ -144,31 +145,37 @@ static double pairwise_sum(const double *v, int64_t n, int absolute)
 
 struct binarize {
     const double *h, *mean, *inv_std;
-    int standardize;
     int64_t d;
-    double *scratch;
     uint64_t *words;
     double *scalars;
-    int *bad;
+    int *status;
 };
 
 static void binarize_range(const void *arg, int k, int64_t lo, int64_t hi)
 {
     const struct binarize *a = arg;
     const double *mean = a->mean, *inv_std = a->inv_std;
-    const int standardize = a->standardize;
     const int64_t d = a->d, nw = (d + 63) / 64;
-    double *v = a->scratch + k * d;
+    /* A standardized row goes to this range's own buffer; a plain one is
+       read in place. */
+    double *row = mean ? malloc((size_t)d * sizeof *row) : NULL;
+    if (mean && !row) {
+        a->status[k] = -2;
+        return;
+    }
     for (int64_t i = lo; i < hi; i++) {
-        const double *x = a->h + i * d;
+        const double *v = a->h + i * d;
         int finite = 1;
-        for (int64_t j = 0; j < d; j++) {
-            v[j] = standardize ? (x[j] - mean[j]) * inv_std[j] : x[j];
-            finite &= isfinite(v[j]) != 0;
+        if (mean) {
+            for (int64_t j = 0; j < d; j++)
+                row[j] = (v[j] - mean[j]) * inv_std[j];
+            v = row;
         }
+        for (int64_t j = 0; j < d; j++)
+            finite &= isfinite(v[j]) != 0;
         if (!finite) {
-            a->bad[k] = 1;
-            return;
+            a->status[k] = -1;
+            break;
         }
         uint64_t *w = a->words + i * nw;
         for (int64_t q = 0; q < nw; q++) {
@@ -181,24 +188,23 @@ static void binarize_range(const void *arg, int k, int64_t lo, int64_t hi)
         }
         a->scalars[i] = pairwise_sum(v, d, 1) / (double)d;
     }
+    free(row);
 }
 
-/* Binarize the n rows of h (n, d): with standardize, of (h - mean) * inv_std.
-   Writes each row's sign words (nw per row, padding 1) and mean |v|;
-   `scratch` holds one row (d doubles) per thread. Returns 0, or -1 on a
-   non-finite value. */
-int binarize_rows(const double *h, const double *mean, const double *inv_std,
-                  int standardize, int64_t n, int64_t d, double *scratch,
-                  uint64_t *words, double *scalars, int threads)
+/* Binarize the n rows of h (n, d), or, where mean and inv_std are not NULL,
+   of (h - mean) * inv_std. Writes each row's sign words (nw per row,
+   padding 1) and mean |v|. Returns 0, -1 on a non-finite value, or -2 where
+   no memory was left for a standardized row. */
+int binarize_rows(const double *h, const double *mean, const double *inv_std, int64_t n,
+                  int64_t d, uint64_t *words, double *scalars, int threads)
 {
-    int bad[MAX_THREADS] = {0};
-    const struct binarize a = {h, mean, inv_std, standardize, d, scratch, words,
-                               scalars, bad};
+    int status[MAX_THREADS] = {0}, worst = 0;
+    const struct binarize a = {h, mean, inv_std, d, words, scalars, status};
     parallel_for(binarize_range, &a, n, threads);
     for (int k = 0; k < MAX_THREADS; k++)
-        if (bad[k])
-            return -1;
-    return 0;
+        if (status[k] < worst)
+            worst = status[k];
+    return worst;
 }
 
 struct expand {

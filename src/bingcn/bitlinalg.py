@@ -1,16 +1,19 @@
 """Bit-packed sign matrices and the binarized matmul kernel.
 
-Matrices are binarized bucket-wise, one bucket per feature row
-(`binarize_rows`) or per weight column (`binarize_columns`): each bucket
-is approximated by its sign pattern times one nonnegative scalar, the
-mean absolute value, which is the least-squares optimal rank-1 binary
-factorization of the bucket.
+A `PackedBinMatrix` is a list of `rows` buckets of `cols` signs, each
+bucket approximated by its sign pattern times one nonnegative scalar,
+the mean absolute value, which is the least-squares optimal rank-1
+binary factorization of the bucket. Features are bucketed per node row
+(`binarize_rows`), weights per output column (`binarize_columns`, whose
+buckets are W's columns), so the product XNOR/popcount computes,
+`bin_gemm`, pairs every bucket of one list with every bucket of another
+of the same length.
 
 Each bucket is one row of `PackedBinMatrix.words`, packed LSB-first: bit
 i lives in word i // 64 at bit position i % 64 (bit 1 encodes +1, bit 0
 encodes -1). Padding bits past the bucket length are canonically set to
 1, so two buckets of one length have the same signs iff their words are
-equal; `PackedBinMatrix.sign_matrix` decodes them.
+equal; `PackedBinMatrix.sign_matrix` decodes them as stored.
 
 Packed words are the storage format and what the kernel computes on.
 `bin_gemm` counts each +-1 dot product of length t with XOR and popcount
@@ -133,7 +136,7 @@ def _load_native() -> ctypes.CDLL | None:
     lib.bin_gemm.argtypes = [ptr, ptr, ptr, ptr, i64, i64, i64, i64, ctypes.c_uint64, ptr,
                              int_]
     lib.bin_gemm.restype = None
-    lib.binarize_rows.argtypes = [ptr, ptr, ptr, int_, i64, i64, ptr, ptr, ptr, int_]
+    lib.binarize_rows.argtypes = [ptr, ptr, ptr, i64, i64, ptr, ptr, int_]
     lib.binarize_rows.restype = ctypes.c_int
     lib.expand_signs.argtypes = [ptr, i64, i64, i64, ptr, int_]
     lib.expand_signs.restype = None
@@ -226,28 +229,23 @@ def _check_finite(x: np.ndarray, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PackedBinMatrix:
-    """A +-1 matrix stored as packed words, one rescaling scalar per bucket.
+    """`rows` buckets of `cols` signs each, one nonnegative scalar per bucket.
 
-    Row-bucketed: `rows` buckets of length `cols` (feature matrices).
-    Column-bucketed: `cols` buckets of length `rows` (weight matrices).
+    A feature matrix holds one bucket per node (`binarize_rows`), a
+    weight matrix one per output column (`binarize_columns`), so `rows`
+    counts buckets either way and `sign_matrix()` decodes them as stored.
     """
 
     rows: int
     cols: int
-    orientation: str  # "row" or "col"
-    words: np.ndarray  # (n_buckets, n_words) uint64
-    scalars: np.ndarray  # (n_buckets,) float64, all >= 0
+    words: np.ndarray  # (rows, ceil(cols / 64)) uint64
+    scalars: np.ndarray  # (rows,) float64, all >= 0
 
     def __post_init__(self):
-        if self.orientation not in ("row", "col"):
-            raise ValueError(f"bad orientation {self.orientation!r}")
-        n_buckets, bucket_len = self._bucket_shape()
-        n_words = (bucket_len + WORD_BITS - 1) // WORD_BITS
-        if self.words.shape != (n_buckets, n_words):
-            raise ValueError(
-                f"words shape {self.words.shape} != ({n_buckets}, {n_words})"
-            )
-        if self.scalars.shape != (n_buckets,):
+        n_words = (self.cols + WORD_BITS - 1) // WORD_BITS
+        if self.words.shape != (self.rows, n_words):
+            raise ValueError(f"words shape {self.words.shape} != ({self.rows}, {n_words})")
+        if self.scalars.shape != (self.rows,):
             raise ValueError("one scalar per bucket required")
         if (self.scalars < 0).any():
             raise ValueError("bucket scalars must be nonnegative")
@@ -258,19 +256,9 @@ class PackedBinMatrix:
     def shape(self) -> tuple[int, int]:
         return self.rows, self.cols
 
-    def _bucket_shape(self) -> tuple[int, int]:
-        if self.orientation == "row":
-            return self.rows, self.cols
-        return self.cols, self.rows
-
-    @property
-    def bucket_length(self) -> int:
-        return self._bucket_shape()[1]
-
     def sign_matrix(self) -> np.ndarray:
-        """Unpack to a dense (rows, cols) +-1 float matrix."""
-        signs = _unpack_signs(self.words, self.bucket_length)
-        return signs if self.orientation == "row" else signs.T
+        """Unpack to a dense (rows, cols) +-1 float matrix, one bucket per row."""
+        return _unpack_signs(self.words, self.cols)
 
 
 def binarize_rows(h, standardize=None) -> PackedBinMatrix:
@@ -296,20 +284,20 @@ def binarize_rows(h, standardize=None) -> PackedBinMatrix:
         if h.dtype == np.float64 and h.flags.c_contiguous:
             step = n  # no block needs converting: one call over all rows
         threads = _threads_for(min(step, n) * d)
-        scratch = np.empty((threads, d))  # one row per thread
-        if standardize is None:
-            mean = inv_std = scratch  # not read
-        else:
-            mean, inv_std = (np.ascontiguousarray(np.broadcast_to(s, (d,)), dtype=np.float64)
-                             for s in standardize)
+        stats = [None, None] if standardize is None else [  # NULL: h's rows as they are
+            np.ascontiguousarray(np.broadcast_to(s, (d,)), dtype=np.float64)
+            for s in standardize]
+        stat_ptrs = [s if s is None else s.ctypes.data for s in stats]
     for start in range(0, n, step):
         stop = min(start + step, n)
         if lib is not None:
             block = np.ascontiguousarray(h[start:stop], dtype=np.float64)
-            if lib.binarize_rows(block.ctypes.data, mean.ctypes.data, inv_std.ctypes.data,
-                                 standardize is not None, stop - start, d,
-                                 scratch.ctypes.data, words[start:stop].ctypes.data,
-                                 scalars[start:stop].ctypes.data, threads):
+            status = lib.binarize_rows(block.ctypes.data, *stat_ptrs, stop - start, d,
+                                       words[start:stop].ctypes.data,
+                                       scalars[start:stop].ctypes.data, threads)
+            if status == -2:
+                raise MemoryError("no memory for a standardized row")
+            if status:
                 raise ValueError("matrix contains non-finite entries")
         else:
             block = h[start:stop]
@@ -320,7 +308,7 @@ def binarize_rows(h, standardize=None) -> PackedBinMatrix:
             block = _check_finite(block, "matrix")
             scalars[start:stop] = np.abs(block).mean(axis=1)
             words[start:stop] = _pack_bits_2d(block >= 0)
-    return PackedBinMatrix(rows=n, cols=d, orientation="row", words=words, scalars=scalars)
+    return PackedBinMatrix(rows=n, cols=d, words=words, scalars=scalars)
 
 
 def column_moments(h) -> tuple[np.ndarray, np.ndarray]:
@@ -354,51 +342,47 @@ def column_moments(h) -> tuple[np.ndarray, np.ndarray]:
 
 
 def binarize_columns(w) -> PackedBinMatrix:
-    """Binarize each column of a (d_in, d_out) matrix as its own bucket.
+    """Binarize each column of a (d_in, d_out) weight matrix as its own bucket.
 
-    The per-column scalars act as feature attentions. Scalars are
-    normalized by the bucket (column) length, i.e. the least-squares
-    optimum, not by the number of buckets.
+    The buckets are stored as rows: `rows` = d_out buckets of `cols` =
+    d_in signs, so `sign_matrix()` is sign(W) transposed. The per-column
+    scalars act as feature attentions; each is the column's mean absolute
+    value, the least-squares optimum, not normalized by the number of
+    buckets.
     """
     w = _check_finite(w, "matrix")
     if w.ndim != 2 or w.shape[0] == 0 or w.shape[1] == 0:
         raise ValueError("matrix must be 2-D with positive dimensions")
-    scalars = np.abs(w).mean(axis=0)
-    return PackedBinMatrix(
-        rows=w.shape[0],
-        cols=w.shape[1],
-        orientation="col",
-        words=_pack_bits_2d(w.T >= 0),
-        scalars=scalars,
-    )
+    return PackedBinMatrix(rows=w.shape[1], cols=w.shape[0], words=_pack_bits_2d(w.T >= 0),
+                           scalars=np.abs(w).mean(axis=0))
 
 
 def bin_gemm(f: PackedBinMatrix, b: PackedBinMatrix,
              out: np.ndarray | None = None) -> np.ndarray:
-    """Multiply a row-bucketed (N, d) by a column-bucketed (d, m) matrix.
+    """Every bucket of `f` against every bucket of `b`, of one length t.
 
-    out[i, j] = (d - 2 * popcount(row_i XOR col_j)) * beta_i * alpha_j,
-    bit for bit; equal to the dense product of the two scalar-rescaled
-    sign matrices up to float summation order. The C route counts each
-    row's words against the transposed words of `b`; the numpy route
-    expands row blocks of `f` to float32 +-1 signs and multiplies them by
-    the expanded signs of `b`, which is exact for d < 2**24, the limit
-    both routes keep. Pure function, safe to call concurrently with distinct
-    `out` arrays (C-contiguous float64, (N, m); None: a new one).
+    out[i, j] = (t - 2 * popcount(f_i XOR b_j)) * beta_i * alpha_j, bit
+    for bit, with beta and alpha the two scalar lists; so for
+    ``bin_gemm(binarize_rows(h), binarize_columns(w))`` it equals the
+    dense product of the two scalar-rescaled sign approximations of h and
+    w up to float summation order. The C route counts each row's words
+    against the transposed words of `b`; the numpy route expands row
+    blocks of `f` to float32 +-1 signs and multiplies them by the expanded
+    signs of `b`, which is exact for t < 2**24, the limit both routes keep.
+    Pure function, safe to call concurrently with distinct `out` arrays
+    (C-contiguous float64, (f.rows, b.rows); None: a new one).
     """
-    if f.orientation != "row" or b.orientation != "col":
-        raise ValueError("bin_gemm needs a row-bucketed left and column-bucketed right operand")
-    if f.cols != b.rows:
-        raise ValueError(f"inner dimensions disagree: {f.cols} vs {b.rows}")
+    if f.cols != b.cols:
+        raise ValueError(f"bucket lengths disagree: {f.cols} vs {b.cols}")
     t = f.cols
     if t >= _MAX_EXACT_INNER:
         raise ValueError(f"inner dimension {t} is too long for an exact float32 product "
                          f"(limit {_MAX_EXACT_INNER - 1})")
     if out is None:
-        out = np.empty((f.rows, b.cols), dtype=np.float64)
-    elif (out.shape != (f.rows, b.cols) or out.dtype != np.float64
+        out = np.empty((f.rows, b.rows), dtype=np.float64)
+    elif (out.shape != (f.rows, b.rows) or out.dtype != np.float64
           or not out.flags.c_contiguous):
-        raise ValueError(f"out must be C-contiguous float64 of shape {(f.rows, b.cols)}")
+        raise ValueError(f"out must be C-contiguous float64 of shape {(f.rows, b.rows)}")
 
     lib = _native()
     if lib is not None:
@@ -407,9 +391,9 @@ def bin_gemm(f: PackedBinMatrix, b: PackedBinMatrix,
         beta = np.ascontiguousarray(f.scalars, dtype=np.float64)
         alpha = np.ascontiguousarray(b.scalars, dtype=np.float64)
         lib.bin_gemm(f_words.ctypes.data, b_words_t.ctypes.data, beta.ctypes.data,
-                     alpha.ctypes.data, f.rows, f_words.shape[1], b.cols, t,
+                     alpha.ctypes.data, f.rows, f_words.shape[1], b.rows, t,
                      int(_pad_mask(t)), out.ctypes.data,
-                     _threads_for(f.rows * f_words.shape[1] * b.cols))
+                     _threads_for(f.rows * f_words.shape[1] * b.rows))
         return out
     b_signs = _unpack_signs(b.words, t, np.float32).T
     for start in range(0, f.rows, _BLOCK_ROWS):
@@ -421,15 +405,13 @@ def bin_gemm(f: PackedBinMatrix, b: PackedBinMatrix,
 
 
 def sign_t_matmul(f: PackedBinMatrix, g) -> np.ndarray:
-    """sign(F)^T @ g for a row-bucketed (N, d) `f` and a real (N, m) `g`.
+    """sign(F)^T @ g for a packed (N, d) `f` and a real (N, m) `g`.
 
     The bucket scalars are not applied. Row blocks of `f` have their
     signs expanded to float64 +-1 (float32 would round, as `g` is real)
     and the block products are summed, in row order. The result equals
     the dense product up to summation order.
     """
-    if f.orientation != "row":
-        raise ValueError("sign_t_matmul needs a row-bucketed operand")
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != 2 or g.shape[0] != f.rows:
         raise ValueError(f"expected ({f.rows}, m) right operand, got {g.shape}")

@@ -57,6 +57,17 @@ def _parse_widths(text: str) -> list[int]:
         raise UsageError(f"--widths expects comma-separated integers, got {text!r}") from exc
 
 
+def _has_json_type_of(value, like) -> bool:
+    """Whether a decoded JSON `value` has the type of `like`: an integer for
+    an int, any number for a float, a string for a str, a list of such for
+    a list; true and false are none of these."""
+    if isinstance(value, bool):
+        return False
+    if isinstance(like, list):
+        return isinstance(value, list) and all(_has_json_type_of(v, like[0]) for v in value)
+    return isinstance(value, (int, float) if isinstance(like, float) else type(like))
+
+
 def _load_graph(args):
     """Build the graph from exactly one of --dataset / --sbm."""
     if bool(args.dataset) == bool(args.sbm):
@@ -87,6 +98,12 @@ def _resolve_train_settings(args) -> dict:
         unknown = set(file_conf) - set(TRAIN_DEFAULTS) - {"widths"}
         if unknown:
             raise UsageError(f"{path}: unknown config keys {sorted(unknown)}")
+        for key, value in file_conf.items():
+            like = TRAIN_DEFAULTS.get(key, [0])  # widths: a list of integers
+            if not _has_json_type_of(value, like):
+                kind = {int: "an integer", float: "a number", str: "a string",
+                        list: "a list of integers"}[type(like)]
+                raise UsageError(f"{path}: {key} must be {kind}, got {json.dumps(value)}")
         settings.update(file_conf)
     for key in TRAIN_DEFAULTS:
         flag_value = getattr(args, key, None)

@@ -175,11 +175,14 @@ def normalize_adjacency(g: AttributedGraph) -> NormalizedAdjacency:
 def aggregate(adj: NormalizedAdjacency, z: np.ndarray,
               out: np.ndarray | None = None) -> np.ndarray:
     """Sparse-dense product of the normalized adjacency (or a row plan's
-    slice of it) with values on its column nodes."""
+    slice of it) with values on its column nodes, into `out` (None: a new
+    array)."""
     z = np.asarray(z, dtype=np.float64)
     n = adj.matrix.shape[1]
     if z.ndim != 2 or z.shape[0] != n:
         raise ValueError(f"expected ({n}, m) input, got {z.shape}")
+    if out is None:
+        out = np.empty((adj.matrix.shape[0], z.shape[1]))
     return sparse_matmul(adj.matrix, z, out)
 
 
@@ -248,11 +251,11 @@ def _native_operator(m) -> bool:
             and m.data.flags.c_contiguous)
 
 
-def sparse_matmul(m, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``m @ z`` for a CSR or CSC matrix `m` (or a dense one) and a 2-D `z`.
+def sparse_matmul(m, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``m @ z`` for a float64 CSR or CSC matrix `m` and a 2-D `z`, written
+    into `out` (C-contiguous float64 of the product's shape).
 
-    With `out` (C-contiguous float64 of the product's shape) the product
-    is written there. A sparse float64 `m` with int32 indices (what
+    An `m` with int32 indices (what
     `normalize_adjacency`, `neighbor_mean_matrix`, `row_plan` and their
     transposes give) runs in the C library of `bitlinalg`, split by output
     rows over its threads for a product of at least
@@ -260,24 +263,19 @@ def sparse_matmul(m, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     at zero and adds its terms in the order of the kernels scipy's
     ``m @ z`` runs (``csr_matvecs``, ``csc_matvecs``), so the product is
     the same bit for bit at any thread count. The operator is read as
-    stored, never copied. Other sparse operands, and machines with no C
+    stored, never copied. Other operators, and machines with no C
     library, take scipy's kernels.
     """
-    lib = bl._native() if sp.issparse(m) and _native_operator(m) else None
-    if out is None:
-        if lib is None or np.ndim(z) != 2 or np.asarray(z).dtype != np.float64:
-            return m @ z
-        out = np.empty((m.shape[0], np.shape(z)[1]))
-    if not sp.issparse(m):
-        return np.matmul(m, z, out=out)
     z = np.ascontiguousarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] != m.shape[1]:
         raise ValueError(f"expected ({m.shape[1]}, k) operand, got {z.shape}")
     shape = (m.shape[0], z.shape[1])
     if (out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous
-            or m.format not in ("csr", "csc") or m.dtype != np.float64):
+            or not sp.issparse(m) or m.format not in ("csr", "csc")
+            or m.dtype != np.float64):
         raise ValueError("sparse_matmul writes a float64 CSR/CSC product into a "
                          f"C-contiguous float64 {shape} array")
+    lib = bl._native() if _native_operator(m) else None
     if lib is not None:
         lib.sparse_matmul(m.format == "csc", shape[0], m.shape[1], shape[1],
                           m.indptr.ctypes.data, m.indices.ctypes.data, m.data.ctypes.data,

@@ -236,13 +236,10 @@ def _forward(
     if len(shape) != 2 or any(w.shape != shape for w in weights):
         raise ValueError("every path's weights must be 2-D and of one shape")
     packed = binarized and isinstance(h_in, bl.PackedBinMatrix)
-    if packed:
-        if h_in.orientation != "row":
-            raise ValueError("a packed layer input must be row-bucketed")
-        if training and dropout > 0.0:
-            raise ValueError("dropout needs a float layer input: its mask zeroes "
-                             "single binarized entries")
-    else:
+    if packed and training and dropout > 0.0:
+        raise ValueError("dropout needs a float layer input: its mask zeroes "
+                         "single binarized entries")
+    if not packed:
         h_in = np.asarray(h_in, dtype=np.float64)
     if len(h_in.shape) != 2 or h_in.shape[1] != shape[0]:
         raise ValueError(f"expected (N, {shape[0]}) input, got {h_in.shape}")

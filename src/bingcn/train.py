@@ -192,8 +192,8 @@ class Model:
         rows = None if plan is None else plan.rows[0]
         if rows is None or x.rows == rows.size:  # all rows needed, or gathered already
             return x
-        return bl.PackedBinMatrix(rows=rows.size, cols=x.cols, orientation="row",
-                                  words=x.words[rows], scalars=x.scalars[rows])
+        return bl.PackedBinMatrix(rows=rows.size, cols=x.cols, words=x.words[rows],
+                                  scalars=x.scalars[rows])
 
     def forward(self, prop, x, training: bool = False,
                 rng: np.random.Generator | None = None,

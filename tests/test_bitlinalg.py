@@ -27,10 +27,9 @@ def packed_row(v):
 
 
 def dense(m):
-    """The scalar-rescaled sign matrix a PackedBinMatrix stands for."""
-    if m.orientation == "row":
-        return m.scalars[:, None] * m.sign_matrix()
-    return m.sign_matrix() * m.scalars[None, :]
+    """The scalar-rescaled sign matrix a PackedBinMatrix stands for, one
+    bucket per row: a weight's comes out transposed."""
+    return m.scalars[:, None] * m.sign_matrix()
 
 
 def xnor_popcount_dot(a, b, length):
@@ -56,7 +55,7 @@ class TestPackUnpack:
     def test_roundtrip_small(self):
         v = np.array([1.0, -1.0])
         f = packed_row(v)
-        assert f.bucket_length == 2
+        assert f.cols == 2
         assert np.array_equal(f.sign_matrix()[0], v)
 
     def test_word_count_and_padding_at_65(self):
@@ -93,7 +92,7 @@ class TestPackUnpack:
         for t in [1, 2, 63, 64, 65, 127, 128, 129, 1000]:
             v = np.where(rng.random(t) < 0.5, 1.0, -1.0)
             assert np.array_equal(packed_row(v).sign_matrix()[0], v)
-            assert np.array_equal(bl.binarize_columns(v[:, None]).sign_matrix()[:, 0], v)
+            assert np.array_equal(bl.binarize_columns(v[:, None]).sign_matrix()[0], v)
 
 
 class TestBinarizeVector:
@@ -105,7 +104,7 @@ class TestBinarizeVector:
         """(scalar, signs) of `v` as a row bucket, then as a column bucket."""
         v = np.asarray(v, dtype=np.float64)
         row, col = bl.binarize_rows(v[None, :]), bl.binarize_columns(v[:, None])
-        return [(row.scalars[0], row.sign_matrix()[0]), (col.scalars[0], col.sign_matrix()[:, 0])]
+        return [(row.scalars[0], row.sign_matrix()[0]), (col.scalars[0], col.sign_matrix()[0])]
 
     def test_hand_example(self):
         for scalar, signs in self.binarize([0.5, -1.5, 1.0]):
@@ -143,9 +142,8 @@ class TestBinarizeMatrices:
     def test_columns_hand_example(self):
         w = np.array([[0.5, -0.5], [0.5, 0.5]])
         b = bl.binarize_columns(w)
-        assert b.orientation == "col"
         assert np.allclose(b.scalars, [0.5, 0.5])
-        assert np.array_equal(b.sign_matrix(), [[1.0, -1.0], [1.0, 1.0]])
+        assert np.array_equal(b.sign_matrix(), [[1.0, 1.0], [-1.0, 1.0]])  # sign(w).T
 
     def test_columns_identity(self):
         b = bl.binarize_columns(np.eye(2))
@@ -159,7 +157,7 @@ class TestBinarizeMatrices:
 
     def test_rows_hand_example(self):
         f = bl.binarize_rows(np.array([[1.0, -1.0]]))
-        assert f.orientation == "row"
+        assert f.shape == (1, 2)
         assert np.allclose(f.scalars, [1.0])
         assert np.array_equal(f.sign_matrix(), [[1.0, -1.0]])
 
@@ -186,14 +184,15 @@ class TestBinarizeMatrices:
         w = rng.standard_normal((7, 3))
         b = bl.binarize_columns(w)
         expected = np.sign(w + (w == 0)) * np.abs(w).mean(axis=0)[None, :]
-        assert np.allclose(dense(b), expected)
+        assert np.allclose(dense(b).T, expected)
 
     def test_bucket_accessor(self):
-        # bucket j of a column-bucketed matrix is row j of its words
+        # bucket j, column j of w, is row j of the words
         w = np.array([[0.5, -0.5], [0.5, 0.5]])
         b = bl.binarize_columns(w)
+        assert b.shape == (2, 2)
         assert np.array_equal(b.words[1], bl.binarize_columns(w[:, 1:]).words[0])
-        assert np.array_equal(b.sign_matrix()[:, 1], [-1.0, 1.0])
+        assert np.array_equal(b.sign_matrix()[1], [-1.0, 1.0])
 
 
 def _signs_dot(sa, sb):
@@ -259,7 +258,7 @@ class TestBinGemm:
         h = rng.standard_normal((8, 16))
         w = rng.standard_normal((16, 4))
         f, b = bl.binarize_rows(h), bl.binarize_columns(w)
-        ref = dense(f) @ dense(b)
+        ref = dense(f) @ dense(b).T
         assert np.allclose(bl.bin_gemm(f, b), ref, atol=1e-9)
 
     def test_dimension_mismatch(self):
@@ -268,11 +267,6 @@ class TestBinGemm:
         with pytest.raises(ValueError):
             bl.bin_gemm(f, b)
 
-    def test_orientation_checked(self):
-        f = bl.binarize_rows(np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            bl.bin_gemm(f, f)
-
     def test_kernel_equivalence_random_shapes(self):
         rng = np.random.default_rng(29)
         for _ in range(25):
@@ -280,7 +274,7 @@ class TestBinGemm:
             h = rng.standard_normal((n, d)) * rng.uniform(0.1, 3.0)
             w = rng.standard_normal((d, m))
             f, b = bl.binarize_rows(h), bl.binarize_columns(w)
-            ref = dense(f) @ dense(b)
+            ref = dense(f) @ dense(b).T
             assert np.abs(bl.bin_gemm(f, b) - ref).max() < 1e-6
 
     def test_spans_word_boundaries(self):
@@ -289,7 +283,7 @@ class TestBinGemm:
             h = rng.standard_normal((4, d))
             w = rng.standard_normal((d, 3))
             f, b = bl.binarize_rows(h), bl.binarize_columns(w)
-            ref = dense(f) @ dense(b)
+            ref = dense(f) @ dense(b).T
             assert np.allclose(bl.bin_gemm(f, b), ref, atol=1e-9)
 
     def test_concurrent_invocations_agree(self):
@@ -308,7 +302,7 @@ class TestBinGemm:
 def xnor_reference(f, b):
     """bin_gemm from the word-level oracle, in the kernel's order: dot, *beta, *alpha."""
     cols = b.words.tolist()
-    out = np.empty((f.rows, b.cols))
+    out = np.empty((f.rows, b.rows))
     for i, row in enumerate(f.words.tolist()):
         for j, col in enumerate(cols):
             out[i, j] = float(xnor_popcount_dot(row, col, f.cols)) * f.scalars[i] * b.scalars[j]
@@ -340,11 +334,9 @@ class TestBinGemmExactness:
     def test_rejects_inner_dimension_beyond_exact_float32(self):
         t = 2 ** 24
         n_words = t // bl.WORD_BITS
-        f = bl.PackedBinMatrix(rows=1, cols=t, orientation="row",
-                               words=np.zeros((1, n_words), dtype=np.uint64),
+        f = bl.PackedBinMatrix(rows=1, cols=t, words=np.zeros((1, n_words), dtype=np.uint64),
                                scalars=np.ones(1))
-        b = bl.PackedBinMatrix(rows=t, cols=1, orientation="col",
-                               words=np.zeros((1, n_words), dtype=np.uint64),
+        b = bl.PackedBinMatrix(rows=1, cols=t, words=np.zeros((1, n_words), dtype=np.uint64),
                                scalars=np.ones(1))
         with pytest.raises(ValueError, match="exact float32"):
             bl.bin_gemm(f, b)
@@ -411,8 +403,6 @@ class TestRowBlockedInputOps:
         f = bl.binarize_rows(np.ones((4, 3)))
         with pytest.raises(ValueError):
             bl.sign_t_matmul(f, np.ones((5, 2)))
-        with pytest.raises(ValueError):
-            bl.sign_t_matmul(bl.binarize_columns(np.ones((4, 3))), np.ones((4, 2)))
 
 
 def _peak_above_result(fn, *args):
@@ -446,8 +436,7 @@ class TestBlockedMemory:
         peaks = []
         for n in (1024, 8192):
             words = np.zeros((n, self.D // bl.WORD_BITS), dtype=np.uint64)
-            f = bl.PackedBinMatrix(rows=n, cols=self.D, orientation="row",
-                                   words=words, scalars=np.ones(n))
+            f = bl.PackedBinMatrix(rows=n, cols=self.D, words=words, scalars=np.ones(n))
             peaks.append(_peak_above_result(bl.bin_gemm, f, b))
         assert peaks[1] <= 1.05 * peaks[0] + 65536
 
@@ -470,8 +459,7 @@ class TestBlockedMemory:
             peaks = []
             for n in (1024, 8192):
                 words = np.zeros((n, self.D // bl.WORD_BITS), dtype=np.uint64)
-                f = bl.PackedBinMatrix(rows=n, cols=self.D, orientation="row",
-                                       words=words, scalars=np.ones(n))
+                f = bl.PackedBinMatrix(rows=n, cols=self.D, words=words, scalars=np.ones(n))
                 g = rng.standard_normal((n, self.M))
                 if sparse:
                     g[1::2] = 0.0
@@ -595,8 +583,7 @@ class TestNativeKernel:
                 for m, pad in ((f, np.uint64(fill)), (b, ~np.uint64(fill))):
                     words = m.words.copy()
                     words[:, -1] = (words[:, -1] & bl._pad_mask(d)) | (pad & ~bl._pad_mask(d))
-                    dirty.append(bl.PackedBinMatrix(m.rows, m.cols, m.orientation,
-                                                    words, m.scalars))
+                    dirty.append(bl.PackedBinMatrix(m.rows, m.cols, words, m.scalars))
                 assert np.array_equal(bl.bin_gemm(*dirty), expected), (d, fill)
 
     def test_falls_back_when_compiling_fails(self, native_lib, tmp_path, monkeypatch):
@@ -691,11 +678,31 @@ class TestThreadCount:
 
     @pytest.mark.parametrize("n, d", [(3, 70), (2100, 500)])
     def test_non_finite_value_in_the_last_chunk_raises(self, monkeypatch, min_work, n, d):
-        h = np.random.default_rng(3).standard_normal((n, d))
-        h[-1, d // 2] = np.nan
+        plain = np.random.default_rng(3).standard_normal((n, d))
+        plain[-1, d // 2] = np.nan
+        # finite, but its standardized value overflows to inf
+        overflowing = np.random.default_rng(3).standard_normal((n, d))
+        overflowing[-1, d // 2] = 1e300
+        stats = (np.zeros(d), np.full(d, 1e10))
+        for h, standardize in ((plain, None), (overflowing, stats)):
+            for t in (1, *self.THREADS):
+                with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+                    _at_threads(monkeypatch, t, bl.binarize_rows, h, standardize)
+
+    @pytest.mark.parametrize("standardized", [False, True], ids=["plain", "standardized"])
+    @pytest.mark.parametrize("layout", ["float32", "strided"])
+    def test_binarize_rows_converting_blocks(self, monkeypatch, layout, standardized):
+        # neither float64 nor C-contiguous: the C route converts it block by block
+        monkeypatch.setattr(bl, "_MIN_THREADED_WORK", 0)
+        rng = np.random.default_rng(89)
+        n, d = 2 * bl._BLOCK_ROWS + 3, 70
+        wide = rng.standard_normal((n, 2 * d))
+        h = wide[:, :d].astype(np.float32) if layout == "float32" else wide[:, ::2]
+        stats = (rng.standard_normal(d), rng.uniform(0.1, 3.0, size=d)) if standardized else None
+        expected = _on_numpy_route(monkeypatch, bl.binarize_rows, h, stats)
         for t in (1, *self.THREADS):
-            with pytest.raises(ValueError, match="non-finite"):
-                _at_threads(monkeypatch, t, bl.binarize_rows, h)
+            assert _packed_equal(_at_threads(monkeypatch, t, bl.binarize_rows, h, stats),
+                                 expected), t
 
     @pytest.mark.parametrize("n, d", [(1, 1), (1300, 1), (1 << 20, 1), (3, 7), (700, 70),
                                       (2100, 500)])

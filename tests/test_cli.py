@@ -54,18 +54,28 @@ def _train_sbm(**bad):
     return lambda tmp: ["train", "--sbm", json.dumps({**json.loads(SBM_ARGS), **bad})]
 
 
+def _train_config(**conf):
+    """The argv of a training run on SBM_ARGS with these --config settings."""
+    return lambda tmp: ["train", "--sbm", SBM_ARGS, "--config", _config_file(tmp, conf)]
+
+
 ANALYZE_ARGS = ["analyze", "--edges", "4", "--features", "3", "--widths", "3,2"]
 # Each builds the argv of one malformed input from a scratch directory.
 MALFORMED_INPUTS = {
-    "config-widths-not-a-list": lambda tmp: [
-        "train", "--sbm", SBM_ARGS, "--config", _config_file(tmp, {"widths": 5})],
+    "config-widths-not-a-list": _train_config(widths=5),
     "config-not-an-object": lambda tmp: [
         "train", "--sbm", SBM_ARGS, "--config", _config_file(tmp, [["lr"]])],
     "lr-nan": lambda tmp: ["train", "--sbm", SBM_ARGS, "--lr", "nan"],
     "lr-negative": lambda tmp: ["train", "--sbm", SBM_ARGS, "--lr", "-1"],
     "train-seed-negative": lambda tmp: ["train", "--sbm", SBM_ARGS, "--seed", "-1"],
-    "config-epochs-infinite": lambda tmp: [
-        "train", "--sbm", SBM_ARGS, "--config", _config_file(tmp, {"epochs": float("inf")})],
+    "config-epochs-infinite": _train_config(epochs=float("inf")),
+    "config-epochs-fractional": _train_config(epochs=2.9),
+    "config-epochs-boolean": _train_config(epochs=True),
+    "config-hidden-fractional": _train_config(hidden=7.99),
+    "config-seed-fractional": _train_config(seed=1.5),
+    "config-lr-a-string": _train_config(lr="0.01"),
+    "config-dropout-boolean": _train_config(dropout=False),
+    "config-widths-fractional": _train_config(widths=[24.5, 16, 3]),
     "analyze-zero-nodes": lambda tmp: ANALYZE_ARGS + ["--nodes", "0"],
     "analyze-zero-ops-per-cycle": lambda tmp: ANALYZE_ARGS + [
         "--nodes", "5", "--ops-per-cycle", "0"],

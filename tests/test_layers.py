@@ -79,7 +79,7 @@ class TestBiGCNForward:
         w = rng.standard_normal((6, 3))
         h_out, _ = bigcn_forward(adj, g.x, w)
         b = bl.binarize_columns(w)
-        w_tilde = b.sign_matrix() * b.scalars[None, :]
+        w_tilde = b.sign_matrix().T * b.scalars[None, :]
         assert np.allclose(h_out, g.x @ w_tilde, atol=1e-9)
 
     def test_matches_scalar_forward(self):
