@@ -19,7 +19,8 @@ Packed words are the storage format and what the kernel computes on.
 `bin_gemm` counts each +-1 dot product of length t with XOR and popcount
 over the uint64 words (t - 2 * mismatches), `binarize_rows`
 standardizes, checks, packs and rescales each row in one pass, and
-`column_moments` sums each row block in numpy's order. All three, the
+`column_moments` (the statistics of the input and of hidden batch norm)
+sums each row block in numpy's order. All three, the
 expansion of packed signs to float64 +-1 that `sign_t_matmul` multiplies
 by BLAS, and `graph.sparse_matmul`'s aggregation run in a small C
 library, `_packed.c`, compiled with the installed `cc` on first use into
@@ -82,7 +83,7 @@ _SOURCE = Path(__file__).with_name("_packed.c")
 _COMPILE = ("cc", "-O3", "-march=native", "-ffp-contract=off", "-pthread", "-shared",
             "-fPIC")
 
-# The most threads a native kernel call is split over.
+# The most threads a native kernel call is split over; `_packed.c` repeats it.
 _MAX_THREADS = 8
 # Inner-loop steps (popcount words, multiply-adds, matrix entries) below
 # which a native kernel call stays on the calling thread, where spawning

@@ -4,7 +4,8 @@ Every command runs to completion and exits; nothing reads stdin. Exit
 codes: 0 success, 1 usage error, 2 data error (also a path that cannot
 be read or written), 3 runtime failure.
 Training hyperparameters resolve as defaults < --config JSON < explicit
-flags.
+flags; `ModelConfig` checks their types and values. A hidden width and
+the widths may not both be given.
 """
 
 from __future__ import annotations
@@ -57,17 +58,6 @@ def _parse_widths(text: str) -> list[int]:
         raise UsageError(f"--widths expects comma-separated integers, got {text!r}") from exc
 
 
-def _has_json_type_of(value, like) -> bool:
-    """Whether a decoded JSON `value` has the type of `like`: an integer for
-    an int, any number for a float, a string for a str, a list of such for
-    a list; true and false are none of these."""
-    if isinstance(value, bool):
-        return False
-    if isinstance(like, list):
-        return isinstance(value, list) and all(_has_json_type_of(v, like[0]) for v in value)
-    return isinstance(value, (int, float) if isinstance(like, float) else type(like))
-
-
 def _load_graph(args):
     """Build the graph from exactly one of --dataset / --sbm."""
     if bool(args.dataset) == bool(args.sbm):
@@ -84,7 +74,7 @@ def _load_graph(args):
 
 
 def _resolve_train_settings(args) -> dict:
-    settings = dict(TRAIN_DEFAULTS)
+    settings, file_conf = dict(TRAIN_DEFAULTS), {}
     if args.config:
         path = Path(args.config)
         if not path.is_file():
@@ -98,12 +88,6 @@ def _resolve_train_settings(args) -> dict:
         unknown = set(file_conf) - set(TRAIN_DEFAULTS) - {"widths"}
         if unknown:
             raise UsageError(f"{path}: unknown config keys {sorted(unknown)}")
-        for key, value in file_conf.items():
-            like = TRAIN_DEFAULTS.get(key, [0])  # widths: a list of integers
-            if not _has_json_type_of(value, like):
-                kind = {int: "an integer", float: "a number", str: "a string",
-                        list: "a list of integers"}[type(like)]
-                raise UsageError(f"{path}: {key} must be {kind}, got {json.dumps(value)}")
         settings.update(file_conf)
     for key in TRAIN_DEFAULTS:
         flag_value = getattr(args, key, None)
@@ -111,25 +95,27 @@ def _resolve_train_settings(args) -> dict:
             settings[key] = flag_value
     if args.widths is not None:
         settings["widths"] = _parse_widths(args.widths)
+    if all(getattr(args, key) is not None or key in file_conf for key in ("hidden", "widths")):
+        raise UsageError("give the hidden width or the widths, not both")
     return settings
 
 
 def _model_config(settings: dict, graph) -> ModelConfig:
+    widths = settings.get("widths")
+    if widths is None:
+        widths = [graph.n_features, settings["hidden"], graph.n_classes]
     try:
-        widths = settings.get("widths")
-        if widths is None:
-            widths = [graph.n_features, int(settings["hidden"]), graph.n_classes]
         return ModelConfig(
             widths=widths,
             model=settings["model"],
-            dropout=float(settings["dropout"]),
-            lr=float(settings["lr"]),
-            max_epochs=int(settings["epochs"]),
-            patience=int(settings["patience"]),
+            dropout=settings["dropout"],
+            lr=settings["lr"],
+            max_epochs=settings["epochs"],
+            patience=settings["patience"],
             ste_mode=settings["ste"],
-            seed=int(settings["seed"]),
+            seed=settings["seed"],
         )
-    except (TypeError, ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 

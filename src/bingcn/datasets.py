@@ -23,6 +23,7 @@ of ``features.bin``, which activation dumps share under their own magic.
 from __future__ import annotations
 
 import json
+import numbers
 import struct
 import warnings
 from dataclasses import dataclass, fields
@@ -262,6 +263,24 @@ def save_dataset(dirpath, graph: AttributedGraph, name: str = "dataset") -> Path
     return manifest_path
 
 
+_FIELD_KINDS = {"int": ("an integer", numbers.Integral), "float": ("a real number", numbers.Real),
+                "str": ("a string", str), "list[int]": ("a list of integers", numbers.Integral)}
+
+
+def check_field_types(settings) -> None:
+    """Raise ValueError unless every field of the dataclass `settings` holds
+    its annotation's type (`_FIELD_KINDS`; a list or tuple of integers for
+    ``list[int]``). numpy scalars count as their kind, a bool as none."""
+    for field in fields(settings):
+        value = getattr(settings, field.name)
+        kind, cls = _FIELD_KINDS[field.type]
+        items = [value]
+        if field.type == "list[int]":
+            items = value if isinstance(value, (list, tuple)) else [None]
+        if not all(isinstance(v, cls) and not isinstance(v, bool) for v in items):
+            raise ValueError(f"{field.name} must be {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SBMParams:
     """Planted-partition benchmark: C equal classes, block-structured edges.
@@ -283,11 +302,7 @@ class SBMParams:
     val_per_class: int = 30
 
     def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if field.type in (int, "int") and (isinstance(value, bool)
-                                               or not isinstance(value, (int, np.integer))):
-                raise ValueError(f"{field.name} must be an integer, got {value!r}")
+        check_field_types(self)
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if not (0.0 <= self.p_out <= self.p_in <= 1.0):

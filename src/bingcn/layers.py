@@ -126,7 +126,6 @@ class LayerCache:
     weights: list[np.ndarray]  # each path's latent (or float) weights
     drop_mask: np.ndarray | None = None
     pre_act: np.ndarray | None = None  # the ReLU's input, where the layer has one
-    gather_rows: np.ndarray | None = None  # the input rows the "gather" route read
 
 
 def _input_route(adj, h) -> str:
@@ -245,12 +244,9 @@ def _forward(
         raise ValueError(f"expected (N, {shape[0]}) input, got {h_in.shape}")
     adj = prop if isinstance(prop, NormalizedAdjacency) else None
     route = _input_route(adj, h_in)
-    gather_rows = None
-    if route == "gather":
-        if binarized:
-            raise ValueError("a binarized layer on a row plan's slice takes its input "
-                             "rows alone")
-        gather_rows = adj.in_rows
+    if route == "gather" and binarized:
+        raise ValueError("a binarized layer on a row plan's slice takes its input "
+                         "rows alone")
 
     operand = beta = drop_mask = None
     kernel = packed or (binarized and not training)
@@ -269,7 +265,7 @@ def _forward(
             drop_mask = _dropout_mask(rng, h_in.shape, dropout, ws, adj, route)
             operand = np.multiply(operand, drop_mask, out=_take(ws, "operand", h_in.shape))
 
-    n_rows = h_in.shape[0] if gather_rows is None else gather_rows.size
+    n_rows = adj.in_rows.size if route == "gather" else h_in.shape[0]
     zetas = _take(ws, "zetas", (len(weights), n_rows, shape[1]))
     for zeta, w in zip(zetas, weights):
         if kernel:
@@ -285,7 +281,7 @@ def _forward(
     for zeta in zetas[:-1]:  # the self paths
         out = np.add(zeta, out, out=out)
     cache = LayerCache(h_in=h_in, operand=operand, beta=beta, weights=weights,
-                       drop_mask=drop_mask, gather_rows=gather_rows)
+                       drop_mask=drop_mask)
     if activation:
         # R_out is a subset of R_in: the output fits in the product's leading rows.
         cache.pre_act = out
@@ -395,12 +391,14 @@ def _backward(
     neither has an input gradient.
     """
     grad_out = np.asarray(grad_out, dtype=np.float64)
-    matrix = prop.matrix if isinstance(prop, NormalizedAdjacency) else prop
+    adj = prop if isinstance(prop, NormalizedAdjacency) else None
+    matrix = prop if adj is None else adj.matrix
     (n_out, n), (d_in, m) = matrix.shape, cache.weights[0].shape
     if grad_out.shape != (n_out, m):
         raise ValueError(f"gradient shape {grad_out.shape} != {(n_out, m)}")
     packed = isinstance(cache.operand, bl.PackedBinMatrix)
-    if need_input_grad and (packed or cache.gather_rows is not None):
+    gather = _input_route(adj, cache.h_in) == "gather"
+    if need_input_grad and (packed or gather):
         raise ValueError("a packed layer input, or one read at a row plan's rows, "
                          "has no input gradient")
     if cache.operand is None:
@@ -426,11 +424,11 @@ def _backward(
     f = cache.operand
     if packed:
         grads_w = bl.sign_t_matmul(f, grad)
-    elif cache.gather_rows is None:
+    elif not gather:
         grads_w = f.T @ grad
     else:  # read at the slice's input rows, as in the forward
         grads_w = np.zeros((d_in, grad.shape[1]))
-        for block, rows in _gathered_blocks(f, cache.gather_rows):
+        for block, rows in _gathered_blocks(f, adj.in_rows):
             grads_w += rows.T @ grad[block]
     grads_w = np.hsplit(grads_w, len(grad_zetas))
     if binarized:
@@ -530,11 +528,7 @@ def batch_norm_forward(
 ) -> tuple[np.ndarray, BatchNormCache]:
     h = np.asarray(h, dtype=np.float64)
     if training:
-        mean = h.mean(axis=0)
-        # h.var(axis=0), the same operations without its N x d temporaries
-        dev = np.subtract(h, mean, out=_take(ws, "scratch", h.shape))
-        np.multiply(dev, dev, out=dev)
-        var = dev.sum(axis=0) / h.shape[0]
+        mean, var = bl.column_moments(h)
         state.running_mean = BN_MOMENTUM * state.running_mean + (1 - BN_MOMENTUM) * mean
         state.running_var = BN_MOMENTUM * state.running_var + (1 - BN_MOMENTUM) * var
     else:

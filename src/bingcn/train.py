@@ -33,7 +33,7 @@ import numpy as np
 
 from . import bitlinalg as bl
 from . import layers as L
-from .datasets import FormatError
+from .datasets import FormatError, check_field_types
 from .graph import (AttributedGraph, NormalizedAdjacency, RowPlan, neighbor_mean_matrix,
                     normalize_adjacency, row_plan)
 from .optim import AdamState, adam_step
@@ -89,7 +89,7 @@ MODEL_KINDS = tuple(FAMILIES)
 
 @dataclass
 class ModelConfig:
-    """Hyperparameters for one training run."""
+    """Hyperparameters for one training run, of the types `check_field_types` checks."""
 
     widths: list[int]
     model: str = "bigcn"
@@ -101,7 +101,8 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.widths = [int(w) for w in self.widths]
+        check_field_types(self)
+        self.widths = [int(w) for w in self.widths]  # a tuple, or numpy integers
         if self.model not in MODEL_KINDS:
             raise ValueError(f"unknown model {self.model!r}; expected one of {MODEL_KINDS}")
         if len(self.widths) < 2 or any(w < 1 for w in self.widths):

@@ -93,6 +93,13 @@ MALFORMED_INPUTS = {
         "train", "--sbm", SBM_ARGS, "--widths", "25,16,3"],
     "widths-not-to-the-class-count": lambda tmp: [
         "train", "--sbm", SBM_ARGS, "--widths", "24,16,4"],
+    "sbm-p-in-boolean": _train_sbm(p_in=True),
+    "hidden-with-widths-flag": lambda tmp: [
+        "train", "--sbm", SBM_ARGS, "--hidden", "16", "--widths", "24,16,3"],
+    "hidden-with-widths-config": lambda tmp: _train_config(widths=[24, 16, 3])(tmp) + [
+        "--hidden", "16"],
+    "config-hidden-with-widths-flag": lambda tmp: _train_config(hidden=16)(tmp) + [
+        "--widths", "24,16,3"],
 }
 # Each builds the argv of a run given a path it cannot read or write (a
 # directory for a file, a file for a directory) from a scratch directory.

@@ -299,3 +299,12 @@ class TestSBM:
             SBMParams(nodes_per_class=40)  # 20 train + 30 val > 40
         with pytest.raises(ValueError):
             SBMParams(signal=-1.0)
+
+    @pytest.mark.parametrize("field, value", [("p_in", True), ("signal", "2")])
+    def test_mistyped_parameters_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SBMParams(**{field: value})
+
+    def test_numpy_scalars_accepted(self):
+        params = SBMParams(nodes_per_class=np.int64(60), p_in=np.float32(0.25), signal=np.int8(2))
+        assert (params.nodes_per_class, params.signal) == (60, 2)

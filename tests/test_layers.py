@@ -14,7 +14,10 @@ from bingcn.graph import (
     row_plan,
 )
 from bingcn.layers import (
+    BN_EPS,
+    BN_MOMENTUM,
     BatchNormState,
+    Workspace,
     batch_norm_apply,
     batch_norm_backward,
     batch_norm_forward,
@@ -659,6 +662,25 @@ class TestBatchNorm:
             hm = h.copy(); hm[idx] -= step
             fd[idx] = (scalar_loss(hp) - scalar_loss(hm)) / (2 * step)
         assert np.abs(analytic - fd).max() < 1e-4
+
+
+    @pytest.mark.parametrize("route", ["native", "numpy"])
+    @pytest.mark.parametrize("ws", [None, Workspace()], ids=["no-ws", "ws"])
+    def test_training_statistics_are_the_column_moments(self, route, ws, monkeypatch):
+        if route == "numpy":
+            monkeypatch.setattr(bl, "_native", lambda: None)
+        elif bl._native() is None:
+            pytest.skip("the packed C kernel is not built here")
+        # More rows than one block of column_moments, which sums blockwise.
+        h = np.random.default_rng(28).standard_normal((1300, 5)) * 3.0 + 1.5
+        state = BatchNormState.for_dim(5)
+        out, cache = batch_norm_forward(h, True, state, ws)
+        mean, var = bl.column_moments(h)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        assert np.array_equal(cache.inv_std, inv_std)
+        assert np.array_equal(out, (h - mean) * inv_std)
+        assert np.array_equal(state.running_mean, (1 - BN_MOMENTUM) * mean)
+        assert np.array_equal(state.running_var, BN_MOMENTUM + (1 - BN_MOMENTUM) * var)
 
 
 class TestMaskedLoss:

@@ -77,6 +77,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ModelConfig(widths=[4, 2], ste_mode="relu")
 
+    @pytest.mark.parametrize("field, value", [
+        ("widths", "943"), ("widths", [9.7, 4, 3]), ("max_epochs", True), ("max_epochs", 2.9),
+        ("patience", 2.5), ("seed", 1.5), ("dropout", False), ("lr", "0.01")])
+    def test_rejects_a_mistyped_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ModelConfig(**{"widths": [9, 4, 3], field: value})
+
+    def test_accepts_tuple_and_numpy_widths_and_numpy_scalars(self):
+        for widths in [(9, 4, 3), list(np.array([9, 4, 3]))]:
+            config = ModelConfig(widths=widths, lr=np.float64(0.01), seed=np.int64(2))
+            assert config.widths == [9, 4, 3]
+            assert all(type(w) is int for w in config.widths)
+        assert ModelConfig(widths=[9, 3], dropout=0).dropout == 0
+
     def test_width_mismatch_against_graph(self):
         g = small_sbm()
         with pytest.raises(ValueError):
