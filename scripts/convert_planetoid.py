@@ -27,7 +27,7 @@ import scipy.sparse as sp
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from bingcn.datasets import save_dataset  # noqa: E402
-from bingcn.graph import AttributedGraph, canonical_edges  # noqa: E402
+from bingcn.graph import AttributedGraph  # noqa: E402
 
 
 def load_pickle(path: Path):
@@ -67,7 +67,7 @@ def convert(raw_dir: Path, name: str):
         for v in neighbors:
             if 0 <= u < n and 0 <= v < n:
                 pairs.append((u, v))
-    edges = canonical_edges(np.array(pairs, dtype=np.int64))
+    edges = np.array(pairs, dtype=np.int64)  # the graph drops duplicates and self-loops
 
     train = np.zeros(n, dtype=bool)
     val = np.zeros(n, dtype=bool)

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import AttributedGraph, canonical_edges
+from .graph import AttributedGraph
 
 FEATURES_MAGIC = b"BGNF"
 _MASK_CHARS = "tvs-"
@@ -59,10 +59,6 @@ class LabelRangeError(DatasetError):
     pass
 
 
-class MaskOverlapError(DatasetError):
-    pass
-
-
 @dataclass(frozen=True)
 class DatasetManifest:
     name: str
@@ -73,6 +69,9 @@ class DatasetManifest:
     num_nodes: int
     num_features: int
     num_classes: int
+
+    def __post_init__(self):
+        check_field_types(self)
 
 
 def load_manifest(path) -> DatasetManifest:
@@ -91,13 +90,13 @@ def load_manifest(path) -> DatasetManifest:
             features_file=base / raw["features_file"],
             labels_file=base / raw["labels_file"],
             masks_file=base / raw["masks_file"],
-            num_nodes=int(raw["num_nodes"]),
-            num_features=int(raw["num_features"]),
-            num_classes=int(raw["num_classes"]),
+            num_nodes=raw["num_nodes"],
+            num_features=raw["num_features"],
+            num_classes=raw["num_classes"],
         )
     except KeyError as exc:
         raise FormatError(f"{path}: missing manifest key {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:  # not an object, or a bad value
+    except (TypeError, ValueError) as exc:  # not an object, or a value of the wrong type
         raise FormatError(f"{path}: malformed manifest ({exc})") from exc
 
 
@@ -210,17 +209,15 @@ def load_dataset(manifest) -> AttributedGraph:
             f"{manifest.labels_file}: label outside [0, {manifest.num_classes})"
         )
     train, val, test = read_masks(manifest.masks_file, manifest.num_nodes)
-    if ((train & val) | (train & test) | (val & test)).any():
-        raise MaskOverlapError(f"{manifest.masks_file}: overlapping split masks")
-    raw_edges = read_edges(manifest.edges_file)
-    if raw_edges.size and (raw_edges.min() < 0 or raw_edges.max() >= manifest.num_nodes):
+    edges = read_edges(manifest.edges_file)
+    if edges.size and (edges.min() < 0 or edges.max() >= manifest.num_nodes):
         raise DimensionMismatchError(
             f"{manifest.edges_file}: edge endpoint outside [0, {manifest.num_nodes})"
         )
     try:
         return AttributedGraph(
             x=x,
-            edges=canonical_edges(raw_edges),
+            edges=edges,
             labels=labels,
             train_mask=train,
             val_mask=val,
@@ -264,7 +261,8 @@ def save_dataset(dirpath, graph: AttributedGraph, name: str = "dataset") -> Path
 
 
 _FIELD_KINDS = {"int": ("an integer", numbers.Integral), "float": ("a real number", numbers.Real),
-                "str": ("a string", str), "list[int]": ("a list of integers", numbers.Integral)}
+                "str": ("a string", str), "list[int]": ("a list of integers", numbers.Integral),
+                "Path": ("a path", Path)}
 
 
 def check_field_types(settings) -> None:
@@ -346,7 +344,6 @@ def generate_sbm(params: SBMParams) -> AttributedGraph:
                 ii, jj = np.nonzero(draws)
                 if ii.size:
                     edges.append(np.stack([rows[r0 + ii], cols[jj]], axis=1))
-    edge_arr = np.concatenate(edges) if edges else np.empty((0, 2), dtype=np.int64)
 
     block = params.n_features // c
     means = np.zeros((c, params.n_features))
@@ -366,7 +363,7 @@ def generate_sbm(params: SBMParams) -> AttributedGraph:
 
     return AttributedGraph(
         x=x,
-        edges=canonical_edges(edge_arr),
+        edges=np.concatenate(edges) if edges else [],
         labels=labels,
         train_mask=train,
         val_mask=val,

@@ -1,5 +1,9 @@
 """Attributed graph container, adjacency normalization, sparse aggregation.
 
+`AttributedGraph` owns the edge rule: it takes any list of undirected
+pairs and stores each edge once, as (u, v) with u < v, sorted, with no
+self-loops.
+
 Both propagation operators scale the `.data` of one unit symmetric CSR
 (with or without self-loops) from its row degrees. A row plan
 (`row_plan`) slices the normalized adjacency down to the rows a
@@ -17,22 +21,6 @@ from scipy.sparse import _sparsetools
 from . import bitlinalg as bl
 
 
-def canonical_edges(edges) -> np.ndarray:
-    """Deduplicate an undirected edge list and drop self-loops.
-
-    Returns an (E, 2) int64 array with u < v, sorted lexicographically.
-    """
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    keep = lo != hi
-    order = np.lexsort((hi[keep], lo[keep]))  # 1-D sorts: any int64, no combined key
-    lo, hi = lo[keep][order], hi[keep][order]
-    first = np.ones(lo.size, dtype=bool)
-    first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-    return np.stack([lo[first], hi[first]], axis=1)
-
-
 def _frozen(a: np.ndarray) -> bool:
     """Whether `a` and every array it views are read-only."""
     while isinstance(a, np.ndarray):
@@ -46,17 +34,18 @@ def _frozen(a: np.ndarray) -> bool:
 class AttributedGraph:
     """Node features, undirected edges, labels, and split masks.
 
-    Edges are stored canonically (deduplicated, u < v, no self-loops);
-    pass any undirected pair list through `canonical_edges` first.
+    `edges` takes any (E, 2) integer array (or an empty sequence) of
+    undirected pairs in [0, N); the graph stores each edge once, as
+    (u, v) with u < v, in sorted order, and drops self-loops.
     Instances are immutable once built: the arrays are read-only, so what
-    is derived from them once (a row plan, say) stays valid. The other
-    arrays are views of the caller's, which stay writable; `x` is copied
-    where it would alias an array the caller can still write, since
-    `input_memo` keeps work derived from it.
+    is derived from them once (a row plan, say) stays valid. `edges` is
+    the graph's own array; labels and masks are views of the caller's,
+    which stay writable; `x` is copied where it would alias an array the
+    caller can still write, since `input_memo` keeps work derived from it.
     """
 
     x: np.ndarray  # (N, d) float64; checked finite before widening (float32 is half the bytes)
-    edges: np.ndarray  # (E, 2) int64, canonical
+    edges: np.ndarray  # (E, 2) int64, u < v, sorted, each edge once
     labels: np.ndarray  # (N,) int64 in [0, n_classes)
     train_mask: np.ndarray
     val_mask: np.ndarray
@@ -76,11 +65,10 @@ class AttributedGraph:
             x = x.copy()
         x.flags.writeable = False
         self.x = x
-        self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         for name in ("train_mask", "val_mask", "test_mask"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=bool))
-        for name in ("edges", "labels", "train_mask", "val_mask", "test_mask"):
+        for name in ("labels", "train_mask", "val_mask", "test_mask"):
             view = getattr(self, name).view()
             view.flags.writeable = False
             setattr(self, name, view)
@@ -94,13 +82,22 @@ class AttributedGraph:
             raise ValueError("need at least 2 classes")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.n_classes):
             raise ValueError("labels out of range")
-        if self.edges.size:
-            if self.edges.min() < 0 or self.edges.max() >= n:
-                raise ValueError("edge endpoint out of range")
-            if (self.edges[:, 0] >= self.edges[:, 1]).any():
-                raise ValueError("edges must be canonical (u < v, no self-loops)")
-            if len(canonical_edges(self.edges)) != len(self.edges):
-                raise ValueError("duplicate undirected edge")
+        edges = np.asarray(self.edges)
+        if edges.size == 0:
+            edges = np.empty((0, 2), dtype=np.int64)
+        elif edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu":
+            raise ValueError(f"edges must be an (E, 2) integer array, not {edges.dtype} "
+                             f"{edges.shape}")
+        edges = edges.astype(np.int64, copy=False)
+        if edges.size and (edges.min() < 0 or edges.max() >= n):
+            raise ValueError("edge endpoint out of range")
+        lo = np.minimum(edges[:, 0], edges[:, 1])
+        hi = np.maximum(edges[:, 0], edges[:, 1])
+        keys = (lo * n + hi)[lo != hi]  # N * N < 2**63 for any N whose features fit in memory
+        keys.sort()
+        keys = keys[np.diff(keys, prepend=-1) > 0]  # the first of each run of equal keys
+        self.edges = np.stack(np.divmod(keys, n), axis=1)
+        self.edges.flags.writeable = False
         for m in (self.train_mask, self.val_mask, self.test_mask):
             if m.shape != (n,):
                 raise ValueError("masks must have one entry per node")

@@ -1,10 +1,27 @@
 """Loop-based reference implementations used as independent test oracles.
 
 Everything here is written with explicit scalar loops, straight from the
-math, and deliberately shares no code with the package kernels.
+math, or with a different numpy route than the package's (`canonical_edges`,
+`gcn_forward`), and deliberately shares no code with the package kernels.
 """
 
 import numpy as np
+
+
+def canonical_edges(edges) -> np.ndarray:
+    """Deduplicate an undirected edge list and drop self-loops.
+
+    Returns an (E, 2) int64 array with u < v, sorted lexicographically.
+    """
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    lo = np.minimum(edges[:, 0], edges[:, 1])
+    hi = np.maximum(edges[:, 0], edges[:, 1])
+    keep = lo != hi
+    order = np.lexsort((hi[keep], lo[keep]))  # 1-D sorts: any int64, no combined key
+    lo, hi = lo[keep][order], hi[keep][order]
+    first = np.ones(lo.size, dtype=bool)
+    first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    return np.stack([lo[first], hi[first]], axis=1)
 
 
 def dense_normalized_adjacency(n, edges):

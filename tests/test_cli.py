@@ -153,6 +153,11 @@ MALFORMED_DATASETS = {
     "manifest-num-nodes-abc": _manifest(lambda raw: {**raw, "num_nodes": "abc"}),
     "manifest-num-nodes-null": _manifest(lambda raw: {**raw, "num_nodes": None}),
     "manifest-edges-file-5": _manifest(lambda raw: {**raw, "edges_file": 5}),
+    "manifest-num-nodes-180.9": _manifest(lambda raw: {**raw, "num_nodes": 180.9}),
+    "manifest-num-nodes-str-180": _manifest(lambda raw: {**raw, "num_nodes": "180"}),
+    "manifest-num-classes-3.7": _manifest(lambda raw: {**raw, "num_classes": 3.7}),
+    "manifest-num-nodes-true": _manifest(lambda raw: {**raw, "num_nodes": True}),
+    "manifest-name-5": _manifest(lambda raw: {**raw, "name": 5}),
     "manifest-0xff": _prepend("manifest.json", b"\xff"),
     "edges-0xff": _prepend("edges.txt", b"\xff"),
     "labels-0xff": _prepend("labels.txt", b"\xff"),

@@ -12,7 +12,6 @@ from bingcn.datasets import (
     DimensionMismatchError,
     FormatError,
     LabelRangeError,
-    MaskOverlapError,
     MissingFileError,
     SBMParams,
     generate_sbm,
@@ -185,16 +184,18 @@ class TestLoadErrors:
         with pytest.raises(FormatError):
             load_dataset(manifest)
 
-    def test_overlapping_masks_use_distinct_error(self, tmp_path, monkeypatch):
-        # one char per node cannot express an overlap, so exercise the
-        # loader guard directly
-        import bingcn.datasets as ds
-        d = tmp_path / "overlap"
-        manifest = save_dataset(d, tiny_graph())
-        overlap = np.array([True, False, False, False])
-        monkeypatch.setattr(ds, "read_masks",
-                            lambda path, n: (overlap, overlap, ~overlap))
-        with pytest.raises(MaskOverlapError):
+    @pytest.mark.parametrize("key, value", [
+        ("num_nodes", 4.9), ("num_nodes", "4"), ("num_classes", 2.7),
+        ("num_nodes", True), ("name", 5),
+    ], ids=["num-nodes-4.9", "num-nodes-str-4", "num-classes-2.7", "num-nodes-true",
+            "name-5"])
+    def test_mistyped_manifest_value_is_format_error(self, key, value, tmp_path):
+        # Counts are integers (never a bool) and the name a string: no coercion.
+        manifest = save_dataset(tmp_path / "typed", tiny_graph())
+        raw = json.loads(manifest.read_text())
+        raw[key] = value
+        manifest.write_text(json.dumps(raw))
+        with pytest.raises(FormatError, match=f"manifest.json: .*{key} must be"):
             load_dataset(manifest)
 
     def test_bad_feature_magic(self, tmp_path):

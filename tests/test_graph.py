@@ -8,14 +8,13 @@ from bingcn import bitlinalg as bl
 from bingcn.graph import (
     AttributedGraph,
     aggregate,
-    canonical_edges,
     neighbor_mean_matrix,
     normalize_adjacency,
     row_plan,
     sparse_matmul,
 )
 
-from reference_impl import dense_normalized_adjacency
+from reference_impl import canonical_edges, dense_normalized_adjacency
 
 
 def make_graph(n, edges, d=2, n_classes=2, seed=0):
@@ -30,7 +29,7 @@ def make_graph(n, edges, d=2, n_classes=2, seed=0):
         test[2:] = True
     return AttributedGraph(
         x=rng.standard_normal((n, d)),
-        edges=canonical_edges(edges),
+        edges=edges,
         labels=rng.integers(0, n_classes, size=n),
         train_mask=train,
         val_mask=val,
@@ -59,6 +58,8 @@ def diags_operators(g):
 
 
 class TestCanonicalEdges:
+    """The oracle of the graph's edge rule (`TestEdgeRule`)."""
+
     def test_matches_rowwise_unique(self):
         rng = np.random.default_rng(46)
         info = np.iinfo(np.int64)
@@ -85,34 +86,61 @@ class TestCanonicalEdges:
         assert canonical_edges([]).shape == (0, 2)
 
 
+class TestEdgeRule:
+    """The graph stores any undirected pair list as the oracle's canonical edges."""
+
+    def test_matches_the_oracle_on_raw_pair_lists(self):
+        rng = np.random.default_rng(49)
+        for trial in range(60):
+            n = int(rng.integers(1, 40))
+            raw = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
+            if trial % 3 == 0 and len(raw):  # reversed copies of some pairs
+                raw = np.concatenate([raw, raw[rng.integers(0, len(raw), size=5), ::-1]])
+            raw = rng.permutation(raw)
+            edges = make_graph(n, raw).edges
+            assert edges.dtype == np.int64
+            assert np.array_equal(edges, canonical_edges(raw))
+        for empty in ([], np.empty((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int32)):
+            assert make_graph(3, empty).edges.shape == (0, 2)
+
+    @pytest.mark.parametrize("edges", [
+        [0, 1, 2, 3],
+        [[[0, 1]]],
+        [[0, 1, 2], [1, 2, 0]],
+        [[0], [1]],
+        [[0.0, 1.0]],
+        [[True, False]],
+    ], ids=["flat", "1x1x2", "2x3", "2x1", "float", "bool"])
+    def test_rejects_what_is_not_an_integer_pair_array(self, edges):
+        with pytest.raises(ValueError, match=r"\(E, 2\) integer array"):
+            make_graph(4, edges)
+
+
 class TestGraphValidation:
-    def test_duplicate_check_accepts_exactly_the_unique_edge_sets(self):
+    def test_canonical_edge_sets_come_back_sorted_and_once(self):
         rng = np.random.default_rng(47)
         g = make_graph(8, [])
         verdicts = set()
         for _ in range(60):
             u = rng.integers(0, 7, size=int(rng.integers(1, 10)))
             edges = np.stack([u, u + rng.integers(1, 8 - u)], axis=1)  # u < v, any order
-            unique = len(np.unique(edges, axis=0)) == len(edges)
-            verdicts.add(unique)
-            if unique:
-                assert np.array_equal(AttributedGraph(
-                    g.x, edges, g.labels, g.train_mask, g.val_mask, g.test_mask).edges, edges)
-            else:
-                with pytest.raises(ValueError, match="duplicate"):
-                    AttributedGraph(g.x, edges, g.labels, g.train_mask, g.val_mask,
-                                    g.test_mask)
+            unique = np.unique(edges, axis=0)
+            verdicts.add(len(unique) == len(edges))
+            held = AttributedGraph(g.x, edges, g.labels, g.train_mask, g.val_mask,
+                                   g.test_mask)
+            assert np.array_equal(held.edges, unique)
         assert verdicts == {True, False}
 
     def test_rejects_out_of_range_endpoint(self):
         with pytest.raises(ValueError):
             make_graph(2, [[0, 5]])
 
-    def test_rejects_duplicate_edges(self):
+    def test_duplicates_reversed_pairs_and_self_loops_are_normalized(self):
         g = make_graph(3, [[0, 1]])
-        with pytest.raises(ValueError):
-            AttributedGraph(g.x, np.array([[0, 1], [0, 1]]), g.labels,
-                            g.train_mask, g.val_mask, g.test_mask, g.n_classes)
+        for raw in ([[0, 1], [0, 1]], [[1, 0], [0, 1], [2, 2]], [[1, 0]]):
+            held = AttributedGraph(g.x, np.array(raw), g.labels,
+                                   g.train_mask, g.val_mask, g.test_mask, g.n_classes)
+            assert np.array_equal(held.edges, [[0, 1]])
 
     def test_rejects_overlapping_masks(self):
         g = make_graph(3, [[0, 1]])
@@ -130,15 +158,16 @@ class TestGraphValidation:
             AttributedGraph(g.x, g.edges, labels,
                             g.train_mask, g.val_mask, g.test_mask, g.n_classes)
 
-    def test_arrays_are_read_only_views_of_the_callers(self):
-        # All but x, which the graph owns (TestFeatureOwnership).
+    def test_arrays_are_read_only_and_the_edges_the_graphs_own(self):
+        # Labels and masks are views of the caller's; x (TestFeatureOwnership)
+        # and the canonical edges are the graph's own.
         g = make_graph(3, [[0, 1]])
         names = ("edges", "labels", "train_mask", "val_mask", "test_mask")
         own = [getattr(g, name).copy() for name in names]
         held = AttributedGraph(g.x, *own, g.n_classes)
         for name, array in zip(names, own):
             view = getattr(held, name)
-            assert np.shares_memory(view, array)
+            assert np.shares_memory(view, array) == (name != "edges")
             with pytest.raises(ValueError, match="read-only"):
                 view[0] = view[0]
             array[0] = array[0]  # the caller's own array stays writable

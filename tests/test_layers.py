@@ -8,7 +8,6 @@ import pytest
 from bingcn import bitlinalg as bl
 from bingcn.graph import (
     AttributedGraph,
-    canonical_edges,
     neighbor_mean_matrix,
     normalize_adjacency,
     row_plan,
@@ -46,7 +45,7 @@ def random_graph(rng, n, d, n_classes=2, edge_factor=2):
     test = ~(train | val)
     return AttributedGraph(
         x=rng.standard_normal((n, d)),
-        edges=canonical_edges(raw),
+        edges=raw,
         labels=rng.integers(0, n_classes, size=n),
         train_mask=train,
         val_mask=val,
@@ -512,7 +511,7 @@ class TestRowPlan:
             raw = rng.integers(0, linked, size=(int(rng.integers(0, n)), 2))
             labels = np.arange(n) % 2
             none = np.zeros(n, dtype=bool)
-            g = AttributedGraph(np.zeros((n, 1)), canonical_edges(raw), labels,
+            g = AttributedGraph(np.zeros((n, 1)), raw, labels,
                                 none, none, none)
             adj = normalize_adjacency(g)
             dense = adj.matrix.toarray()
