@@ -9,7 +9,8 @@ per side, the median, quartiles and IQR of every metric and each run's
 `correct`/`attempted`/`failed`; per pair, the ratio change / parent of
 every metric; and for each end-to-end metric of BENCHMARK.json, how much
 worse the change's median reads than the parent's, against its bound,
-and in how many pairs the change reads better.
+the same read from the median of the per-pair ratios (flagged where the
+two disagree), and in how many pairs the change reads better.
 Also records both trees' git revisions and the environment: Python,
 numpy and scipy versions, the C compiler, the CPU count, the BLAS thread
 count the benchmark fixes, whether the packed C kernel loads, and the
@@ -117,7 +118,13 @@ def _ratios(pairs: list[dict]) -> dict:
 
 def _worse_by(sides: dict, pairs: list[dict], end_to_end: list[dict]) -> dict:
     """How much worse the change's median reads than the parent's, per metric,
-    and in how many pairs the change reads better (ties count for neither)."""
+    and in how many pairs the change reads better (ties count for neither).
+
+    Next to it, `pair_worse_by` reads the same from the median of the
+    per-pair ratios, which a drift shared by both runs of a pair does not
+    move. `disagrees` flags a metric where the two differ in sign or by more
+    than half the bound: evidence for a reader, not a gate.
+    """
     out = {}
     for metric in end_to_end:
         name = metric["name"]
@@ -127,11 +134,15 @@ def _worse_by(sides: dict, pairs: list[dict], end_to_end: list[dict]) -> dict:
         change, parent = (sides[side]["metrics"][name]["median"] for side in SIDES)
         worse = sign * (change - parent)
         rel = worse / parent if parent else 0.0
-        better = sum(sign * (p["change"]["metrics"][name]["value"]
-                             - p["parent"]["metrics"][name]["value"]) < 0
-                     for p in pairs if all(name in p[side]["metrics"] for side in SIDES))
-        out[name] = {"worse_by": rel, "bound": metric["bound"],
+        values = [[p[side]["metrics"][name]["value"] for side in SIDES] for p in pairs
+                  if all(name in p[side]["metrics"] for side in SIDES)]
+        better = sum(sign * (c - p) < 0 for c, p in values)
+        ratios = [c / p for c, p in values if p]
+        pair_rel = sign * (statistics.median(ratios) - 1) if ratios else None
+        out[name] = {"worse_by": rel, "pair_worse_by": pair_rel, "bound": metric["bound"],
                      "within_bound": rel <= metric["bound"],
+                     "disagrees": pair_rel is not None and (
+                         rel * pair_rel < 0 or abs(rel - pair_rel) > metric["bound"] / 2),
                      "better_pairs": f"{better}/{len(pairs)}"}
     return out
 
@@ -175,6 +186,11 @@ def main(argv=None) -> int:
               for side in SIDES for r in wl[side]["runs"] if not r["correct"]]
     beyond = [(w, name) for w, wl in snapshot["workloads"].items()
               for name, m in wl["end_to_end"].items() if not m["within_bound"]]
+    for w, wl in snapshot["workloads"].items():
+        for name, m in wl["end_to_end"].items():
+            pair = "n/a" if m["pair_worse_by"] is None else f"{m['pair_worse_by']:+.3f}"
+            print(f"{w} {name}: worse_by {m['worse_by']:+.3f} (medians), {pair} (pairs)"
+                  + ("  DISAGREE" if m["disagrees"] else ""), file=sys.stderr)
     print(f"wrote {out}" + (f"; runs not correct: {failed}" if failed else "")
           + (f"; medians worse than the parent beyond the bound: {beyond}" if beyond else ""),
           file=sys.stderr)

@@ -40,7 +40,11 @@ the BLAS thread settings are not read). Each thread is spawned and
 joined inside the call and owns a contiguous range of output rows (of
 columns, in `column_moments`, where a single column stays on one
 thread), computed in the one-thread order, so every result is the same
-bit for bit at any thread count.
+bit for bit at any thread count. `sign_t_matmul` splits its output rows
+the same way, by whole words of the packed operand, over Python threads
+whose block products run in BLAS; it splits only where every thread's
+slice of a block product is large enough that BLAS rounds it as the
+whole product (`_BLAS_EXACT_SLICE`).
 
 `binarize_rows`, `column_moments` and `sign_t_matmul` (the transposed
 sign product a weight gradient needs, in float64) work in row blocks, so
@@ -62,6 +66,7 @@ import platform
 import subprocess
 import tempfile
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -89,6 +94,14 @@ _MAX_THREADS = 8
 # which a native kernel call stays on the calling thread, where spawning
 # and joining a thread would cost more than it saves.
 _MIN_THREADED_WORK = 1 << 20
+# Multiply-adds (M * N * K) above which BLAS computes each row of a product
+# as it computes that row of any product the rows are a slice of. Below
+# it, OpenBLAS (0.3.31, one BLAS thread) may take its small-matrix kernel,
+# whose rows differed from the whole product's in slices of at most
+# 917,504; every slice above 10**6 matched. `sign_t_matmul` threads only
+# where each thread's slice stays above it, and `layers._product` rests on
+# the same fact.
+_BLAS_EXACT_SLICE = 10 ** 6
 
 
 def _cpu_id() -> str:
@@ -411,15 +424,62 @@ def sign_t_matmul(f: PackedBinMatrix, g) -> np.ndarray:
     The bucket scalars are not applied. Row blocks of `f` have their
     signs expanded to float64 +-1 (float32 would round, as `g` is real)
     and the block products are summed, in row order. The result equals
-    the dense product up to summation order.
+    the dense product up to summation order. The output rows are split
+    over threads by whole words of `f` (`_sign_t_ranges`); each thread
+    runs the block loop on its own columns, in its share of one block's
+    signs and product.
     """
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != 2 or g.shape[0] != f.rows:
         raise ValueError(f"expected ({f.rows}, m) right operand, got {g.shape}")
     out = np.zeros((f.cols, g.shape[1]))
-    signs = np.empty((min(_BLOCK_ROWS, f.rows), f.cols))  # each block's, in turn
-    for start in range(0, f.rows, _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        rows = min(_BLOCK_ROWS, f.rows - start)
-        out += _unpack_signs(f.words[block], f.cols, out=signs[:rows]).T @ g[block]
+    # Held for the whole call, so the bytes held do not depend on how the
+    # threads overlap.
+    block_rows = min(_BLOCK_ROWS, f.rows)
+    buffer = np.empty(block_rows * f.cols)
+    products = np.empty_like(out)
+    ranges = _sign_t_ranges(f, g.shape[1])
+
+    def run(w0: int, w1: int) -> None:
+        c0, c1 = w0 * WORD_BITS, min(w1 * WORD_BITS, f.cols)
+        signs = buffer[block_rows * c0:block_rows * c1].reshape(block_rows, c1 - c0)
+        for start in range(0, f.rows, _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            rows = min(_BLOCK_ROWS, f.rows - start)
+            expanded = _unpack_signs(f.words[block, w0:w1], c1 - c0, out=signs[:rows])
+            out[c0:c1] += np.matmul(expanded.T, g[block], out=products[c0:c1])
+
+    if len(ranges) == 1:  # no pool to build and shut down
+        run(*ranges[0])
+        return out
+    with ThreadPoolExecutor(len(ranges) - 1) as pool:
+        spawned = [pool.submit(run, *r) for r in ranges[1:]]
+        run(*ranges[0])
+        for done in spawned:
+            done.result()
     return out
+
+
+def _sign_t_ranges(f: PackedBinMatrix, m: int) -> list[tuple[int, int]]:
+    """Contiguous ranges of `f`'s words, one per thread of `sign_t_matmul`,
+    as (first, stop) word pairs, of near-equal word counts.
+
+    The count is `_threads_for` the product's multiply-adds, lowered until
+    each range's product with the smallest row block (the last) exceeds
+    `_BLAS_EXACT_SLICE`; where none does, one range. So is a `g` of one
+    column: BLAS multiplies by a vector in its gemv kernel, which rounds
+    a row by its alignment and by where BLAS's own threads split the
+    output, so no slice is safe. The numpy route, as every kernel's,
+    runs on the calling thread.
+    """
+    n_words = f.words.shape[1]
+    last = (f.rows - 1) % _BLOCK_ROWS + 1  # the last block's rows
+    split = m > 1 and _native() is not None
+    threads = min(_threads_for(f.rows * f.cols * m), n_words) if split else 1
+    for threads in range(threads, 1, -1):
+        bounds = [k * n_words // threads for k in range(threads + 1)]
+        ranges = list(zip(bounds, bounds[1:]))
+        narrowest = min(min(w1 * WORD_BITS, f.cols) - w0 * WORD_BITS for w0, w1 in ranges)
+        if narrowest * last * m > _BLAS_EXACT_SLICE:
+            return ranges
+    return [(0, n_words)]

@@ -6,8 +6,8 @@ self-loops.
 
 Both propagation operators scale the `.data` of one unit symmetric CSR
 (with or without self-loops) from its row degrees. A row plan
-(`row_plan`) slices the normalized adjacency down to the rows a
-masked loss reads.
+(`row_plan`) slices either operator down to the rows a masked loss
+reads.
 """
 
 from __future__ import annotations
@@ -140,14 +140,18 @@ class NormalizedAdjacency:
     adding one self-loop per node, so every stored value lies in (0, 1]
     and every node has a diagonal entry.
 
-    A layer of a `RowPlan` holds the rectangular slice P[R_out, R_in]:
+    A layer of a `RowPlan` holds the rectangular slice P[R_out, R_in] of
+    its propagation operator P, this adjacency or the neighbor mean:
     `in_rows` then lists the node ids of its columns, R_in, out of
-    `n_nodes`. None: the columns are all nodes.
+    `n_nodes`, and `out_at` the positions of its rows R_out among them
+    (where a self path reads its output rows). None: the columns are
+    all nodes.
     """
 
     matrix: sp.csr_matrix
     in_rows: np.ndarray | None = None
     n_nodes: int | None = None
+    out_at: np.ndarray | None = None
 
 
 def _unit_symmetric_csr(n: int, edges: np.ndarray, self_loops: bool):
@@ -199,8 +203,12 @@ class RowPlan:
     ops: tuple[NormalizedAdjacency, ...]
 
 
-def row_plan(adj: NormalizedAdjacency, mask, n_layers: int) -> RowPlan | None:
+def row_plan(adj, mask, n_layers: int) -> RowPlan | None:
     """The `RowPlan` of `n_layers` layers propagating with `adj` for `mask`.
+
+    `adj` is a `NormalizedAdjacency` or a CSR operator (the neighbor
+    mean). Each layer's input rows include its output rows, so a self
+    path can read them too.
 
     A layer's rows are found from the positions of its output rows'
     stored entries in `indptr`/`indices`, with no copy of the operator.
@@ -210,7 +218,7 @@ def row_plan(adj: NormalizedAdjacency, mask, n_layers: int) -> RowPlan | None:
     order and renumbers their column ids monotonically, so it keeps them
     sorted.
     """
-    m = adj.matrix
+    m = adj.matrix if isinstance(adj, NormalizedAdjacency) else adj
     n = m.shape[0]
     rows, entries = [np.flatnonzero(mask)], []
     for _ in range(n_layers):
@@ -230,12 +238,13 @@ def row_plan(adj: NormalizedAdjacency, mask, n_layers: int) -> RowPlan | None:
         return None
     local = np.empty(n, dtype=m.indices.dtype)
     ops = []
-    for r_in, (indptr, at) in zip(rows, entries):
+    for r_in, r_out, (indptr, at) in zip(rows, rows[1:], entries):
         local[r_in] = np.arange(r_in.size)
         op = sp.csr_matrix((m.data[at], local[m.indices[at]], indptr),
                            shape=(indptr.size - 1, r_in.size))
         op.has_sorted_indices = True
-        ops.append(NormalizedAdjacency(matrix=op, in_rows=r_in, n_nodes=n))
+        ops.append(NormalizedAdjacency(matrix=op, in_rows=r_in, n_nodes=n,
+                                       out_at=local[r_out]))
     return RowPlan(rows=tuple(rows), ops=tuple(ops))
 
 

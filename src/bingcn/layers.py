@@ -35,10 +35,12 @@ Every layer function takes an optional `Workspace` (`ws`): the memory
 its passes reuse from one epoch to the next. The results are the same
 bit for bit with and without one.
 
-The graph convolutions also take a row plan's rectangular slice
-P[R_out, R_in] of the normalized adjacency (`graph.row_plan`) in place
-of the whole operator: the layer then computes its output rows R_out
-from its input rows R_in alone. A float input of all N rows is read at
+The layers also take a row plan's rectangular slice P[R_out, R_in] of
+their propagation operator (`graph.row_plan`, of the normalized
+adjacency or the neighbor mean) in place of the whole operator: the
+layer then computes its output rows R_out from its input rows R_in
+alone, and a self path adds its product's rows R_out, which R_in
+includes. A float input of all N rows is read at
 rows R_in, in blocks of at most 1 MiB; dropout draws the mask of all N
 rows, as a full pass does, and applies its rows R_in. The output rows
 are the full pass's bit for bit, but for the case `_product` names.
@@ -172,11 +174,13 @@ def _product(h: np.ndarray, w: np.ndarray, adj, route: str, ws: Workspace | None
     computes it. On the "rows" route `h` goes into an all-node operand at
     its nodes' rows and takes one all-node product; the operand's other
     rows hold zeros, dropout draws or earlier inputs, all finite, which
-    cost time but change nothing. On the "gather" route `h` is read at the slice's input rows in
-    near-equal gathered blocks of at most 1 MiB. BLAS computes their rows
-    as in the full product only while a block's product is large enough
-    for its general kernel, which a narrow output (a few columns) can
-    defeat: the rows then agree with the full pass's to rounding.
+    cost time but change nothing. On the "gather" route `h` is read at
+    the slice's input rows in near-equal gathered blocks of at most
+    1 MiB. BLAS computes their rows as in the full product only while a
+    block's product is large enough for its general kernel
+    (`bitlinalg._BLAS_EXACT_SLICE`), which a narrow output (a few
+    columns) can defeat: the rows then agree with the full pass's to
+    rounding.
     """
     if route == "full":
         return np.matmul(h, w, out=out)
@@ -278,8 +282,9 @@ def _forward(
         out = sparse_matmul(prop, zetas[-1], _take(ws, "out", (prop.shape[0], shape[1])))
     else:
         out = aggregate(adj, zetas[-1], out=_take(ws, "out", (adj.matrix.shape[0], shape[1])))
-    for zeta in zetas[:-1]:  # the self paths
-        out = np.add(zeta, out, out=out)
+    at = None if adj is None else adj.out_at
+    for zeta in zetas[:-1]:  # the self paths, at the output rows
+        out = np.add(zeta if at is None else zeta[at], out, out=out)
     cache = LayerCache(h_in=h_in, operand=operand, beta=beta, weights=weights,
                        drop_mask=drop_mask)
     if activation:
@@ -557,14 +562,9 @@ def batch_norm_backward(cache: BatchNormCache, grad_out: np.ndarray,
     return grad
 
 
-def masked_softmax_xent(
-    logits: np.ndarray, labels: np.ndarray, mask: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Cross-entropy over the masked nodes, averaged over their count.
-
-    Returns (loss, grad_logits); gradient rows outside the mask are zero.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
+def _masked_softmax(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray):
+    """The masked rows' softmax and mean cross-entropy, from one selection
+    of them: (row ids, their logits, their labels, probabilities, loss)."""
     mask = np.asarray(mask, dtype=bool)
     idx = np.flatnonzero(mask)
     if idx.size == 0:
@@ -580,12 +580,31 @@ def masked_softmax_xent(
     probs = exp / exp.sum(axis=1, keepdims=True)
     picked = probs[np.arange(idx.size), sel_labels]
     loss = float(-np.log(np.maximum(picked, 1e-300)).mean())
+    return idx, sel, sel_labels, probs, loss
 
+
+def masked_softmax_xent(
+    logits: np.ndarray, labels: np.ndarray, mask: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Cross-entropy over the masked nodes, averaged over their count.
+
+    Returns (loss, grad_logits); gradient rows outside the mask are zero.
+    """
+    logits = np.asarray(logits, dtype=np.float64)
+    idx, _, sel_labels, probs, loss = _masked_softmax(logits, labels, mask)
     grad = np.zeros_like(logits)
-    g = probs.copy()
-    g[np.arange(idx.size), sel_labels] -= 1.0
-    grad[idx] = g / idx.size
+    probs[np.arange(idx.size), sel_labels] -= 1.0
+    grad[idx] = probs / idx.size
     return loss, grad
+
+
+def masked_loss_and_accuracy(logits: np.ndarray, labels: np.ndarray,
+                             mask: np.ndarray) -> tuple[float, float]:
+    """`masked_softmax_xent`'s loss and `masked_accuracy` from one selection
+    of the masked rows, with no gradient."""
+    _, sel, sel_labels, _, loss = _masked_softmax(np.asarray(logits, dtype=np.float64),
+                                                  labels, mask)
+    return loss, float((sel.argmax(axis=1) == sel_labels).mean())
 
 
 def masked_accuracy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:

@@ -6,14 +6,16 @@ best validation loss, and the test metric taken from the best-validation
 checkpoint. Everything is driven by one numpy Generator, so a seed fixes
 the whole trace bit for bit.
 
-A training step and a validation pass compute only the rows their
-mask's loss reads (a `graph.RowPlan`, built once per `train()`), unless
-the family batch-normalizes a hidden layer's input: batch statistics
-read every row. For the same weights the mask's logits and loss are the
-full pass's bit for bit, except that BLAS may round gcn's layer-0
-product of gathered rows differently when the hidden layer is narrow
-(`layers._product`); the weight gradients differ only in summation
-order.
+A validation pass computes only the rows its mask's loss reads (a
+`graph.RowPlan`, built once per `train()`): inference batch norm uses
+the running statistics, so rows are independent. So does a training
+step, unless the family batch-normalizes a hidden layer's input: batch
+statistics read every row. For the same weights the mask's logits and
+loss are the full pass's bit for bit, except that BLAS may round gcn's
+layer-0 product of gathered rows differently when the hidden layer is
+narrow (`layers._product`); the weight gradients differ only in
+summation order. `evaluate()` takes the loss and accuracy from one
+selection of the mask's rows and builds no gradient.
 
 Work on the fixed input runs once per graph, not once per call: the
 exact column moments of X (`input_moments`, computed in C where the
@@ -72,8 +74,10 @@ class Family:
 
     @property
     def full_pass(self) -> bool:
-        """Whether every pass computes all rows: a hidden layer input is
-        batch-normalized with statistics over all of them."""
+        """Whether a training step computes all rows: a hidden layer input
+        is batch-normalized with statistics over all of them. Inference
+        uses the running statistics, so a validation pass never needs
+        all rows."""
         return self.standardized is None or self.standardized > 1
 
 
@@ -316,9 +320,7 @@ def evaluate(model: Model, prop, graph: AttributedGraph, mask: np.ndarray,
     """
     logits, _ = model.forward(prop, model.graph_input(graph) if x is None else x,
                               training=False, workspaces=workspaces, plan=plan)
-    labels, mask = _targets(graph.labels, mask, plan)
-    loss, _ = L.masked_softmax_xent(logits, labels, mask)
-    return loss, L.masked_accuracy(logits, labels, mask)
+    return L.masked_loss_and_accuracy(logits, *_targets(graph.labels, mask, plan))
 
 
 def _checkpoint(model: Model):
@@ -335,9 +337,10 @@ def train(config: ModelConfig, graph: AttributedGraph,
 
     Returns the model restored to its best-validation checkpoint along
     with the per-epoch metric trace and the test accuracy at that
-    checkpoint. Identical seeds give bit-identical traces. The training
-    step and the validation pass run on their masks' row plans, unless
-    the family needs full passes; the test evaluation is a full pass.
+    checkpoint. Identical seeds give bit-identical traces. The validation
+    pass runs on its mask's row plan, and so does the training step
+    unless the family needs full training passes; the test evaluation is
+    a full pass.
     """
     if graph.n_features != config.widths[0]:
         raise ValueError(f"widths[0]={config.widths[0]} does not match feature dim "
@@ -354,9 +357,9 @@ def train(config: ModelConfig, graph: AttributedGraph,
     prop = propagation_operator(model.family, graph, adj)
     opt = AdamState.for_params(model.weights)
     x = model.fit_input(graph)
-    masks = (graph.train_mask, graph.val_mask)
-    train_plan, val_plan = ((None, None) if model.family.full_pass else
-                            (row_plan(prop, m, model.n_layers) for m in masks))
+    train_plan = (None if model.family.full_pass else
+                  row_plan(prop, graph.train_mask, model.n_layers))
+    val_plan = row_plan(prop, graph.val_mask, model.n_layers)
     x_train, x_val = (model.prepare_input(x, plan) for plan in (train_plan, val_plan))
     train_labels, train_mask = _targets(graph.labels, graph.train_mask, train_plan)
     workspaces = [L.Workspace() for _ in range(model.n_layers)]

@@ -8,6 +8,7 @@ word-level oracle, `xnor_popcount_dot`, lives here with its own tests.
 
 import os
 import shutil
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -720,7 +721,31 @@ class TestThreadCount:
         rng = np.random.default_rng(n + d)
         f = bl.binarize_rows(rng.standard_normal((n, d)))
         g = rng.standard_normal((n, 6))
-        assert (min(n, 512) * d >= min_work) == (d == 2100 or min_work == 0)
+        assert (n * d * 6 >= min_work) == (d == 2100 or min_work == 0)
+        one = _at_threads(monkeypatch, 1, bl.sign_t_matmul, f, g)
+        assert np.array_equal(one, _on_numpy_route(monkeypatch, bl.sign_t_matmul, f, g))
+        for t in self.THREADS:
+            assert np.array_equal(_at_threads(monkeypatch, t, bl.sign_t_matmul, f, g), one), t
+
+    @pytest.mark.parametrize("n, d, m, split", [
+        (19716, 500, 128, 4),  # bisage's layer-0 gradient on pubmed-sbm
+        (2709, 1433, 64, 4),  # bigcn's on cora-sbm
+        (700, 70, 64, 1),  # dense-sbm: a 6-column slice would be BLAS's small kernel
+        (1100, 2100, 6, 1),  # the full blocks' slices pass the bound, the last block's not
+        (1024, 4500, 1, 1),  # a matrix-vector product: 2 slices would pass the bound
+    ])
+    def test_sign_t_matmul_word_ranges(self, monkeypatch, n, d, m, split):
+        # BLAS rounds each thread's slice as it rounds those rows of the whole
+        # product only above `_BLAS_EXACT_SLICE`: a BLAS that rounds slices
+        # differently fails here, rather than making traces follow the CPU count.
+        rng = np.random.default_rng(n + d + m)
+        f = bl.binarize_rows(rng.standard_normal((n, d)))
+        g = rng.standard_normal((n, m))
+        ranges = _at_threads(monkeypatch, 4, bl._sign_t_ranges, f, m)
+        assert len(ranges) == (split if bl._native() is not None else 1)
+        assert len(_on_numpy_route(monkeypatch, bl._sign_t_ranges, f, m)) == 1
+        assert ranges[0][0] == 0 and ranges[-1][1] == f.words.shape[1]
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
         one = _at_threads(monkeypatch, 1, bl.sign_t_matmul, f, g)
         assert np.array_equal(one, _on_numpy_route(monkeypatch, bl.sign_t_matmul, f, g))
         for t in self.THREADS:
@@ -736,3 +761,11 @@ class TestThreadCount:
         before = len(list(tasks.iterdir()))
         _at_threads(monkeypatch, 4, bl.bin_gemm, f, b)
         assert len(list(tasks.iterdir())) == before
+        # sign_t_matmul's threads are Python threads: a joined one can stay in
+        # /proc/self/task for a moment after join() returns, and a threaded
+        # BLAS called from two threads may start workers of its own.
+        g = rng.standard_normal((2000, 64))
+        assert len(_at_threads(monkeypatch, 4, bl._sign_t_ranges, f, 64)) == 4
+        python_threads = threading.enumerate()
+        _at_threads(monkeypatch, 4, bl.sign_t_matmul, f, g)
+        assert threading.enumerate() == python_threads

@@ -457,6 +457,8 @@ class TestExitCodes:
     def test_malformed_dataset_is_data_error(self, corrupt, command, tmp_path, capsys):
         manifest = _saved_dataset(tmp_path)
         bad = corrupt(manifest.parent)
+        if command[0] == "train":  # a dataset that loads after all writes here, not in the cwd
+            command = command + ["--out", str(tmp_path / "run")]
         assert run(command + ["--dataset", str(manifest)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and str(bad) in err

@@ -27,6 +27,7 @@ from bingcn.layers import (
     gcn_backward,
     gcn_forward_cached,
     masked_accuracy,
+    masked_loss_and_accuracy,
     masked_softmax_xent,
     ste_gate,
 )
@@ -466,7 +467,8 @@ class TestCoreRejects:
                 forward(prop, g.x[:, :4], *weights, training=training)
 
     def test_a_binarized_layer_on_a_slice_takes_its_input_rows_alone(self):
-        # bisage has no row plan: its neighbor mean is never sliced.
+        # On a slice a binarized layer reads the slice's input rows: layer 0's
+        # packed rows, gathered once per plan, or the planned layer before's output.
         g, mask, op = _slice_of_a_sparse_graph(np.random.default_rng(55))
         w = np.random.default_rng(56).uniform(-1.2, 1.2, size=(12, 3))
         for h in (g.x, bl.binarize_rows(g.x)):
@@ -491,10 +493,10 @@ class TestCoreRejects:
         assert np.allclose(grad_w_gathered, grad_w, rtol=1e-12, atol=1e-15)
 
 
-def _dense_bfs_rows(adj, mask, n_layers):
+def _dense_bfs_rows(matrix, mask, n_layers):
     """Oracle row sets: each layer's input rows are its output rows and
     every node with a stored entry in one of their rows."""
-    reaches = adj.matrix.toarray() != 0
+    reaches = matrix.toarray() != 0
     rows = [np.asarray(mask, dtype=bool)]
     for _ in range(n_layers):
         rows.insert(0, rows[0] | reaches[rows[0]].any(axis=0))
@@ -513,56 +515,64 @@ class TestRowPlan:
             none = np.zeros(n, dtype=bool)
             g = AttributedGraph(np.zeros((n, 1)), raw, labels,
                                 none, none, none)
-            adj = normalize_adjacency(g)
-            dense = adj.matrix.toarray()
             mask = rng.random(n) < 0.05
             mask[rng.integers(n)] = True
             if linked < n:
                 mask[rng.integers(linked, n)] = True
-            for n_layers in (1, 2, 3):
-                want = _dense_bfs_rows(adj, mask, n_layers)
-                plan = row_plan(adj, mask, n_layers)
-                if want[0].size == n:
-                    assert plan is None
-                    continue
-                planned += 1
-                assert len(plan.rows) == n_layers + 1 and len(plan.ops) == n_layers
-                for got, expected in zip(plan.rows, want):
-                    assert np.array_equal(got, expected)
-                for i, op in enumerate(plan.ops):
-                    assert np.array_equal(op.in_rows, plan.rows[i]) and op.n_nodes == n
-                    assert op.matrix.has_sorted_indices
-                    assert np.array_equal(op.matrix.toarray(),
-                                          dense[np.ix_(plan.rows[i + 1], plan.rows[i])])
-        assert planned > 50
+            for prop in (normalize_adjacency(g), neighbor_mean_matrix(g)):
+                matrix = getattr(prop, "matrix", prop)
+                dense = matrix.toarray()
+                for n_layers in (1, 2, 3):
+                    want = _dense_bfs_rows(matrix, mask, n_layers)
+                    plan = row_plan(prop, mask, n_layers)
+                    if want[0].size == n:
+                        assert plan is None
+                        continue
+                    planned += 1
+                    assert len(plan.rows) == n_layers + 1 and len(plan.ops) == n_layers
+                    for got, expected in zip(plan.rows, want):
+                        assert np.array_equal(got, expected)
+                    for i, op in enumerate(plan.ops):
+                        assert np.array_equal(op.in_rows, plan.rows[i]) and op.n_nodes == n
+                        assert np.array_equal(op.in_rows[op.out_at], plan.rows[i + 1])
+                        assert op.matrix.has_sorted_indices
+                        assert np.array_equal(op.matrix.toarray(),
+                                              dense[np.ix_(plan.rows[i + 1], plan.rows[i])])
+        assert planned > 100
 
-    @pytest.mark.parametrize("family", ["bigcn", "gcn"])
+    @pytest.mark.parametrize("family", ["bigcn", "gcn", "bisage"])
     def test_a_slice_computes_the_full_rows(self, family):
         rng = np.random.default_rng(41)
         n, d, m = 400, 12, 5
         g = random_graph(rng, n, d, edge_factor=1)
-        adj = normalize_adjacency(g)
+        adj = neighbor_mean_matrix(g) if family == "bisage" else normalize_adjacency(g)
         mask = np.zeros(n, dtype=bool)
         mask[rng.choice(n, 8, replace=False)] = True
         op = row_plan(adj, mask, 1).ops[0]
         rows = op.in_rows
-        w = rng.uniform(-1.2, 1.2, size=(d, m))
+        ws = [rng.uniform(-1.2, 1.2, size=(d, m))]
         if family == "bigcn":
             forward, backward, extra = bigcn_forward, bigcn_backward, {}
+        elif family == "bisage":  # a self path too, read at the slice's output rows
+            forward, backward, extra = bisage_forward, bisage_backward, {}
+            ws.append(rng.uniform(-1.2, 1.2, size=(d, m)))
         else:
             forward, backward, extra = gcn_forward_cached, gcn_backward, {"activation": True}
         grad = rng.standard_normal((n, m)) * mask[:, None]
-        for training, dropout in ((False, 0.0), (True, 0.0), (True, 0.5)):
+        # bisage's training passes are full: its hidden batch norm reads every row.
+        modes = ((False, 0.0),) if family == "bisage" else ((False, 0.0), (True, 0.0), (True, 0.5))
+        for training, dropout in modes:
             rngs = [np.random.default_rng(3), np.random.default_rng(3)]
-            full, cache = forward(adj, g.x, w, training=training, dropout=dropout,
+            full, cache = forward(adj, g.x, *ws, training=training, dropout=dropout,
                                   rng=rngs[0], **extra)
-            part, cache_p = forward(op, g.x[rows], w, training=training, dropout=dropout,
+            part, cache_p = forward(op, g.x[rows], *ws, training=training, dropout=dropout,
                                     rng=rngs[1], **extra)
             assert np.array_equal(part, full[mask])
             assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
             if family == "gcn" and dropout == 0.0:
                 # Layer 0's route: the whole input, read at the slice's rows.
-                assert np.array_equal(forward(op, g.x, w, training=training, **extra)[0], part)
+                assert np.array_equal(forward(op, g.x, *ws, training=training, **extra)[0],
+                                      part)
             if training:
                 grad_h, grad_w = backward(cache, adj, grad)
                 grad_h_p, grad_w_p = backward(cache_p, op, grad[mask])
@@ -731,3 +741,16 @@ class TestMaskedLoss:
         logits = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])
         labels = np.array([0, 1, 1])
         assert masked_accuracy(logits, labels, np.array([True, True, True])) == pytest.approx(2 / 3)
+
+    def test_loss_and_accuracy_without_a_gradient_are_the_training_paths(self):
+        rng = np.random.default_rng(30)
+        logits = rng.standard_normal((500, 5)) * 6.0
+        labels = rng.integers(0, 5, size=500)
+        for mask in (rng.random(500) < 0.3, np.ones(500, dtype=bool), np.arange(500) == 7):
+            want = (masked_softmax_xent(logits, labels, mask)[0],
+                    masked_accuracy(logits, labels, mask))
+            assert masked_loss_and_accuracy(logits, labels, mask) == want
+        with pytest.raises(ValueError, match="selects no nodes"):
+            masked_loss_and_accuracy(logits, labels, np.zeros(500, dtype=bool))
+        with pytest.raises(ValueError, match="out of range"):
+            masked_loss_and_accuracy(logits[:, :3], labels, np.ones(500, dtype=bool))

@@ -1,6 +1,7 @@
 """The scripts: the Planetoid converter and the benchmark snapshot's gate summary."""
 
 import importlib.util
+import json
 import pickle
 from pathlib import Path
 
@@ -151,3 +152,32 @@ class TestSnapshotGate:
         assert ratios["epoch_ms"]["values"] == [2.0, 2.0, 3.0]
         assert ratios["epoch_ms"]["median"] == 2.0
         assert "calls" not in ratios
+
+    def test_pair_ratios_are_read_next_to_the_medians(self):
+        # Pair 3 ran the change in a slow state of the machine: the side medians
+        # read 9.4 % worse, the per-pair ratios 1.4 % better.
+        worse, _ = _gate([_run(epoch_ms=v) for v in (70, 70, 70, 56)],
+                         [_run(epoch_ms=v) for v in (72, 72, 55, 56)])
+        assert worse["epoch_ms"]["worse_by"] == pytest.approx(6 / 64)
+        assert worse["epoch_ms"]["pair_worse_by"] == pytest.approx((70 / 72 + 1) / 2 - 1)
+        assert worse["epoch_ms"]["within_bound"] and worse["epoch_ms"]["disagrees"]
+        worse, _ = _gate([_run(epoch_ms=12)] * 4, [_run(epoch_ms=10)] * 4)
+        assert worse["epoch_ms"]["pair_worse_by"] == pytest.approx(0.2)
+        assert not worse["epoch_ms"]["disagrees"]
+
+    def test_bench_18_flags_the_bimodal_gcn_epoch(self):
+        # pubmed-sbm's gcn.epoch_ms ran near 70 ms in pairs 1-5 and near 55 ms
+        # in pairs 6-10 on both sides: its medians read 16.7 % worse, its
+        # per-pair ratios a median of 0.993.
+        record = json.loads((SCRIPTS.parent / "BENCH_18.json").read_text())
+        bench = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
+        workload = record["workloads"]["pubmed-sbm"]
+        names = workload["change"]["metrics"].keys() & workload["parent"]["metrics"].keys()
+        pairs = [{side: {"metrics": {name: {"value": workload[side]["metrics"][name]["values"][k]}
+                                     for name in names}} for side in bench_snapshot.SIDES}
+                 for k in range(len(record["seeds"]))]
+        worse = bench_snapshot._worse_by(workload, pairs, bench["end_to_end"])
+        gcn = worse["gcn.epoch_ms"]
+        assert gcn["worse_by"] == pytest.approx(0.1666, abs=1e-3)
+        assert gcn["pair_worse_by"] == pytest.approx(-0.0074, abs=1e-3)
+        assert gcn["within_bound"] and gcn["disagrees"]
