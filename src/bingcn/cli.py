@@ -35,16 +35,11 @@ from .train import (
     train,
 )
 
-TRAIN_DEFAULTS = {
-    "model": ModelConfig.model,
-    "hidden": 64,
-    "dropout": ModelConfig.dropout,
-    "lr": ModelConfig.lr,
-    "epochs": ModelConfig.max_epochs,
-    "patience": ModelConfig.patience,
-    "ste": ModelConfig.ste_mode,
-    "seed": ModelConfig.seed,
-}
+# Each training flag that sets a `ModelConfig` field, and the field.
+_CONFIG_FIELDS = {"model": "model", "dropout": "dropout", "lr": "lr", "epochs": "max_epochs",
+                  "patience": "patience", "ste": "ste_mode", "seed": "seed"}
+TRAIN_DEFAULTS = {"hidden": 64, **{flag: getattr(ModelConfig, field)
+                                   for flag, field in _CONFIG_FIELDS.items()}}
 
 
 class UsageError(Exception):
@@ -105,16 +100,8 @@ def _model_config(settings: dict, graph) -> ModelConfig:
     if widths is None:
         widths = [graph.n_features, settings["hidden"], graph.n_classes]
     try:
-        return ModelConfig(
-            widths=widths,
-            model=settings["model"],
-            dropout=settings["dropout"],
-            lr=settings["lr"],
-            max_epochs=settings["epochs"],
-            patience=settings["patience"],
-            ste_mode=settings["ste"],
-            seed=settings["seed"],
-        )
+        return ModelConfig(widths=widths, **{field: settings[flag]
+                                             for flag, field in _CONFIG_FIELDS.items()})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -153,6 +140,7 @@ def cmd_train(args) -> int:
             fh.write(json.dumps({
                 "epoch": m.epoch,
                 "train_loss": m.train_loss,
+                "train_acc": m.train_acc,
                 "val_loss": m.val_loss,
                 "val_acc": m.val_acc,
             }) + "\n")
@@ -160,6 +148,7 @@ def cmd_train(args) -> int:
         json.dump({
             "test_acc": result.test_acc,
             "best_epoch": result.best_epoch,
+            "epochs_run": len(result.trace),
             "seed": result.seed,
         }, fh, indent=2)
         fh.write("\n")

@@ -134,16 +134,18 @@ class AttributedGraph:
 
 @dataclass(frozen=True)
 class NormalizedAdjacency:
-    """CSR form of the symmetrically normalized adjacency with self-loops.
+    """A propagation operator P in CSR form, whole or a row plan's slice.
 
-    Entry (i, j) is 1 / sqrt(deg_i * deg_j) with degrees counted after
-    adding one self-loop per node, so every stored value lies in (0, 1]
-    and every node has a diagonal entry.
+    P is either operator: the symmetrically normalized adjacency with
+    self-loops (`normalize_adjacency`: entry (i, j) is
+    1 / sqrt(deg_i * deg_j) with degrees counted after adding one
+    self-loop per node, so every stored value lies in (0, 1] and every
+    node has a diagonal entry), or the neighbor mean
+    (`neighbor_mean_matrix`, which the layers wrap in this class).
 
     A layer of a `RowPlan` holds the rectangular slice P[R_out, R_in] of
-    its propagation operator P, this adjacency or the neighbor mean:
-    `in_rows` then lists the node ids of its columns, R_in, out of
-    `n_nodes`, and `out_at` the positions of its rows R_out among them
+    either: `in_rows` then lists the node ids of its columns, R_in, out
+    of `n_nodes`, and `out_at` the positions of its rows R_out among them
     (where a self path reads its output rows). None: the columns are
     all nodes.
     """
@@ -175,7 +177,7 @@ def normalize_adjacency(g: AttributedGraph) -> NormalizedAdjacency:
 
 def aggregate(adj: NormalizedAdjacency, z: np.ndarray,
               out: np.ndarray | None = None) -> np.ndarray:
-    """Sparse-dense product of the normalized adjacency (or a row plan's
+    """Sparse-dense product of a propagation operator (or a row plan's
     slice of it) with values on its column nodes, into `out` (None: a new
     array)."""
     z = np.asarray(z, dtype=np.float64)

@@ -40,10 +40,13 @@ their propagation operator (`graph.row_plan`, of the normalized
 adjacency or the neighbor mean) in place of the whole operator: the
 layer then computes its output rows R_out from its input rows R_in
 alone, and a self path adds its product's rows R_out, which R_in
-includes. A float input of all N rows is read at
-rows R_in, in blocks of at most 1 MiB; dropout draws the mask of all N
-rows, as a full pass does, and applies its rows R_in. The output rows
-are the full pass's bit for bit, but for the case `_product` names.
+includes. A float input of all N rows is read at rows R_in, in
+gathered blocks; dropout draws the mask of all N rows, as a full pass
+does, and applies its rows R_in. The output rows are the full pass's
+bit for bit, but for the narrow products `_product` names. A whole
+operator given as a bare CSR matrix (the neighbor mean) is wrapped in a
+`NormalizedAdjacency` on entry, so every layer aggregates through
+`graph.aggregate`.
 """
 
 from __future__ import annotations
@@ -130,24 +133,23 @@ class LayerCache:
     pre_act: np.ndarray | None = None  # the ReLU's input, where the layer has one
 
 
-def _input_route(adj, h) -> str:
+def _input_route(adj: NormalizedAdjacency, h) -> str:
     """How a layer on the propagation `adj` reads its input `h`.
 
-    "full": `adj` is a whole operator (or None), with a column per node,
-    and `h` holds every node's row. A row plan's slice has a column per
-    node of `adj.in_rows`; "rows": `h` holds those rows alone (a hidden
-    layer's input, or layer 0's packed input, gathered once per plan);
-    "gather": `h` holds every node's row (layer 0's float input, read at
-    those rows where it is used, never copied whole).
+    "full": `adj` is a whole operator, with a column per node, and `h`
+    holds every node's row. A row plan's slice has a column per node of
+    `adj.in_rows`; "rows": `h` holds those rows alone (a hidden layer's
+    input, or layer 0's packed input, gathered once per plan); "gather":
+    `h` holds every node's row (layer 0's float input, read at those rows
+    where it is used, never copied whole).
     """
-    rows = None if adj is None else adj.in_rows
-    if rows is None:
+    if adj.in_rows is None:
         return "full"
-    return "rows" if h.shape[0] == rows.size else "gather"
+    return "rows" if h.shape[0] == adj.in_rows.size else "gather"
 
 
-def _dropout_mask(rng: np.random.Generator, shape, rate: float,
-                  ws: Workspace | None = None, adj=None, route: str = "full") -> np.ndarray:
+def _dropout_mask(rng: np.random.Generator, shape, rate: float, ws: Workspace | None,
+                  adj: NormalizedAdjacency, route: str) -> np.ndarray:
     """Inverted-dropout mask: zeros with probability `rate`, else 1/(1-rate).
 
     On the "rows" route (`_input_route`) the draw is that of every node's
@@ -164,8 +166,8 @@ def _dropout_mask(rng: np.random.Generator, shape, rate: float,
     return np.divide(keep, 1.0 - rate, out=draws)
 
 
-def _product(h: np.ndarray, w: np.ndarray, adj, route: str, ws: Workspace | None,
-             out: np.ndarray) -> np.ndarray:
+def _product(h: np.ndarray, w: np.ndarray, adj: NormalizedAdjacency, route: str,
+             ws: Workspace | None, out: np.ndarray) -> np.ndarray:
     """``h @ w`` into `out`, one row per column of the propagation `adj`;
     `route` is `_input_route(adj, h)`.
 
@@ -175,12 +177,14 @@ def _product(h: np.ndarray, w: np.ndarray, adj, route: str, ws: Workspace | None
     its nodes' rows and takes one all-node product; the operand's other
     rows hold zeros, dropout draws or earlier inputs, all finite, which
     cost time but change nothing. On the "gather" route `h` is read at
-    the slice's input rows in near-equal gathered blocks of at most
-    1 MiB. BLAS computes their rows as in the full product only while a
-    block's product is large enough for its general kernel
-    (`bitlinalg._BLAS_EXACT_SLICE`), which a narrow output (a few
-    columns) can defeat: the rows then agree with the full pass's to
-    rounding.
+    the slice's input rows in near-equal gathered blocks of at least
+    1 MiB, and larger where the output is narrow: BLAS computes a block's
+    rows as in the full product only while the block's product is large
+    enough for its general kernel (`bitlinalg._BLAS_EXACT_SLICE`), so
+    every block stays above that wherever the whole gathered product
+    does. The rows agree with the full pass's only to rounding where it
+    does not, and for a one-column `w`, which BLAS multiplies as a
+    vector.
     """
     if route == "full":
         return np.matmul(h, w, out=out)
@@ -191,15 +195,18 @@ def _product(h: np.ndarray, w: np.ndarray, adj, route: str, ws: Workspace | None
         at_nodes[rows] = h
         product = np.matmul(at_nodes, w, out=_take(ws, "node_product", (shape[0], w.shape[1])))
         return np.take(product, rows, axis=0, out=out)
-    for block, gathered in _gathered_blocks(h, rows):
+    min_rows = bl._BLAS_EXACT_SLICE // (h.shape[1] * w.shape[1]) + 1
+    for block, gathered in _gathered_blocks(h, rows, min_rows):
         np.matmul(gathered, w, out=out[block])
     return out
 
 
-def _gathered_blocks(h: np.ndarray, rows: np.ndarray):
+def _gathered_blocks(h: np.ndarray, rows: np.ndarray, min_rows: int = 1):
     """(block, ``h[rows[block]]``) for near-equal blocks of `rows`, each at
-    most `_GATHER_BYTES` of `h`'s rows."""
-    n_blocks = -(-rows.size * h.shape[1] * h.itemsize // _GATHER_BYTES)
+    most `_GATHER_BYTES` of `h`'s rows unless that would leave a block
+    under `min_rows` rows; one block where `rows` has fewer."""
+    n_blocks = max(1, min(-(-rows.size * h.shape[1] * h.itemsize // _GATHER_BYTES),
+                          rows.size // min_rows))
     bounds = np.linspace(0, rows.size, n_blocks + 1).round().astype(int)
     for start, stop in zip(bounds, bounds[1:]):
         yield slice(start, stop), h[rows[start:stop]]
@@ -225,14 +232,15 @@ def _forward(
 
     Every path of `weights` but the last is a self path (``P = I``); the
     last is propagated by `prop`: a `NormalizedAdjacency`, whole or a row
-    plan's slice, or a sparse matrix. A binarized layer's packed `h_in`
-    always runs the packed kernel and takes no dropout; its float `h_in`
-    runs the float simulation in training, whose dropout can mask single
-    entries of the binarized features, and the packed kernel in
-    inference. A float layer computes ``(H * mask) x W``. On a row plan's
-    slice `h_in` holds the slice's input rows, or, for a float layer, the
-    row of every node, read at those rows by the product and by the weight
-    gradient in gathered blocks, so no copy of them is held whole.
+    plan's slice, or a CSR operator (the neighbor mean), which is wrapped
+    in one. A binarized layer's packed `h_in` always runs the packed
+    kernel and takes no dropout; its float `h_in` runs the float
+    simulation in training, whose dropout can mask single entries of the
+    binarized features, and the packed kernel in inference. A float
+    layer computes ``(H * mask) x W``. On a row plan's slice `h_in` holds
+    the slice's input rows, or, for a float layer, the row of every node,
+    read at those rows by the product and by the weight gradient in
+    gathered blocks, so no copy of them is held whole.
     """
     weights = [np.asarray(w, dtype=np.float64) for w in weights]
     shape = weights[0].shape
@@ -246,7 +254,7 @@ def _forward(
         h_in = np.asarray(h_in, dtype=np.float64)
     if len(h_in.shape) != 2 or h_in.shape[1] != shape[0]:
         raise ValueError(f"expected (N, {shape[0]}) input, got {h_in.shape}")
-    adj = prop if isinstance(prop, NormalizedAdjacency) else None
+    adj = prop if isinstance(prop, NormalizedAdjacency) else NormalizedAdjacency(prop)
     route = _input_route(adj, h_in)
     if route == "gather" and binarized:
         raise ValueError("a binarized layer on a row plan's slice takes its input "
@@ -278,13 +286,9 @@ def _forward(
             _product(operand, _scaled_signs(w) if binarized else w, adj, route, ws, out=zeta)
             if binarized:
                 zeta *= beta[:, None]
-    if adj is None:
-        out = sparse_matmul(prop, zetas[-1], _take(ws, "out", (prop.shape[0], shape[1])))
-    else:
-        out = aggregate(adj, zetas[-1], out=_take(ws, "out", (adj.matrix.shape[0], shape[1])))
-    at = None if adj is None else adj.out_at
+    out = aggregate(adj, zetas[-1], out=_take(ws, "out", (adj.matrix.shape[0], shape[1])))
     for zeta in zetas[:-1]:  # the self paths, at the output rows
-        out = np.add(zeta if at is None else zeta[at], out, out=out)
+        out = np.add(zeta if adj.out_at is None else zeta[adj.out_at], out, out=out)
     cache = LayerCache(h_in=h_in, operand=operand, beta=beta, weights=weights,
                        drop_mask=drop_mask)
     if activation:
@@ -396,9 +400,8 @@ def _backward(
     neither has an input gradient.
     """
     grad_out = np.asarray(grad_out, dtype=np.float64)
-    adj = prop if isinstance(prop, NormalizedAdjacency) else None
-    matrix = prop if adj is None else adj.matrix
-    (n_out, n), (d_in, m) = matrix.shape, cache.weights[0].shape
+    adj = prop if isinstance(prop, NormalizedAdjacency) else NormalizedAdjacency(prop)
+    (n_out, n), (d_in, m) = adj.matrix.shape, cache.weights[0].shape
     if grad_out.shape != (n_out, m):
         raise ValueError(f"gradient shape {grad_out.shape} != {(n_out, m)}")
     packed = isinstance(cache.operand, bl.PackedBinMatrix)
@@ -416,7 +419,7 @@ def _backward(
     # The self paths' gradients are grad_out; the propagated one goes into
     # the forward's spent output role.
     grad_zetas = [grad_out] * (len(cache.weights) - 1)
-    grad_zetas.append(sparse_matmul(matrix.T, grad_out, _take(ws, "out", (n, m))))
+    grad_zetas.append(sparse_matmul(adj.matrix.T, grad_out, _take(ws, "out", (n, m))))
     binarized = cache.beta is not None
     if binarized:
         # (beta * operand)^T grad_zeta for every path in one product, the row
@@ -499,9 +502,7 @@ def bisage_backward(
 class BatchNormState:
     """Running statistics for affine-free per-column standardization.
 
-    Training-mode batch norm folds each batch's statistics into them. A
-    binarized model's layer-0 state instead holds the exact statistics
-    of the fixed input, set once by `train.train`.
+    Training-mode batch norm folds each batch's statistics into them.
     """
 
     running_mean: np.ndarray

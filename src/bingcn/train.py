@@ -11,11 +11,12 @@ A validation pass computes only the rows its mask's loss reads (a
 the running statistics, so rows are independent. So does a training
 step, unless the family batch-normalizes a hidden layer's input: batch
 statistics read every row. For the same weights the mask's logits and
-loss are the full pass's bit for bit, except that BLAS may round gcn's
-layer-0 product of gathered rows differently when the hidden layer is
-narrow (`layers._product`); the weight gradients differ only in
-summation order. `evaluate()` takes the loss and accuracy from one
-selection of the mask's rows and builds no gradient.
+loss are the full pass's bit for bit, except where BLAS may round gcn's
+layer-0 product of gathered rows differently: a gathered product too
+small for BLAS's general kernel, or one of a single column
+(`layers._product`); the weight gradients differ only in summation
+order. `evaluate()` takes the loss and accuracy from one selection of
+the mask's rows and builds no gradient.
 
 Work on the fixed input runs once per graph, not once per call: the
 exact column moments of X (`input_moments`, computed in C where the
@@ -61,31 +62,18 @@ class Family:
     forward: str
     backward: str
     paths: int  # weight matrices per layer
-    # Leading layer inputs standardized (None: all). For a binarized family,
-    # layer 0's input is standardized with the exact statistics of X and
-    # binarized once per graph; later ones get training-mode batch norm.
-    standardized: int | None
+    # Hidden layer inputs get training-mode batch norm, whose statistics
+    # read every row: a training step computes all rows. Inference uses
+    # the running statistics, so a validation pass never needs all rows.
+    full_pass: bool = False
     binarized: bool = True  # False: float product, ReLU on hidden layers
     neighbor_mean: bool = False  # propagate by neighbor mean, not normalized A + I
 
-    def bn_widths(self, widths: list[int]) -> list[int]:
-        """Widths of the standardized layer inputs: one batch-norm state each."""
-        return widths[:-1][:self.standardized]
-
-    @property
-    def full_pass(self) -> bool:
-        """Whether a training step computes all rows: a hidden layer input
-        is batch-normalized with statistics over all of them. Inference
-        uses the running statistics, so a validation pass never needs
-        all rows."""
-        return self.standardized is None or self.standardized > 1
-
 
 FAMILIES = {
-    "bigcn": Family("bigcn_forward", "bigcn_backward", paths=1, standardized=1),
-    "gcn": Family("gcn_forward_cached", "gcn_backward", paths=1, standardized=0,
-                  binarized=False),
-    "bisage": Family("bisage_forward", "bisage_backward", paths=2, standardized=None,
+    "bigcn": Family("bigcn_forward", "bigcn_backward", paths=1),
+    "gcn": Family("gcn_forward_cached", "gcn_backward", paths=1, binarized=False),
+    "bisage": Family("bisage_forward", "bisage_backward", paths=2, full_pass=True,
                      neighbor_mean=True),
 }
 MODEL_KINDS = tuple(FAMILIES)
@@ -132,6 +120,12 @@ class Model:
     before neighbor), the order of the model file. A binarized family's
     latent weights are clipped to [-1, 1] after every update, so the
     straight-through gate cannot zero a weight's gradient for good.
+
+    `input_stats` is a binarized family's (mean, variance) of the input
+    features, which layer 0 standardizes with (None for gcn): zeros and
+    ones until `fit_input` or a model file sets them; no training step
+    changes them. `bn_states` holds one batch-norm state per hidden layer
+    input where the family batch-normalizes them (`Family.full_pass`).
     """
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
@@ -142,20 +136,20 @@ class Model:
         self.weights = [L.xavier_uniform(rng, d_in, d_out)
                         for d_in, d_out in zip(widths, widths[1:])
                         for _ in range(self.family.paths)]
-        self.bn_states = [L.BatchNormState.for_dim(w) for w in self.family.bn_widths(widths)]
+        self.input_stats = ((np.zeros(widths[0]), np.ones(widths[0]))
+                            if self.family.binarized else None)
+        self.bn_states = [L.BatchNormState.for_dim(w)
+                          for w in (widths[1:-1] if self.family.full_pass else [])]
 
     def fit_input(self, graph: AttributedGraph):
-        """Set the layer-0 statistics from `graph.x` and return `graph_input(graph)`.
+        """Set `input_stats` from `graph.x` and return `graph_input(graph)`.
 
         For a binarized family the statistics are the exact column mean
-        and population variance of `x` (full batch: the batch statistics
-        never change), kept as the first batch-norm state's running ones;
-        nothing updates them afterwards. They are the graph's read-only
-        `input_moments`, shared, not copied.
+        and population variance of `x` (full batch: they never change):
+        the graph's read-only `input_moments`, shared, not copied.
         """
         if self.family.binarized:
-            state = self.bn_states[0]
-            state.running_mean, state.running_var = input_moments(graph)
+            self.input_stats = input_moments(graph)
         return self.graph_input(graph)
 
     def graph_input(self, graph: AttributedGraph):
@@ -163,17 +157,15 @@ class Model:
 
         The graph's memo holds one packed input, standardized with its
         `input_moments`. It is filled and returned where this model's
-        layer-0 statistics equal them, as they do after `fit_input` on
-        the graph. Other statistics (a model file trained on another
-        graph, say) get a fresh binarization, which is not kept.
+        `input_stats` equal them, as they do after `fit_input` on the
+        graph. Other statistics (a model file trained on another graph,
+        say) get a fresh binarization, which is not kept.
         """
         if not self.family.binarized:
             return graph.x
         memo = graph.input_memo()
-        state = self.bn_states[0]
         moments = memo.get("moments")
-        if moments is None or not (np.array_equal(state.running_mean, moments[0])
-                                   and np.array_equal(state.running_var, moments[1])):
+        if moments is None or not all(map(np.array_equal, self.input_stats, moments)):
             return self.prepare_input(graph.x)
         if "packed" not in memo:
             memo["packed"] = self.prepare_input(graph.x)
@@ -182,8 +174,8 @@ class Model:
     def prepare_input(self, x: np.ndarray, plan: RowPlan | None = None):
         """The first layer's input for features `x`.
 
-        For a binarized family: `x` standardized with the layer-0
-        statistics (`fit_input`, or a model file) and binarized, in row
+        For a binarized family: `x` standardized with `input_stats`
+        (`fit_input`, or a model file) and binarized, in row
         blocks, so only the packed signs and row scalars are held; with a
         row plan, only the rows layer 0 reads. For gcn: `x` itself, whose
         layer reads the rows it needs.
@@ -191,9 +183,8 @@ class Model:
         if not self.family.binarized:
             return x
         if not isinstance(x, bl.PackedBinMatrix):
-            state = self.bn_states[0]
-            inv_std = 1.0 / np.sqrt(state.running_var + L.BN_EPS)
-            x = bl.binarize_rows(x, (state.running_mean, inv_std))
+            mean, var = self.input_stats
+            x = bl.binarize_rows(x, (mean, 1.0 / np.sqrt(var + L.BN_EPS)))
         rows = None if plan is None else plan.rows[0]
         if rows is None or x.rows == rows.size:  # all rows needed, or gathered already
             return x
@@ -221,8 +212,8 @@ class Model:
             ws = workspaces[i] if workspaces is not None else None
             layer_prop = prop if plan is None else plan.ops[i]
             bn_cache = None
-            if 0 < i < len(self.bn_states):
-                h, bn_cache = L.batch_norm_forward(h, training, self.bn_states[i], ws=ws)
+            if i > 0 and self.bn_states:
+                h, bn_cache = L.batch_norm_forward(h, training, self.bn_states[i - 1], ws=ws)
             extra = {} if self.family.binarized else {"activation": i < self.n_layers - 1}
             h, cache = forward(layer_prop, h, *self.weights[i * p:(i + 1) * p],
                                training=training,
@@ -323,14 +314,6 @@ def evaluate(model: Model, prop, graph: AttributedGraph, mask: np.ndarray,
     return L.masked_loss_and_accuracy(logits, *_targets(graph.labels, mask, plan))
 
 
-def _checkpoint(model: Model):
-    """A deep copy of (weights, batch-norm states) that shares the read-only
-    arrays, the graph's moments in layer 0's state, which nothing writes."""
-    shared = {id(a): a for state in model.bn_states
-              for a in (state.running_mean, state.running_var) if not a.flags.writeable}
-    return copy.deepcopy((model.weights, model.bn_states), shared)
-
-
 def train(config: ModelConfig, graph: AttributedGraph,
           adj: NormalizedAdjacency | None = None) -> TrainResult:
     """Full-batch training with early stopping on validation loss.
@@ -364,7 +347,7 @@ def train(config: ModelConfig, graph: AttributedGraph,
     train_labels, train_mask = _targets(graph.labels, graph.train_mask, train_plan)
     workspaces = [L.Workspace() for _ in range(model.n_layers)]
 
-    best_state = _checkpoint(model)
+    best_state = copy.deepcopy((model.weights, model.bn_states))
     best_val = np.inf
     best_epoch = 0
     trace: list[EpochMetrics] = []
@@ -388,7 +371,7 @@ def train(config: ModelConfig, graph: AttributedGraph,
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            best_state = _checkpoint(model)
+            best_state = copy.deepcopy((model.weights, model.bn_states))
         elif epoch - best_epoch >= config.patience:
             break
 
@@ -403,23 +386,28 @@ def train(config: ModelConfig, graph: AttributedGraph,
 
 
 def save_model(path, model: Model) -> None:
-    """Write architecture header, batch-norm running stats, latent weights.
+    """Write architecture header, input and batch-norm statistics, latent weights.
 
     Layout, little-endian: magic, format version, model kind, layer
-    count, widths, batch-norm state count, then float64 payloads (per BN
-    state: running mean then running variance; then `model.weights` as
-    row-major matrices, two per layer for the mean-aggregator model).
+    count, widths, statistics record count, then per record its uint32
+    width and float64 mean then variance (a binarized family's
+    `input_stats` first, then each of `bn_states`' running statistics),
+    then `model.weights` as float64 row-major matrices, two per layer for
+    the mean-aggregator model.
     """
     widths = model.config.widths
+    records = [(s.running_mean, s.running_var) for s in model.bn_states]
+    if model.input_stats is not None:
+        records.insert(0, model.input_stats)
     with open(path, "wb") as fh:
         fh.write(MODEL_FILE_MAGIC)
         fh.write(struct.pack("<III", 1, _MODEL_KIND_CODES[model.config.model], len(widths)))
         fh.write(struct.pack(f"<{len(widths)}I", *widths))
-        fh.write(struct.pack("<I", len(model.bn_states)))
-        for state in model.bn_states:
-            fh.write(struct.pack("<I", state.running_mean.size))
-            fh.write(state.running_mean.astype("<f8").tobytes())
-            fh.write(state.running_var.astype("<f8").tobytes())
+        fh.write(struct.pack("<I", len(records)))
+        for mean, var in records:
+            fh.write(struct.pack("<I", mean.size))
+            fh.write(mean.astype("<f8").tobytes())
+            fh.write(var.astype("<f8").tobytes())
         for w in model.weights:
             fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
 
@@ -428,9 +416,11 @@ def load_model(path) -> Model:
     """Rebuild a model from `save_model` output.
 
     Every read is bounds-checked against the file size; a file that does
-    not hold exactly what its header announces, whose batch-norm states
-    are not those of its model family, or whose weights or statistics are
-    non-finite (or a variance negative) raises ModelFileError.
+    not hold exactly what its header announces, whose statistics records
+    are not those of its model family (input statistics for a binarized
+    one, then a batch-norm state per batch-normalized hidden layer input),
+    or whose weights or statistics are non-finite (or a variance
+    negative) raises ModelFileError.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -457,7 +447,7 @@ def load_model(path) -> Model:
     if len(widths) < 2 or min(widths) < 1:
         raise ModelFileError(f"{path}: bad layer widths {widths}")
     (n_bn,) = take(1, "<u4", "batch-norm state count")
-    bn_states = []
+    records = []
     for _ in range(int(n_bn)):
         (dim,) = take(1, "<u4", "batch-norm width")
         mean = take(int(dim), "<f8", "batch-norm running mean").copy()
@@ -465,11 +455,13 @@ def load_model(path) -> Model:
         if not (np.isfinite(mean).all() and np.isfinite(var).all() and (var >= 0).all()):
             raise ModelFileError(f"{path}: batch-norm statistics must be finite, "
                                  f"with nonnegative variances")
-        bn_states.append(L.BatchNormState(running_mean=mean, running_var=var))
+        records.append((mean, var))
 
     kind = _MODEL_KIND_NAMES[kind_code]
     family = FAMILIES[kind]
-    stored, expected = [s.running_mean.size for s in bn_states], family.bn_widths(widths)
+    stored = [mean.size for mean, _ in records]
+    expected = (([widths[0]] if family.binarized else [])
+                + (widths[1:-1] if family.full_pass else []))
     if stored != expected:
         raise ModelFileError(f"{path}: batch-norm widths {stored}, but a {kind} model "
                              f"of widths {widths} has {expected}")
@@ -487,6 +479,9 @@ def load_model(path) -> Model:
     if not all(np.isfinite(w).all() for w in weights):
         raise ModelFileError(f"{path}: weights contain non-finite entries")
     model = Model(ModelConfig(widths=widths, model=kind), np.random.default_rng(0))
-    model.bn_states = bn_states
+    if family.binarized:
+        model.input_stats = records.pop(0)
+    model.bn_states = [L.BatchNormState(running_mean=mean, running_var=var)
+                       for mean, var in records]
     model.weights = weights  # installed as stored: no clipping on load
     return model

@@ -232,9 +232,10 @@ class TestTrain:
         lines = (out / "metrics.jsonl").read_text().splitlines()
         assert len(lines) == 20
         first = json.loads(lines[0])
-        assert set(first) == {"epoch", "train_loss", "val_loss", "val_acc"}
+        assert set(first) == {"epoch", "train_loss", "train_acc", "val_loss", "val_acc"}
         result = read_json(out / "result.json")
-        assert set(result) == {"test_acc", "best_epoch", "seed"}
+        assert set(result) == {"test_acc", "best_epoch", "epochs_run", "seed"}
+        assert result["epochs_run"] == 20
         assert result["seed"] == 3
         assert (out / "model.bin").exists()
 
@@ -349,7 +350,7 @@ class TestEvalCommand:
         assert run(["train", "--sbm", SBM_ARGS, "--widths", "24,16,3",
                     "--epochs", "2", "--out", str(out)]) == 0
         model = load_model(out / "model.bin")
-        model.bn_states = []
+        model.input_stats = None
         save_model(tmp_path / "no_bn.bin", model)
         capsys.readouterr()
         assert run(["eval", str(tmp_path / "no_bn.bin"), "--sbm", SBM_ARGS]) == 2
@@ -366,9 +367,9 @@ class TestEvalCommand:
         if field == "weight":
             model.weights[-1][-1, -1] = np.nan
         elif field == "mean":
-            model.bn_states[0].running_mean[3] = np.inf
+            model.input_stats[0][3] = np.inf
         else:
-            model.bn_states[0].running_var[3] = -np.inf if field == "variance" else -2.0
+            model.input_stats[1][3] = -np.inf if field == "variance" else -2.0
         save_model(tmp_path / "bad.bin", model)
         capsys.readouterr()
         assert run(["eval", str(tmp_path / "bad.bin"), "--sbm", SBM_ARGS]) == 2

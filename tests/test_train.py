@@ -1,6 +1,7 @@
 """Training loop behavior: determinism, early stopping, serialization."""
 
 import copy
+import struct
 import tracemalloc
 
 import numpy as np
@@ -186,9 +187,9 @@ class TestTrainingLoop:
     def test_input_statistics_are_exact(self, model):
         g = small_sbm(seed=7)
         result = train(ModelConfig(widths=[24, 8, 3], model=model, seed=7, max_epochs=5), g)
-        state = result.model.bn_states[0]
-        assert np.allclose(state.running_mean, g.x.mean(axis=0), rtol=1e-12, atol=1e-15)
-        assert np.allclose(state.running_var, g.x.var(axis=0), rtol=1e-12, atol=0)
+        mean, var = result.model.input_stats
+        assert np.allclose(mean, g.x.mean(axis=0), rtol=1e-12, atol=1e-15)
+        assert np.allclose(var, g.x.var(axis=0), rtol=1e-12, atol=0)
 
     def test_zero_epochs_returns_initialized_model(self):
         g = small_sbm()
@@ -275,7 +276,8 @@ class TestInputMemo:
         result = train(ModelConfig(**self.CONFIG), g)
         packed = g.input_memo()["packed"]
         other = copy.deepcopy(result.model)
-        other.bn_states[0].running_mean = other.bn_states[0].running_mean + 0.25
+        mean, var = other.input_stats
+        other.input_stats = (mean + 0.25, var)
         prop = propagation_operator(other.family, g)
         fresh = evaluate(other, prop, g, g.test_mask, other.prepare_input(g.x))
         calls = input_binarizations(monkeypatch, g)
@@ -297,12 +299,12 @@ class TestInputMemo:
         net = Model(ModelConfig(**self.CONFIG), np.random.default_rng(6))
         x = net.fit_input(g)
         mean, var = g.input_memo()["moments"]
-        state = net.bn_states[0]
-        assert state.running_mean is mean and state.running_var is var
+        stats = net.input_stats
+        assert stats[0] is mean and stats[1] is var
         assert not (mean.flags.writeable or var.flags.writeable)
         assert x is g.input_memo()["packed"] and net.fit_input(g) is x
-        trained = train(ModelConfig(**self.CONFIG), g).model.bn_states[0]  # checkpoints share them
-        assert trained.running_mean is mean and trained.running_var is var
+        trained = train(ModelConfig(**self.CONFIG), g).model.input_stats  # not checkpointed
+        assert trained[0] is mean and trained[1] is var
 
     def test_caller_writes_change_neither_x_nor_the_memo(self):
         source = small_sbm(seed=7)
@@ -339,7 +341,7 @@ class TestModelFiles:
     @pytest.mark.parametrize("model", ["bigcn", "bisage"])
     def test_rejects_missing_batch_norm_states(self, tmp_path, model):
         net = Model(ModelConfig(widths=[24, 8, 3], model=model), np.random.default_rng(0))
-        net.bn_states = []
+        net.input_stats, net.bn_states = None, []
         path = tmp_path / "model.bin"
         save_model(path, net)
         with pytest.raises(ModelFileError, match="batch-norm"):
@@ -350,6 +352,37 @@ class TestModelFiles:
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(ValueError):
             load_model(path)
+
+    @pytest.mark.parametrize("model,kind_code", [("bigcn", 1), ("gcn", 2), ("bisage", 3)])
+    def test_file_is_the_documented_layout(self, tmp_path, model, kind_code):
+        # Version-1 layout: magic, version, kind, layer count, widths,
+        # record count, per record (width, mean, variance), then the
+        # weights; a binarized family's input statistics are the first record.
+        widths = [3, 2, 2]
+        net = Model(ModelConfig(widths=widths, model=model), np.random.default_rng(0))
+        net.weights = [np.arange(w.size, dtype=float).reshape(w.shape) / (k + 2)
+                       for k, w in enumerate(net.weights)]
+        records = []
+        if model != "gcn":
+            net.input_stats = (np.array([0.5, -1.0, 2.0]), np.array([1.5, 0.25, 3.0]))
+            records.append(net.input_stats)
+        for state in net.bn_states:
+            state.running_mean, state.running_var = np.array([0.125, -0.75]), np.array([2.0, 0.5])
+            records.append((state.running_mean, state.running_var))
+        expected = b"BGNM" + struct.pack("<III3I", 1, kind_code, 3, *widths)
+        expected += struct.pack("<I", len(records))
+        for mean, var in records:
+            expected += struct.pack(f"<I{mean.size}d{var.size}d", mean.size, *mean, *var)
+        for w in net.weights:
+            expected += struct.pack(f"<{w.size}d", *w.ravel())
+        assert len(records) == {"bigcn": 1, "gcn": 0, "bisage": 2}[model]
+        path, again = tmp_path / "model.bin", tmp_path / "again.bin"
+        save_model(path, net)
+        assert path.read_bytes() == expected
+        loaded = load_model(path)
+        assert (loaded.input_stats is None) == (model == "gcn")
+        save_model(again, loaded)
+        assert again.read_bytes() == expected
 
     def test_gcn_hidden_activations_shapes(self):
         g = small_sbm(seed=8)
@@ -367,19 +400,23 @@ class TestBatchNormPlacement:
     def test_bigcn_standardizes_input_only(self):
         config = ModelConfig(widths=[24, 8, 3], model="bigcn")
         model = Model(config, np.random.default_rng(0))
-        assert len(model.bn_states) == 1
-        assert model.bn_states[0].running_mean.shape == (24,)
+        assert model.bn_states == []
+        mean, var = model.input_stats
+        assert mean.shape == (24,) and np.array_equal(mean, np.zeros(24))
+        assert var.shape == (24,) and np.array_equal(var, np.ones(24))
 
     def test_bisage_standardizes_every_layer(self):
         config = ModelConfig(widths=[24, 8, 3], model="bisage")
         model = Model(config, np.random.default_rng(0))
-        assert len(model.bn_states) == 2
-        assert model.bn_states[1].running_mean.shape == (8,)
+        assert model.input_stats[0].shape == (24,)
+        assert len(model.bn_states) == 1
+        assert model.bn_states[0].running_mean.shape == (8,)
 
     def test_gcn_has_no_batch_norm_by_default(self):
         config = ModelConfig(widths=[24, 8, 3], model="gcn")
         model = Model(config, np.random.default_rng(0))
         assert model.bn_states == []
+        assert model.input_stats is None
 
 
 LAYER_FUNCTIONS = ("bigcn_forward", "gcn_forward_cached", "bisage_forward",
@@ -414,6 +451,26 @@ def test_a_pass_calls_its_family_layer_function_once_per_layer(monkeypatch, fami
         calls.clear()
         net.backward(prop, caches, grad, plan=plan)
         assert calls == [net.family.backward] * net.n_layers
+
+
+@pytest.mark.parametrize("family", MODEL_KINDS)
+def test_a_full_forward_aggregates_once_per_layer(monkeypatch, family):
+    """Every family's layer propagates through `layers.aggregate`, the
+    bare neighbor-mean operator of bisage included."""
+    calls, aggregate = [], L.aggregate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return aggregate(*args, **kwargs)
+
+    monkeypatch.setattr(L, "aggregate", counting)
+    g = sparse_sbm(seed=4)
+    net = Model(ModelConfig(widths=[24, 8, 6, 3], model=family), np.random.default_rng(4))
+    prop = propagation_operator(net.family, g)
+    for training in (True, False):
+        calls.clear()
+        net.forward(prop, net.fit_input(g), training=training, rng=np.random.default_rng(5))
+        assert len(calls) == net.n_layers
 
 
 class TestRowPlans:
@@ -455,10 +512,12 @@ class TestRowPlans:
     @pytest.mark.parametrize("model", ["bigcn", "gcn"])
     @pytest.mark.parametrize("hidden", [2, 64])
     def test_planned_logits_at_a_narrow_hidden_width(self, model, hidden):
-        # gcn's layer 0 multiplies gathered rows of the input: BLAS may round
-        # a narrow product of fewer rows differently, so its planned logits
-        # are the full pass's only to rounding. bigcn's layer 0 runs the
-        # packed kernel and its hidden layer an all-node product: bit for bit.
+        # gcn's layer 0 multiplies gathered rows of the input. At hidden
+        # width 2 the whole gathered product is under BLAS's general-kernel
+        # bound, where BLAS may round it differently from the full product,
+        # so its planned logits are the full pass's only to rounding.
+        # bigcn's layer 0 runs the packed kernel and its hidden layer an
+        # all-node product: bit for bit.
         g = generate_sbm(SBMParams(nodes_per_class=200, n_classes=3, p_in=0.01, p_out=0.001,
                                    n_features=256, signal=2.0, seed=17, train_per_class=5,
                                    val_per_class=10))
@@ -474,6 +533,23 @@ class TestRowPlans:
             assert np.array_equal(part, want)
         else:
             assert np.abs(part - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_planned_gcn_logits_at_a_wide_input_and_narrow_hidden_width(self):
+        # 1433 x 4: gathered blocks of at most 1 MiB (91 rows) would each be a
+        # product under BLAS's general-kernel bound, though the whole
+        # gathered product is above it; the blocks grow to stay above it.
+        g = generate_sbm(SBMParams(nodes_per_class=100, n_classes=3, p_in=0.02, p_out=0.002,
+                                   n_features=1433, signal=1.0, seed=19, train_per_class=20,
+                                   val_per_class=10))
+        net = Model(ModelConfig(widths=[1433, 4, 3], model="gcn"), np.random.default_rng(19))
+        prop = propagation_operator(net.family, g)
+        x = net.fit_input(g)
+        plan = row_plan(prop, g.train_mask, net.n_layers)
+        assert plan.rows[0].size * 1433 * 4 > bl._BLAS_EXACT_SLICE
+        full, _ = net.forward(prop, x, training=True, rng=np.random.default_rng(20))
+        part, _ = net.forward(prop, net.prepare_input(x, plan), training=True,
+                              rng=np.random.default_rng(20), plan=plan)
+        assert np.array_equal(part, full[g.train_mask])
 
     @pytest.mark.parametrize("model", ["bigcn", "gcn"])
     def test_an_all_rows_plan_is_the_full_pass(self, model):
