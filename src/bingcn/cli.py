@@ -11,6 +11,7 @@ the widths may not both be given.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -137,13 +138,7 @@ def cmd_train(args) -> int:
 
     with open(out / "metrics.jsonl", "w") as fh:
         for m in result.trace:
-            fh.write(json.dumps({
-                "epoch": m.epoch,
-                "train_loss": m.train_loss,
-                "train_acc": m.train_acc,
-                "val_loss": m.val_loss,
-                "val_acc": m.val_acc,
-            }) + "\n")
+            fh.write(json.dumps(dataclasses.asdict(m)) + "\n")
     with open(out / "result.json", "w") as fh:
         json.dump({
             "test_acc": result.test_acc,

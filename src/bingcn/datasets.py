@@ -350,7 +350,6 @@ def generate_sbm(params: SBMParams) -> AttributedGraph:
     for ci in range(c):
         means[ci, ci * block: (ci + 1) * block] = params.signal
     x = means[labels] + rng.standard_normal((n, params.n_features))
-    x.flags.writeable = False  # handed to the graph, which then needs no copy
 
     train = np.zeros(n, dtype=bool)
     val = np.zeros(n, dtype=bool)

@@ -16,18 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
 from . import bitlinalg as bl
 
-
-def _frozen(a: np.ndarray) -> bool:
-    """Whether `a` and every array it views are read-only."""
-    while isinstance(a, np.ndarray):
-        if a.flags.writeable:
-            return False
-        a = a.base
-    return True
+# scipy's ``m @ z`` allocates its product, so `sparse_matmul` takes it this
+# many columns at a time: no temporary there is as wide as a hidden layer.
+_SCIPY_COLUMNS = 8
 
 
 @dataclass
@@ -37,11 +31,10 @@ class AttributedGraph:
     `edges` takes any (E, 2) integer array (or an empty sequence) of
     undirected pairs in [0, N); the graph stores each edge once, as
     (u, v) with u < v, in sorted order, and drops self-loops.
-    Instances are immutable once built: the arrays are read-only, so what
-    is derived from them once (a row plan, say) stays valid. `edges` is
-    the graph's own array; labels and masks are views of the caller's,
-    which stay writable; `x` is copied where it would alias an array the
-    caller can still write, since `input_memo` keeps work derived from it.
+    Instances are immutable once built: every array the graph holds is its
+    own read-only copy, so what is derived from them once (a row plan, the
+    `input_memo`) stays valid whatever the caller later writes to the
+    arrays it passed.
     """
 
     x: np.ndarray  # (N, d) float64; checked finite before widening (float32 is half the bytes)
@@ -60,18 +53,10 @@ class AttributedGraph:
             raise ValueError("features must be a non-empty (N, d) matrix")
         if not np.isfinite(x).all():
             raise ValueError("features contain non-finite entries")
-        x = x.astype(np.float64, copy=False)  # a new array unless x was float64
-        if (x is self.x or not x.flags.owndata) and not _frozen(x):
-            x = x.copy()
-        x.flags.writeable = False
-        self.x = x
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.x = np.array(x, dtype=np.float64, order="C")
+        self.labels = np.array(self.labels, dtype=np.int64)
         for name in ("train_mask", "val_mask", "test_mask"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=bool))
-        for name in ("labels", "train_mask", "val_mask", "test_mask"):
-            view = getattr(self, name).view()
-            view.flags.writeable = False
-            setattr(self, name, view)
+            setattr(self, name, np.array(getattr(self, name), dtype=bool))
         if self.n_classes == 0:
             self.n_classes = int(self.labels.max()) + 1 if self.labels.size else 0
 
@@ -97,7 +82,8 @@ class AttributedGraph:
         keys.sort()
         keys = keys[np.diff(keys, prepend=-1) > 0]  # the first of each run of equal keys
         self.edges = np.stack(np.divmod(keys, n), axis=1)
-        self.edges.flags.writeable = False
+        for name in ("x", "edges", "labels", "train_mask", "val_mask", "test_mask"):
+            getattr(self, name).flags.writeable = False
         for m in (self.train_mask, self.val_mask, self.test_mask):
             if m.shape != (n,):
                 raise ValueError("masks must have one entry per node")
@@ -272,7 +258,8 @@ def sparse_matmul(m, z: np.ndarray, out: np.ndarray) -> np.ndarray:
     ``m @ z`` runs (``csr_matvecs``, ``csc_matvecs``), so the product is
     the same bit for bit at any thread count. The operator is read as
     stored, never copied. Other operators, and machines with no C
-    library, take scipy's kernels.
+    library, take scipy's ``m @ z``, `_SCIPY_COLUMNS` columns at a time:
+    each column of the product is the same bit for bit in any block.
     """
     z = np.ascontiguousarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] != m.shape[1]:
@@ -289,10 +276,8 @@ def sparse_matmul(m, z: np.ndarray, out: np.ndarray) -> np.ndarray:
                           m.indptr.ctypes.data, m.indices.ctypes.data, m.data.ctypes.data,
                           z.ctypes.data, out.ctypes.data, bl._threads_for(m.nnz * shape[1]))
         return out
-    out.fill(0.0)
-    kernel = getattr(_sparsetools, m.format + "_matvecs")
-    kernel(m.shape[0], m.shape[1], shape[1], m.indptr, m.indices, m.data,
-           z.ravel(), out.ravel())
+    for j in range(0, shape[1], _SCIPY_COLUMNS):
+        out[:, j:j + _SCIPY_COLUMNS] = m @ z[:, j:j + _SCIPY_COLUMNS]
     return out
 
 

@@ -177,14 +177,14 @@ def _product(h: np.ndarray, w: np.ndarray, adj: NormalizedAdjacency, route: str,
     its nodes' rows and takes one all-node product; the operand's other
     rows hold zeros, dropout draws or earlier inputs, all finite, which
     cost time but change nothing. On the "gather" route `h` is read at
-    the slice's input rows in near-equal gathered blocks of at least
-    1 MiB, and larger where the output is narrow: BLAS computes a block's
-    rows as in the full product only while the block's product is large
-    enough for its general kernel (`bitlinalg._BLAS_EXACT_SLICE`), so
-    every block stays above that wherever the whole gathered product
-    does. The rows agree with the full pass's only to rounding where it
-    does not, and for a one-column `w`, which BLAS multiplies as a
-    vector.
+    the slice's input rows in near-equal gathered blocks of at most
+    1 MiB, and larger only where that would leave a block too few rows:
+    BLAS computes a block's rows as in the full product only while the
+    block's product is large enough for its general kernel
+    (`bitlinalg._BLAS_EXACT_SLICE`), so every block stays above that
+    wherever the whole gathered product does. The rows agree with the
+    full pass's only to rounding where it does not, and for a one-column
+    `w`, which BLAS multiplies as a vector.
     """
     if route == "full":
         return np.matmul(h, w, out=out)

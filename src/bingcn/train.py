@@ -446,25 +446,26 @@ def load_model(path) -> Model:
     widths = [int(w) for w in take(n_widths, "<u4", "widths")]
     if len(widths) < 2 or min(widths) < 1:
         raise ModelFileError(f"{path}: bad layer widths {widths}")
-    (n_bn,) = take(1, "<u4", "batch-norm state count")
+    (n_records,) = take(1, "<u4", "statistics record count")
     records = []
-    for _ in range(int(n_bn)):
-        (dim,) = take(1, "<u4", "batch-norm width")
-        mean = take(int(dim), "<f8", "batch-norm running mean").copy()
-        var = take(int(dim), "<f8", "batch-norm running variance").copy()
+    for _ in range(int(n_records)):
+        (dim,) = take(1, "<u4", "statistics record width")
+        mean = take(int(dim), "<f8", "statistics record mean").copy()
+        var = take(int(dim), "<f8", "statistics record variance").copy()
         if not (np.isfinite(mean).all() and np.isfinite(var).all() and (var >= 0).all()):
-            raise ModelFileError(f"{path}: batch-norm statistics must be finite, "
+            raise ModelFileError(f"{path}: statistics records must be finite, "
                                  f"with nonnegative variances")
         records.append((mean, var))
 
     kind = _MODEL_KIND_NAMES[kind_code]
     family = FAMILIES[kind]
     stored = [mean.size for mean, _ in records]
-    expected = (([widths[0]] if family.binarized else [])
-                + (widths[1:-1] if family.full_pass else []))
-    if stored != expected:
-        raise ModelFileError(f"{path}: batch-norm widths {stored}, but a {kind} model "
-                             f"of widths {widths} has {expected}")
+    expected = (([("input statistics", widths[0])] if family.binarized else [])
+                + ([("batch-norm state", w) for w in widths[1:-1]] if family.full_pass else []))
+    if stored != [w for _, w in expected]:
+        holds = ", ".join(f"{name} of width {w}" for name, w in expected) or "none"
+        raise ModelFileError(f"{path}: statistics record widths {stored}, but a {kind} "
+                             f"model of widths {widths} holds {holds}")
     # Check the payload size before allocating weights of the header's size.
     shapes = [(a, b) for a, b in zip(widths, widths[1:]) for _ in range(family.paths)]
     payload = 8 * sum(a * b for a, b in shapes)

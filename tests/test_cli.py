@@ -354,7 +354,7 @@ class TestEvalCommand:
         save_model(tmp_path / "no_bn.bin", model)
         capsys.readouterr()
         assert run(["eval", str(tmp_path / "no_bn.bin"), "--sbm", SBM_ARGS]) == 2
-        assert "batch-norm" in capsys.readouterr().err
+        assert "input statistics" in capsys.readouterr().err
 
     @pytest.mark.parametrize("family,field", [
         ("gcn", "weight"), ("bigcn", "weight"), ("bisage", "weight"),

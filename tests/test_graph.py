@@ -159,18 +159,35 @@ class TestGraphValidation:
                             g.train_mask, g.val_mask, g.test_mask, g.n_classes)
 
     def test_arrays_are_read_only_and_the_edges_the_graphs_own(self):
-        # Labels and masks are views of the caller's; x (TestFeatureOwnership)
-        # and the canonical edges are the graph's own.
+        # Every array is the graph's own copy; x has its own tests
+        # (TestFeatureOwnership).
         g = make_graph(3, [[0, 1]])
         names = ("edges", "labels", "train_mask", "val_mask", "test_mask")
         own = [getattr(g, name).copy() for name in names]
         held = AttributedGraph(g.x, *own, g.n_classes)
         for name, array in zip(names, own):
-            view = getattr(held, name)
-            assert np.shares_memory(view, array) == (name != "edges")
+            kept = getattr(held, name)
+            assert not np.shares_memory(kept, array)
             with pytest.raises(ValueError, match="read-only"):
-                view[0] = view[0]
+                kept[0] = kept[0]
             array[0] = array[0]  # the caller's own array stays writable
+
+    def test_callers_later_writes_change_nothing_the_graph_holds(self):
+        rng = np.random.default_rng(5)
+        n = 40
+        x = rng.standard_normal((n, 3))
+        labels = rng.integers(0, 2, size=n)
+        train, val, test = (np.arange(n) % 4 == k for k in (0, 1, 2))
+        g = AttributedGraph(x, rng.integers(0, n, size=(60, 2)), labels,
+                            train, val, test, 2)
+        kept = [a.copy() for a in (g.x, g.labels, g.train_mask)]
+        plan = row_plan(normalize_adjacency(g), g.train_mask, 2)
+        x[:] = 0.0
+        labels[:] = 1 - labels
+        train[:] = ~train
+        for held, before in zip((g.x, g.labels, g.train_mask), kept):
+            assert np.array_equal(held, before)
+        assert np.array_equal(plan.rows[-1], np.flatnonzero(g.train_mask))
 
     def test_rejects_nonfinite_features(self):
         g = make_graph(3, [[0, 1]])
@@ -187,7 +204,7 @@ def with_features(g, x):
 
 
 class TestFeatureOwnership:
-    """x is copied only where the caller could still write the memory it aliases."""
+    """x is always the graph's own read-only, C-contiguous float64 copy."""
 
     @pytest.mark.parametrize("caller", ["array", "view", "read-only view", "fortran"])
     def test_writable_memory_is_copied(self, caller):
@@ -205,15 +222,23 @@ class TestFeatureOwnership:
         base[0, 0] += 1.0  # the caller's array stays writable
         assert held.x[0, 0] != base[0, 0]
 
-    def test_read_only_memory_is_shared(self):
+    @pytest.mark.parametrize("caller", ["read-only array", "another graph's x"])
+    def test_read_only_memory_is_copied(self, caller):
         g = make_graph(3, [[0, 1]])
-        assert with_features(g, g.x).x is g.x  # no copy of a graph's own x
+        x = g.x
+        if caller == "read-only array":
+            x = g.x.copy()
+            x.flags.writeable = False
+        held = with_features(g, x)
+        assert held.x is not x and not np.shares_memory(held.x, x)
+        assert np.array_equal(held.x, x) and not held.x.flags.writeable
 
     def test_widened_features_are_not_copied_again(self):
         g = make_graph(3, [[0, 1]])
         x32 = g.x.astype(np.float32)
         held = with_features(g, x32)
         assert held.x.dtype == np.float64 and held.x.flags.owndata
+        assert not np.shares_memory(held.x, x32)
         assert not held.x.flags.writeable
 
     def test_input_memo_starts_empty_and_follows_x(self):
@@ -321,7 +346,7 @@ class TestAggregate:
 
 
 class TestSparseMatmul:
-    @pytest.mark.parametrize("k", [1, 3, 64])
+    @pytest.mark.parametrize("k", [1, 3, 17, 64])  # 17: a partial block of scipy's route
     def test_into_out_equals_scipy_bit_for_bit(self, k):
         rng = np.random.default_rng(44)
         g = make_graph(40, rng.integers(0, 40, size=(120, 2)))

@@ -344,7 +344,7 @@ class TestModelFiles:
         net.input_stats, net.bn_states = None, []
         path = tmp_path / "model.bin"
         save_model(path, net)
-        with pytest.raises(ModelFileError, match="batch-norm"):
+        with pytest.raises(ModelFileError, match="input statistics"):
             load_model(path)
 
     def test_rejects_corrupt_file(self, tmp_path):
