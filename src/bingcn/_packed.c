@@ -1,6 +1,6 @@
-/* XNOR/popcount sign product, fused row binarization and sign expansion
+/* XNOR/popcount sign counts, fused row binarization and sign expansion
    over packed words, exact column moments, and the sparse-dense product
-   of a CSR or CSC operator.
+   of a CSR or CSC operator with float values or with scaled sign counts.
 
    Words are LSB-first uint64: bit j % 64 of word j / 64 holds the sign of
    entry j (1 for +1, 0 for -1), and a row's padding bits are 1.
@@ -67,19 +67,17 @@ static void parallel_for(range_fn fn, const void *arg, int64_t n, int threads)
 
 struct gemm {
     const uint64_t *f, *bt;
-    const double *beta, *alpha;
     int64_t nw, m, t;
     uint64_t last_mask;
-    double *out;
+    int wide;
+    void *counts;
 };
 
 static void gemm_rows(const void *arg, int k, int64_t lo, int64_t hi)
 {
     const struct gemm *a = arg;
     const uint64_t *f = a->f, *bt = a->bt, last_mask = a->last_mask;
-    const double *beta = a->beta, *alpha = a->alpha;
     const int64_t nw = a->nw, m = a->m, t = a->t;
-    double *out = a->out;
     int64_t mism[TILE];
     (void)k;
     for (int64_t i = lo; i < hi; i++) {
@@ -94,21 +92,23 @@ static void gemm_rows(const void *arg, int k, int64_t lo, int64_t hi)
                 for (int64_t j = 0; j < w; j++)
                     mism[j] += __builtin_popcountll((x ^ col[j]) & mask);
             }
-            double *o = out + i * m + j0;
-            for (int64_t j = 0; j < w; j++)
-                o[j] = (double)(t - 2 * mism[j]) * beta[i] * alpha[j0 + j];
+            if (a->wide)
+                for (int64_t j = 0; j < w; j++)
+                    ((int32_t *)a->counts)[i * m + j0 + j] = (int32_t)(t - 2 * mism[j]);
+            else
+                for (int64_t j = 0; j < w; j++)
+                    ((int16_t *)a->counts)[i * m + j0 + j] = (int16_t)(t - 2 * mism[j]);
         }
     }
 }
 
-/* out[i, j] = (t - 2 popcount(f_i ^ b_j)) * beta_i * alpha_j, where f is
-   (n, nw) and bt holds the m columns' words transposed, (nw, m). The last
-   word is masked, so padding bits of either operand never count. */
-void bin_gemm(const uint64_t *f, const uint64_t *bt, const double *beta,
-              const double *alpha, int64_t n, int64_t nw, int64_t m, int64_t t,
-              uint64_t last_mask, double *out, int threads)
+/* counts[i, j] = t - 2 popcount(f_i ^ b_j), as int16, or int32 with `wide`,
+   where f is (n, nw) and bt holds the m columns' words transposed, (nw, m).
+   The last word is masked, so padding bits of either operand never count. */
+void bin_counts(const uint64_t *f, const uint64_t *bt, int64_t n, int64_t nw, int64_t m,
+                int64_t t, uint64_t last_mask, void *counts, int wide, int threads)
 {
-    const struct gemm a = {f, bt, beta, alpha, nw, m, t, last_mask, out};
+    const struct gemm a = {f, bt, nw, m, t, last_mask, wide, counts};
     parallel_for(gemm_rows, &a, n, threads);
 }
 
@@ -143,6 +143,44 @@ static double pairwise_sum(const double *v, int64_t n, int absolute)
     return pairwise_sum(v, n2, absolute) + pairwise_sum(v + n2, n - n2, absolute);
 }
 
+/* Binarize the d values of v, or, where mean is not NULL, of
+   (v - mean) * inv_std, computed into `row`: the sign words w (padding 1)
+   and *scalar = mean |v|. Returns 0, or -1 on a non-finite value. */
+static int binarize_row(const double *v, const double *mean, const double *inv_std,
+                        int64_t d, double *row, uint64_t *w, double *scalar)
+{
+    int finite = 1;
+    if (mean) {
+        for (int64_t j = 0; j < d; j++)
+            row[j] = (v[j] - mean[j]) * inv_std[j];
+        v = row;
+    }
+    for (int64_t j = 0; j < d; j++)
+        finite &= isfinite(v[j]) != 0;
+    if (!finite)
+        return -1;
+    for (int64_t q = 0; q < (d + 63) / 64; q++) {
+        const double *vq = v + 64 * q;
+        const int64_t len = d - 64 * q < 64 ? d - 64 * q : 64;
+        uint64_t bits = 0;
+        for (int64_t b = 0; b < len; b++)
+            bits |= (uint64_t)(vq[b] >= 0) << b;
+        w[q] = len < 64 ? bits | (~(uint64_t)0 << len) : bits;
+    }
+    *scalar = pairwise_sum(v, d, 1) / (double)d;
+    return 0;
+}
+
+/* The lowest of the ranges' statuses: 0, or a range's error. */
+static int worst_status(const int *status)
+{
+    int worst = 0;
+    for (int k = 0; k < MAX_THREADS; k++)
+        if (status[k] < worst)
+            worst = status[k];
+    return worst;
+}
+
 struct binarize {
     const double *h, *mean, *inv_std;
     int64_t d;
@@ -154,40 +192,20 @@ struct binarize {
 static void binarize_range(const void *arg, int k, int64_t lo, int64_t hi)
 {
     const struct binarize *a = arg;
-    const double *mean = a->mean, *inv_std = a->inv_std;
     const int64_t d = a->d, nw = (d + 63) / 64;
     /* A standardized row goes to this range's own buffer; a plain one is
        read in place. */
-    double *row = mean ? malloc((size_t)d * sizeof *row) : NULL;
-    if (mean && !row) {
+    double *row = a->mean ? malloc((size_t)d * sizeof *row) : NULL;
+    if (a->mean && !row) {
         a->status[k] = -2;
         return;
     }
-    for (int64_t i = lo; i < hi; i++) {
-        const double *v = a->h + i * d;
-        int finite = 1;
-        if (mean) {
-            for (int64_t j = 0; j < d; j++)
-                row[j] = (v[j] - mean[j]) * inv_std[j];
-            v = row;
-        }
-        for (int64_t j = 0; j < d; j++)
-            finite &= isfinite(v[j]) != 0;
-        if (!finite) {
+    for (int64_t i = lo; i < hi; i++)
+        if (binarize_row(a->h + i * d, a->mean, a->inv_std, d, row, a->words + i * nw,
+                         a->scalars + i)) {
             a->status[k] = -1;
             break;
         }
-        uint64_t *w = a->words + i * nw;
-        for (int64_t q = 0; q < nw; q++) {
-            const double *vq = v + 64 * q;
-            const int64_t len = d - 64 * q < 64 ? d - 64 * q : 64;
-            uint64_t bits = 0;
-            for (int64_t b = 0; b < len; b++)
-                bits |= (uint64_t)(vq[b] >= 0) << b;
-            w[q] = len < 64 ? bits | (~(uint64_t)0 << len) : bits;
-        }
-        a->scalars[i] = pairwise_sum(v, d, 1) / (double)d;
-    }
     free(row);
 }
 
@@ -198,13 +216,10 @@ static void binarize_range(const void *arg, int k, int64_t lo, int64_t hi)
 int binarize_rows(const double *h, const double *mean, const double *inv_std, int64_t n,
                   int64_t d, uint64_t *words, double *scalars, int threads)
 {
-    int status[MAX_THREADS] = {0}, worst = 0;
+    int status[MAX_THREADS] = {0};
     const struct binarize a = {h, mean, inv_std, d, words, scalars, status};
     parallel_for(binarize_range, &a, n, threads);
-    for (int k = 0; k < MAX_THREADS; k++)
-        if (status[k] < worst)
-            worst = status[k];
-    return worst;
+    return worst_status(status);
 }
 
 struct expand {
@@ -367,4 +382,87 @@ void sparse_matmul(int csc, int64_t n_out, int64_t n_in, int64_t k, const int32_
 {
     const struct spmm a = {csc, n_in, k, indptr, indices, data, z, out};
     parallel_for(spmm_rows, &a, n_out, threads);
+}
+
+struct count_spmm {
+    const int32_t *indptr, *indices, *self_at;
+    const double *data, *beta, *alpha, *mean, *inv_std;
+    const void *counts;
+    int wide;
+    int64_t n_in, m, paths;
+    double *out;
+    uint64_t *words;
+    double *scalars;
+    int *status;
+};
+
+/* y[c] += v * S_q[j, c] for path q's scaled count row S_q[j, c] =
+   ((double)K_q[j, c] * beta_j) * alpha_q[c], the value bin_gemm writes. */
+static void add_scaled_row(double *restrict y, const struct count_spmm *a, int64_t q,
+                           int64_t j, double v)
+{
+    const int64_t m = a->m, at = (q * a->n_in + j) * m;
+    const double b = a->beta[j], *restrict alpha = a->alpha + q * m;
+    if (a->wide) {
+        const int32_t *restrict x = (const int32_t *)a->counts + at;
+        for (int64_t c = 0; c < m; c++)
+            y[c] += v * ((double)x[c] * b * alpha[c]);
+    } else {
+        const int16_t *restrict x = (const int16_t *)a->counts + at;
+        for (int64_t c = 0; c < m; c++)
+            y[c] += v * ((double)x[c] * b * alpha[c]);
+    }
+}
+
+static void count_rows(const void *arg, int k, int64_t lo, int64_t hi)
+{
+    const struct count_spmm *a = arg;
+    const int64_t m = a->m, last = a->paths - 1, nw = (m + 63) / 64;
+    /* A row to binarize goes to this range's own buffer, followed by its
+       standardized copy where it has one. */
+    double *row = a->words ? malloc((size_t)(a->mean ? 2 : 1) * m * sizeof *row) : NULL;
+    if (a->words && !row) {
+        a->status[k] = -2;
+        return;
+    }
+    for (int64_t i = lo; i < hi; i++) {
+        const int64_t self = a->self_at ? a->self_at[i] : i;
+        double *restrict y = row ? row : a->out + i * m;
+        for (int64_t c = 0; c < m; c++)
+            y[c] = 0.;
+        for (int64_t p = a->indptr[i]; p < a->indptr[i + 1]; p++)
+            add_scaled_row(y, a, last, a->indices[p], a->data[p]);
+        for (int64_t q = 0; q < last; q++)
+            add_scaled_row(y, a, q, self, 1.);
+        if (row && binarize_row(y, a->mean, a->inv_std, m, row + m, a->words + i * nw,
+                                a->scalars + i)) {
+            a->status[k] = -1;
+            break;
+        }
+    }
+    free(row);
+}
+
+/* Output row i of P S_last + sum_{q < last} S_q[self_at], where S_q is path
+   q's scaled count product (add_scaled_row) of the counts K (paths, n_in,
+   m; int16, or int32 with `wide`), last = paths - 1, P is the (n_out, n_in)
+   CSR operator (indptr over its rows, int32 indices), and self_at maps an
+   output row to its input row (NULL: the same id). Each row starts at 0
+   and adds P's terms in stored order, a product then a sum, as
+   sparse_matmul does, then each self path's row (times 1, exactly).
+   Written to out (n_out, m) where words is NULL; else each row is
+   binarized as binarize_rows does, standardized with mean and inv_std
+   where they are not NULL, into words and scalars, and no float row is
+   kept. Returns as binarize_rows. */
+int aggregate_counts(const int32_t *indptr, const int32_t *indices, const double *data,
+                     int64_t n_out, int64_t n_in, int64_t m, int64_t paths,
+                     const void *counts, int wide, const double *beta, const double *alpha,
+                     const int32_t *self_at, double *out, const double *mean,
+                     const double *inv_std, uint64_t *words, double *scalars, int threads)
+{
+    int status[MAX_THREADS] = {0};
+    const struct count_spmm a = {indptr, indices, self_at, data, beta, alpha, mean, inv_std,
+                                 counts, wide, n_in, m, paths, out, words, scalars, status};
+    parallel_for(count_rows, &a, n_out, threads);
+    return worst_status(status);
 }

@@ -17,14 +17,20 @@ equal; `PackedBinMatrix.sign_matrix` decodes them as stored.
 
 Packed words are the storage format and what the kernel computes on.
 `bin_gemm` counts each +-1 dot product of length t with XOR and popcount
-over the uint64 words (t - 2 * mismatches), `binarize_rows`
-standardizes, checks, packs and rescales each row in one pass, and
-`column_moments` (the statistics of the input and of hidden batch norm)
-sums each row block in numpy's order. All three, the
-expansion of packed signs to float64 +-1 that `sign_t_matmul` multiplies
-by BLAS, and `graph.sparse_matmul`'s aggregation run in a small C
-library, `_packed.c`, compiled with the installed `cc` on first use into
-a per-user cache (``$XDG_CACHE_HOME/bingcn``, else ``~/.cache/bingcn``)
+over the uint64 words, K = t - 2 * mismatches, and stores K as an
+integer of `count_dtype(t)` (int16 below 2**15, else int32), a quarter
+of a float64 product's bytes. Its float64 product scales K by beta,
+then by alpha (`scale_counts`), a row block of counts at a time; the
+layers keep the counts instead (a `SignCounts`), and the aggregation
+(`graph.aggregate`) scales each term in that order where it reads it,
+so no float product is ever held. `binarize_rows` standardizes, checks,
+packs and rescales each row in one pass, and `column_moments` (the
+statistics of the input and of hidden batch norm) sums each row block
+in numpy's order. All three, the expansion of packed signs to float64
++-1 that `sign_t_matmul` multiplies by BLAS, and `graph`'s aggregation
+of float values or of counts run in a small C library, `_packed.c`,
+compiled with the installed `cc` on first use into a per-user cache
+(``$XDG_CACHE_HOME/bingcn``, else ``~/.cache/bingcn``)
 keyed by the source, the compile command and the CPU, and called
 through `ctypes`. Where it cannot be built or loaded, the numpy route
 runs instead, with the same results bit for bit: row blocks of the signs
@@ -147,9 +153,8 @@ def _load_native() -> ctypes.CDLL | None:
                       f"{detail.decode(errors='replace').strip()}", RuntimeWarning)
         return None
     ptr, i64, int_ = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int
-    lib.bin_gemm.argtypes = [ptr, ptr, ptr, ptr, i64, i64, i64, i64, ctypes.c_uint64, ptr,
-                             int_]
-    lib.bin_gemm.restype = None
+    lib.bin_counts.argtypes = [ptr, ptr, i64, i64, i64, i64, ctypes.c_uint64, ptr, int_, int_]
+    lib.bin_counts.restype = None
     lib.binarize_rows.argtypes = [ptr, ptr, ptr, i64, i64, ptr, ptr, int_]
     lib.binarize_rows.restype = ctypes.c_int
     lib.expand_signs.argtypes = [ptr, i64, i64, i64, ptr, int_]
@@ -158,6 +163,9 @@ def _load_native() -> ctypes.CDLL | None:
     lib.column_moments.restype = None
     lib.sparse_matmul.argtypes = [int_, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, int_]
     lib.sparse_matmul.restype = None
+    lib.aggregate_counts.argtypes = [ptr, ptr, ptr, i64, i64, i64, i64, ptr, int_, ptr, ptr,
+                                     ptr, ptr, ptr, ptr, ptr, ptr, int_]
+    lib.aggregate_counts.restype = ctypes.c_int
     return lib
 
 
@@ -275,6 +283,25 @@ class PackedBinMatrix:
         return _unpack_signs(self.words, self.cols)
 
 
+def _standardize_args(standardize, d: int) -> list:
+    """`binarize_rows`' `standardize` (mean, inv_std) as the C kernels take
+    it: each broadcast to d contiguous float64 values; None (NULL) for
+    rows taken as they are."""
+    if standardize is None:
+        return [None, None]
+    return [np.ascontiguousarray(np.broadcast_to(s, (d,)), dtype=np.float64)
+            for s in standardize]
+
+
+def _check_binarized(status: int) -> None:
+    """Raise for a C kernel's binarization status: -1 a non-finite value, -2
+    no memory for a row buffer."""
+    if status == -2:
+        raise MemoryError("no memory for a row buffer")
+    if status:
+        raise ValueError("matrix contains non-finite entries")
+
+
 def binarize_rows(h, standardize=None) -> PackedBinMatrix:
     """Binarize each row of an (N, d) matrix as its own bucket.
 
@@ -298,21 +325,15 @@ def binarize_rows(h, standardize=None) -> PackedBinMatrix:
         if h.dtype == np.float64 and h.flags.c_contiguous:
             step = n  # no block needs converting: one call over all rows
         threads = _threads_for(min(step, n) * d)
-        stats = [None, None] if standardize is None else [  # NULL: h's rows as they are
-            np.ascontiguousarray(np.broadcast_to(s, (d,)), dtype=np.float64)
-            for s in standardize]
+        stats = _standardize_args(standardize, d)
         stat_ptrs = [s if s is None else s.ctypes.data for s in stats]
     for start in range(0, n, step):
         stop = min(start + step, n)
         if lib is not None:
             block = np.ascontiguousarray(h[start:stop], dtype=np.float64)
-            status = lib.binarize_rows(block.ctypes.data, *stat_ptrs, stop - start, d,
-                                       words[start:stop].ctypes.data,
-                                       scalars[start:stop].ctypes.data, threads)
-            if status == -2:
-                raise MemoryError("no memory for a standardized row")
-            if status:
-                raise ValueError("matrix contains non-finite entries")
+            _check_binarized(lib.binarize_rows(block.ctypes.data, *stat_ptrs, stop - start, d,
+                                              words[start:stop].ctypes.data,
+                                              scalars[start:stop].ctypes.data, threads))
         else:
             block = h[start:stop]
             if standardize is not None:
@@ -371,6 +392,37 @@ def binarize_columns(w) -> PackedBinMatrix:
                            scalars=np.abs(w).mean(axis=0))
 
 
+def count_dtype(t: int) -> np.dtype:
+    """The integer type of sign counts of length t, whose magnitude is at most t:
+    int16 for t < 2**15, else int32."""
+    return np.dtype(np.int16 if t < 2 ** 15 else np.int32)
+
+
+def scale_counts(counts: np.ndarray, beta: np.ndarray, alpha: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """``(counts * beta[:, None]) * alpha`` in float64, into `out` if given:
+    the value of each entry of a sign product, in the order `_packed.c`'s
+    count aggregation forms it."""
+    out = np.multiply(counts, beta[:, None], out=out)
+    out *= alpha
+    return out
+
+
+@dataclass(frozen=True)
+class SignCounts:
+    """One packed input's products with each path's binarized weights, unscaled.
+
+    `counts[k]` holds `bin_gemm`'s counts against path k's weights, `beta`
+    the input's row scalars and `alpha[k]` the weights' column scalars,
+    so path k's product is ``scale_counts(counts[k], beta, alpha[k])``.
+    `graph.aggregate` scales each term where it reads it.
+    """
+
+    counts: np.ndarray  # (paths, n, m), count_dtype(t)
+    beta: np.ndarray  # (n,)
+    alpha: np.ndarray  # (paths, m)
+
+
 def bin_gemm(f: PackedBinMatrix, b: PackedBinMatrix,
              out: np.ndarray | None = None) -> np.ndarray:
     """Every bucket of `f` against every bucket of `b`, of one length t.
@@ -379,12 +431,15 @@ def bin_gemm(f: PackedBinMatrix, b: PackedBinMatrix,
     for bit, with beta and alpha the two scalar lists; so for
     ``bin_gemm(binarize_rows(h), binarize_columns(w))`` it equals the
     dense product of the two scalar-rescaled sign approximations of h and
-    w up to float summation order. The C route counts each row's words
-    against the transposed words of `b`; the numpy route expands row
-    blocks of `f` to float32 +-1 signs and multiplies them by the expanded
-    signs of `b`, which is exact for t < 2**24, the limit both routes keep.
-    Pure function, safe to call concurrently with distinct `out` arrays
-    (C-contiguous float64, (f.rows, b.rows); None: a new one).
+    w up to float summation order. The counts t - 2 * popcount are
+    integers of `count_dtype(t)`: an `out` of that type receives them
+    alone, unscaled (a `SignCounts` entry); a float64 one (None: a new
+    one) the product, scaled by `scale_counts`. The C route counts each
+    row's words against the transposed words of `b`; the numpy route
+    expands row blocks of `f` to float32 +-1 signs and multiplies them by
+    the expanded signs of `b`, which is exact for t < 2**24, the limit
+    both routes keep. Pure function, safe to call concurrently with
+    distinct `out` arrays (C-contiguous, (f.rows, b.rows)).
     """
     if f.cols != b.cols:
         raise ValueError(f"bucket lengths disagree: {f.cols} vs {b.cols}")
@@ -392,29 +447,34 @@ def bin_gemm(f: PackedBinMatrix, b: PackedBinMatrix,
     if t >= _MAX_EXACT_INNER:
         raise ValueError(f"inner dimension {t} is too long for an exact float32 product "
                          f"(limit {_MAX_EXACT_INNER - 1})")
+    shape, dtype = (f.rows, b.rows), count_dtype(t)
     if out is None:
-        out = np.empty((f.rows, b.rows), dtype=np.float64)
-    elif (out.shape != (f.rows, b.rows) or out.dtype != np.float64
+        out = np.empty(shape)
+    elif (out.shape != shape or out.dtype not in (np.float64, dtype)
           or not out.flags.c_contiguous):
-        raise ValueError(f"out must be C-contiguous float64 of shape {(f.rows, b.rows)}")
-
+        raise ValueError(f"out must be C-contiguous float64 or {dtype} of shape {shape}")
+    counting = out.dtype == dtype
     lib = _native()
     if lib is not None:
         f_words = np.ascontiguousarray(f.words, dtype=np.uint64)
         b_words_t = np.ascontiguousarray(b.words.T, dtype=np.uint64)
-        beta = np.ascontiguousarray(f.scalars, dtype=np.float64)
-        alpha = np.ascontiguousarray(b.scalars, dtype=np.float64)
-        lib.bin_gemm(f_words.ctypes.data, b_words_t.ctypes.data, beta.ctypes.data,
-                     alpha.ctypes.data, f.rows, f_words.shape[1], b.rows, t,
-                     int(_pad_mask(t)), out.ctypes.data,
-                     _threads_for(f.rows * f_words.shape[1] * b.rows))
-        return out
-    b_signs = _unpack_signs(b.words, t, np.float32).T
-    for start in range(0, f.rows, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, f.rows)
-        out[start:stop] = _unpack_signs(f.words[start:stop], t, np.float32) @ b_signs
-    out *= f.scalars[:, None]
-    out *= b.scalars[None, :]
+    else:
+        b_signs = _unpack_signs(b.words, t, np.float32).T
+    # The product is scaled a row block of counts at a time.
+    step = f.rows if counting and lib is not None else _BLOCK_ROWS
+    counts = out if counting else np.empty((min(step, f.rows), b.rows), dtype)
+    for start in range(0, f.rows, step):
+        stop = min(start + step, f.rows)
+        block = counts[start:stop] if counting else counts[:stop - start]
+        if lib is not None:
+            lib.bin_counts(f_words[start:stop].ctypes.data, b_words_t.ctypes.data, stop - start,
+                           f_words.shape[1], b.rows, t, int(_pad_mask(t)), block.ctypes.data,
+                           dtype == np.int32,
+                           _threads_for((stop - start) * f_words.shape[1] * b.rows))
+        else:
+            block[...] = _unpack_signs(f.words[start:stop], t, np.float32) @ b_signs
+        if not counting:
+            scale_counts(block, f.scalars[start:stop], b.scalars, out[start:stop])
     return out
 
 

@@ -161,11 +161,30 @@ def normalize_adjacency(g: AttributedGraph) -> NormalizedAdjacency:
     return NormalizedAdjacency(matrix=a_hat)
 
 
-def aggregate(adj: NormalizedAdjacency, z: np.ndarray,
-              out: np.ndarray | None = None) -> np.ndarray:
+def aggregate(adj: NormalizedAdjacency, z, out: np.ndarray | None = None,
+              binarize: bool = False, standardize=None, scratch=None):
     """Sparse-dense product of a propagation operator (or a row plan's
     slice of it) with values on its column nodes, into `out` (None: a new
-    array)."""
+    array).
+
+    `z` is a float (n, m) array, or a layer's `bl.SignCounts`, whose last
+    path is propagated while every other path, a self path, adds its row
+    at each output row's input row (`adj.out_at`). The C library scales
+    each count where it reads it, so no float product is held; the numpy
+    route, and an operator the C library cannot take, scale
+    `_SCIPY_COLUMNS` columns at a time for scipy's ``m @ z``. Either way
+    the output is that of the scaled float products bit for bit.
+
+    With `binarize`, a `SignCounts` output is returned as
+    `bl.binarize_rows(output, standardize)` binarizes it. The C library
+    binarizes each row as it aggregates it, so the float output is never
+    held; the other routes aggregate it whole into ``scratch(shape)``
+    (None: a new array) first.
+    """
+    if isinstance(z, bl.SignCounts):
+        return _aggregate_counts(adj, z, out, binarize, standardize, scratch)
+    if binarize:
+        raise ValueError("only a SignCounts product is aggregated binarized")
     z = np.asarray(z, dtype=np.float64)
     n = adj.matrix.shape[1]
     if z.ndim != 2 or z.shape[0] != n:
@@ -173,6 +192,53 @@ def aggregate(adj: NormalizedAdjacency, z: np.ndarray,
     if out is None:
         out = np.empty((adj.matrix.shape[0], z.shape[1]))
     return sparse_matmul(adj.matrix, z, out)
+
+
+def _aggregate_counts(adj: NormalizedAdjacency, z: bl.SignCounts, out: np.ndarray | None,
+                      binarize: bool, standardize, scratch):
+    m = adj.matrix
+    paths, n, k = z.counts.shape
+    shape = (m.shape[0], k)
+    if n != m.shape[1] or z.beta.shape != (n,) or z.alpha.shape != (paths, k):
+        raise ValueError(f"expected counts of {m.shape[1]} rows, got {z.counts.shape}")
+    lib = bl._native() if _native_operator(m) else None
+    if binarize:  # the float output is held only where the C library does not run
+        out = None if lib is not None else np.empty(shape) if scratch is None else scratch(shape)
+    elif out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"aggregate writes a C-contiguous float64 {shape} array")
+    if lib is None:
+        at = np.arange(shape[0]) if adj.out_at is None else adj.out_at  # the self paths' rows
+        out = _scaled_product(m, z, at, out)
+        return bl.binarize_rows(out, standardize) if binarize else out
+    words = scalars = None
+    if binarize:
+        words = np.empty((shape[0], -(-k // bl.WORD_BITS)), dtype=np.uint64)
+        scalars = np.empty(shape[0])
+    counts, beta, alpha = (np.ascontiguousarray(a) for a in (z.counts, z.beta, z.alpha))
+    self_at = None if adj.out_at is None else np.ascontiguousarray(adj.out_at, dtype=np.int32)
+    arrays = (self_at, out, *bl._standardize_args(standardize, k), words, scalars)
+    bl._check_binarized(lib.aggregate_counts(
+        m.indptr.ctypes.data, m.indices.ctypes.data, m.data.ctypes.data, shape[0], n, k, paths,
+        counts.ctypes.data, counts.dtype == np.int32, beta.ctypes.data, alpha.ctypes.data,
+        *(None if a is None else a.ctypes.data for a in arrays),  # None: NULL
+        bl._threads_for(m.nnz * k)))
+    if binarize:
+        return bl.PackedBinMatrix(rows=shape[0], cols=k, words=words, scalars=scalars)
+    return out
+
+
+def _scaled_product(m, z: bl.SignCounts, at: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`aggregate`'s numpy route: the operator `m` times the last path of
+    `z`, plus the other paths' rows `at`, `_SCIPY_COLUMNS` columns at a
+    time, added as a layer adds them."""
+    for j in range(0, out.shape[1], _SCIPY_COLUMNS):
+        cols = slice(j, j + _SCIPY_COLUMNS)
+        out[:, cols] = m @ bl.scale_counts(z.counts[-1, :, cols], z.beta, z.alpha[-1, cols])
+        for q in range(z.counts.shape[0] - 1):
+            out[:, cols] += bl.scale_counts(z.counts[q, at, cols], z.beta[at], z.alpha[q, cols])
+    return out
 
 
 @dataclass(frozen=True)

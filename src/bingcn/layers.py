@@ -13,14 +13,21 @@ function is one call into it, so a function swapped in at a public name
 Latent full-precision weights are re-binarized every call. Two routes
 compute ``bin(H) x bin(W)`` and agree within float tolerance:
 
-* packed kernel — XNOR/popcount over the packed sign words
-  (`bitlinalg.bin_gemm`, in C, or its exact float32 numpy fallback);
-  used for inference, and in training for an input that arrives
+* count route — XNOR/popcount over the packed sign words
+  (`bitlinalg.bin_gemm`, in C, or its exact float32 numpy fallback)
+  gives each path's integer counts K = t - 2 * mismatches (int16 for
+  t < 2**15), and `graph.aggregate` scales each term as
+  ``(K * beta) * alpha`` where it reads it, so no float product is held.
+  It is used for inference, and in training for an input that arrives
   already binarized (a `bitlinalg.PackedBinMatrix`).
   The model passes layer 0's fixed input that way: it has no dropout,
   and its weight gradient unpacks the signs in row blocks
   (`bitlinalg.sign_t_matmul`), so no dense copy of the input is held.
   In training the input holds only the rows its row plan reads (below).
+  An inference layer that feeds a binarized layer hands it its output
+  binarized (`binarize_out`): the C library binarizes each row as it
+  aggregates it, so no hidden float array is held; the numpy route
+  aggregates the output whole first, with the same words and scalars.
 * float simulation — dense products of the reconstructed scalar-rescaled
   sign matrices; used in training for a float input (the hidden layers),
   so an inverted-dropout mask can zero individual entries of the
@@ -51,6 +58,7 @@ operator given as a bare CSR matrix (the neighbor mean) is wrapped in a
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,10 +108,10 @@ class Workspace:
         the memory is new, else what the role's last taker left there."""
         dtype = np.dtype(dtype)
         nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
-        buf = self._buffers.get(role)
-        if buf is None or buf.size < nbytes:
-            buf = self._buffers[role] = np.zeros(nbytes, np.uint8)
-        return buf[:nbytes].view(dtype).reshape(shape)
+        if role not in self._buffers or self._buffers[role].size < nbytes:
+            self._buffers[role] = None  # freed before the larger buffer is allocated
+            self._buffers[role] = np.zeros(nbytes, np.uint8)
+        return self._buffers[role][:nbytes].view(dtype).reshape(shape)
 
 
 def _take(ws: Workspace | None, role: str, shape, dtype=np.float64) -> np.ndarray:
@@ -121,7 +129,7 @@ class LayerCache:
     the per-path products are stored: the row scalars commute with the
     dropout mask and the weight product, so the backward pass folds them
     into the (much smaller) gradient, and it binarizes the weights again.
-    A binarized inference forward of a float `h_in` runs the packed kernel
+    A binarized inference forward of a float `h_in` takes the count route
     and keeps no operand; backward rejects its cache.
     """
 
@@ -227,20 +235,25 @@ def _forward(
     rng: np.random.Generator | None,
     ws: Workspace | None,
     activation: bool = False,
-) -> tuple[np.ndarray, LayerCache]:
+    binarize_out: bool = False,
+    out_bn: BatchNormState | None = None,
+) -> tuple[np.ndarray | bl.PackedBinMatrix, LayerCache]:
     """The layer ``sum_k P_k (H x W_k)``, with ReLU if `activation`.
 
     Every path of `weights` but the last is a self path (``P = I``); the
     last is propagated by `prop`: a `NormalizedAdjacency`, whole or a row
     plan's slice, or a CSR operator (the neighbor mean), which is wrapped
-    in one. A binarized layer's packed `h_in` always runs the packed
-    kernel and takes no dropout; its float `h_in` runs the float
-    simulation in training, whose dropout can mask single entries of the
-    binarized features, and the packed kernel in inference. A float
-    layer computes ``(H * mask) x W``. On a row plan's slice `h_in` holds
-    the slice's input rows, or, for a float layer, the row of every node,
-    read at those rows by the product and by the weight gradient in
-    gathered blocks, so no copy of them is held whole.
+    in one. A binarized layer's packed `h_in` always takes the count
+    route and no dropout; its float `h_in` runs the float simulation in
+    training, whose dropout can mask single entries of the binarized
+    features, and the count route in inference. There, `binarize_out`
+    returns the output binarized row by row (`graph.aggregate`),
+    standardized first with `out_bn`'s running statistics where given, as
+    the next layer's inference batch norm and binarization would take it.
+    A float layer computes ``(H * mask) x W``. On a row plan's slice
+    `h_in` holds the slice's input rows, or, for a float layer, the row
+    of every node, read at those rows by the product and by the weight
+    gradient in gathered blocks, so no copy of them is held whole.
     """
     weights = [np.asarray(w, dtype=np.float64) for w in weights]
     shape = weights[0].shape
@@ -250,6 +263,9 @@ def _forward(
     if packed and training and dropout > 0.0:
         raise ValueError("dropout needs a float layer input: its mask zeroes "
                          "single binarized entries")
+    counted = packed or (binarized and not training)
+    if binarize_out and (training or not binarized):
+        raise ValueError("only a binarized layer's inference pass binarizes its output")
     if not packed:
         h_in = np.asarray(h_in, dtype=np.float64)
     if len(h_in.shape) != 2 or h_in.shape[1] != shape[0]:
@@ -259,34 +275,43 @@ def _forward(
     if route == "gather" and binarized:
         raise ValueError("a binarized layer on a row plan's slice takes its input "
                          "rows alone")
+    n_out = adj.matrix.shape[0]
 
-    operand = beta = drop_mask = None
-    kernel = packed or (binarized and not training)
-    if packed:
-        packed_f = operand = h_in
-        beta = h_in.scalars
-    elif kernel:
-        packed_f = bl.binarize_rows(h_in)
-        beta = packed_f.scalars
-    else:
-        operand = h_in
-        if binarized:
-            operand = bl.sign_pm1(h_in, out=_take(ws, "operand", h_in.shape))
-            beta = np.abs(h_in, out=_take(ws, "scratch", h_in.shape)).mean(axis=1)
-        if training and dropout > 0.0:
-            drop_mask = _dropout_mask(rng, h_in.shape, dropout, ws, adj, route)
-            operand = np.multiply(operand, drop_mask, out=_take(ws, "operand", h_in.shape))
+    if counted:
+        f = h_in if packed else bl.binarize_rows(h_in)
+        cache = LayerCache(h_in=h_in, operand=f if packed else None, beta=f.scalars,
+                           weights=weights)
+        # The counts share the role of the float route's products, which
+        # the backward pass fills with the (larger) float gradient.
+        counts = _take(ws, "zetas", (len(weights), f.rows, shape[1]), bl.count_dtype(f.cols))
+        alpha = np.empty((len(weights), shape[1]))
+        for k, w in enumerate(weights):
+            w_bin = bl.binarize_columns(w)
+            bl.bin_gemm(f, w_bin, out=counts[k])
+            alpha[k] = w_bin.scalars
+        product = bl.SignCounts(counts, f.scalars, alpha)
+        if binarize_out:
+            standardize = (None if out_bn is None
+                           else standardizer(out_bn.running_mean, out_bn.running_var))
+            return aggregate(adj, product, binarize=True, standardize=standardize,
+                             scratch=functools.partial(_take, ws, "out")), cache
+        return aggregate(adj, product, out=_take(ws, "out", (n_out, shape[1]))), cache
+
+    operand, beta, drop_mask = h_in, None, None
+    if binarized:
+        operand = bl.sign_pm1(h_in, out=_take(ws, "operand", h_in.shape))
+        beta = np.abs(h_in, out=_take(ws, "scratch", h_in.shape)).mean(axis=1)
+    if training and dropout > 0.0:
+        drop_mask = _dropout_mask(rng, h_in.shape, dropout, ws, adj, route)
+        operand = np.multiply(operand, drop_mask, out=_take(ws, "operand", h_in.shape))
 
     n_rows = adj.in_rows.size if route == "gather" else h_in.shape[0]
     zetas = _take(ws, "zetas", (len(weights), n_rows, shape[1]))
     for zeta, w in zip(zetas, weights):
-        if kernel:
-            bl.bin_gemm(packed_f, bl.binarize_columns(w), out=zeta)
-        else:
-            _product(operand, _scaled_signs(w) if binarized else w, adj, route, ws, out=zeta)
-            if binarized:
-                zeta *= beta[:, None]
-    out = aggregate(adj, zetas[-1], out=_take(ws, "out", (adj.matrix.shape[0], shape[1])))
+        _product(operand, _scaled_signs(w) if binarized else w, adj, route, ws, out=zeta)
+        if binarized:
+            zeta *= beta[:, None]
+    out = aggregate(adj, zetas[-1], out=_take(ws, "out", (n_out, shape[1])))
     for zeta in zetas[:-1]:  # the self paths, at the output rows
         out = np.add(zeta if adj.out_at is None else zeta[adj.out_at], out, out=out)
     cache = LayerCache(h_in=h_in, operand=operand, beta=beta, weights=weights,
@@ -306,13 +331,16 @@ def bigcn_forward(
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
     ws: Workspace | None = None,
-) -> tuple[np.ndarray, LayerCache]:
+    binarize_out: bool = False,
+) -> tuple[np.ndarray | bl.PackedBinMatrix, LayerCache]:
     """Binarized graph convolution: aggregate(bin(H) x bin(W)).
 
     No nonlinearity is applied; the sign in the next layer's input
-    binarization plays that role.
+    binarization plays that role. In inference `binarize_out` returns
+    that binarization.
     """
-    return _forward(adj, h_in, [w], True, training, dropout, rng, ws)
+    return _forward(adj, h_in, [w], True, training, dropout, rng, ws,
+                    binarize_out=binarize_out)
 
 
 def gcn_forward_cached(
@@ -343,15 +371,21 @@ def bisage_forward(
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
     ws: Workspace | None = None,
-) -> tuple[np.ndarray, LayerCache]:
+    binarize_out: bool = False,
+    out_bn: BatchNormState | None = None,
+) -> tuple[np.ndarray | bl.PackedBinMatrix, LayerCache]:
     """Binarized GraphSAGE convolution with a mean aggregator.
 
     `neighbor_mean` is the row-stochastic neighbor operator from
     `graph.neighbor_mean_matrix`; nodes without neighbors get a zero
     neighbor term. Both weight matrices consume the same binarized
-    input. No nonlinearity, as with the binarized graph convolution.
+    input. No nonlinearity, as with the binarized graph convolution. In
+    inference `binarize_out` returns the next layer's binarized input:
+    the output standardized with `out_bn`'s running statistics (the next
+    layer's batch norm), where given, then binarized.
     """
-    return _forward(neighbor_mean, h_in, [w_self, w_neigh], True, training, dropout, rng, ws)
+    return _forward(neighbor_mean, h_in, [w_self, w_neigh], True, training, dropout, rng, ws,
+                    binarize_out=binarize_out, out_bn=out_bn)
 
 
 def ste_gate(grad: np.ndarray, reference: np.ndarray, mode: str,
@@ -513,6 +547,13 @@ class BatchNormState:
         return cls(running_mean=np.zeros(dim), running_var=np.ones(dim))
 
 
+def standardizer(mean: np.ndarray, var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, inv_std) that standardize columns of that mean and variance as
+    ``(h - mean) * inv_std``: `batch_norm_forward`'s rule, which
+    `bl.binarize_rows` applies on the fly."""
+    return mean, 1.0 / np.sqrt(var + BN_EPS)
+
+
 def batch_norm_apply(h: np.ndarray, training: bool, state: BatchNormState) -> np.ndarray:
     """Standardize columns to zero mean and unit variance (no affine).
 
@@ -540,7 +581,7 @@ def batch_norm_forward(
     else:
         mean = state.running_mean
         var = state.running_var
-    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    mean, inv_std = standardizer(mean, var)
     normalized = np.subtract(h, mean, out=_take(ws, "normalized", h.shape))
     normalized *= inv_std
     return normalized, BatchNormCache(normalized=normalized, inv_std=inv_std)

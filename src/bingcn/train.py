@@ -183,8 +183,7 @@ class Model:
         if not self.family.binarized:
             return x
         if not isinstance(x, bl.PackedBinMatrix):
-            mean, var = self.input_stats
-            x = bl.binarize_rows(x, (mean, 1.0 / np.sqrt(var + L.BN_EPS)))
+            x = bl.binarize_rows(x, L.standardizer(*self.input_stats))
         rows = None if plan is None else plan.rows[0]
         if rows is None or x.rows == rows.size:  # all rows needed, or gathered already
             return x
@@ -194,7 +193,7 @@ class Model:
     def forward(self, prop, x, training: bool = False,
                 rng: np.random.Generator | None = None,
                 workspaces: list[L.Workspace] | None = None,
-                plan: RowPlan | None = None):
+                plan: RowPlan | None = None, float_hidden: bool = False):
         """Logits and per-layer (layer cache, batch-norm cache or None).
 
         `x` is the float feature matrix or its `prepare_input`, which
@@ -203,18 +202,29 @@ class Model:
         pass's logits and caches. With a row plan of `prop` for a mask,
         layer l computes only the plan's rows l + 1, and the logits are
         the mask's rows, in node order.
+
+        A binarized family's inference pass hands each hidden layer's
+        output on binarized (batch-normalized first, where the family
+        does), so no hidden float array is held whole; `float_hidden`
+        hands on the float output instead, as training does, so the
+        caches hold the hidden activations.
         """
         forward = getattr(L, self.family.forward)
         p = self.family.paths
+        packs = self.family.binarized and not training and not float_hidden
         h = self.prepare_input(x, plan)
         caches = []
         for i in range(self.n_layers):
             ws = workspaces[i] if workspaces is not None else None
             layer_prop = prop if plan is None else plan.ops[i]
             bn_cache = None
-            if i > 0 and self.bn_states:
+            if i > 0 and self.bn_states and not packs:
                 h, bn_cache = L.batch_norm_forward(h, training, self.bn_states[i - 1], ws=ws)
             extra = {} if self.family.binarized else {"activation": i < self.n_layers - 1}
+            if packs and i < self.n_layers - 1:
+                extra = {"binarize_out": True}
+                if self.bn_states:
+                    extra["out_bn"] = self.bn_states[i]
             h, cache = forward(layer_prop, h, *self.weights[i * p:(i + 1) * p],
                                training=training,
                                dropout=self.config.dropout if i > 0 else 0.0, rng=rng,

@@ -8,6 +8,8 @@ import pytest
 from bingcn import bitlinalg as bl
 from bingcn.graph import (
     AttributedGraph,
+    NormalizedAdjacency,
+    aggregate,
     neighbor_mean_matrix,
     normalize_adjacency,
     row_plan,
@@ -394,6 +396,125 @@ def test_backward_rejects_a_float_input_cache_from_inference(family):
     for need_input_grad in (False, True):
         with pytest.raises(ValueError, match="inference forward"):
             backward(cache, prop, np.ones((6, 3)), need_input_grad=need_input_grad)
+
+
+def float_route_logits(model, prop, x, plan=None):
+    """Oracle of a binarized family's inference logits: every path's float
+    product `bl.bin_gemm`, `aggregate`, the self paths' rows added at
+    `out_at`, then inference batch norm and `bl.binarize_rows` between
+    layers, each hidden output held whole."""
+    h = model.prepare_input(x, plan)
+    p = model.family.paths
+    for i in range(model.n_layers):
+        op = prop if plan is None else plan.ops[i]
+        adj = op if isinstance(op, NormalizedAdjacency) else NormalizedAdjacency(op)
+        if i > 0:
+            if model.bn_states:
+                h, _ = batch_norm_forward(h, False, model.bn_states[i - 1])
+            h = bl.binarize_rows(h)
+        zetas = [bl.bin_gemm(h, bl.binarize_columns(w))
+                 for w in model.weights[i * p:(i + 1) * p]]
+        out = aggregate(adj, zetas[-1])
+        for zeta in zetas[:-1]:
+            out = (zeta if adj.out_at is None else zeta[adj.out_at]) + out
+        h = out
+    return h
+
+
+def counted_model(family, t, n=40, seed=0):
+    """(model, prop, graph, mask) of a binarized family of input width t on a
+    sparse random graph: input statistics fitted, hidden batch-norm
+    statistics drawn, and a mask whose row plan reads a part of the rows."""
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n, t, n_classes=3, edge_factor=1)
+    model = Model(ModelConfig(widths=[t, 65, 3], model=family), rng)
+    model.fit_input(g)
+    for state in model.bn_states:
+        state.running_mean = rng.standard_normal(state.running_mean.shape)
+        state.running_var = rng.uniform(0.3, 3.0, size=state.running_var.shape)
+    prop = neighbor_mean_matrix(g) if family == "bisage" else normalize_adjacency(g)
+    mask = np.zeros(n, dtype=bool)
+    mask[[1, n // 2]] = True
+    assert row_plan(prop, mask, model.n_layers) is not None
+    return model, prop, g, mask
+
+
+@pytest.fixture(params=["c", "numpy"])
+def route(request, monkeypatch):
+    """The C kernels, or the numpy route."""
+    if request.param == "numpy":
+        monkeypatch.setattr(bl, "_native", lambda: None)
+    elif bl._native() is None:
+        pytest.skip("the C kernel did not build on this host")
+    return request.param
+
+
+@pytest.mark.parametrize("family", ["bigcn", "bisage"])
+class TestCountRoute:
+    """Binarized inference aggregates scaled counts and hands hidden layers on
+    binarized: the logits are the float route's bit for bit."""
+
+    @pytest.mark.parametrize("t", [1, 63, 64, 65, 1433, 2 ** 15 - 1, 2 ** 15])
+    def test_logits_equal_the_float_route(self, route, family, t):
+        model, prop, g, mask = counted_model(family, t)
+        x = model.graph_input(g)
+        assert bl.count_dtype(t) == (np.int16 if t < 2 ** 15 else np.int32)
+        for plan in (None, row_plan(prop, mask, model.n_layers)):
+            logits, caches = model.forward(prop, x, plan=plan)
+            assert np.array_equal(logits, float_route_logits(model, prop, x, plan))
+            assert isinstance(caches[1][0].h_in, bl.PackedBinMatrix)
+
+    def test_a_layer_hands_on_its_output_binarized(self, route, family):
+        model, prop, g, mask = counted_model(family, 70, seed=3)
+        forward, backward = ((bisage_forward, bisage_backward) if family == "bisage"
+                             else (bigcn_forward, bigcn_backward))
+        bn = model.bn_states[0] if model.bn_states else None
+        weights = model.weights[:model.family.paths]
+        plan = row_plan(prop, mask, model.n_layers)
+        for op, x in ((prop, g.x), (plan.ops[0], g.x[plan.rows[0]])):
+            out, _ = forward(op, x, *weights)
+            if bn is not None:
+                out, _ = batch_norm_forward(out, False, bn)
+            want = bl.binarize_rows(out)
+            got, cache = forward(op, x, *weights, binarize_out=True,
+                                 **({} if bn is None else {"out_bn": bn}))
+            assert np.array_equal(got.words, want.words)
+            assert np.array_equal(got.scalars, want.scalars)
+            with pytest.raises(ValueError, match="inference forward"):
+                backward(cache, op, np.ones((got.rows, 65)), need_input_grad=False)
+        with pytest.raises(ValueError, match="binarizes its output"):
+            forward(prop, g.x, *weights, training=True, binarize_out=True)
+
+    def test_training_aggregates_layer_0_counts_whole(self, route, family):
+        model, prop, g, _ = counted_model(family, 130, seed=4)
+        x = model.graph_input(g)
+        weights = model.weights[:model.family.paths]
+        forward = bisage_forward if family == "bisage" else bigcn_forward
+        out, _ = forward(prop, x, *weights, training=True)
+        adj = prop if isinstance(prop, NormalizedAdjacency) else NormalizedAdjacency(prop)
+        zetas = [bl.bin_gemm(x, bl.binarize_columns(w)) for w in weights]
+        assert np.array_equal(out, sum(zetas[:-1], aggregate(adj, zetas[-1])))
+
+
+class TestThreadCount:
+    """Counting, aggregating and binarizing split over 1-4 threads, every call
+    split, give the float route's logits bit for bit."""
+
+    @pytest.mark.parametrize("family", ["bigcn", "bisage"])
+    @pytest.mark.parametrize("t", [65, 1433])
+    def test_count_route_logits(self, monkeypatch, family, t):
+        if bl._native() is None:
+            pytest.skip("the C kernel did not build on this host")
+        monkeypatch.setattr(bl, "_MIN_THREADED_WORK", 0)
+        model, prop, g, mask = counted_model(family, t, n=90, seed=t)
+        x = model.graph_input(g)
+        plans = (None, row_plan(prop, mask, model.n_layers))
+        want = [float_route_logits(model, prop, x, plan) for plan in plans]
+        for threads in (1, 2, 3, 4):
+            monkeypatch.setattr(bl, "_threads", lambda: threads)
+            for plan, expected in zip(plans, want):
+                logits, _ = model.forward(prop, x, plan=plan)
+                assert np.array_equal(logits, expected), (threads, plan is None)
 
 
 def _layer(family, g, rng, d_out):

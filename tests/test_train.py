@@ -26,6 +26,8 @@ from bingcn.train import (
     train,
 )
 
+from test_layers import counted_model, float_route_logits, route  # noqa: F401 (a fixture)
+
 
 def small_sbm(seed=0):
     return generate_sbm(SBMParams(nodes_per_class=60, n_classes=3, p_in=0.12,
@@ -178,6 +180,27 @@ class TestTrainingLoop:
         try:
             held = tracemalloc.get_traced_memory()[0]
             run_epoch(net, prop, g, x, opt, rng, workspaces)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak < g.n_nodes * 64 * 8
+
+    @pytest.mark.parametrize("model", ["bigcn", "bisage"])
+    def test_evaluate_allocates_no_layer_sized_array(self, model):
+        # Binarized inference keeps int16 counts and binarizes each hidden
+        # row as it is aggregated: above what is held, an evaluate() peaks
+        # below a single N x hidden float64 array (1.5 MB here).
+        if bl._native() is None:
+            pytest.skip("the numpy route aggregates a hidden layer whole")
+        g = generate_sbm(SBMParams(nodes_per_class=1000, n_classes=3,
+                                   n_features=20, seed=3))
+        net = Model(ModelConfig(widths=[20, 64, 3], model=model), np.random.default_rng(3))
+        prop = propagation_operator(net.family, g)
+        net.fit_input(g)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            evaluate(net, prop, g, g.test_mask)
             peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
@@ -394,6 +417,34 @@ class TestModelFiles:
         assert len(hidden) == 1
         assert hidden[0].shape == (g.n_nodes, 10)
         assert (hidden[0] >= 0).all()  # post-ReLU
+
+
+@pytest.mark.parametrize("family", ["bigcn", "bisage"])
+@pytest.mark.parametrize("t", [1, 63, 64, 65, 1433, 2 ** 15 - 1, 2 ** 15])
+def test_evaluate_equals_the_float_route(route, family, t):
+    """evaluate(), whole and on a row plan, is the loss and accuracy of the
+    float route's logits bit for bit, on both routes and count widths."""
+    model, prop, g, mask = counted_model(family, t, seed=t)
+    x = model.graph_input(g)
+    for plan in (None, row_plan(prop, mask, model.n_layers)):
+        logits = float_route_logits(model, prop, x, plan)
+        labels, rows = (g.labels, mask) if plan is None else (
+            g.labels[mask], np.ones(mask.sum(), dtype=bool))
+        want = L.masked_loss_and_accuracy(logits, labels, rows)
+        assert evaluate(model, prop, g, mask, plan=plan) == want
+        workspaces = [Workspace() for _ in range(model.n_layers)]
+        assert evaluate(model, prop, g, mask, x, workspaces, plan) == want
+
+
+def test_float_hidden_passes_hold_the_hidden_activations():
+    # What `bingcn train --dump-activations` writes: the float hidden input.
+    model, prop, g, _ = counted_model("bisage", 30, seed=5)
+    x = model.graph_input(g)
+    logits, caches = model.forward(prop, x, float_hidden=True)
+    h, _ = L.bisage_forward(prop, x, *model.weights[:2])
+    hidden, _ = L.batch_norm_forward(h, False, model.bn_states[0])
+    assert np.array_equal(caches[1][0].h_in, hidden)
+    assert np.array_equal(logits, float_route_logits(model, prop, x))
 
 
 class TestBatchNormPlacement:
