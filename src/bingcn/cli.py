@@ -151,7 +151,7 @@ def cmd_train(args) -> int:
 
     if args.dump_activations:
         prop = propagation_operator(result.model.family, graph)
-        _, caches = result.model.forward(prop, graph.x, float_hidden=True)
+        _, caches = result.model.forward(prop, graph.x)
         hidden = [cache.h_in for cache, _ in caches[1:]]  # post-ReLU hidden layers
         for path, acts in zip(targets, hidden):
             cap.write_activation_dump(path, acts)

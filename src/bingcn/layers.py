@@ -109,7 +109,7 @@ class Workspace:
         dtype = np.dtype(dtype)
         nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
         if role not in self._buffers or self._buffers[role].size < nbytes:
-            self._buffers[role] = None  # freed before the larger buffer is allocated
+            self._buffers.pop(role, None)  # freed before the larger buffer is allocated
             self._buffers[role] = np.zeros(nbytes, np.uint8)
         return self._buffers[role][:nbytes].view(dtype).reshape(shape)
 

@@ -193,7 +193,7 @@ class Model:
     def forward(self, prop, x, training: bool = False,
                 rng: np.random.Generator | None = None,
                 workspaces: list[L.Workspace] | None = None,
-                plan: RowPlan | None = None, float_hidden: bool = False):
+                plan: RowPlan | None = None):
         """Logits and per-layer (layer cache, batch-norm cache or None).
 
         `x` is the float feature matrix or its `prepare_input`, which
@@ -205,13 +205,11 @@ class Model:
 
         A binarized family's inference pass hands each hidden layer's
         output on binarized (batch-normalized first, where the family
-        does), so no hidden float array is held whole; `float_hidden`
-        hands on the float output instead, as training does, so the
-        caches hold the hidden activations.
+        does), so no hidden float array is held whole.
         """
         forward = getattr(L, self.family.forward)
         p = self.family.paths
-        packs = self.family.binarized and not training and not float_hidden
+        packs = self.family.binarized and not training
         h = self.prepare_input(x, plan)
         caches = []
         for i in range(self.n_layers):

@@ -436,17 +436,6 @@ def test_evaluate_equals_the_float_route(route, family, t):
         assert evaluate(model, prop, g, mask, x, workspaces, plan) == want
 
 
-def test_float_hidden_passes_hold_the_hidden_activations():
-    # What `bingcn train --dump-activations` writes: the float hidden input.
-    model, prop, g, _ = counted_model("bisage", 30, seed=5)
-    x = model.graph_input(g)
-    logits, caches = model.forward(prop, x, float_hidden=True)
-    h, _ = L.bisage_forward(prop, x, *model.weights[:2])
-    hidden, _ = L.batch_norm_forward(h, False, model.bn_states[0])
-    assert np.array_equal(caches[1][0].h_in, hidden)
-    assert np.array_equal(logits, float_route_logits(model, prop, x))
-
-
 class TestBatchNormPlacement:
     def test_bigcn_standardizes_input_only(self):
         config = ModelConfig(widths=[24, 8, 3], model="bigcn")
