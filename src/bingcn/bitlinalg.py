@@ -509,37 +509,54 @@ def sign_t_matmul(f: PackedBinMatrix, g) -> np.ndarray:
             expanded = _unpack_signs(f.words[block, w0:w1], c1 - c0, out=signs[:rows])
             out[c0:c1] += np.matmul(expanded.T, g[block], out=products[c0:c1])
 
-    if len(ranges) == 1:  # no pool to build and shut down
-        run(*ranges[0])
-        return out
-    with ThreadPoolExecutor(len(ranges) - 1) as pool:
-        spawned = [pool.submit(run, *r) for r in ranges[1:]]
-        run(*ranges[0])
-        for done in spawned:
-            done.result()
+    _fan_out(run, ranges)
     return out
 
 
 def _sign_t_ranges(f: PackedBinMatrix, m: int) -> list[tuple[int, int]]:
     """Contiguous ranges of `f`'s words, one per thread of `sign_t_matmul`,
-    as (first, stop) word pairs, of near-equal word counts.
-
-    The count is `_threads_for` the product's multiply-adds, lowered until
-    each range's product with the smallest row block (the last) exceeds
-    `_BLAS_EXACT_SLICE`; where none does, one range. So is a `g` of one
-    column: BLAS multiplies by a vector in its gemv kernel, which rounds
-    a row by its alignment and by where BLAS's own threads split the
-    output, so no slice is safe. The numpy route, as every kernel's,
-    runs on the calling thread.
-    """
-    n_words = f.words.shape[1]
+    as (first, stop) word pairs: `_blas_ranges` of the product's
+    multiply-adds, each range's slice of the smallest row block (the
+    last) the one that must exceed `_BLAS_EXACT_SLICE`."""
     last = (f.rows - 1) % _BLOCK_ROWS + 1  # the last block's rows
-    split = m > 1 and _native() is not None
-    threads = min(_threads_for(f.rows * f.cols * m), n_words) if split else 1
-    for threads in range(threads, 1, -1):
-        bounds = [k * n_words // threads for k in range(threads + 1)]
+    return _blas_ranges(
+        f.words.shape[1], f.rows * f.cols * m, _MIN_THREADED_WORK, m,
+        lambda w0, w1: (min(w1 * WORD_BITS, f.cols) - w0 * WORD_BITS) * last * m)
+
+
+def _blas_ranges(units: int, work: int, min_work: int, m: int,
+                 slice_work) -> list[tuple[int, int]]:
+    """Contiguous ranges of a product's `units` (its output rows, or words of
+    them), one per thread, as (first, stop) pairs of near-equal sizes,
+    for a product of `work` multiply-adds into `m` columns whose range
+    [first, stop) takes `slice_work(first, stop)` of them.
+
+    One range below `min_work`; else `_threads()`, at most half the
+    units (a one-row slice is multiplied as a vector), lowered until
+    every range's slice exceeds `_BLAS_EXACT_SLICE`; where none does,
+    one range. So is an `m` of one column: BLAS multiplies by a vector
+    in its gemv kernel, which rounds a row by its alignment and by where
+    BLAS's own threads split the output, so no slice is safe. The numpy
+    route, as every kernel's, runs on the calling thread.
+    """
+    split = m > 1 and work >= min_work and _native() is not None
+    for threads in range(min(_threads(), units // 2) if split else 1, 1, -1):
+        bounds = [k * units // threads for k in range(threads + 1)]
         ranges = list(zip(bounds, bounds[1:]))
-        narrowest = min(min(w1 * WORD_BITS, f.cols) - w0 * WORD_BITS for w0, w1 in ranges)
-        if narrowest * last * m > _BLAS_EXACT_SLICE:
+        if min(slice_work(*r) for r in ranges) > _BLAS_EXACT_SLICE:
             return ranges
-    return [(0, n_words)]
+    return [(0, units)]
+
+
+def _fan_out(run, ranges: list[tuple[int, int]]) -> None:
+    """`run(first, stop)` for each of `ranges` (`_blas_ranges`): the first on
+    the calling thread, the others on a pool built for the call and
+    joined before it returns; no pool for one range."""
+    if len(ranges) == 1:
+        run(*ranges[0])
+        return
+    with ThreadPoolExecutor(len(ranges) - 1) as pool:
+        spawned = [pool.submit(run, *r) for r in ranges[1:]]
+        run(*ranges[0])
+        for done in spawned:
+            done.result()

@@ -71,8 +71,12 @@ STE_MODES = ("grad", "input")
 # batch, and the variance offset under the square root.
 BN_MOMENTUM = 0.9
 BN_EPS = 1e-5
-# Bytes of a float input's rows that a row plan's layer gathers at once.
+# Bytes of a float input's rows that a row plan's layer gathers at once,
+# summed over the threads that gather them.
 _GATHER_BYTES = 1 << 20
+# Multiply-adds below which a float product stays on the calling thread
+# (`_split`), where a thread pool would cost more than it saves.
+_MIN_SPLIT_PRODUCT = 1 << 25
 
 
 def xavier_uniform(rng: np.random.Generator, d_in: int, d_out: int) -> np.ndarray:
@@ -193,31 +197,98 @@ def _product(h: np.ndarray, w: np.ndarray, adj: NormalizedAdjacency, route: str,
     wherever the whole gathered product does. The rows agree with the
     full pass's only to rounding where it does not, and for a one-column
     `w`, which BLAS multiplies as a vector.
+
+    A product of at least `_MIN_SPLIT_PRODUCT` multiply-adds splits its
+    output rows over threads (`_split`), each making one BLAS call per
+    row slice, or per gathered block, which the same fact keeps the
+    one-thread result bit for bit. A gathering thread's blocks hold at
+    most its share of the rows' 1 MiB, so the bytes gathered at once,
+    summed over the threads, stay within it; it splits only where those
+    smaller blocks stay above the bound.
     """
     if route == "full":
-        return np.matmul(h, w, out=out)
+        return _matmul(h, w, out)
     rows = adj.in_rows
     if route == "rows":
         shape = (adj.n_nodes, h.shape[1])
         at_nodes = np.zeros(shape) if ws is None else ws.take("nodes", shape)
         at_nodes[rows] = h
-        product = np.matmul(at_nodes, w, out=_take(ws, "node_product", (shape[0], w.shape[1])))
+        product = _matmul(at_nodes, w, _take(ws, "node_product", (shape[0], w.shape[1])))
         return np.take(product, rows, axis=0, out=out)
-    min_rows = bl._BLAS_EXACT_SLICE // (h.shape[1] * w.shape[1]) + 1
-    for block, gathered in _gathered_blocks(h, rows, min_rows):
-        np.matmul(gathered, w, out=out[block])
+    k, m = w.shape
+    min_rows = bl._BLAS_EXACT_SLICE // (k * m) + 1
+    blocks = _block_bounds(rows.size, k * h.itemsize, min_rows)
+    most = max(stop - start for start, stop in blocks)  # the rows gathered at once
+
+    def blocks_of(r0: int, r1: int) -> list[tuple[int, int]]:
+        """A thread's blocks of rows [r0, r1), of at most their share of `most`."""
+        if r1 - r0 == rows.size:
+            return blocks
+        return _block_bounds(r1 - r0, 1, 1, max(1, most * (r1 - r0) // rows.size))
+
+    def run(r0: int, r1: int) -> None:
+        part = rows[r0:r1]
+        for start, stop in blocks_of(r0, r1):
+            np.matmul(h[part[start:stop]], w, out=out[r0 + start:r0 + stop])
+
+    bl._fan_out(run, _split(rows.size, rows.size * k * m, m, lambda r0, r1: k * m * min(
+        stop - start for start, stop in blocks_of(r0, r1))))
     return out
 
 
-def _gathered_blocks(h: np.ndarray, rows: np.ndarray, min_rows: int = 1):
-    """(block, ``h[rows[block]]``) for near-equal blocks of `rows`, each at
-    most `_GATHER_BYTES` of `h`'s rows unless that would leave a block
-    under `min_rows` rows; one block where `rows` has fewer."""
-    n_blocks = max(1, min(-(-rows.size * h.shape[1] * h.itemsize // _GATHER_BYTES),
-                          rows.size // min_rows))
-    bounds = np.linspace(0, rows.size, n_blocks + 1).round().astype(int)
-    for start, stop in zip(bounds, bounds[1:]):
-        yield slice(start, stop), h[rows[start:stop]]
+def _split(units: int, work: int, m: int, slice_work) -> list[tuple[int, int]]:
+    """`bitlinalg._blas_ranges` of a float product: one range below
+    `_MIN_SPLIT_PRODUCT` multiply-adds."""
+    return bl._blas_ranges(units, work, _MIN_SPLIT_PRODUCT, m, slice_work)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a @ b`` into `out`, its rows split over threads (`_split`)."""
+    (n, k), m = a.shape, b.shape[1]
+    bl._fan_out(lambda r0, r1: np.matmul(a[r0:r1], b, out=out[r0:r1]),
+                _split(n, n * k * m, m, lambda r0, r1: (r1 - r0) * k * m))
+    return out
+
+
+def _block_bounds(n_rows: int, row_bytes: int, min_rows: int = 1,
+                  max_bytes: int = _GATHER_BYTES) -> list[tuple[int, int]]:
+    """(start, stop) of near-equal blocks of `n_rows` rows of `row_bytes`
+    each, each at most `max_bytes` unless that would leave a block under
+    `min_rows` rows; one block where there are fewer."""
+    n_blocks = max(1, min(-(-n_rows * row_bytes // max_bytes), n_rows // min_rows))
+    bounds = np.linspace(0, n_rows, n_blocks + 1).round().astype(int).tolist()
+    return list(zip(bounds, bounds[1:]))
+
+
+def _weight_product(f: np.ndarray, grad: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+    """``f.T @ grad``, or with `rows` ``f[rows].T @ grad``, `f` read at those
+    rows in gathered blocks of at most 1 MiB whose products are summed in
+    row order.
+
+    The columns of `f`, so the output rows, are split over threads
+    (`_split`), each gathering its own columns of a block: the bytes
+    gathered at once stay those of one block, and the blocks do not
+    depend on the thread count, so every entry is summed in the
+    one-thread order.
+    """
+    (n, d), m = f.shape, grad.shape[1]
+    if rows is None:
+        out = np.empty((d, m))
+        bl._fan_out(lambda c0, c1: np.matmul(f[:, c0:c1].T, grad, out=out[c0:c1]),
+                    _split(d, n * d * m, m, lambda c0, c1: (c1 - c0) * n * m))
+        return out
+    blocks = _block_bounds(rows.size, d * f.itemsize)
+    smallest = min(stop - start for start, stop in blocks)
+    out, products = np.zeros((d, m)), np.empty((d, m))
+
+    def run(c0: int, c1: int) -> None:
+        for start, stop in blocks:
+            out[c0:c1] += np.matmul(f[rows[start:stop], c0:c1].T, grad[start:stop],
+                                    out=products[c0:c1])
+
+    bl._fan_out(run, _split(d, rows.size * d * m, m,
+                            lambda c0, c1: (c1 - c0) * smallest * m))
+    return out
 
 
 def _scaled_signs(w: np.ndarray) -> np.ndarray:
@@ -466,12 +537,8 @@ def _backward(
     f = cache.operand
     if packed:
         grads_w = bl.sign_t_matmul(f, grad)
-    elif not gather:
-        grads_w = f.T @ grad
-    else:  # read at the slice's input rows, as in the forward
-        grads_w = np.zeros((d_in, grad.shape[1]))
-        for block, rows in _gathered_blocks(f, adj.in_rows):
-            grads_w += rows.T @ grad[block]
+    else:  # a gathered input is read at the slice's input rows, as in the forward
+        grads_w = _weight_product(f, grad, adj.in_rows if gather else None)
     grads_w = np.hsplit(grads_w, len(grad_zetas))
     if binarized:
         grads_w = [_latent_weight_grad(g, w) for g, w in zip(grads_w, cache.weights)]

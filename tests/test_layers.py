@@ -1,11 +1,14 @@
 """Layer forward/backward passes, batch norm, and the masked loss."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bingcn import bitlinalg as bl
+from bingcn import layers as L
+from bingcn.datasets import SBMParams, generate_sbm
 from bingcn.graph import (
     AttributedGraph,
     NormalizedAdjacency,
@@ -33,7 +36,7 @@ from bingcn.layers import (
     masked_softmax_xent,
     ste_gate,
 )
-from bingcn.train import Model, ModelConfig
+from bingcn.train import Model, ModelConfig, train
 
 from reference_impl import gcn_forward, scalar_bigcn_backward, scalar_bigcn_forward
 
@@ -496,9 +499,23 @@ class TestCountRoute:
         assert np.array_equal(out, sum(zetas[:-1], aggregate(adj, zetas[-1])))
 
 
+def _recorded_ranges(monkeypatch) -> list[int]:
+    """The number of ranges each `bl._fan_out` call runs, from now on."""
+    seen = []
+    fan_out = bl._fan_out
+
+    def recording(run, ranges):
+        seen.append(len(ranges))
+        return fan_out(run, ranges)
+
+    monkeypatch.setattr(bl, "_fan_out", recording)
+    return seen
+
+
 class TestThreadCount:
     """Counting, aggregating and binarizing split over 1-4 threads, every call
-    split, give the float route's logits bit for bit."""
+    split, give the float route's logits bit for bit; so do gcn's float
+    products, split by their output rows."""
 
     @pytest.mark.parametrize("family", ["bigcn", "bisage"])
     @pytest.mark.parametrize("t", [65, 1433])
@@ -515,6 +532,100 @@ class TestThreadCount:
             for plan, expected in zip(plans, want):
                 logits, _ = model.forward(prop, x, plan=plan)
                 assert np.array_equal(logits, expected), (threads, plan is None)
+
+    @pytest.mark.parametrize("route", ["full", "rows", "gather"])
+    @pytest.mark.parametrize("d, m, n, at_four", [
+        (1433, 64, 700, {"full": [4, 4], "rows": [4, 4], "gather": [4, 4]}),  # cora-sbm's
+        (500, 64, 900, {"full": [4, 4], "rows": [4, 4], "gather": [4, 4]}),  # pubmed-sbm's
+        # 4 slices of a product into 4 columns would be under the BLAS bound
+        (1433, 4, 600, {"full": [3, 3], "rows": [3, 1], "gather": [1, 1]}),
+        (1433, 1, 600, {"full": [1, 1], "rows": [1, 1], "gather": [1, 1]}),  # a vector
+    ])
+    def test_gcn_products(self, monkeypatch, route, d, m, n, at_four):
+        # A layer-0 training pass and its weight gradient: on the whole
+        # operator, on a row plan's slice of the input's rows alone, and on
+        # the whole input read at the slice's rows.
+        if bl._native() is None:
+            pytest.skip("the C kernel did not build on this host")
+        monkeypatch.setattr(L, "_MIN_SPLIT_PRODUCT", 0)
+        rng = np.random.default_rng(d + m)
+        g = random_graph(rng, n, d, edge_factor=1)
+        mask = np.zeros(n, dtype=bool)
+        mask[rng.choice(n, n // 10, replace=False)] = True
+        adj = normalize_adjacency(g)
+        op = row_plan(adj, mask, 1).ops[0]
+        prop, x = {"full": (adj, g.x), "rows": (op, g.x[op.in_rows]), "gather": (op, g.x)}[route]
+        w = rng.uniform(-1.2, 1.2, size=(d, m))
+        grad = rng.standard_normal((prop.matrix.shape[0], m))
+        seen = _recorded_ranges(monkeypatch)
+        want = None
+        for threads in (1, 2, 3, 4):
+            monkeypatch.setattr(bl, "_threads", lambda: threads)
+            seen.clear()
+            out, cache = gcn_forward_cached(prop, x, w, activation=True, training=True)
+            got = out.copy(), gcn_backward(cache, prop, grad, need_input_grad=False)[1]
+            want = want or got
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), threads
+            assert seen == ([min(threads, r) for r in at_four[route]]), threads
+
+    def test_planned_gcn_step_gathers_no_more_on_two_threads(self, monkeypatch):
+        # The gathered blocks of layer 0's product and weight gradient, summed
+        # over the threads, hold no more than one thread's: a thread that
+        # gathered a whole block would add about 0.7 MiB (forward) or 1 MiB.
+        monkeypatch.setattr(L, "_MIN_SPLIT_PRODUCT", 0)
+        rng = np.random.default_rng(43)
+        n = 1500
+        g = random_graph(rng, n, 1433, n_classes=3, edge_factor=1)
+        mask = np.zeros(n, dtype=bool)
+        mask[rng.choice(n, 100, replace=False)] = True
+        net = Model(ModelConfig(widths=[1433, 32, 3], model="gcn"), np.random.default_rng(0))
+        prop = normalize_adjacency(g)
+        plan = row_plan(prop, mask, net.n_layers)
+        assert plan.rows[0].size * 1433 * 8 > 4 * L._GATHER_BYTES
+        labels, every = g.labels[mask], np.ones(mask.sum(), dtype=bool)
+        seen = _recorded_ranges(monkeypatch)
+
+        def peaks(threads):
+            """The forward's peak bytes and the backward's."""
+            monkeypatch.setattr(bl, "_threads", lambda: threads)
+            tracemalloc.start()
+            try:
+                logits, caches = net.forward(prop, g.x, training=True,
+                                             rng=np.random.default_rng(1), plan=plan)
+                _, grad_logits = masked_softmax_xent(logits, labels, every)
+                forward = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                net.backward(prop, caches, grad_logits, plan=plan)
+                return np.array([forward, tracemalloc.get_traced_memory()[1]])
+            finally:
+                tracemalloc.stop()
+
+        peaks(2)  # once before measuring, for whatever a first call allocates
+        one = peaks(1)
+        seen.clear()
+        two = peaks(2)
+        if bl._native() is not None:
+            assert max(seen) == 2  # the gathered product and gradient split
+        # 32 KiB: the pool's own objects (about 9 KiB), and threads a block
+        # apart, whose blocks differ by a row at most.
+        assert (two <= one + 32 * 1024).all(), (one, two)
+
+    def test_no_pool_below_the_minimum(self, monkeypatch):
+        # Every product of the three families on a dense-sbm-shaped graph
+        # (700 nodes, widths 70, 64, 7) stays on the calling thread.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was built")
+
+        monkeypatch.setattr(bl, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(bl, "_threads", lambda: 4)
+        g = generate_sbm(SBMParams(nodes_per_class=100, n_classes=7, n_features=70, p_in=0.1,
+                                   p_out=0.01, signal=2.0, seed=5))
+        for family in ("gcn", "bigcn", "bisage"):
+            train(ModelConfig(widths=[70, 64, 7], model=family, max_epochs=2), g)
+        if bl._native() is not None:  # the guard is live: at the minimum, a pool
+            monkeypatch.setattr(L, "_MIN_SPLIT_PRODUCT", 700 * 70 * 64)
+            with pytest.raises(AssertionError, match="thread pool"):
+                train(ModelConfig(widths=[70, 64, 7], model="gcn", max_epochs=2), g)
 
 
 def _layer(family, g, rng, d_out):
