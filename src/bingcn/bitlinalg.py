@@ -50,7 +50,9 @@ bit for bit at any thread count. `sign_t_matmul` splits its output rows
 the same way, by whole words of the packed operand, over Python threads
 whose block products run in BLAS; it splits only where every thread's
 slice of a block product is large enough that BLAS rounds it as the
-whole product (`_BLAS_EXACT_SLICE`).
+whole product (`_BLAS_EXACT_SLICE`). `layers`' float products (the
+float gcn layer's, from 2**25 multiply-adds) split theirs by the same
+rule (`_blas_ranges`) and the same fan-out (`_fan_out`).
 
 `binarize_rows`, `column_moments` and `sign_t_matmul` (the transposed
 sign product a weight gradient needs, in float64) work in row blocks, so
@@ -104,9 +106,11 @@ _MIN_THREADED_WORK = 1 << 20
 # as it computes that row of any product the rows are a slice of. Below
 # it, OpenBLAS (0.3.31, one BLAS thread) may take its small-matrix kernel,
 # whose rows differed from the whole product's in slices of at most
-# 917,504; every slice above 10**6 matched. `sign_t_matmul` threads only
-# where each thread's slice stays above it, and `layers._product` rests on
-# the same fact.
+# 917,504; every slice above 10**6 matched. `_blas_ranges` splits a
+# product, `sign_t_matmul`'s or one of `layers`' float products, only
+# where each thread's slice stays above it, and `layers._product`'s
+# gathered blocks rest on the same fact. With several BLAS threads it
+# does not hold: BLAS then rounds a row by where its threads split.
 _BLAS_EXACT_SLICE = 10 ** 6
 
 
@@ -524,23 +528,24 @@ def _sign_t_ranges(f: PackedBinMatrix, m: int) -> list[tuple[int, int]]:
         lambda w0, w1: (min(w1 * WORD_BITS, f.cols) - w0 * WORD_BITS) * last * m)
 
 
-def _blas_ranges(units: int, work: int, min_work: int, m: int,
-                 slice_work) -> list[tuple[int, int]]:
+def _blas_ranges(units: int, work: int, min_work: int, m: int, slice_work,
+                 min_units: int = 1) -> list[tuple[int, int]]:
     """Contiguous ranges of a product's `units` (its output rows, or words of
     them), one per thread, as (first, stop) pairs of near-equal sizes,
     for a product of `work` multiply-adds into `m` columns whose range
     [first, stop) takes `slice_work(first, stop)` of them.
 
-    One range below `min_work`; else `_threads()`, at most half the
-    units (a one-row slice is multiplied as a vector), lowered until
-    every range's slice exceeds `_BLAS_EXACT_SLICE`; where none does,
-    one range. So is an `m` of one column: BLAS multiplies by a vector
-    in its gemv kernel, which rounds a row by its alignment and by where
-    BLAS's own threads split the output, so no slice is safe. The numpy
-    route, as every kernel's, runs on the calling thread.
+    One range below `min_work`; else `_threads()`, at most one per
+    `min_units` units (2 where a unit is a row: BLAS multiplies a one-row
+    slice as a vector), lowered until every range's slice exceeds
+    `_BLAS_EXACT_SLICE`; where none does, one range. So is an `m` of one
+    column: BLAS multiplies by a vector in its gemv kernel, which rounds
+    a row by its alignment and by where BLAS's own threads split the
+    output, so no slice is safe. The numpy route, as every kernel's,
+    runs on the calling thread.
     """
     split = m > 1 and work >= min_work and _native() is not None
-    for threads in range(min(_threads(), units // 2) if split else 1, 1, -1):
+    for threads in range(min(_threads(), units // min_units) if split else 1, 1, -1):
         bounds = [k * units // threads for k in range(threads + 1)]
         ranges = list(zip(bounds, bounds[1:]))
         if min(slice_work(*r) for r in ranges) > _BLAS_EXACT_SLICE:

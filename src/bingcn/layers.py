@@ -54,6 +54,14 @@ bit for bit, but for the narrow products `_product` names. A whole
 operator given as a bare CSR matrix (the neighbor mean) is wrapped in a
 `NormalizedAdjacency` on entry, so every layer aggregates through
 `graph.aggregate`.
+
+The float products, ``H x W`` on any route and the weight gradient
+``H^T x G`` whole or gathered, split their output rows over Python
+threads from `_MIN_SPLIT_PRODUCT` (2**25) multiply-adds, one BLAS call
+per thread and row slice, by `bitlinalg._blas_ranges`' rule, so their
+results are the one-thread results bit for bit (`_product`). Of the
+benchmark's products only the float GCN's layer 0 on the Cora- and
+PubMed-shaped graphs reaches it.
 """
 
 from __future__ import annotations
@@ -75,7 +83,12 @@ BN_EPS = 1e-5
 # summed over the threads that gather them.
 _GATHER_BYTES = 1 << 20
 # Multiply-adds below which a float product stays on the calling thread
-# (`_split`), where a thread pool would cost more than it saves.
+# (`_split`), where a thread pool would cost more than it saves. On a
+# 2-vCPU VM with one BLAS thread, one thread against two (each call
+# building its pool): 700x70x64 132 against 247 us, 700x256x64 494
+# against 442 us, 2000x256x64 1.50 against 0.99 ms, 2709x1433x64 14.2
+# against 7.7 ms. It sits above the crossing: at 2**20 the desk-scale
+# graph's gcn epoch ran 30 % slower.
 _MIN_SPLIT_PRODUCT = 1 << 25
 
 
@@ -237,9 +250,9 @@ def _product(h: np.ndarray, w: np.ndarray, adj: NormalizedAdjacency, route: str,
 
 
 def _split(units: int, work: int, m: int, slice_work) -> list[tuple[int, int]]:
-    """`bitlinalg._blas_ranges` of a float product: one range below
-    `_MIN_SPLIT_PRODUCT` multiply-adds."""
-    return bl._blas_ranges(units, work, _MIN_SPLIT_PRODUCT, m, slice_work)
+    """`bitlinalg._blas_ranges` of a float product's output rows: one range
+    below `_MIN_SPLIT_PRODUCT` multiply-adds."""
+    return bl._blas_ranges(units, work, _MIN_SPLIT_PRODUCT, m, slice_work, min_units=2)
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
