@@ -13,7 +13,7 @@ Each bucket is one row of `PackedBinMatrix.words`, packed LSB-first: bit
 i lives in word i // 64 at bit position i % 64 (bit 1 encodes +1, bit 0
 encodes -1). Padding bits past the bucket length are canonically set to
 1, so two buckets of one length have the same signs iff their words are
-equal; `PackedBinMatrix.sign_matrix` decodes them as stored.
+equal.
 
 Packed words are the storage format and what the kernel computes on.
 `bin_gemm` counts each +-1 dot product of length t with XOR and popcount
@@ -259,7 +259,7 @@ class PackedBinMatrix:
 
     A feature matrix holds one bucket per node (`binarize_rows`), a
     weight matrix one per output column (`binarize_columns`), so `rows`
-    counts buckets either way and `sign_matrix()` decodes them as stored.
+    counts buckets either way.
     """
 
     rows: int
@@ -281,10 +281,6 @@ class PackedBinMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.rows, self.cols
-
-    def sign_matrix(self) -> np.ndarray:
-        """Unpack to a dense (rows, cols) +-1 float matrix, one bucket per row."""
-        return _unpack_signs(self.words, self.cols)
 
 
 def _standardize_args(standardize, d: int) -> list:
@@ -384,7 +380,7 @@ def binarize_columns(w) -> PackedBinMatrix:
     """Binarize each column of a (d_in, d_out) weight matrix as its own bucket.
 
     The buckets are stored as rows: `rows` = d_out buckets of `cols` =
-    d_in signs, so `sign_matrix()` is sign(W) transposed. The per-column
+    d_in signs, so the buckets' signs are sign(W) transposed. The per-column
     scalars act as feature attentions; each is the column's mean absolute
     value, the least-squares optimum, not normalized by the number of
     buckets.

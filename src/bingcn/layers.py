@@ -5,10 +5,12 @@ input and differ in their weights and in the propagation ``P_k``. GCN and
 Bi-GCN have one path, the normalized adjacency; the mean-aggregator model
 (Bi-GraphSAGE) a self path (``P = I``) and a neighbor-mean path. A
 binarized layer computes ``bin(H) x bin(W_k)``; the float GCN layer is the
-same layer with no binarization and a ReLU on hidden layers. One forward
-and one backward core serve all three families; each public layer
-function is one call into it, so a function swapped in at a public name
-(to time it, say) sees one call per layer.
+same layer with no binarization and a ReLU on hidden layers. One pair,
+`forward` and `backward`, serves all three families, which set its
+keywords. The family names (`bigcn_forward`, `gcn_backward`, ...) are
+aliases of the pair: a model looks its layer function up by them at call
+time, so a function swapped in at one of those names (to time it, say)
+sees one call per layer.
 
 Latent full-precision weights are re-binarized every call. Two routes
 compute ``bin(H) x bin(W)`` and agree within float tolerance:
@@ -18,11 +20,12 @@ compute ``bin(H) x bin(W)`` and agree within float tolerance:
   gives each path's integer counts K = t - 2 * mismatches (int16 for
   t < 2**15), and `graph.aggregate` scales each term as
   ``(K * beta) * alpha`` where it reads it, so no float product is held.
-  It is used for inference, and in training for an input that arrives
-  already binarized (a `bitlinalg.PackedBinMatrix`).
-  The model passes layer 0's fixed input that way: it has no dropout,
-  and its weight gradient unpacks the signs in row blocks
-  (`bitlinalg.sign_t_matmul`), so no dense copy of the input is held.
+  It is used for every input that arrives binarized (a
+  `bitlinalg.PackedBinMatrix`), as a binarized layer's inference input
+  always does. In training the model passes layer 0's fixed input that
+  way: it has no dropout, and its weight gradient unpacks the signs in
+  row blocks (`bitlinalg.sign_t_matmul`), so no dense copy of the input
+  is held.
   In training the input holds only the rows its row plan reads (below).
   An inference layer that feeds a binarized layer hands it its output
   binarized (`binarize_out`): the C library binarizes each row as it
@@ -38,7 +41,7 @@ The backward pass takes the gradient through the sign with a
 straight-through gate, selectable: ``grad`` gates on the gradient's own
 magnitude, ``input`` on the pre-binarization input magnitude.
 
-Every layer function takes an optional `Workspace` (`ws`): the memory
+Both layer functions take an optional `Workspace` (`ws`): the memory
 its passes reuse from one epoch to the next. The results are the same
 bit for bit with and without one.
 
@@ -146,12 +149,10 @@ class LayerCache:
     the per-path products are stored: the row scalars commute with the
     dropout mask and the weight product, so the backward pass folds them
     into the (much smaller) gradient, and it binarizes the weights again.
-    A binarized inference forward of a float `h_in` takes the count route
-    and keeps no operand; backward rejects its cache.
     """
 
     h_in: np.ndarray | bl.PackedBinMatrix  # the layer input as given
-    operand: np.ndarray | bl.PackedBinMatrix | None
+    operand: np.ndarray | bl.PackedBinMatrix
     beta: np.ndarray | None  # (N,) row scalars; None: a float layer
     weights: list[np.ndarray]  # each path's latent (or float) weights
     drop_mask: np.ndarray | None = None
@@ -309,15 +310,16 @@ def _scaled_signs(w: np.ndarray) -> np.ndarray:
     return bl.sign_pm1(w) * np.abs(w).mean(axis=0)[None, :]
 
 
-def _forward(
+def forward(
     prop,
     h_in: np.ndarray | bl.PackedBinMatrix,
     weights: list[np.ndarray],
+    *,
     binarized: bool,
-    training: bool,
-    dropout: float,
-    rng: np.random.Generator | None,
-    ws: Workspace | None,
+    training: bool = False,
+    dropout: float = 0.0,
+    rng: np.random.Generator | None = None,
+    ws: Workspace | None = None,
     activation: bool = False,
     binarize_out: bool = False,
     out_bn: BatchNormState | None = None,
@@ -327,16 +329,19 @@ def _forward(
     Every path of `weights` but the last is a self path (``P = I``); the
     last is propagated by `prop`: a `NormalizedAdjacency`, whole or a row
     plan's slice, or a CSR operator (the neighbor mean), which is wrapped
-    in one. A binarized layer's packed `h_in` always takes the count
-    route and no dropout; its float `h_in` runs the float simulation in
-    training, whose dropout can mask single entries of the binarized
-    features, and the count route in inference. There, `binarize_out`
-    returns the output binarized row by row (`graph.aggregate`),
-    standardized first with `out_bn`'s running statistics where given, as
-    the next layer's inference batch norm and binarization would take it.
-    A float layer computes ``(H * mask) x W``. On a row plan's slice
-    `h_in` holds the slice's input rows, or, for a float layer, the row
-    of every node, read at those rows by the product and by the weight
+    in one. A `binarized` layer computes ``bin(H) x bin(W_k)`` and applies
+    no nonlinearity: the sign in the next layer's input binarization plays
+    that role. Its packed `h_in` takes the count route and no dropout; its
+    float `h_in` runs the float simulation, in training only, whose
+    dropout can mask single entries of the binarized features. In
+    inference it takes its input packed (`bitlinalg.binarize_rows`), and
+    `binarize_out` returns the output binarized row by row
+    (`graph.aggregate`), standardized first with `out_bn`'s running
+    statistics where given, as the next layer's inference batch norm and
+    binarization would take it. A float layer computes
+    ``(H * mask) x W``. On a row plan's slice `h_in` holds the slice's
+    input rows, or, for a float layer, the row of every node (layer 0's
+    fixed input), read at those rows by the product and by the weight
     gradient in gathered blocks, so no copy of them is held whole.
     """
     weights = [np.asarray(w, dtype=np.float64) for w in weights]
@@ -347,7 +352,6 @@ def _forward(
     if packed and training and dropout > 0.0:
         raise ValueError("dropout needs a float layer input: its mask zeroes "
                          "single binarized entries")
-    counted = packed or (binarized and not training)
     if binarize_out and (training or not binarized):
         raise ValueError("only a binarized layer's inference pass binarizes its output")
     if not packed:
@@ -359,21 +363,23 @@ def _forward(
     if route == "gather" and binarized:
         raise ValueError("a binarized layer on a row plan's slice takes its input "
                          "rows alone")
+    if binarized and not training and not packed:
+        raise ValueError("a binarized layer's inference pass takes its input packed "
+                         "(bitlinalg.binarize_rows)")
     n_out = adj.matrix.shape[0]
 
-    if counted:
-        f = h_in if packed else bl.binarize_rows(h_in)
-        cache = LayerCache(h_in=h_in, operand=f if packed else None, beta=f.scalars,
-                           weights=weights)
+    if packed:
+        cache = LayerCache(h_in=h_in, operand=h_in, beta=h_in.scalars, weights=weights)
         # The counts share the role of the float route's products, which
         # the backward pass fills with the (larger) float gradient.
-        counts = _take(ws, "zetas", (len(weights), f.rows, shape[1]), bl.count_dtype(f.cols))
+        counts = _take(ws, "zetas", (len(weights), h_in.rows, shape[1]),
+                       bl.count_dtype(h_in.cols))
         alpha = np.empty((len(weights), shape[1]))
         for k, w in enumerate(weights):
             w_bin = bl.binarize_columns(w)
-            bl.bin_gemm(f, w_bin, out=counts[k])
+            bl.bin_gemm(h_in, w_bin, out=counts[k])
             alpha[k] = w_bin.scalars
-        product = bl.SignCounts(counts, f.scalars, alpha)
+        product = bl.SignCounts(counts, h_in.scalars, alpha)
         if binarize_out:
             standardize = (None if out_bn is None
                            else standardizer(out_bn.running_mean, out_bn.running_var))
@@ -407,71 +413,6 @@ def _forward(
     return out, cache
 
 
-def bigcn_forward(
-    adj: NormalizedAdjacency,
-    h_in: np.ndarray,
-    w: np.ndarray,
-    training: bool = False,
-    dropout: float = 0.0,
-    rng: np.random.Generator | None = None,
-    ws: Workspace | None = None,
-    binarize_out: bool = False,
-) -> tuple[np.ndarray | bl.PackedBinMatrix, LayerCache]:
-    """Binarized graph convolution: aggregate(bin(H) x bin(W)).
-
-    No nonlinearity is applied; the sign in the next layer's input
-    binarization plays that role. In inference `binarize_out` returns
-    that binarization.
-    """
-    return _forward(adj, h_in, [w], True, training, dropout, rng, ws,
-                    binarize_out=binarize_out)
-
-
-def gcn_forward_cached(
-    adj: NormalizedAdjacency,
-    h_in: np.ndarray,
-    w: np.ndarray,
-    activation: bool,
-    training: bool = False,
-    dropout: float = 0.0,
-    rng: np.random.Generator | None = None,
-    ws: Workspace | None = None,
-) -> tuple[np.ndarray, LayerCache]:
-    """Full-precision graph convolution, ReLU optional: aggregate(H x W).
-
-    On a row plan's slice `adj`, an `h_in` of all N rows (the fixed input
-    of layer 0) is read at the slice's input rows; it has no input
-    gradient.
-    """
-    return _forward(adj, h_in, [w], False, training, dropout, rng, ws, activation)
-
-
-def bisage_forward(
-    neighbor_mean,
-    h_in: np.ndarray,
-    w_self: np.ndarray,
-    w_neigh: np.ndarray,
-    training: bool = False,
-    dropout: float = 0.0,
-    rng: np.random.Generator | None = None,
-    ws: Workspace | None = None,
-    binarize_out: bool = False,
-    out_bn: BatchNormState | None = None,
-) -> tuple[np.ndarray | bl.PackedBinMatrix, LayerCache]:
-    """Binarized GraphSAGE convolution with a mean aggregator.
-
-    `neighbor_mean` is the row-stochastic neighbor operator from
-    `graph.neighbor_mean_matrix`; nodes without neighbors get a zero
-    neighbor term. Both weight matrices consume the same binarized
-    input. No nonlinearity, as with the binarized graph convolution. In
-    inference `binarize_out` returns the next layer's binarized input:
-    the output standardized with `out_bn`'s running statistics (the next
-    layer's batch norm), where given, then binarized.
-    """
-    return _forward(neighbor_mean, h_in, [w_self, w_neigh], True, training, dropout, rng, ws,
-                    binarize_out=binarize_out, out_bn=out_bn)
-
-
 def ste_gate(grad: np.ndarray, reference: np.ndarray, mode: str,
              ws: Workspace | None = None) -> np.ndarray:
     """Straight-through gate: pass the gradient where |reference| < 1.
@@ -502,20 +443,21 @@ def _latent_weight_grad(grad_w_tilde: np.ndarray, w_latent: np.ndarray) -> np.nd
     return scalar_term + sign_term
 
 
-def _backward(
+def backward(
     cache: LayerCache,
     prop,
     grad_out: np.ndarray,
-    ste_mode: str,
-    need_input_grad: bool,
-    ws: Workspace | None,
+    *,
+    ste_mode: str = "grad",
+    need_input_grad: bool = True,
+    ws: Workspace | None = None,
 ) -> tuple[np.ndarray | None, list[np.ndarray]]:
-    """Gradients of a `_forward` layer on the propagation `prop`: (grad_h_in,
+    """Gradients of a `forward` layer on the propagation `prop`: (grad_h_in,
     each path's weight gradient, a binarized layer's through its latent
     weights). The paths' feature gradients add before a binarized layer's
-    straight-through gate. A packed input has signs but no values to gate
-    on, and an input read at a row plan's rows is layer 0's fixed input:
-    neither has an input gradient.
+    straight-through gate (`ste_mode`). A packed input has signs but no
+    values to gate on, and an input read at a row plan's rows is layer 0's
+    fixed input: neither has an input gradient.
     """
     grad_out = np.asarray(grad_out, dtype=np.float64)
     adj = prop if isinstance(prop, NormalizedAdjacency) else NormalizedAdjacency(prop)
@@ -527,9 +469,6 @@ def _backward(
     if need_input_grad and (packed or gather):
         raise ValueError("a packed layer input, or one read at a row plan's rows, "
                          "has no input gradient")
-    if cache.operand is None:
-        raise ValueError("a float layer input's cache from an inference forward "
-                         "(training=False) has no backward pass")
 
     if cache.pre_act is not None:  # into the spent output's role
         active = np.greater(cache.pre_act, 0.0, out=_take(ws, "keep", grad_out.shape, bool))
@@ -570,46 +509,10 @@ def _backward(
     return (ste_gate(grad_h, cache.h_in, ste_mode, ws) if binarized else grad_h), grads_w
 
 
-def bigcn_backward(
-    cache: LayerCache,
-    adj: NormalizedAdjacency,
-    grad_out: np.ndarray,
-    ste_mode: str = "grad",
-    need_input_grad: bool = True,
-    ws: Workspace | None = None,
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """Gradients of a binarized graph convolution: (grad_h_in, grad_w_latent)."""
-    grad_h_in, (grad_w,) = _backward(cache, adj, grad_out, ste_mode, need_input_grad, ws)
-    return grad_h_in, grad_w
-
-
-def gcn_backward(
-    cache: LayerCache,
-    adj: NormalizedAdjacency,
-    grad_out: np.ndarray,
-    need_input_grad: bool = True,
-    ws: Workspace | None = None,
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """Gradients of a full-precision graph convolution: (grad_h_in, grad_w)."""
-    grad_h_in, (grad_w,) = _backward(cache, adj, grad_out, "grad", need_input_grad, ws)
-    return grad_h_in, grad_w
-
-
-def bisage_backward(
-    cache: LayerCache,
-    neighbor_mean,
-    grad_out: np.ndarray,
-    ste_mode: str = "grad",
-    need_input_grad: bool = True,
-    ws: Workspace | None = None,
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Gradients of the binarized mean-aggregator convolution.
-
-    Returns (grad_h_in, grad_w_self, grad_w_neigh).
-    """
-    grad_h_in, grads_w = _backward(cache, neighbor_mean, grad_out, ste_mode,
-                                   need_input_grad, ws)
-    return (grad_h_in, *grads_w)
+# The family names of the pair: perfbench/tracing.py's TRACED and
+# tests/test_trace_names.py name them, and `train.Family` looks them up.
+bigcn_forward = gcn_forward_cached = bisage_forward = forward
+bigcn_backward = gcn_backward = bisage_backward = backward
 
 
 @dataclass

@@ -54,9 +54,10 @@ class ModelFileError(FormatError):
 class Family:
     """What sets one model family apart; everything else is shared.
 
-    `forward` and `backward` name the layer functions; they are looked
-    up on `layers` at call time, so a function swapped there (to time it,
-    say) is the one called.
+    The fields configure `layers.forward`/`backward`. `forward` and
+    `backward` name the family's aliases of that pair, looked up on
+    `layers` at call time, so a function swapped in at the name (to time
+    it, say) is the one called.
     """
 
     forward: str
@@ -218,15 +219,13 @@ class Model:
             bn_cache = None
             if i > 0 and self.bn_states and not packs:
                 h, bn_cache = L.batch_norm_forward(h, training, self.bn_states[i - 1], ws=ws)
-            extra = {} if self.family.binarized else {"activation": i < self.n_layers - 1}
-            if packs and i < self.n_layers - 1:
-                extra = {"binarize_out": True}
-                if self.bn_states:
-                    extra["out_bn"] = self.bn_states[i]
-            h, cache = forward(layer_prop, h, *self.weights[i * p:(i + 1) * p],
-                               training=training,
+            hidden = i < self.n_layers - 1
+            h, cache = forward(layer_prop, h, self.weights[i * p:(i + 1) * p],
+                               binarized=self.family.binarized, training=training,
                                dropout=self.config.dropout if i > 0 else 0.0, rng=rng,
-                               ws=ws, **extra)
+                               ws=ws, activation=hidden and not self.family.binarized,
+                               binarize_out=packs and hidden,
+                               out_bn=self.bn_states[i] if hidden and self.bn_states else None)
             caches.append((cache, bn_cache))
         return h, caches
 
@@ -235,7 +234,6 @@ class Model:
                  plan: RowPlan | None = None) -> list[np.ndarray]:
         """Weight gradients, in the order of `weights`; `plan` as in the forward."""
         backward = getattr(L, self.family.backward)
-        extra = {"ste_mode": self.config.ste_mode} if self.family.binarized else {}
         p = self.family.paths
         grads = [None] * len(self.weights)
         grad = grad_logits
@@ -243,9 +241,9 @@ class Model:
             ws = workspaces[i] if workspaces is not None else None
             cache, bn_cache = caches[i]
             layer_prop = prop if plan is None else plan.ops[i]
-            grad_h, *layer_grads = backward(cache, layer_prop, grad, need_input_grad=i > 0,
-                                            ws=ws, **extra)
-            grads[i * p:(i + 1) * p] = layer_grads
+            grad_h, grads[i * p:(i + 1) * p] = backward(
+                cache, layer_prop, grad, ste_mode=self.config.ste_mode,
+                need_input_grad=i > 0, ws=ws)
             if i > 0:
                 grad = (grad_h if bn_cache is None
                         else L.batch_norm_backward(bn_cache, grad_h, ws=ws))

@@ -53,6 +53,15 @@ def best_binarization_by_search(v):
     return best
 
 
+def unpack_signs(m) -> np.ndarray:
+    """The +-1 signs of a `PackedBinMatrix`'s buckets, one per row, decoded
+    from its `.words` with numpy's bit unpacking: bucket bit i is bit
+    i % 64 of word i // 64, 1 for +1; the padding bits are dropped."""
+    words = np.ascontiguousarray(m.words, dtype="<u8")
+    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+    return np.where(bits[:, :m.cols] == 1, 1.0, -1.0)
+
+
 def scalar_sign(x):
     return 1.0 if x >= 0 else -1.0
 

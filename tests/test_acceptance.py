@@ -21,16 +21,10 @@ from bingcn.capacity import bin_neuron_entropy, capacity_lower_bound
 from bingcn.cli import run
 from bingcn.datasets import SBMParams, generate_sbm, load_dataset
 from bingcn.graph import normalize_adjacency
-from bingcn.layers import (
-    bigcn_backward,
-    bigcn_forward,
-    gcn_backward,
-    gcn_forward_cached,
-    masked_softmax_xent,
-)
+from bingcn.layers import backward, forward, masked_softmax_xent
 from bingcn.train import ModelConfig, train
 
-from reference_impl import gcn_forward, scalar_bigcn_backward
+from reference_impl import gcn_forward, scalar_bigcn_backward, unpack_signs
 from test_layers import random_graph
 
 
@@ -119,7 +113,7 @@ def test_binarization_optimality(monkeypatch):
                 scales = (patterns @ v) / t
                 search = ((v[None, :] - scales[:, None] * patterns) ** 2).sum(axis=1)
                 for packed in (bl.binarize_rows(v[None, :]), bl.binarize_columns(v[:, None])):
-                    approx = packed.scalars[0] * packed.sign_matrix().ravel()
+                    approx = packed.scalars[0] * unpack_signs(packed).ravel()
                     err = float(((v - approx) ** 2).sum())
                     assert err <= search.min() + 1e-12, route
 
@@ -135,9 +129,9 @@ def test_backward_oracle():
         g = random_graph(rng, n, d_in)
         adj = normalize_adjacency(g)
         w = rng.uniform(-1.5, 1.5, size=(d_in, d_out))
-        _, cache = bigcn_forward(adj, g.x, w, training=True)
+        _, cache = forward(adj, g.x, [w], binarized=True, training=True)
         grad_out = rng.standard_normal((n, d_out))
-        grad_h, grad_w = bigcn_backward(cache, adj, grad_out, ste_mode=mode)
+        grad_h, (grad_w,) = backward(cache, adj, grad_out, ste_mode=mode)
         ref_h, ref_w = scalar_bigcn_backward(g.x, w, adj.matrix.toarray(), grad_out,
                                              ste_mode=mode)
         assert np.abs(grad_h - ref_h).max() < 1e-9
@@ -160,11 +154,11 @@ def test_baseline_gradient_check():
                 h = gcn_forward(adj, h, w, activation=i == 0)
             return masked_softmax_xent(h, g.labels, g.train_mask)[0]
 
-        h1, c1 = gcn_forward_cached(adj, g.x, layers[0], activation=True)
-        h2, c2 = gcn_forward_cached(adj, h1, layers[1], activation=False)
+        h1, c1 = forward(adj, g.x, [layers[0]], binarized=False, activation=True)
+        h2, c2 = forward(adj, h1, [layers[1]], binarized=False)
         _, grad_logits = masked_softmax_xent(h2, g.labels, g.train_mask)
-        grad_h1, grad_w2 = gcn_backward(c2, adj, grad_logits)
-        _, grad_w1 = gcn_backward(c1, adj, grad_h1, need_input_grad=False)
+        grad_h1, (grad_w2,) = backward(c2, adj, grad_logits)
+        _, (grad_w1,) = backward(c1, adj, grad_h1, need_input_grad=False)
 
         for li, analytic in ((0, grad_w1), (1, grad_w2)):
             ws = [layers[0].copy(), layers[1].copy()]

@@ -19,7 +19,7 @@ import pytest
 from bingcn import bitlinalg as bl
 from bingcn.layers import BN_EPS, BatchNormState, batch_norm_forward
 
-from reference_impl import best_binarization_by_search
+from reference_impl import best_binarization_by_search, unpack_signs
 
 
 def packed_row(v):
@@ -30,7 +30,7 @@ def packed_row(v):
 def dense(m):
     """The scalar-rescaled sign matrix a PackedBinMatrix stands for, one
     bucket per row: a weight's comes out transposed."""
-    return m.scalars[:, None] * m.sign_matrix()
+    return m.scalars[:, None] * unpack_signs(m)
 
 
 def xnor_popcount_dot(a, b, length):
@@ -51,20 +51,20 @@ def xnor_popcount_dot(a, b, length):
 
 
 class TestPackUnpack:
-    """The storage format: a bucket's `.words`, decoded by `sign_matrix()`."""
+    """The storage format: a bucket's `.words`, decoded by `unpack_signs`."""
 
     def test_roundtrip_small(self):
         v = np.array([1.0, -1.0])
         f = packed_row(v)
         assert f.cols == 2
-        assert np.array_equal(f.sign_matrix()[0], v)
+        assert np.array_equal(unpack_signs(f)[0], v)
 
     def test_word_count_and_padding_at_65(self):
         v = np.ones(65)
         v[10] = -1
         f = packed_row(v)
         assert f.words.shape == (1, 2)
-        assert np.array_equal(f.sign_matrix()[0], v)
+        assert np.array_equal(unpack_signs(f)[0], v)
         # padding must not leak into the dot product
         assert xnor_popcount_dot(f.words[0], f.words[0], 65) == 65
 
@@ -92,8 +92,8 @@ class TestPackUnpack:
         rng = np.random.default_rng(7)
         for t in [1, 2, 63, 64, 65, 127, 128, 129, 1000]:
             v = np.where(rng.random(t) < 0.5, 1.0, -1.0)
-            assert np.array_equal(packed_row(v).sign_matrix()[0], v)
-            assert np.array_equal(bl.binarize_columns(v[:, None]).sign_matrix()[0], v)
+            assert np.array_equal(unpack_signs(packed_row(v))[0], v)
+            assert np.array_equal(unpack_signs(bl.binarize_columns(v[:, None]))[0], v)
 
 
 class TestBinarizeVector:
@@ -105,7 +105,7 @@ class TestBinarizeVector:
         """(scalar, signs) of `v` as a row bucket, then as a column bucket."""
         v = np.asarray(v, dtype=np.float64)
         row, col = bl.binarize_rows(v[None, :]), bl.binarize_columns(v[:, None])
-        return [(row.scalars[0], row.sign_matrix()[0]), (col.scalars[0], col.sign_matrix()[0])]
+        return [(row.scalars[0], unpack_signs(row)[0]), (col.scalars[0], unpack_signs(col)[0])]
 
     def test_hand_example(self):
         for scalar, signs in self.binarize([0.5, -1.5, 1.0]):
@@ -144,13 +144,13 @@ class TestBinarizeMatrices:
         w = np.array([[0.5, -0.5], [0.5, 0.5]])
         b = bl.binarize_columns(w)
         assert np.allclose(b.scalars, [0.5, 0.5])
-        assert np.array_equal(b.sign_matrix(), [[1.0, 1.0], [-1.0, 1.0]])  # sign(w).T
+        assert np.array_equal(unpack_signs(b), [[1.0, 1.0], [-1.0, 1.0]])  # sign(w).T
 
     def test_columns_identity(self):
         b = bl.binarize_columns(np.eye(2))
         assert np.allclose(b.scalars, [0.5, 0.5])
         # sign(0) = +1 forces all-plus signs
-        assert np.array_equal(b.sign_matrix(), np.ones((2, 2)))
+        assert np.array_equal(unpack_signs(b), np.ones((2, 2)))
 
     def test_columns_zero_matrix(self):
         b = bl.binarize_columns(np.zeros((3, 4)))
@@ -160,12 +160,12 @@ class TestBinarizeMatrices:
         f = bl.binarize_rows(np.array([[1.0, -1.0]]))
         assert f.shape == (1, 2)
         assert np.allclose(f.scalars, [1.0])
-        assert np.array_equal(f.sign_matrix(), [[1.0, -1.0]])
+        assert np.array_equal(unpack_signs(f), [[1.0, -1.0]])
 
     def test_rows_one_hot(self):
         f = bl.binarize_rows(np.array([[1.0, 0.0, 0.0, 0.0]]))
         assert f.scalars[0] == pytest.approx(0.25)
-        assert np.array_equal(f.sign_matrix(), np.ones((1, 4)))
+        assert np.array_equal(unpack_signs(f), np.ones((1, 4)))
 
     def test_rows_zero_row(self):
         f = bl.binarize_rows(np.zeros((1, 5)))
@@ -193,7 +193,7 @@ class TestBinarizeMatrices:
         b = bl.binarize_columns(w)
         assert b.shape == (2, 2)
         assert np.array_equal(b.words[1], bl.binarize_columns(w[:, 1:]).words[0])
-        assert np.array_equal(b.sign_matrix()[1], [-1.0, 1.0])
+        assert np.array_equal(unpack_signs(b)[1], [-1.0, 1.0])
 
 
 def _signs_dot(sa, sb):
@@ -382,7 +382,7 @@ class TestRowBlockedInputOps:
         # first block seam, one.
         for keep in (i >= 0, i % 2 == 0, (i >= 510) & (i <= 514), i == n // 2):
             g_rows = np.where(keep[:, None], g, 0.0)
-            assert np.allclose(bl.sign_t_matmul(f, g_rows), f.sign_matrix().T @ g_rows,
+            assert np.allclose(bl.sign_t_matmul(f, g_rows), unpack_signs(f).T @ g_rows,
                                rtol=1e-12, atol=1e-12)
 
     def test_sign_t_matmul_of_zero_gradient_is_zero(self):
@@ -395,7 +395,7 @@ class TestRowBlockedInputOps:
         n, d = 1300, 65
         f = bl.binarize_rows(rng.standard_normal((n, d)))
         g = rng.standard_normal((n, 6))
-        signs, want = f.sign_matrix(), np.zeros((d, 6))
+        signs, want = unpack_signs(f), np.zeros((d, 6))
         for start in range(0, n, 512):
             want += signs[start:start + 512].T @ g[start:start + 512]
         assert np.array_equal(bl.sign_t_matmul(f, g), want)

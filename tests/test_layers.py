@@ -1,6 +1,5 @@
 """Layer forward/backward passes, batch norm, and the masked loss."""
 
-import functools
 import tracemalloc
 
 import numpy as np
@@ -22,15 +21,11 @@ from bingcn.layers import (
     BN_MOMENTUM,
     BatchNormState,
     Workspace,
+    backward,
     batch_norm_apply,
     batch_norm_backward,
     batch_norm_forward,
-    bigcn_backward,
-    bigcn_forward,
-    bisage_backward,
-    bisage_forward,
-    gcn_backward,
-    gcn_forward_cached,
+    forward,
     masked_accuracy,
     masked_loss_and_accuracy,
     masked_softmax_xent,
@@ -38,7 +33,8 @@ from bingcn.layers import (
 )
 from bingcn.train import Model, ModelConfig, train
 
-from reference_impl import gcn_forward, scalar_bigcn_backward, scalar_bigcn_forward
+from reference_impl import (gcn_forward, scalar_bigcn_backward, scalar_bigcn_forward,
+                            unpack_signs)
 
 
 def random_graph(rng, n, d, n_classes=2, edge_factor=2):
@@ -66,14 +62,14 @@ class TestBiGCNForward:
         g.x = np.array([[1.0, -1.0]])
         adj = normalize_adjacency(g)
         w = np.array([[0.5, -0.5], [0.5, 0.5]])
-        h_out, _ = bigcn_forward(adj, g.x, w)
+        h_out, _ = forward(adj, bl.binarize_rows(g.x), [w], binarized=True)
         assert np.allclose(h_out, [[0.0, -1.0]])
 
     def test_zero_weights_give_zero_output(self):
         rng = np.random.default_rng(1)
         g = random_graph(rng, 5, 4)
         adj = normalize_adjacency(g)
-        h_out, _ = bigcn_forward(adj, g.x, np.zeros((4, 3)))
+        h_out, _ = forward(adj, bl.binarize_rows(g.x), [np.zeros((4, 3))], binarized=True)
         assert np.array_equal(h_out, np.zeros((5, 3)))
 
     def test_exactly_representable_rows(self):
@@ -85,9 +81,9 @@ class TestBiGCNForward:
         g.x = signs * rng.uniform(0.5, 2.0, size=(4, 1))
         adj = normalize_adjacency(g)
         w = rng.standard_normal((6, 3))
-        h_out, _ = bigcn_forward(adj, g.x, w)
+        h_out, _ = forward(adj, bl.binarize_rows(g.x), [w], binarized=True)
         b = bl.binarize_columns(w)
-        w_tilde = b.sign_matrix().T * b.scalars[None, :]
+        w_tilde = unpack_signs(b).T * b.scalars[None, :]
         assert np.allclose(h_out, g.x @ w_tilde, atol=1e-9)
 
     def test_matches_scalar_forward(self):
@@ -95,7 +91,7 @@ class TestBiGCNForward:
         g = random_graph(rng, 6, 5)
         adj = normalize_adjacency(g)
         w = rng.standard_normal((5, 3))
-        h_out, _ = bigcn_forward(adj, g.x, w)
+        h_out, _ = forward(adj, bl.binarize_rows(g.x), [w], binarized=True)
         ref_out, ref_zeta = scalar_bigcn_forward(g.x, w, adj.matrix.toarray())
         assert np.allclose(h_out, ref_out, atol=1e-9)
         assert np.allclose(h_out, adj.matrix.toarray() @ ref_zeta, atol=1e-9)
@@ -107,8 +103,9 @@ class TestBiGCNForward:
             g = random_graph(rng, n, d)
             adj = normalize_adjacency(g)
             w = rng.standard_normal((d, m))
-            h_eval, _ = bigcn_forward(adj, g.x, w, training=False)
-            h_train, _ = bigcn_forward(adj, g.x, w, training=True)
+            h_eval, _ = forward(adj, bl.binarize_rows(g.x), [w], binarized=True,
+                                training=False)
+            h_train, _ = forward(adj, g.x, [w], binarized=True, training=True)
             assert np.abs(h_eval - h_train).max() < 1e-5
 
     def test_dropout_masks_binarized_features(self):
@@ -116,8 +113,8 @@ class TestBiGCNForward:
         g = random_graph(rng, 8, 10)
         adj = normalize_adjacency(g)
         w = rng.standard_normal((10, 4))
-        h_out, cache = bigcn_forward(adj, g.x, w, training=True,
-                                     dropout=0.5, rng=np.random.default_rng(99))
+        h_out, cache = forward(adj, g.x, [w], binarized=True, training=True,
+                               dropout=0.5, rng=np.random.default_rng(99))
         assert cache.drop_mask is not None
         dropped = cache.drop_mask == 0.0
         assert dropped.any() and not dropped.all()
@@ -133,13 +130,13 @@ class TestBiGCNForward:
         g = random_graph(np.random.default_rng(6), 3, 4)
         adj = normalize_adjacency(g)
         with pytest.raises(ValueError):
-            bigcn_forward(adj, g.x, np.ones((4, 2)), training=True, dropout=0.5)
+            forward(adj, g.x, [np.ones((4, 2))], binarized=True, training=True, dropout=0.5)
 
     def test_shape_mismatch(self):
         g = random_graph(np.random.default_rng(7), 3, 4)
         adj = normalize_adjacency(g)
         with pytest.raises(ValueError):
-            bigcn_forward(adj, g.x, np.ones((5, 2)))
+            forward(adj, bl.binarize_rows(g.x), [np.ones((5, 2))], binarized=True)
 
 
 class TestBiGCNBackward:
@@ -148,8 +145,8 @@ class TestBiGCNBackward:
         g = random_graph(rng, 4, 5)
         adj = normalize_adjacency(g)
         w = rng.standard_normal((5, 2))
-        _, cache = bigcn_forward(adj, g.x, w, training=True)
-        grad_h, grad_w = bigcn_backward(cache, adj, np.zeros((4, 2)))
+        _, cache = forward(adj, g.x, [w], binarized=True, training=True)
+        grad_h, (grad_w,) = backward(cache, adj, np.zeros((4, 2)))
         assert np.array_equal(grad_h, np.zeros((4, 5)))
         assert np.array_equal(grad_w, np.zeros((5, 2)))
 
@@ -158,12 +155,11 @@ class TestBiGCNBackward:
         g = random_graph(np.random.default_rng(9), 1, 1)
         g.x = np.array([[0.5]])
         adj = normalize_adjacency(g)
-        _, cache = bigcn_forward(adj, g.x, np.array([[0.75]]), training=True)
-        grad_h, _ = bigcn_backward(cache, adj, np.array([[2.0]]), ste_mode="grad")
+        _, cache = forward(adj, g.x, [np.array([[0.75]])], binarized=True, training=True)
+        grad_h, _ = backward(cache, adj, np.array([[2.0]]), ste_mode="grad")
         # grad_h_tilde = 2.0 * 0.75 = 1.5 -> gated to zero
         assert grad_h[0, 0] == 0.0
-        grad_h_input_mode, _ = bigcn_backward(cache, adj, np.array([[2.0]]),
-                                              ste_mode="input")
+        grad_h_input_mode, _ = backward(cache, adj, np.array([[2.0]]), ste_mode="input")
         # |h_in| = 0.5 < 1 keeps the gradient in input mode
         assert grad_h_input_mode[0, 0] == pytest.approx(1.5)
 
@@ -177,9 +173,9 @@ class TestBiGCNBackward:
             g = random_graph(rng, n, d_in)
             adj = normalize_adjacency(g)
             w = rng.uniform(-1.5, 1.5, size=(d_in, d_out))
-            _, cache = bigcn_forward(adj, g.x, w, training=True)
+            _, cache = forward(adj, g.x, [w], binarized=True, training=True)
             grad_out = rng.standard_normal((n, d_out))
-            grad_h, grad_w = bigcn_backward(cache, adj, grad_out, ste_mode=ste_mode)
+            grad_h, (grad_w,) = backward(cache, adj, grad_out, ste_mode=ste_mode)
             ref_h, ref_w = scalar_bigcn_backward(g.x, w, adj.matrix.toarray(), grad_out,
                                                  ste_mode=ste_mode)
             assert np.allclose(grad_h, ref_h, atol=1e-9)
@@ -190,10 +186,10 @@ class TestBiGCNBackward:
         g = random_graph(rng, 5, 6)
         adj = normalize_adjacency(g)
         w = rng.uniform(-1.2, 1.2, size=(6, 3))
-        _, cache = bigcn_forward(adj, g.x, w, training=True, dropout=0.4,
-                                 rng=np.random.default_rng(12))
+        _, cache = forward(adj, g.x, [w], binarized=True, training=True, dropout=0.4,
+                           rng=np.random.default_rng(12))
         grad_out = rng.standard_normal((5, 3))
-        grad_h, grad_w = bigcn_backward(cache, adj, grad_out)
+        grad_h, (grad_w,) = backward(cache, adj, grad_out)
         ref_h, ref_w = scalar_bigcn_backward(g.x, w, adj.matrix.toarray(), grad_out,
                                              drop_mask=cache.drop_mask)
         assert np.allclose(grad_h, ref_h, atol=1e-9)
@@ -203,9 +199,9 @@ class TestBiGCNBackward:
         rng = np.random.default_rng(13)
         g = random_graph(rng, 3, 4)
         adj = normalize_adjacency(g)
-        _, cache = bigcn_forward(adj, g.x, np.ones((4, 2)))
+        _, cache = forward(adj, bl.binarize_rows(g.x), [np.ones((4, 2))], binarized=True)
         with pytest.raises(ValueError):
-            bigcn_backward(cache, adj, np.zeros((3, 5)))
+            backward(cache, adj, np.zeros((3, 5)))
 
 
 class TestSteGate:
@@ -222,7 +218,7 @@ class TestGCN:
     def test_identity_passthrough(self):
         g = random_graph(np.random.default_rng(14), 3, 3, edge_factor=0)
         adj = normalize_adjacency(g)
-        for out in (gcn_forward_cached(adj, g.x, np.eye(3), activation=False)[0],
+        for out in (forward(adj, g.x, [np.eye(3)], binarized=False)[0],
                     gcn_forward(adj, g.x, np.eye(3), activation=False)):
             assert np.allclose(out, g.x)
 
@@ -230,7 +226,7 @@ class TestGCN:
         g = random_graph(np.random.default_rng(15), 1, 2, edge_factor=0)
         g.x = np.array([[1.0, -2.0]])
         adj = normalize_adjacency(g)
-        for out in (gcn_forward_cached(adj, g.x, np.eye(2), activation=True)[0],
+        for out in (forward(adj, g.x, [np.eye(2)], binarized=False, activation=True)[0],
                     gcn_forward(adj, g.x, np.eye(2), activation=True)):
             assert np.allclose(out, [[1.0, 0.0]])
 
@@ -241,7 +237,8 @@ class TestGCN:
         w = rng.standard_normal((4, 3))
         expected = np.maximum(adj.matrix.toarray() @ (g.x @ w), 0.0)
         assert np.allclose(gcn_forward(adj, g.x, w, activation=True), expected)
-        assert np.allclose(gcn_forward_cached(adj, g.x, w, activation=True)[0], expected)
+        assert np.allclose(forward(adj, g.x, [w], binarized=False, activation=True)[0],
+                           expected)
 
     def test_end_to_end_finite_difference(self):
         rng = np.random.default_rng(17)
@@ -258,11 +255,11 @@ class TestGCN:
                 loss, _ = masked_softmax_xent(h, g.labels, g.train_mask)
                 return loss
 
-            h1, c1 = gcn_forward_cached(adj, g.x, layers[0], activation=True)
-            h2, c2 = gcn_forward_cached(adj, h1, layers[1], activation=False)
+            h1, c1 = forward(adj, g.x, [layers[0]], binarized=False, activation=True)
+            h2, c2 = forward(adj, h1, [layers[1]], binarized=False)
             loss, grad_logits = masked_softmax_xent(h2, g.labels, g.train_mask)
-            grad_h1, grad_w2 = gcn_backward(c2, adj, grad_logits)
-            _, grad_w1 = gcn_backward(c1, adj, grad_h1, need_input_grad=False)
+            grad_h1, (grad_w2,) = backward(c2, adj, grad_logits)
+            _, (grad_w1,) = backward(c1, adj, grad_h1, need_input_grad=False)
 
             step = 1e-4
             for li, analytic in ((0, grad_w1), (1, grad_w2)):
@@ -285,8 +282,8 @@ class TestBiSAGE:
         p = neighbor_mean_matrix(g)
         rng = np.random.default_rng(19)
         w_self, w_neigh = rng.standard_normal((4, 2)), rng.standard_normal((4, 2))
-        h_out, _ = bisage_forward(p, g.x, w_self, w_neigh)
         f = bl.binarize_rows(g.x)
+        h_out, _ = forward(p, f, [w_self, w_neigh], binarized=True)
         b_self = bl.binarize_columns(w_self)
         assert np.allclose(h_out, bl.bin_gemm(f, b_self), atol=1e-9)
 
@@ -297,14 +294,15 @@ class TestBiSAGE:
         p = neighbor_mean_matrix(g)
         rng = np.random.default_rng(21)
         w = rng.standard_normal((4, 3))
-        h_out, _ = bisage_forward(p, g.x, w.copy(), w.copy())
+        h_out, _ = forward(p, bl.binarize_rows(g.x), [w.copy(), w.copy()], binarized=True)
         self_term = bl.bin_gemm(bl.binarize_rows(g.x), bl.binarize_columns(w))
         assert np.allclose(h_out, 2.0 * self_term, atol=1e-9)
 
     def test_zero_weights(self):
         g = random_graph(np.random.default_rng(22), 4, 3)
         p = neighbor_mean_matrix(g)
-        h_out, _ = bisage_forward(p, g.x, np.zeros((3, 2)), np.zeros((3, 2)))
+        h_out, _ = forward(p, bl.binarize_rows(g.x), [np.zeros((3, 2)), np.zeros((3, 2))],
+                           binarized=True)
         assert np.array_equal(h_out, np.zeros((4, 2)))
 
     def test_paths_agree(self):
@@ -312,8 +310,9 @@ class TestBiSAGE:
         g = random_graph(rng, 12, 9)
         p = neighbor_mean_matrix(g)
         w_self, w_neigh = rng.standard_normal((9, 4)), rng.standard_normal((9, 4))
-        h_eval, _ = bisage_forward(p, g.x, w_self, w_neigh, training=False)
-        h_train, _ = bisage_forward(p, g.x, w_self, w_neigh, training=True)
+        h_eval, _ = forward(p, bl.binarize_rows(g.x), [w_self, w_neigh], binarized=True,
+                            training=False)
+        h_train, _ = forward(p, g.x, [w_self, w_neigh], binarized=True, training=True)
         assert np.abs(h_eval - h_train).max() < 1e-5
 
     def test_backward_matches_composed_scalar_reference(self):
@@ -325,9 +324,9 @@ class TestBiSAGE:
         p = neighbor_mean_matrix(g)
         w_self = rng.uniform(-1.2, 1.2, size=(6, 3))
         w_neigh = rng.uniform(-1.2, 1.2, size=(6, 3))
-        _, cache = bisage_forward(p, g.x, w_self, w_neigh, training=True)
+        _, cache = forward(p, g.x, [w_self, w_neigh], binarized=True, training=True)
         grad_out = rng.standard_normal((5, 3))
-        grad_h, grad_ws, grad_wn = bisage_backward(cache, p, grad_out)
+        grad_h, (grad_ws, grad_wn) = backward(cache, p, grad_out)
 
         eye = np.eye(5)
         ref_h_self, ref_ws = scalar_bigcn_backward(g.x, w_self, eye, grad_out)
@@ -346,14 +345,12 @@ class TestBiSAGE:
 
 
 def _binarized_layer(family, g, rng, d_out):
-    """(propagation, weights, forward, backward) of one binarized family's layer."""
+    """(propagation, weights) of one binarized family's layer."""
     d_in = g.x.shape[1]
     if family == "bigcn":
-        return (normalize_adjacency(g), [rng.uniform(-1.2, 1.2, size=(d_in, d_out))],
-                bigcn_forward, bigcn_backward)
+        return normalize_adjacency(g), [rng.uniform(-1.2, 1.2, size=(d_in, d_out))]
     return (neighbor_mean_matrix(g),
-            [rng.uniform(-1.2, 1.2, size=(d_in, d_out)) for _ in range(2)],
-            bisage_forward, bisage_backward)
+            [rng.uniform(-1.2, 1.2, size=(d_in, d_out)) for _ in range(2)])
 
 
 @pytest.mark.parametrize("family", ["bigcn", "bisage"])
@@ -364,41 +361,43 @@ class TestPackedInput:
         rng = np.random.default_rng(29)
         for n, d, m in [(1, 3, 2), (7, 5, 3), (40, 130, 8), (600, 70, 7), (1100, 33, 4)]:
             g = random_graph(rng, n, d)
-            prop, weights, forward, backward = _binarized_layer(family, g, rng, m)
-            out_f, cache_f = forward(prop, g.x, *weights, training=True)
-            out_p, cache_p = forward(prop, bl.binarize_rows(g.x), *weights, training=True)
+            prop, weights = _binarized_layer(family, g, rng, m)
+            out_f, cache_f = forward(prop, g.x, weights, binarized=True, training=True)
+            out_p, cache_p = forward(prop, bl.binarize_rows(g.x), weights, binarized=True,
+                                     training=True)
             assert np.abs(out_p - out_f).max() <= 1e-12 * np.abs(out_f).max()
             grad_out = rng.standard_normal((n, m))
             # As in semi-supervised training: the loss reaches few rows.
             reached = np.random.default_rng(n).random(n) < 0.1
             for grad in (grad_out, grad_out * reached[:, None]):
-                _, *grads_f = backward(cache_f, prop, grad, need_input_grad=False)
-                _, *grads_p = backward(cache_p, prop, grad, need_input_grad=False)
+                _, grads_f = backward(cache_f, prop, grad, need_input_grad=False)
+                _, grads_p = backward(cache_p, prop, grad, need_input_grad=False)
                 for got, want in zip(grads_p, grads_f):
                     assert np.abs(got - want).max() <= 1e-9
 
     def test_no_input_gradient_or_dropout(self, family):
         rng = np.random.default_rng(30)
         g = random_graph(rng, 6, 5)
-        prop, weights, forward, backward = _binarized_layer(family, g, rng, 3)
+        prop, weights = _binarized_layer(family, g, rng, 3)
         packed = bl.binarize_rows(g.x)
-        _, cache = forward(prop, packed, *weights, training=True)
+        _, cache = forward(prop, packed, weights, binarized=True, training=True)
         with pytest.raises(ValueError, match="input gradient"):
             backward(cache, prop, np.ones((6, 3)), need_input_grad=True)
         with pytest.raises(ValueError, match="dropout"):
-            forward(prop, packed, *weights, training=True, dropout=0.5,
+            forward(prop, packed, weights, binarized=True, training=True, dropout=0.5,
                     rng=np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("family", ["bigcn", "bisage"])
-def test_backward_rejects_a_float_input_cache_from_inference(family):
+def test_a_binarized_inference_pass_takes_its_input_packed(family):
     rng = np.random.default_rng(32)
     g = random_graph(rng, 6, 5)
-    prop, weights, forward, backward = _binarized_layer(family, g, rng, 3)
-    _, cache = forward(prop, g.x, *weights, training=False)
-    for need_input_grad in (False, True):
-        with pytest.raises(ValueError, match="inference forward"):
-            backward(cache, prop, np.ones((6, 3)), need_input_grad=need_input_grad)
+    prop, weights = _binarized_layer(family, g, rng, 3)
+    for binarize_out in (False, True):
+        with pytest.raises(ValueError, match="takes its input packed"):
+            forward(prop, g.x, weights, binarized=True, binarize_out=binarize_out)
+    out, cache = forward(prop, bl.binarize_rows(g.x), weights, binarized=True)
+    assert out.shape == (6, 3) and isinstance(cache.operand, bl.PackedBinMatrix)
 
 
 def float_route_logits(model, prop, x, plan=None):
@@ -469,31 +468,26 @@ class TestCountRoute:
 
     def test_a_layer_hands_on_its_output_binarized(self, route, family):
         model, prop, g, mask = counted_model(family, 70, seed=3)
-        forward, backward = ((bisage_forward, bisage_backward) if family == "bisage"
-                             else (bigcn_forward, bigcn_backward))
         bn = model.bn_states[0] if model.bn_states else None
         weights = model.weights[:model.family.paths]
         plan = row_plan(prop, mask, model.n_layers)
         for op, x in ((prop, g.x), (plan.ops[0], g.x[plan.rows[0]])):
-            out, _ = forward(op, x, *weights)
+            x = bl.binarize_rows(x)
+            out, _ = forward(op, x, weights, binarized=True)
             if bn is not None:
                 out, _ = batch_norm_forward(out, False, bn)
             want = bl.binarize_rows(out)
-            got, cache = forward(op, x, *weights, binarize_out=True,
-                                 **({} if bn is None else {"out_bn": bn}))
+            got, _ = forward(op, x, weights, binarized=True, binarize_out=True, out_bn=bn)
             assert np.array_equal(got.words, want.words)
             assert np.array_equal(got.scalars, want.scalars)
-            with pytest.raises(ValueError, match="inference forward"):
-                backward(cache, op, np.ones((got.rows, 65)), need_input_grad=False)
         with pytest.raises(ValueError, match="binarizes its output"):
-            forward(prop, g.x, *weights, training=True, binarize_out=True)
+            forward(prop, g.x, weights, binarized=True, training=True, binarize_out=True)
 
     def test_training_aggregates_layer_0_counts_whole(self, route, family):
         model, prop, g, _ = counted_model(family, 130, seed=4)
         x = model.graph_input(g)
         weights = model.weights[:model.family.paths]
-        forward = bisage_forward if family == "bisage" else bigcn_forward
-        out, _ = forward(prop, x, *weights, training=True)
+        out, _ = forward(prop, x, weights, binarized=True, training=True)
         adj = prop if isinstance(prop, NormalizedAdjacency) else NormalizedAdjacency(prop)
         zetas = [bl.bin_gemm(x, bl.binarize_columns(w)) for w in weights]
         assert np.array_equal(out, sum(zetas[:-1], aggregate(adj, zetas[-1])))
@@ -562,8 +556,8 @@ class TestThreadCount:
         for threads in (1, 2, 3, 4):
             monkeypatch.setattr(bl, "_threads", lambda: threads)
             seen.clear()
-            out, cache = gcn_forward_cached(prop, x, w, activation=True, training=True)
-            got = out.copy(), gcn_backward(cache, prop, grad, need_input_grad=False)[1]
+            out, cache = forward(prop, x, [w], binarized=False, training=True, activation=True)
+            got = out.copy(), backward(cache, prop, grad, need_input_grad=False)[1][0]
             want = want or got
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), threads
             assert seen == ([min(threads, r) for r in at_four[route]]), threads
@@ -629,12 +623,12 @@ class TestThreadCount:
 
 
 def _layer(family, g, rng, d_out):
-    """(propagation, weights, forward, backward) of one layer of any family;
-    gcn's forward has its ReLU."""
+    """(propagation, weights, forward's family keywords) of one layer of any
+    family; gcn's has its ReLU."""
     if family != "gcn":
-        return _binarized_layer(family, g, rng, d_out)
+        return (*_binarized_layer(family, g, rng, d_out), {"binarized": True})
     return (normalize_adjacency(g), [rng.uniform(-1.2, 1.2, size=(g.x.shape[1], d_out))],
-            functools.partial(gcn_forward_cached, activation=True), gcn_backward)
+            {"binarized": False, "activation": True})
 
 
 def _slice_of_a_sparse_graph(rng, n=400, d=12):
@@ -655,8 +649,8 @@ class TestCoreRejects:
     def test_a_wrong_gradient_shape(self, family):
         rng = np.random.default_rng(50)
         g = random_graph(rng, 6, 5)
-        prop, weights, forward, backward = _layer(family, g, rng, 3)
-        _, cache = forward(prop, g.x, *weights, training=True)
+        prop, weights, kind = _layer(family, g, rng, 3)
+        _, cache = forward(prop, g.x, weights, training=True, **kind)
         for shape in ((6, 4), (5, 3), (6,)):
             for need_input_grad in (False, True):
                 with pytest.raises(ValueError, match="gradient shape"):
@@ -665,10 +659,8 @@ class TestCoreRejects:
     def test_a_slice_checks_the_gradient_against_its_output_rows(self):
         g, mask, op = _slice_of_a_sparse_graph(np.random.default_rng(51))
         w = np.ones((12, 3))
-        for forward, backward in ((bigcn_forward, bigcn_backward),
-                                  (functools.partial(gcn_forward_cached, activation=True),
-                                   gcn_backward)):
-            _, cache = forward(op, g.x[op.in_rows], w, training=True)
+        for kind in ({"binarized": True}, {"binarized": False, "activation": True}):
+            _, cache = forward(op, g.x[op.in_rows], [w], training=True, **kind)
             backward(cache, op, np.ones((mask.sum(), 3)))
             with pytest.raises(ValueError, match="gradient shape"):
                 backward(cache, op, np.ones((g.n_nodes, 3)))
@@ -677,9 +669,9 @@ class TestCoreRejects:
     def test_weights_that_are_not_2d(self, family):
         rng = np.random.default_rng(52)
         g = random_graph(rng, 6, 5)
-        prop, weights, forward, _ = _layer(family, g, rng, 3)
+        prop, weights, kind = _layer(family, g, rng, 3)
         with pytest.raises(ValueError, match="2-D and of one shape"):
-            forward(prop, g.x, *(w[:, 0] for w in weights))
+            forward(prop, g.x, [w[:, 0] for w in weights], **kind)
 
     def test_paths_whose_weight_shapes_differ(self):
         rng = np.random.default_rng(53)
@@ -687,16 +679,17 @@ class TestCoreRejects:
         p = neighbor_mean_matrix(g)
         for w_self, w_neigh in (((5, 3), (5, 2)), ((5, 3), (4, 3))):
             with pytest.raises(ValueError, match="2-D and of one shape"):
-                bisage_forward(p, g.x, np.ones(w_self), np.ones(w_neigh), training=True)
+                forward(p, g.x, [np.ones(w_self), np.ones(w_neigh)], binarized=True,
+                        training=True)
 
     @pytest.mark.parametrize("family", ["bigcn", "gcn", "bisage"])
     def test_an_input_of_the_wrong_width(self, family):
         rng = np.random.default_rng(54)
         g = random_graph(rng, 6, 5)
-        prop, weights, forward, _ = _layer(family, g, rng, 3)
+        prop, weights, kind = _layer(family, g, rng, 3)
         for training in (False, True):
             with pytest.raises(ValueError, match=r"expected \(N, 5\) input"):
-                forward(prop, g.x[:, :4], *weights, training=training)
+                forward(prop, g.x[:, :4], weights, training=training, **kind)
 
     def test_a_binarized_layer_on_a_slice_takes_its_input_rows_alone(self):
         # On a slice a binarized layer reads the slice's input rows: layer 0's
@@ -706,21 +699,22 @@ class TestCoreRejects:
         for h in (g.x, bl.binarize_rows(g.x)):
             for training in (False, True):
                 with pytest.raises(ValueError, match="takes its input rows alone"):
-                    bigcn_forward(op, h, w, training=training)
-        out, _ = bigcn_forward(op, g.x[op.in_rows], w)
+                    forward(op, h, [w], binarized=True, training=training)
+        out, _ = forward(op, bl.binarize_rows(g.x[op.in_rows]), [w], binarized=True)
         assert out.shape == (mask.sum(), 3)
 
     def test_a_gcn_input_read_at_a_slices_rows_has_no_input_gradient(self):
         g, mask, op = _slice_of_a_sparse_graph(np.random.default_rng(57))
         w = np.random.default_rng(58).uniform(-1.2, 1.2, size=(12, 3))
         grad = np.random.default_rng(59).standard_normal((mask.sum(), 3))
-        _, gathered = gcn_forward_cached(op, g.x, w, activation=True, training=True)
+        _, gathered = forward(op, g.x, [w], binarized=False, activation=True, training=True)
         with pytest.raises(ValueError, match="no input gradient"):
-            gcn_backward(gathered, op, grad)
-        _, rows = gcn_forward_cached(op, g.x[op.in_rows], w, activation=True, training=True)
-        grad_h, grad_w = gcn_backward(rows, op, grad)
+            backward(gathered, op, grad)
+        _, rows = forward(op, g.x[op.in_rows], [w], binarized=False, activation=True,
+                          training=True)
+        grad_h, (grad_w,) = backward(rows, op, grad)
         assert grad_h.shape == (op.in_rows.size, 12)
-        no_grad_h, grad_w_gathered = gcn_backward(gathered, op, grad, need_input_grad=False)
+        no_grad_h, (grad_w_gathered,) = backward(gathered, op, grad, need_input_grad=False)
         assert no_grad_h is None
         assert np.allclose(grad_w_gathered, grad_w, rtol=1e-12, atol=1e-15)
 
@@ -783,31 +777,32 @@ class TestRowPlan:
         op = row_plan(adj, mask, 1).ops[0]
         rows = op.in_rows
         ws = [rng.uniform(-1.2, 1.2, size=(d, m))]
-        if family == "bigcn":
-            forward, backward, extra = bigcn_forward, bigcn_backward, {}
-        elif family == "bisage":  # a self path too, read at the slice's output rows
-            forward, backward, extra = bisage_forward, bisage_backward, {}
+        if family == "bisage":  # a self path too, read at the slice's output rows
             ws.append(rng.uniform(-1.2, 1.2, size=(d, m)))
-        else:
-            forward, backward, extra = gcn_forward_cached, gcn_backward, {"activation": True}
+        binarized = family != "gcn"
+        kind = {"binarized": binarized, "activation": not binarized}
         grad = rng.standard_normal((n, m)) * mask[:, None]
         # bisage's training passes are full: its hidden batch norm reads every row.
         modes = ((False, 0.0),) if family == "bisage" else ((False, 0.0), (True, 0.0), (True, 0.5))
         for training, dropout in modes:
+            # A binarized inference pass takes its input packed.
+            x, x_rows = g.x, g.x[rows]
+            if binarized and not training:
+                x, x_rows = bl.binarize_rows(x), bl.binarize_rows(x_rows)
             rngs = [np.random.default_rng(3), np.random.default_rng(3)]
-            full, cache = forward(adj, g.x, *ws, training=training, dropout=dropout,
-                                  rng=rngs[0], **extra)
-            part, cache_p = forward(op, g.x[rows], *ws, training=training, dropout=dropout,
-                                    rng=rngs[1], **extra)
+            full, cache = forward(adj, x, ws, training=training, dropout=dropout,
+                                  rng=rngs[0], **kind)
+            part, cache_p = forward(op, x_rows, ws, training=training, dropout=dropout,
+                                    rng=rngs[1], **kind)
             assert np.array_equal(part, full[mask])
             assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
             if family == "gcn" and dropout == 0.0:
                 # Layer 0's route: the whole input, read at the slice's rows.
-                assert np.array_equal(forward(op, g.x, *ws, training=training, **extra)[0],
+                assert np.array_equal(forward(op, g.x, ws, training=training, **kind)[0],
                                       part)
             if training:
-                grad_h, grad_w = backward(cache, adj, grad)
-                grad_h_p, grad_w_p = backward(cache_p, op, grad[mask])
+                grad_h, (grad_w,) = backward(cache, adj, grad)
+                grad_h_p, (grad_w_p,) = backward(cache_p, op, grad[mask])
                 assert np.abs(grad_w_p - grad_w).max() <= 1e-12 * np.abs(grad_w).max()
                 assert np.allclose(grad_h_p, grad_h[rows], rtol=1e-12, atol=1e-15)
                 assert not np.delete(grad_h, rows, axis=0).any()

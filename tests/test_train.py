@@ -466,16 +466,19 @@ LAYER_FUNCTIONS = ("bigcn_forward", "gcn_forward_cached", "bisage_forward",
 @pytest.mark.parametrize("family", MODEL_KINDS)
 @pytest.mark.parametrize("widths", [[24, 8, 3], [24, 8, 6, 3]])
 def test_a_pass_calls_its_family_layer_function_once_per_layer(monkeypatch, family, widths):
-    """A wrapper swapped in at a public layer name, as a tracer that counts
-    layer indices by call does, sees exactly one call per layer."""
+    """A wrapper swapped in at a family's layer name, as a tracer that counts
+    layer indices by call does, sees exactly one call per layer; a forward
+    call passes `training` by keyword, where the tracer reads it."""
+    net = Model(ModelConfig(widths=widths, model=family), np.random.default_rng(4))
+    assert getattr(L, net.family.forward) is L.forward
+    assert getattr(L, net.family.backward) is L.backward
     calls = []
     for name in LAYER_FUNCTIONS:
         def counting(*args, _name=name, _fn=getattr(L, name), **kwargs):
-            calls.append(_name)
+            calls.append((_name, kwargs.get("training", "not by keyword")))
             return _fn(*args, **kwargs)
         monkeypatch.setattr(L, name, counting)
     g = sparse_sbm(seed=4)
-    net = Model(ModelConfig(widths=widths, model=family), np.random.default_rng(4))
     prop = propagation_operator(net.family, g)
     x = net.fit_input(g)
     plans = [None] if net.family.full_pass else [None, row_plan(prop, g.train_mask,
@@ -484,13 +487,16 @@ def test_a_pass_calls_its_family_layer_function_once_per_layer(monkeypatch, fami
         calls.clear()
         logits, caches = net.forward(prop, net.prepare_input(x, plan), training=True,
                                      rng=np.random.default_rng(5), plan=plan)
-        assert calls == [net.family.forward] * net.n_layers
+        assert calls == [(net.family.forward, True)] * net.n_layers
         labels, mask = (g.labels, g.train_mask) if plan is None else (
             g.labels[g.train_mask], np.ones(g.train_mask.sum(), bool))
         _, grad = masked_softmax_xent(logits, labels, mask)
         calls.clear()
         net.backward(prop, caches, grad, plan=plan)
-        assert calls == [net.family.backward] * net.n_layers
+        assert [name for name, _ in calls] == [net.family.backward] * net.n_layers
+        calls.clear()
+        net.forward(prop, net.prepare_input(x, plan), plan=plan)
+        assert calls == [(net.family.forward, False)] * net.n_layers
 
 
 @pytest.mark.parametrize("family", MODEL_KINDS)
