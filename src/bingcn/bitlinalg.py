@@ -19,11 +19,11 @@ Packed words are the storage format and what the kernel computes on.
 `bin_gemm` counts each +-1 dot product of length t with XOR and popcount
 over the uint64 words, K = t - 2 * mismatches, and stores K as an
 integer of `count_dtype(t)` (int16 below 2**15, else int32), a quarter
-of a float64 product's bytes. Its float64 product scales K by beta,
-then by alpha (`scale_counts`), a row block of counts at a time; the
-layers keep the counts instead (a `SignCounts`), and the aggregation
-(`graph.aggregate`) scales each term in that order where it reads it,
-so no float product is ever held. `binarize_rows` standardizes, checks,
+of a float64 product's bytes. The layers keep the counts (a
+`SignCounts`), and the aggregation (`graph.aggregate`) scales each term
+by beta, then by alpha, where it reads it, so no float product is ever
+held; `scale_counts` forms that float product whole, in the same order,
+for `bin_gemm` called without `out`. `binarize_rows` standardizes, checks,
 packs and rescales each row in one pass, and `column_moments` (the
 statistics of the input and of hidden batch norm) sums each row block
 in numpy's order. All three, the expansion of packed signs to float64
@@ -398,12 +398,11 @@ def count_dtype(t: int) -> np.dtype:
     return np.dtype(np.int16 if t < 2 ** 15 else np.int32)
 
 
-def scale_counts(counts: np.ndarray, beta: np.ndarray, alpha: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """``(counts * beta[:, None]) * alpha`` in float64, into `out` if given:
-    the value of each entry of a sign product, in the order `_packed.c`'s
-    count aggregation forms it."""
-    out = np.multiply(counts, beta[:, None], out=out)
+def scale_counts(counts: np.ndarray, beta: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """``(counts * beta[:, None]) * alpha`` in float64: the value of each
+    entry of a sign product, in the order `_packed.c`'s count aggregation
+    forms it."""
+    out = counts * beta[:, None]
     out *= alpha
     return out
 
@@ -414,8 +413,9 @@ class SignCounts:
 
     `counts[k]` holds `bin_gemm`'s counts against path k's weights, `beta`
     the input's row scalars and `alpha[k]` the weights' column scalars,
-    so path k's product is ``scale_counts(counts[k], beta, alpha[k])``.
-    `graph.aggregate` scales each term where it reads it.
+    so path k's float product, as `bin_gemm` with no `out` returns it, is
+    ``scale_counts(counts[k], beta, alpha[k])``. `graph.aggregate` scales
+    each term where it reads it.
     """
 
     counts: np.ndarray  # (paths, n, m), count_dtype(t)
@@ -427,19 +427,18 @@ def bin_gemm(f: PackedBinMatrix, b: PackedBinMatrix,
              out: np.ndarray | None = None) -> np.ndarray:
     """Every bucket of `f` against every bucket of `b`, of one length t.
 
-    out[i, j] = (t - 2 * popcount(f_i XOR b_j)) * beta_i * alpha_j, bit
-    for bit, with beta and alpha the two scalar lists; so for
-    ``bin_gemm(binarize_rows(h), binarize_columns(w))`` it equals the
-    dense product of the two scalar-rescaled sign approximations of h and
-    w up to float summation order. The counts t - 2 * popcount are
-    integers of `count_dtype(t)`: an `out` of that type receives them
-    alone, unscaled (a `SignCounts` entry); a float64 one (None: a new
-    one) the product, scaled by `scale_counts`. The C route counts each
-    row's words against the transposed words of `b`; the numpy route
-    expands row blocks of `f` to float32 +-1 signs and multiplies them by
-    the expanded signs of `b`, which is exact for t < 2**24, the limit
-    both routes keep. Pure function, safe to call concurrently with
-    distinct `out` arrays (C-contiguous, (f.rows, b.rows)).
+    out[i, j] = t - 2 * popcount(f_i XOR b_j), the +-1 dot product of
+    the two buckets' signs, an integer of `count_dtype(t)` (a `SignCounts`
+    entry). With no `out` the counts go to a new array and the float64
+    product ``scale_counts(counts, f.scalars, b.scalars)`` is returned:
+    for ``bin_gemm(binarize_rows(h), binarize_columns(w))`` the dense
+    product of the two scalar-rescaled sign approximations of h and w up
+    to float summation order. The C route counts each row's words against
+    the transposed words of `b` in one call; the numpy route expands row
+    blocks of `f` to float32 +-1 signs and multiplies them by the expanded
+    signs of `b`, which is exact for t < 2**24, the limit both routes
+    keep. Pure function, safe to call concurrently with distinct `out`
+    arrays (C-contiguous, (f.rows, b.rows)).
     """
     if f.cols != b.cols:
         raise ValueError(f"bucket lengths disagree: {f.cols} vs {b.cols}")
@@ -449,32 +448,21 @@ def bin_gemm(f: PackedBinMatrix, b: PackedBinMatrix,
                          f"(limit {_MAX_EXACT_INNER - 1})")
     shape, dtype = (f.rows, b.rows), count_dtype(t)
     if out is None:
-        out = np.empty(shape)
-    elif (out.shape != shape or out.dtype not in (np.float64, dtype)
-          or not out.flags.c_contiguous):
-        raise ValueError(f"out must be C-contiguous float64 or {dtype} of shape {shape}")
-    counting = out.dtype == dtype
+        return scale_counts(bin_gemm(f, b, np.empty(shape, dtype)), f.scalars, b.scalars)
+    if out.shape != shape or out.dtype != dtype or not out.flags.c_contiguous:
+        raise ValueError(f"out must be C-contiguous {dtype} of shape {shape}")
     lib = _native()
     if lib is not None:
         f_words = np.ascontiguousarray(f.words, dtype=np.uint64)
         b_words_t = np.ascontiguousarray(b.words.T, dtype=np.uint64)
-    else:
-        b_signs = _unpack_signs(b.words, t, np.float32).T
-    # The product is scaled a row block of counts at a time.
-    step = f.rows if counting and lib is not None else _BLOCK_ROWS
-    counts = out if counting else np.empty((min(step, f.rows), b.rows), dtype)
-    for start in range(0, f.rows, step):
-        stop = min(start + step, f.rows)
-        block = counts[start:stop] if counting else counts[:stop - start]
-        if lib is not None:
-            lib.bin_counts(f_words[start:stop].ctypes.data, b_words_t.ctypes.data, stop - start,
-                           f_words.shape[1], b.rows, t, int(_pad_mask(t)), block.ctypes.data,
-                           dtype == np.int32,
-                           _threads_for((stop - start) * f_words.shape[1] * b.rows))
-        else:
-            block[...] = _unpack_signs(f.words[start:stop], t, np.float32) @ b_signs
-        if not counting:
-            scale_counts(block, f.scalars[start:stop], b.scalars, out[start:stop])
+        lib.bin_counts(f_words.ctypes.data, b_words_t.ctypes.data, f.rows, f_words.shape[1],
+                       b.rows, t, int(_pad_mask(t)), out.ctypes.data, dtype == np.int32,
+                       _threads_for(f.rows * f_words.shape[1] * b.rows))
+        return out
+    b_signs = _unpack_signs(b.words, t, np.float32).T
+    for start in range(0, f.rows, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, f.rows)
+        out[start:stop] = _unpack_signs(f.words[start:stop], t, np.float32) @ b_signs
     return out
 
 

@@ -473,9 +473,13 @@ def backward(
     if cache.pre_act is not None:  # into the spent output's role
         active = np.greater(cache.pre_act, 0.0, out=_take(ws, "keep", grad_out.shape, bool))
         grad_out = np.multiply(grad_out, active, out=_take(ws, "zetas", grad_out.shape))
-    # The self paths' gradients are grad_out; the propagated one goes into
-    # the forward's spent output role.
-    grad_zetas = [grad_out] * (len(cache.weights) - 1)
+    # The self paths' gradients are grad_out, at a slice's output rows; the
+    # propagated one goes into the forward's spent output role.
+    grad_self = grad_out
+    if adj.out_at is not None and len(cache.weights) > 1:
+        grad_self = np.zeros((n, m))
+        grad_self[adj.out_at] = grad_out
+    grad_zetas = [grad_self] * (len(cache.weights) - 1)
     grad_zetas.append(sparse_matmul(adj.matrix.T, grad_out, _take(ws, "out", (n, m))))
     binarized = cache.beta is not None
     if binarized:

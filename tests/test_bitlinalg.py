@@ -287,6 +287,18 @@ class TestBinGemm:
             ref = dense(f) @ dense(b).T
             assert np.allclose(bl.bin_gemm(f, b), ref, atol=1e-9)
 
+    @pytest.mark.parametrize("t", [63, 64, 65, 2 ** 15])
+    def test_float_product_is_the_counts_scaled(self, t):
+        rng = np.random.default_rng(t)
+        f = bl.binarize_rows(rng.standard_normal((5, t)))
+        b = bl.binarize_columns(rng.standard_normal((t, 3)))
+        counts = np.empty((5, 3), bl.count_dtype(t))
+        assert bl.bin_gemm(f, b, out=counts) is counts
+        assert counts.dtype == (np.int32 if t >= 2 ** 15 else np.int16)
+        assert np.array_equal(bl.bin_gemm(f, b), bl.scale_counts(counts, f.scalars, b.scalars))
+        with pytest.raises(ValueError, match="out must be"):
+            bl.bin_gemm(f, b, out=np.empty((5, 3)))
+
     def test_concurrent_invocations_agree(self):
         from concurrent.futures import ThreadPoolExecutor
 
@@ -438,7 +450,8 @@ class TestBlockedMemory:
         for n in (1024, 8192):
             words = np.zeros((n, self.D // bl.WORD_BITS), dtype=np.uint64)
             f = bl.PackedBinMatrix(rows=n, cols=self.D, words=words, scalars=np.ones(n))
-            peaks.append(_peak_above_result(bl.bin_gemm, f, b))
+            peaks.append(_peak_above_result(
+                lambda: bl.bin_gemm(f, b, out=np.empty((n, self.M), bl.count_dtype(self.D)))))
         assert peaks[1] <= 1.05 * peaks[0] + 65536
 
     def test_standardized_binarize_rows_peak_independent_of_rows(self):
