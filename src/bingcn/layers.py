@@ -51,12 +51,14 @@ adjacency or the neighbor mean) in place of the whole operator: the
 layer then computes its output rows R_out from its input rows R_in
 alone, and a self path adds its product's rows R_out, which R_in
 includes. A float input of all N rows is read at rows R_in, in
-gathered blocks; dropout draws the mask of all N rows, as a full pass
-does, and applies its rows R_in. The output rows are the full pass's
-bit for bit, but for the narrow products `_product` names. A whole
-operator given as a bare CSR matrix (the neighbor mean) is wrapped in a
-`NormalizedAdjacency` on entry, so every layer aggregates through
-`graph.aggregate`.
+gathered blocks. Dropout draws the mask's rows R_in alone and skips the
+generator over the others (`_draw_rows`), so the mask is rows R_in of a
+full pass's and the generator's stream is unchanged. Only the all-node
+operand that `_product` falls back to has a row per node. The output
+rows are the full pass's bit for bit, but for the narrow products
+`_product` names. A whole operator given as a bare CSR matrix (the
+neighbor mean) is wrapped in a `NormalizedAdjacency` on entry, so every
+layer aggregates through `graph.aggregate`.
 
 The float products, ``H x W`` on any route and the weight gradient
 ``H^T x G`` whole or gathered, split their output rows over Python
@@ -85,6 +87,10 @@ BN_EPS = 1e-5
 # Bytes of a float input's rows that a row plan's layer gathers at once,
 # summed over the threads that gather them.
 _GATHER_BYTES = 1 << 20
+# Draws a planned dropout mask skips with `advance` rather than drawing
+# them: one `advance` and one `random` call cost about as much as this
+# many draws.
+_SKIP_DRAWS = 1024
 # Multiply-adds below which a float product stays on the calling thread
 # (`_split`), where a thread pool would cost more than it saves. On a
 # 2-vCPU VM with one BLAS thread, one thread against two (each call
@@ -113,9 +119,7 @@ class Workspace:
     Taking a role again overwrites what the last taker wrote, so one
     role serves arrays that are never live at the same time: the
     forward's output and scratch roles are reused by the backward pass,
-    by which time the next layer has consumed them; in a row-planned
-    layer, the dropout draw of every node's row and the all-node operand
-    of the product share the "nodes" role. A cache built with a
+    by which time the next layer has consumed them. A cache built with a
     workspace is valid for one backward pass. Without a workspace (None)
     every array is new.
     """
@@ -178,18 +182,56 @@ def _dropout_mask(rng: np.random.Generator, shape, rate: float, ws: Workspace | 
                   adj: NormalizedAdjacency, route: str) -> np.ndarray:
     """Inverted-dropout mask: zeros with probability `rate`, else 1/(1-rate).
 
-    On the "rows" route (`_input_route`) the draw is that of every node's
-    row, so the generator's stream is the full pass's, and the mask holds
-    the rows `adj.in_rows`.
+    On the "rows" route (`_input_route`) the mask holds the rows
+    `adj.in_rows` of a full pass's draw, and the generator's stream is the
+    full pass's (`_draw_rows`).
     """
     if rng is None:
         raise ValueError("training with dropout requires an rng")
-    drawn = (adj.n_nodes, shape[1]) if route == "rows" else shape
-    draws = rng.random(drawn, out=_take(ws, "nodes", drawn))
+    draws = _take(ws, "drop", shape)
     if route == "rows":
-        draws = np.take(draws, adj.in_rows, axis=0, out=_take(ws, "drop_rows", shape))
+        _draw_rows(rng, adj.in_rows, adj.n_nodes, draws)
+    else:
+        rng.random(shape, out=draws)
     keep = np.greater_equal(draws, rate, out=_take(ws, "keep", shape, bool))
     return np.divide(keep, 1.0 - rate, out=draws)
+
+
+def _draw_rows(rng: np.random.Generator, rows: np.ndarray, n_nodes: int,
+               out: np.ndarray) -> np.ndarray:
+    """The sorted `rows` of ``rng.random((n_nodes, d))`` into `out`, leaving
+    `rng` in the state that whole draw leaves it in.
+
+    PCG64 takes one step per float64 drawn, so the rows are drawn in
+    stretches and the generator `advance`s over the rows between them and
+    after the last. A stretch spans rows fewer than `_SKIP_DRAWS` draws
+    apart, within one 1 MiB span of the whole draw; it is drawn whole and
+    read at its rows. Any other bit generator, or one holding half of a
+    32-bit draw (which `advance` would drop), takes the whole draw.
+    """
+    d = out.shape[1]
+    bits = rng.bit_generator
+    if (not isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM))
+            or bits.state["has_uint32"]):
+        return np.take(rng.random((n_nodes, d)), rows, axis=0, out=out)
+    span = max(1, _GATHER_BYTES // (d * out.itemsize))
+    cuts = np.flatnonzero(((np.diff(rows) - 1) * d >= _SKIP_DRAWS)
+                          | (np.diff(rows // span) != 0)) + 1
+    bounds = [0, *cuts.tolist(), rows.size]
+    drawn = 0  # the rows of the whole draw drawn or skipped so far
+    for start, stop in zip(bounds, bounds[1:]):
+        first, last = int(rows[start]), int(rows[stop - 1]) + 1
+        if first > drawn:
+            bits.advance((first - drawn) * d)
+        if last - first == stop - start:  # every row of the stretch
+            rng.random((stop - start, d), out=out[start:stop])
+        else:
+            np.take(rng.random((last - first, d)), rows[start:stop] - first, axis=0,
+                    out=out[start:stop], mode="clip")  # in range: "raise" would buffer
+        drawn = last
+    if n_nodes > drawn:
+        bits.advance((n_nodes - drawn) * d)
+    return out
 
 
 def _product(h: np.ndarray, w: np.ndarray, adj: NormalizedAdjacency, route: str,
@@ -199,18 +241,21 @@ def _product(h: np.ndarray, w: np.ndarray, adj: NormalizedAdjacency, route: str,
 
     BLAS may round a row of a product differently with the shape of the
     call, so on a row plan's slice each row is computed as a full pass
-    computes it. On the "rows" route `h` goes into an all-node operand at
-    its nodes' rows and takes one all-node product; the operand's other
-    rows hold zeros, dropout draws or earlier inputs, all finite, which
-    cost time but change nothing. On the "gather" route `h` is read at
-    the slice's input rows in near-equal gathered blocks of at most
-    1 MiB, and larger only where that would leave a block too few rows:
-    BLAS computes a block's rows as in the full product only while the
-    block's product is large enough for its general kernel
-    (`bitlinalg._BLAS_EXACT_SLICE`), so every block stays above that
-    wherever the whole gathered product does. The rows agree with the
-    full pass's only to rounding where it does not, and for a one-column
-    `w`, which BLAS multiplies as a vector.
+    computes it. BLAS computes a row as in the full product, wherever
+    the row sits, while the call is large enough for its general kernel
+    (`bitlinalg._BLAS_EXACT_SLICE`) and `w` has more than one column. So
+    on the "rows" route `h` is multiplied as it is where it has enough
+    rows, and otherwise goes into the leading rows of an operand of just
+    enough rows. A one-column `w`, which BLAS multiplies as a vector and
+    rounds a row by its position, or a full product under the bound
+    takes an all-node operand instead, `h` at its nodes' rows. The
+    padding rows hold zeros or earlier inputs, all finite, which cost
+    time but change nothing. On the "gather" route `h` is read at the
+    slice's input rows in near-equal gathered blocks of at most 1 MiB,
+    and larger only where that would leave a block too few rows, so
+    every block's product stays above the bound wherever the whole
+    gathered product does. The rows agree with the full pass's only to
+    rounding where it does not, and for a one-column `w`.
 
     A product of at least `_MIN_SPLIT_PRODUCT` multiply-adds splits its
     output rows over threads (`_split`), each making one BLAS call per
@@ -223,14 +268,20 @@ def _product(h: np.ndarray, w: np.ndarray, adj: NormalizedAdjacency, route: str,
     if route == "full":
         return _matmul(h, w, out)
     rows = adj.in_rows
-    if route == "rows":
-        shape = (adj.n_nodes, h.shape[1])
-        at_nodes = np.zeros(shape) if ws is None else ws.take("nodes", shape)
-        at_nodes[rows] = h
-        product = _matmul(at_nodes, w, _take(ws, "node_product", (shape[0], w.shape[1])))
-        return np.take(product, rows, axis=0, out=out)
     k, m = w.shape
     min_rows = bl._BLAS_EXACT_SLICE // (k * m) + 1
+    if route == "rows":
+        padded = max(rows.size, min_rows)
+        if m == 1 or padded >= adj.n_nodes:
+            padded, at = adj.n_nodes, rows
+        elif padded == rows.size:
+            return _matmul(h, w, out)
+        else:
+            at = np.arange(rows.size)
+        operand = np.zeros((padded, k)) if ws is None else ws.take("padded", (padded, k))
+        operand[at] = h
+        product = _matmul(operand, w, _take(ws, "padded_product", (padded, m)))
+        return np.take(product, at, axis=0, out=out)
     blocks = _block_bounds(rows.size, k * h.itemsize, min_rows)
     most = max(stop - start for start, stop in blocks)  # the rows gathered at once
 

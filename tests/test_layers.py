@@ -531,8 +531,9 @@ class TestThreadCount:
     @pytest.mark.parametrize("d, m, n, at_four", [
         (1433, 64, 700, {"full": [4, 4], "rows": [4, 4], "gather": [4, 4]}),  # cora-sbm's
         (500, 64, 900, {"full": [4, 4], "rows": [4, 4], "gather": [4, 4]}),  # pubmed-sbm's
-        # 4 slices of a product into 4 columns would be under the BLAS bound
-        (1433, 4, 600, {"full": [3, 3], "rows": [3, 1], "gather": [1, 1]}),
+        # 4 slices of a product into 4 columns would be under the BLAS bound;
+        # the "rows" route pads its operand only to that bound's rows
+        (1433, 4, 600, {"full": [3, 3], "rows": [1, 1], "gather": [1, 1]}),
         (1433, 1, 600, {"full": [1, 1], "rows": [1, 1], "gather": [1, 1]}),  # a vector
     ])
     def test_gcn_products(self, monkeypatch, route, d, m, n, at_four):
@@ -766,16 +767,28 @@ class TestRowPlan:
                                               dense[np.ix_(plan.rows[i + 1], plan.rows[i])])
         assert planned > 100
 
-    @pytest.mark.parametrize("family", ["bigcn", "gcn", "bisage"])
-    def test_a_slice_computes_the_full_rows(self, family):
+    # (n, d, m, masked nodes) by test id suffix.
+    SLICE_SHAPES = {
+        "": (400, 12, 5, 8),  # a whole product under the BLAS bound: the all-node operand
+        "-padded": (3000, 64, 7, 8),  # 25 input rows, padded to the bound's 2233
+        "-unpadded": (3000, 64, 7, 1500),  # 2437 input rows, above the bound
+        "-vector": (1000, 1433, 1, 8),  # one column, multiplied as a vector: all-node
+    }
+
+    @pytest.mark.parametrize("family, shape", [
+        pytest.param(family, shape, id=family + suffix)
+        for suffix, shape in SLICE_SHAPES.items() for family in ("bigcn", "gcn", "bisage")])
+    def test_a_slice_computes_the_full_rows(self, family, shape):
+        n, d, m, n_masked = shape
         rng = np.random.default_rng(41)
-        n, d, m = 400, 12, 5
         g = random_graph(rng, n, d, edge_factor=1)
         adj = neighbor_mean_matrix(g) if family == "bisage" else normalize_adjacency(g)
         mask = np.zeros(n, dtype=bool)
-        mask[rng.choice(n, 8, replace=False)] = True
+        mask[rng.choice(n, n_masked, replace=False)] = True
         op = row_plan(adj, mask, 1).ops[0]
         rows = op.in_rows
+        min_rows = bl._BLAS_EXACT_SLICE // (d * m) + 1
+        assert (n <= min_rows) == (n == 400) and (rows.size >= min_rows) == (n_masked > 8)
         ws = [rng.uniform(-1.2, 1.2, size=(d, m))]
         if family == "bisage":  # a self path too, read at the slice's output rows
             ws.append(rng.uniform(-1.2, 1.2, size=(d, m)))
@@ -796,8 +809,9 @@ class TestRowPlan:
                                     rng=rngs[1], **kind)
             assert np.array_equal(part, full[mask])
             assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
-            if family == "gcn" and dropout == 0.0:
-                # Layer 0's route: the whole input, read at the slice's rows.
+            if family == "gcn" and dropout == 0.0 and m > 1:
+                # Layer 0's route: the whole input, read at the slice's rows
+                # (a one-column product agrees only to rounding).
                 assert np.array_equal(forward(op, g.x, ws, training=training, **kind)[0],
                                       part)
             if training:
@@ -808,6 +822,113 @@ class TestRowPlan:
                     assert np.abs(grad_w_p - grad_w).max() <= 1e-12 * np.abs(grad_w).max()
                 assert np.allclose(grad_h_p, grad_h[rows], rtol=1e-12, atol=1e-15)
                 assert not np.delete(grad_h, rows, axis=0).any()
+
+    @pytest.mark.parametrize("family", ["bigcn", "gcn"])
+    def test_a_planned_step_holds_no_array_of_every_node(self, family):
+        # The same planned step on a graph and on that graph plus 3N isolated
+        # nodes, which no plan reaches: their peaks lie less than half of one
+        # 3N x hidden float64 array apart, so neither the dropout draw nor
+        # the hidden layer's product holds a row per node.
+        rng = np.random.default_rng(44)
+        n, d, hidden = 3000, 20, 64
+        mask = np.zeros(4 * n, dtype=bool)
+        mask[rng.choice(n, 20, replace=False)] = True
+        x, labels = rng.standard_normal((4 * n, d)), rng.integers(0, 7, size=4 * n)
+        edges = rng.integers(0, n, size=(n, 2))
+        graphs = [AttributedGraph(x=x[:k], edges=edges, labels=labels[:k], train_mask=mask[:k],
+                                  val_mask=~mask[:k], test_mask=np.zeros(k, dtype=bool),
+                                  n_classes=7)
+                  for k in (n, 4 * n)]
+        every = np.ones(mask.sum(), dtype=bool)
+
+        def peak(graph):
+            net = Model(ModelConfig(widths=[d, hidden, 7], model=family, dropout=0.5),
+                        np.random.default_rng(0))
+            prop = normalize_adjacency(graph)
+            plan = row_plan(prop, graph.train_mask, net.n_layers)
+            h = net.prepare_input(net.fit_input(graph), plan)
+            tracemalloc.start()
+            try:
+                logits, caches = net.forward(prop, h, training=True,
+                                             rng=np.random.default_rng(1), plan=plan)
+                _, grad_logits = masked_softmax_xent(logits, labels[mask], every)
+                net.backward(prop, caches, grad_logits, plan=plan)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = map(peak, graphs)
+        assert abs(large - small) < 3 * n * hidden * 8 / 2, (small, large)
+
+
+class TestRowDraw:
+    """`layers._draw_rows` gives the rows of the whole draw bit for bit and
+    leaves the generator in the state the whole draw leaves it in."""
+
+    @staticmethod
+    def check(rows, n, d, bits=np.random.PCG64):
+        rows = np.asarray(rows, dtype=np.int64)
+        whole = np.random.Generator(bits(7))
+        want = whole.random((n, d))[rows]
+        rng = np.random.Generator(bits(7))
+        got = L._draw_rows(rng, rows, n, np.empty((rows.size, d)))
+        assert np.array_equal(got, want)
+        assert np.array_equal(rng.random(8), whole.random(8))
+        if bits in (np.random.PCG64, np.random.PCG64DXSM):  # others' states hold arrays
+            assert rng.bit_generator.state == whole.bit_generator.state
+
+    @pytest.mark.parametrize("d", [1, 64])
+    def test_rows_at_the_ends_one_row_and_every_row(self, d):
+        n = 5000
+        for rows in ([0], [n - 1], [2345], [0, n - 1], [0, 1, 2], [n - 3, n - 2, n - 1],
+                     np.arange(n), np.arange(0, n, 2)):
+            self.check(rows, n, d)
+
+    @pytest.mark.parametrize("d", [1, 64])
+    def test_gaps_at_and_either_side_of_the_merge_threshold(self, d):
+        # A gap of `_SKIP_DRAWS` draws or more is skipped, a shorter one drawn.
+        for draws in (L._SKIP_DRAWS - d, L._SKIP_DRAWS, L._SKIP_DRAWS + d):
+            gap = draws // d  # rows between two of the stretch's
+            rows = np.cumsum([3, 1, gap + 1, 1, gap + 1, gap + 1])
+            self.check(rows, int(rows[-1]) + 1 + gap, d)
+            self.check(rows, int(rows[-1]) + 2, d)
+
+    @pytest.mark.parametrize("d", [1, 64])
+    def test_scattered_rows_over_several_spans(self, d):
+        # More rows than one 1 MiB span of the whole draw: stretches are cut
+        # at the spans' edges too.
+        n = 3 * L._GATHER_BYTES // (8 * d) + 5
+        rng = np.random.default_rng(d)
+        for share in (0.001, 0.05, 0.9):
+            self.check(np.flatnonzero(rng.random(n) < share), n, d)
+
+    def test_skips_the_draws_of_the_rows_it_leaves_out(self):
+        # 20 rows of 20000 x 64 (9.8 MiB whole) take well under 1 MiB.
+        rows = np.linspace(0, 19999, 20).astype(np.int64)
+        rng = np.random.default_rng(3)
+        tracemalloc.start()
+        try:
+            L._draw_rows(rng, rows, 20000, np.empty((rows.size, 64)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("bits", [np.random.MT19937, np.random.Philox, np.random.SFC64,
+                                      np.random.PCG64DXSM])
+    def test_other_bit_generators(self, bits):
+        # PCG64DXSM steps once per draw too; the others take the whole draw.
+        self.check([1, 40, 41, 900], 1000, 3, bits)
+
+    def test_a_generator_holding_half_a_32_bit_draw(self):
+        # `advance` would drop the held half, so the whole draw is taken.
+        whole, rng = np.random.default_rng(8), np.random.default_rng(8)
+        for g in (whole, rng):
+            g.integers(0, 10, dtype=np.int32)
+        rows = np.array([2, 600])
+        want = whole.random((1000, 4))[rows]
+        assert np.array_equal(L._draw_rows(rng, rows, 1000, np.empty((2, 4))), want)
+        assert rng.bit_generator.state == whole.bit_generator.state
 
 
 def test_planned_step_expands_only_the_rows_layer_0_reads(monkeypatch):
