@@ -336,12 +336,9 @@ def _weight_product(f: np.ndarray, grad: np.ndarray, rows: np.ndarray | None) ->
     depend on the thread count, so every entry is summed in the
     one-thread order.
     """
-    (n, d), m = f.shape, grad.shape[1]
+    d, m = f.shape[1], grad.shape[1]
     if rows is None:
-        out = np.empty((d, m))
-        bl._fan_out(lambda c0, c1: np.matmul(f[:, c0:c1].T, grad, out=out[c0:c1]),
-                    _split(d, n * d * m, m, lambda c0, c1: (c1 - c0) * n * m))
-        return out
+        return _matmul(f.T, grad, np.empty((d, m)))
     blocks = _block_bounds(rows.size, d * f.itemsize)
     smallest = min(stop - start for start, stop in blocks)
     out, products = np.zeros((d, m)), np.empty((d, m))
@@ -373,7 +370,7 @@ def forward(
     ws: Workspace | None = None,
     activation: bool = False,
     binarize_out: bool = False,
-    out_bn: BatchNormState | None = None,
+    out_bn: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray | bl.PackedBinMatrix, LayerCache]:
     """The layer ``sum_k P_k (H x W_k)``, with ReLU if `activation`.
 
@@ -387,9 +384,9 @@ def forward(
     dropout can mask single entries of the binarized features. In
     inference it takes its input packed (`bitlinalg.binarize_rows`), and
     `binarize_out` returns the output binarized row by row
-    (`graph.aggregate`), standardized first with `out_bn`'s running
-    statistics where given, as the next layer's inference batch norm and
-    binarization would take it. A float layer computes
+    (`graph.aggregate`), standardized first with `out_bn`, a running
+    (mean, variance) pair, where given, as the next layer's inference
+    batch norm and binarization would take it. A float layer computes
     ``(H * mask) x W``. On a row plan's slice `h_in` holds the slice's
     input rows, or, for a float layer, the row of every node (layer 0's
     fixed input), read at those rows by the product and by the weight
@@ -432,8 +429,7 @@ def forward(
             alpha[k] = w_bin.scalars
         product = bl.SignCounts(counts, h_in.scalars, alpha)
         if binarize_out:
-            standardize = (None if out_bn is None
-                           else standardizer(out_bn.running_mean, out_bn.running_var))
+            standardize = None if out_bn is None else standardizer(*out_bn)
             return aggregate(adj, product, binarize=True, standardize=standardize,
                              scratch=functools.partial(_take, ws, "out")), cache
         return aggregate(adj, product, out=_take(ws, "out", (n_out, shape[1]))), cache
@@ -570,21 +566,6 @@ bigcn_forward = gcn_forward_cached = bisage_forward = forward
 bigcn_backward = gcn_backward = bisage_backward = backward
 
 
-@dataclass
-class BatchNormState:
-    """Running statistics for affine-free per-column standardization.
-
-    Training-mode batch norm folds each batch's statistics into them.
-    """
-
-    running_mean: np.ndarray
-    running_var: np.ndarray
-
-    @classmethod
-    def for_dim(cls, dim: int) -> "BatchNormState":
-        return cls(running_mean=np.zeros(dim), running_var=np.ones(dim))
-
-
 def standardizer(mean: np.ndarray, var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(mean, inv_std) that standardize columns of that mean and variance as
     ``(h - mean) * inv_std``: `batch_norm_forward`'s rule, which
@@ -592,13 +573,10 @@ def standardizer(mean: np.ndarray, var: np.ndarray) -> tuple[np.ndarray, np.ndar
     return mean, 1.0 / np.sqrt(var + BN_EPS)
 
 
-def batch_norm_apply(h: np.ndarray, training: bool, state: BatchNormState) -> np.ndarray:
-    """Standardize columns to zero mean and unit variance (no affine).
-
-    Training uses batch statistics and folds them into the running ones;
-    inference standardizes with the running statistics.
-    """
-    out, _ = batch_norm_forward(h, training, state)
+def batch_norm_apply(h: np.ndarray, training: bool,
+                     stats: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """`batch_norm_forward`'s standardized output, without its cache."""
+    out, _ = batch_norm_forward(h, training, stats)
     return out
 
 
@@ -608,18 +586,18 @@ class BatchNormCache:
     inv_std: np.ndarray
 
 
-def batch_norm_forward(
-    h: np.ndarray, training: bool, state: BatchNormState, ws: Workspace | None = None
-) -> tuple[np.ndarray, BatchNormCache]:
+def batch_norm_forward(h: np.ndarray, training: bool, stats: tuple[np.ndarray, np.ndarray],
+                       ws: Workspace | None = None) -> tuple[np.ndarray, BatchNormCache]:
+    """`h` standardized with `stats`, a running (mean, variance) pair, or in
+    training with its batch moments, folded into the pair's arrays in place."""
     h = np.asarray(h, dtype=np.float64)
     if training:
-        mean, var = bl.column_moments(h)
-        state.running_mean = BN_MOMENTUM * state.running_mean + (1 - BN_MOMENTUM) * mean
-        state.running_var = BN_MOMENTUM * state.running_var + (1 - BN_MOMENTUM) * var
-    else:
-        mean = state.running_mean
-        var = state.running_var
-    mean, inv_std = standardizer(mean, var)
+        batch = bl.column_moments(h)
+        for running, moment in zip(stats, batch):
+            running *= BN_MOMENTUM
+            running += (1 - BN_MOMENTUM) * moment
+        stats = batch
+    mean, inv_std = standardizer(*stats)
     normalized = np.subtract(h, mean, out=_take(ws, "normalized", h.shape))
     normalized *= inv_std
     return normalized, BatchNormCache(normalized=normalized, inv_std=inv_std)
@@ -642,19 +620,23 @@ def batch_norm_backward(cache: BatchNormCache, grad_out: np.ndarray,
     return grad
 
 
-def _masked_softmax(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray):
-    """The masked rows' softmax and mean cross-entropy, from one selection
-    of them: (row ids, their logits, their labels, probabilities, loss)."""
-    mask = np.asarray(mask, dtype=bool)
-    idx = np.flatnonzero(mask)
+def _masked_rows(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray):
+    """(row ids, logits, labels) of the masked rows; raises where the mask
+    selects none or a label lies outside the logit width."""
+    idx = np.flatnonzero(np.asarray(mask, dtype=bool))
     if idx.size == 0:
         raise ValueError("mask selects no nodes")
-    labels = np.asarray(labels, dtype=np.int64)
-    sel = logits[idx]
-    sel_labels = labels[idx]
+    sel_labels = np.asarray(labels, dtype=np.int64)[idx]
     if sel_labels.min() < 0 or sel_labels.max() >= logits.shape[1]:
         raise ValueError("labels out of range for the logit width")
+    return idx, logits[idx], sel_labels
 
+
+def _masked_softmax(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray):
+    """The masked rows' softmax and mean cross-entropy, from one selection
+    of them (`_masked_rows`): (row ids, their logits, their labels,
+    probabilities, loss)."""
+    idx, sel, sel_labels = _masked_rows(logits, labels, mask)
     shifted = sel - sel.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     probs = exp / exp.sum(axis=1, keepdims=True)
@@ -688,8 +670,5 @@ def masked_loss_and_accuracy(logits: np.ndarray, labels: np.ndarray,
 
 
 def masked_accuracy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        raise ValueError("mask selects no nodes")
-    pred = np.asarray(logits)[mask].argmax(axis=1)
-    return float((pred == np.asarray(labels)[mask]).mean())
+    _, sel, sel_labels = _masked_rows(np.asarray(logits), labels, mask)
+    return float((sel.argmax(axis=1) == sel_labels).mean())

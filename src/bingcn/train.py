@@ -8,9 +8,9 @@ the whole trace bit for bit.
 
 A validation pass computes only the rows its mask's loss reads (a
 `graph.RowPlan`, built once per `train()`): inference batch norm uses
-the running statistics, so rows are independent. So does a training
-step, unless the family batch-normalizes a hidden layer's input: batch
-statistics read every row. For the same weights the mask's logits and
+a running (mean, variance) pair, so rows are independent. So does a
+training step, unless the family batch-normalizes a hidden layer's
+input: batch statistics read every row. For the same weights the mask's logits and
 loss are the full pass's bit for bit, except where BLAS may round gcn's
 layer-0 product of gathered rows differently: a gathered product too
 small for BLAS's general kernel, or one of a single column
@@ -125,8 +125,9 @@ class Model:
     `input_stats` is a binarized family's (mean, variance) of the input
     features, which layer 0 standardizes with (None for gcn): zeros and
     ones until `fit_input` or a model file sets them; no training step
-    changes them. `bn_states` holds one batch-norm state per hidden layer
-    input where the family batch-normalizes them (`Family.full_pass`).
+    changes them. `bn_states` holds a running (mean, variance) pair per
+    hidden layer input where the family batch-normalizes them
+    (`Family.full_pass`); training folds batch moments into its arrays.
     """
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
@@ -139,7 +140,7 @@ class Model:
                         for _ in range(self.family.paths)]
         self.input_stats = ((np.zeros(widths[0]), np.ones(widths[0]))
                             if self.family.binarized else None)
-        self.bn_states = [L.BatchNormState.for_dim(w)
+        self.bn_states = [(np.zeros(w), np.ones(w))
                           for w in (widths[1:-1] if self.family.full_pass else [])]
 
     def fit_input(self, graph: AttributedGraph):
@@ -397,14 +398,12 @@ def save_model(path, model: Model) -> None:
     Layout, little-endian: magic, format version, model kind, layer
     count, widths, statistics record count, then per record its uint32
     width and float64 mean then variance (a binarized family's
-    `input_stats` first, then each of `bn_states`' running statistics),
+    `input_stats` first, then each of `bn_states`' pairs),
     then `model.weights` as float64 row-major matrices, two per layer for
     the mean-aggregator model.
     """
     widths = model.config.widths
-    records = [(s.running_mean, s.running_var) for s in model.bn_states]
-    if model.input_stats is not None:
-        records.insert(0, model.input_stats)
+    records = ([] if model.input_stats is None else [model.input_stats]) + model.bn_states
     with open(path, "wb") as fh:
         fh.write(MODEL_FILE_MAGIC)
         fh.write(struct.pack("<III", 1, _MODEL_KIND_CODES[model.config.model], len(widths)))
@@ -424,7 +423,7 @@ def load_model(path) -> Model:
     Every read is bounds-checked against the file size; a file that does
     not hold exactly what its header announces, whose statistics records
     are not those of its model family (input statistics for a binarized
-    one, then a batch-norm state per batch-normalized hidden layer input),
+    one, then a batch-norm pair per batch-normalized hidden layer input),
     or whose weights or statistics are non-finite (or a variance
     negative) raises ModelFileError.
     """
@@ -466,8 +465,8 @@ def load_model(path) -> Model:
     kind = _MODEL_KIND_NAMES[kind_code]
     family = FAMILIES[kind]
     stored = [mean.size for mean, _ in records]
-    expected = (([("input statistics", widths[0])] if family.binarized else [])
-                + ([("batch-norm state", w) for w in widths[1:-1]] if family.full_pass else []))
+    expected = ([("input statistics", widths[0])] if family.binarized else []) + (
+        [("batch-norm statistics", w) for w in widths[1:-1]] if family.full_pass else [])
     if stored != [w for _, w in expected]:
         holds = ", ".join(f"{name} of width {w}" for name, w in expected) or "none"
         raise ModelFileError(f"{path}: statistics record widths {stored}, but a {kind} "
@@ -488,7 +487,6 @@ def load_model(path) -> Model:
     model = Model(ModelConfig(widths=widths, model=kind), np.random.default_rng(0))
     if family.binarized:
         model.input_stats = records.pop(0)
-    model.bn_states = [L.BatchNormState(running_mean=mean, running_var=var)
-                       for mean, var in records]
+    model.bn_states = records
     model.weights = weights  # installed as stored: no clipping on load
     return model

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from bingcn import bitlinalg as bl
-from bingcn.layers import BN_EPS, BatchNormState, batch_norm_forward
+from bingcn.layers import BN_EPS, batch_norm_forward
 
 from reference_impl import best_binarization_by_search, unpack_signs
 
@@ -370,11 +370,10 @@ class TestRowBlockedInputOps:
     def test_fused_standardization_equals_batch_norm_then_binarize(self, n):
         rng = np.random.default_rng(n + 1)
         h = rng.standard_normal((n, 70)) * 2.0 - 0.5
-        state = BatchNormState(running_mean=rng.standard_normal(70),
-                               running_var=rng.uniform(0.5, 2.0, size=70))
-        standardized, _ = batch_norm_forward(h, False, state)
-        inv_std = 1.0 / np.sqrt(state.running_var + BN_EPS)
-        fused = bl.binarize_rows(h, (state.running_mean, inv_std))
+        mean, var = rng.standard_normal(70), rng.uniform(0.5, 2.0, size=70)
+        standardized, _ = batch_norm_forward(h, False, (mean, var))
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        fused = bl.binarize_rows(h, (mean, inv_std))
         plain = bl.binarize_rows(standardized)
         assert np.array_equal(fused.words, plain.words)
         assert np.array_equal(fused.scalars, plain.scalars)

@@ -19,7 +19,6 @@ from bingcn.graph import (
 from bingcn.layers import (
     BN_EPS,
     BN_MOMENTUM,
-    BatchNormState,
     Workspace,
     backward,
     batch_norm_apply,
@@ -431,9 +430,8 @@ def counted_model(family, t, n=40, seed=0):
     g = random_graph(rng, n, t, n_classes=3, edge_factor=1)
     model = Model(ModelConfig(widths=[t, 65, 3], model=family), rng)
     model.fit_input(g)
-    for state in model.bn_states:
-        state.running_mean = rng.standard_normal(state.running_mean.shape)
-        state.running_var = rng.uniform(0.3, 3.0, size=state.running_var.shape)
+    model.bn_states = [(rng.standard_normal(mean.shape), rng.uniform(0.3, 3.0, size=var.shape))
+                       for mean, var in model.bn_states]
     prop = neighbor_mean_matrix(g) if family == "bisage" else normalize_adjacency(g)
     mask = np.zeros(n, dtype=bool)
     mask[[1, n // 2]] = True
@@ -972,20 +970,23 @@ def test_planned_step_expands_only_the_rows_layer_0_reads(monkeypatch):
     assert sum(expanded) == plan.rows[0].size
 
 
+def fresh_stats(dim):
+    """A new model's running (mean, variance) pair for `dim` columns."""
+    return np.zeros(dim), np.ones(dim)
+
+
 class TestBatchNorm:
     def test_two_point_column(self):
-        state = BatchNormState.for_dim(1)
-        out = batch_norm_apply(np.array([[1.0], [3.0]]), True, state)
+        out = batch_norm_apply(np.array([[1.0], [3.0]]), True, fresh_stats(1))
         assert np.allclose(out, [[-1.0], [1.0]], atol=1e-4)
 
     def test_constant_column(self):
-        state = BatchNormState.for_dim(1)
-        out = batch_norm_apply(np.full((5, 1), 3.3), True, state)
+        out = batch_norm_apply(np.full((5, 1), 3.3), True, fresh_stats(1))
         assert np.abs(out).max() < 1e-6
 
     def test_standardizes_random_columns(self):
         rng = np.random.default_rng(25)
-        state = BatchNormState.for_dim(4)
+        state = fresh_stats(4)
         h = rng.standard_normal((500, 4)) * 3.0 + 1.5
         out = batch_norm_apply(h, True, state)
         assert np.abs(out.mean(axis=0)).max() < 1e-6
@@ -993,11 +994,11 @@ class TestBatchNorm:
 
     def test_running_stats_used_in_inference(self):
         rng = np.random.default_rng(26)
-        state = BatchNormState.for_dim(2)
+        state = fresh_stats(2)
         h = rng.standard_normal((100, 2)) * 2.0 + 5.0
         for _ in range(200):
             batch_norm_apply(h, True, state)
-        assert np.allclose(state.running_mean, h.mean(axis=0), atol=1e-3)
+        assert np.allclose(state[0], h.mean(axis=0), atol=1e-3)
         out = batch_norm_apply(h, False, state)
         assert np.abs(out.mean(axis=0)).max() < 1e-2
 
@@ -1007,12 +1008,10 @@ class TestBatchNorm:
         grad_out = rng.standard_normal((6, 3))
 
         def scalar_loss(x):
-            state = BatchNormState.for_dim(3)
-            out, _ = batch_norm_forward(x, True, state)
+            out, _ = batch_norm_forward(x, True, fresh_stats(3))
             return float((out * grad_out).sum())
 
-        state = BatchNormState.for_dim(3)
-        _, cache = batch_norm_forward(h, True, state)
+        _, cache = batch_norm_forward(h, True, fresh_stats(3))
         analytic = batch_norm_backward(cache, grad_out)
         step = 1e-6
         fd = np.zeros_like(h)
@@ -1032,14 +1031,14 @@ class TestBatchNorm:
             pytest.skip("the packed C kernel is not built here")
         # More rows than one block of column_moments, which sums blockwise.
         h = np.random.default_rng(28).standard_normal((1300, 5)) * 3.0 + 1.5
-        state = BatchNormState.for_dim(5)
+        state = fresh_stats(5)
         out, cache = batch_norm_forward(h, True, state, ws)
         mean, var = bl.column_moments(h)
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         assert np.array_equal(cache.inv_std, inv_std)
         assert np.array_equal(out, (h - mean) * inv_std)
-        assert np.array_equal(state.running_mean, (1 - BN_MOMENTUM) * mean)
-        assert np.array_equal(state.running_var, BN_MOMENTUM + (1 - BN_MOMENTUM) * var)
+        assert np.array_equal(state[0], (1 - BN_MOMENTUM) * mean)
+        assert np.array_equal(state[1], BN_MOMENTUM + (1 - BN_MOMENTUM) * var)
 
 
 class TestMaskedLoss:
@@ -1091,6 +1090,15 @@ class TestMaskedLoss:
         logits = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])
         labels = np.array([0, 1, 1])
         assert masked_accuracy(logits, labels, np.array([True, True, True])) == pytest.approx(2 / 3)
+
+    @pytest.mark.parametrize("labels", [[0, 5, 1], [0, -1, 1]])
+    def test_accuracy_rejects_what_the_losses_reject(self, labels):
+        logits = np.zeros((3, 2))
+        for mask, match in (([False] * 3, "selects no nodes"),
+                            ([True, True, False], "labels out of range")):
+            for fn in (masked_accuracy, masked_softmax_xent, masked_loss_and_accuracy):
+                with pytest.raises(ValueError, match=match):
+                    fn(logits, labels, mask)
 
     def test_loss_and_accuracy_without_a_gradient_are_the_training_paths(self):
         rng = np.random.default_rng(30)

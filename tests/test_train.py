@@ -252,6 +252,29 @@ class TestTrainingLoop:
         val_loss, _ = evaluate(result.model, prop, g, g.val_mask)
         assert val_loss == pytest.approx(result.best_val_loss, abs=1e-9)
 
+    def test_bisage_returns_the_best_epochs_batch_norm_pair(self, monkeypatch):
+        # Training folds each batch's moments into the running pair's arrays
+        # in place, so the checkpoint must hold arrays later epochs never see.
+        g = small_sbm(seed=5)
+        base = dict(widths=[24, 8, 3], model="bisage", seed=5, lr=0.05, patience=5)
+        updated = []
+        batch_norm_forward = L.batch_norm_forward
+
+        def recording(h, training, stats, ws=None):
+            if training:
+                updated.append(stats)
+            return batch_norm_forward(h, training, stats, ws)
+
+        monkeypatch.setattr(L, "batch_norm_forward", recording)
+        result = train(ModelConfig(**base, max_epochs=40), g)
+        assert result.best_epoch < len(result.trace) and updated
+        again = train(ModelConfig(**base, max_epochs=result.best_epoch), g)
+        assert again.best_epoch == result.best_epoch
+        (pair,) = result.model.bn_states
+        for got, want in zip(pair, again.model.bn_states[0]):
+            assert np.array_equal(got, want)
+        assert not any(np.shares_memory(a, b) for a in pair for stats in updated for b in stats)
+
     def test_ste_mode_changes_training(self):
         g = small_sbm(seed=4)
         base = dict(widths=[24, 16, 3], model="bigcn", seed=4, max_epochs=40)
@@ -389,9 +412,9 @@ class TestModelFiles:
         if model != "gcn":
             net.input_stats = (np.array([0.5, -1.0, 2.0]), np.array([1.5, 0.25, 3.0]))
             records.append(net.input_stats)
-        for state in net.bn_states:
-            state.running_mean, state.running_var = np.array([0.125, -0.75]), np.array([2.0, 0.5])
-            records.append((state.running_mean, state.running_var))
+        net.bn_states = [(np.array([0.125, -0.75]), np.array([2.0, 0.5]))
+                         for _ in net.bn_states]
+        records += net.bn_states
         expected = b"BGNM" + struct.pack("<III3I", 1, kind_code, 3, *widths)
         expected += struct.pack("<I", len(records))
         for mean, var in records:
@@ -450,7 +473,7 @@ class TestBatchNormPlacement:
         model = Model(config, np.random.default_rng(0))
         assert model.input_stats[0].shape == (24,)
         assert len(model.bn_states) == 1
-        assert model.bn_states[0].running_mean.shape == (8,)
+        assert [a.shape for a in model.bn_states[0]] == [(8,), (8,)]
 
     def test_gcn_has_no_batch_norm_by_default(self):
         config = ModelConfig(widths=[24, 8, 3], model="gcn")
