@@ -59,9 +59,9 @@ sign product a weight gradient needs, in float64) work in row blocks, so
 a fixed input can be held as packed words alone and is never expanded
 whole. In semi-supervised training the loss reaches few rows: training
 passes the packed rows of the input that a row plan reads
-(`graph.row_plan`), so `sign_t_matmul` expands only those. `train`
-takes the moments and the packed input once per graph and keeps them in
-the graph's memo.
+(`graph.row_plan`), so `sign_t_matmul` expands only those. The graph
+takes its input's moments and packed input once and keeps them
+(`graph.AttributedGraph.input_moments`, `packed_input`).
 """
 
 from __future__ import annotations
@@ -81,6 +81,8 @@ from pathlib import Path
 import numpy as np
 
 WORD_BITS = 64
+# The variance offset under every standardization's square root (`standardizer`).
+BN_EPS = 1e-5
 
 # Rows processed per block in bin_gemm and binarize_rows; bounds every
 # temporary to (block, cols) so its size does not grow with the node count.
@@ -281,6 +283,13 @@ class PackedBinMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.rows, self.cols
+
+
+def standardizer(mean: np.ndarray, var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, inv_std) that standardize columns of that mean and variance as
+    ``(h - mean) * inv_std``: `binarize_rows`' `standardize`, and the rule
+    of `layers.batch_norm_forward`."""
+    return mean, 1.0 / np.sqrt(var + BN_EPS)
 
 
 def _standardize_args(standardize, d: int) -> list:

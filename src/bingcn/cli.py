@@ -63,7 +63,7 @@ def _load_graph(args):
     raw = args.sbm
     try:
         text = raw if raw.lstrip().startswith("{") else Path(raw).read_text()
-        params = SBMParams.from_json(json.loads(text))
+        params = SBMParams(**json.loads(text))
     except (TypeError, ValueError) as exc:  # also undecodable bytes and invalid JSON
         raise UsageError(f"bad SBM parameters: {exc}") from exc
     return generate_sbm(params)

@@ -316,10 +316,6 @@ class SBMParams:
         if self.nodes_per_class <= self.train_per_class + self.val_per_class:
             raise ValueError("classes too small for the requested train/val split")
 
-    @classmethod
-    def from_json(cls, raw: dict) -> "SBMParams":
-        return cls(**raw)
-
 
 def generate_sbm(params: SBMParams) -> AttributedGraph:
     """Sample a planted-partition graph, deterministic per seed."""

@@ -1,8 +1,9 @@
 """Attributed graph container, adjacency normalization, sparse aggregation.
 
-`AttributedGraph` owns the edge rule: it takes any list of undirected
-pairs and stores each edge once, as (u, v) with u < v, sorted, with no
-self-loops.
+`AttributedGraph` is a frozen value. It owns the edge rule: it takes
+any list of undirected pairs and stores each edge once, as (u, v) with
+u < v, sorted, with no self-loops. It owns its standardized input too,
+computed once, on first use (`input_moments`, `packed_input`).
 
 Both propagation operators scale the `.data` of one unit symmetric CSR
 (with or without self-loops) from its row degrees. A row plan
@@ -12,7 +13,8 @@ reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,17 +26,17 @@ from . import bitlinalg as bl
 _SCIPY_COLUMNS = 8
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class AttributedGraph:
     """Node features, undirected edges, labels, and split masks.
 
     `edges` takes any (E, 2) integer array (or an empty sequence) of
     undirected pairs in [0, N); the graph stores each edge once, as
     (u, v) with u < v, in sorted order, and drops self-loops.
-    Instances are immutable once built: every array the graph holds is its
-    own read-only copy, so what is derived from them once (a row plan, the
-    `input_memo`) stays valid whatever the caller later writes to the
-    arrays it passed.
+    Instances are frozen: no field can be assigned, and every array the
+    graph holds is its own read-only copy, so what is derived from them
+    once (a row plan, `input_moments`, `packed_input`) stays valid
+    whatever the caller later writes to the arrays it passed.
     """
 
     x: np.ndarray  # (N, d) float64; checked finite before widening (float32 is half the bytes)
@@ -43,22 +45,21 @@ class AttributedGraph:
     train_mask: np.ndarray
     val_mask: np.ndarray
     test_mask: np.ndarray
-    n_classes: int = field(default=0)
-    # (the x it was derived from, the memo): see `input_memo`.
-    _memo: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    n_classes: int = 0
 
     def __post_init__(self):
+        own = functools.partial(object.__setattr__, self)  # a frozen field's one setter
         x = np.asarray(self.x)
         if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
             raise ValueError("features must be a non-empty (N, d) matrix")
         if not np.isfinite(x).all():
             raise ValueError("features contain non-finite entries")
-        self.x = np.array(x, dtype=np.float64, order="C")
-        self.labels = np.array(self.labels, dtype=np.int64)
+        own("x", np.array(x, dtype=np.float64, order="C"))
+        own("labels", np.array(self.labels, dtype=np.int64))
         for name in ("train_mask", "val_mask", "test_mask"):
-            setattr(self, name, np.array(getattr(self, name), dtype=bool))
+            own(name, np.array(getattr(self, name), dtype=bool))
         if self.n_classes == 0:
-            self.n_classes = int(self.labels.max()) + 1 if self.labels.size else 0
+            own("n_classes", int(self.labels.max()) + 1 if self.labels.size else 0)
 
         n = self.x.shape[0]
         if self.labels.shape != (n,):
@@ -81,7 +82,7 @@ class AttributedGraph:
         keys = (lo * n + hi)[lo != hi]  # N * N < 2**63 for any N whose features fit in memory
         keys.sort()
         keys = keys[np.diff(keys, prepend=-1) > 0]  # the first of each run of equal keys
-        self.edges = np.stack(np.divmod(keys, n), axis=1)
+        own("edges", np.stack(np.divmod(keys, n), axis=1))
         for name in ("x", "edges", "labels", "train_mask", "val_mask", "test_mask"):
             getattr(self, name).flags.writeable = False
         for m in (self.train_mask, self.val_mask, self.test_mask):
@@ -95,15 +96,20 @@ class AttributedGraph:
         if overlap.any():
             raise ValueError("train/val/test masks overlap")
 
-    def input_memo(self) -> dict:
-        """A dict for work derived from `x` alone, which `train` fills on
-        first use and reads afterwards. Empty until then, and emptied when
-        `x` is reassigned."""
-        x, memo = self._memo
-        if x is not self.x:
-            memo = {}
-            self._memo = (self.x, memo)
-        return memo
+    @functools.cached_property
+    def input_moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """The exact column mean and population variance of `x`, read-only:
+        a binarized model's input statistics (`train.Model.fit_input`)."""
+        moments = bl.column_moments(self.x)
+        for a in moments:
+            a.flags.writeable = False
+        return moments
+
+    @functools.cached_property
+    def packed_input(self) -> bl.PackedBinMatrix:
+        """`x` standardized with `input_moments` and binarized: a binarized
+        model's first-layer input on this graph (`train.Model.graph_input`)."""
+        return bl.binarize_rows(self.x, bl.standardizer(*self.input_moments))
 
     @property
     def n_nodes(self) -> int:

@@ -28,7 +28,7 @@ compute ``bin(H) x bin(W)`` and agree within float tolerance:
   is held.
   In training the input holds only the rows its row plan reads (below).
   An inference layer that feeds a binarized layer hands it its output
-  binarized (`binarize_out`): the C library binarizes each row as it
+  binarized (`forward`'s `hidden`): the C library binarizes each row as it
   aggregates it, so no hidden float array is held; the numpy route
   aggregates the output whole first, with the same words and scalars.
 * float simulation — dense products of the reconstructed scalar-rescaled
@@ -80,10 +80,8 @@ from . import bitlinalg as bl
 from .graph import NormalizedAdjacency, aggregate, sparse_matmul
 
 STE_MODES = ("grad", "input")
-# Training-mode batch norm: the share of the running statistics kept per
-# batch, and the variance offset under the square root.
+# Training-mode batch norm: the share of the running statistics kept per batch.
 BN_MOMENTUM = 0.9
-BN_EPS = 1e-5
 # Bytes of a float input's rows that a row plan's layer gathers at once,
 # summed over the threads that gather them.
 _GATHER_BYTES = 1 << 20
@@ -368,11 +366,10 @@ def forward(
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
     ws: Workspace | None = None,
-    activation: bool = False,
-    binarize_out: bool = False,
+    hidden: bool = False,
     out_bn: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray | bl.PackedBinMatrix, LayerCache]:
-    """The layer ``sum_k P_k (H x W_k)``, with ReLU if `activation`.
+    """The layer ``sum_k P_k (H x W_k)``, `hidden` where another follows.
 
     Every path of `weights` but the last is a self path (``P = I``); the
     last is propagated by `prop`: a `NormalizedAdjacency`, whole or a row
@@ -383,14 +380,14 @@ def forward(
     float `h_in` runs the float simulation, in training only, whose
     dropout can mask single entries of the binarized features. In
     inference it takes its input packed (`bitlinalg.binarize_rows`), and
-    `binarize_out` returns the output binarized row by row
+    a `hidden` one returns its output binarized row by row
     (`graph.aggregate`), standardized first with `out_bn`, a running
     (mean, variance) pair, where given, as the next layer's inference
     batch norm and binarization would take it. A float layer computes
-    ``(H * mask) x W``. On a row plan's slice `h_in` holds the slice's
-    input rows, or, for a float layer, the row of every node (layer 0's
-    fixed input), read at those rows by the product and by the weight
-    gradient in gathered blocks, so no copy of them is held whole.
+    ``(H * mask) x W``, with a ReLU where `hidden`. On a row plan's slice
+    `h_in` holds the slice's input rows, or, for a float layer, the row of
+    every node (layer 0's fixed input), read at those rows by the product
+    and by the weight gradient in gathered blocks, never copied whole.
     """
     weights = [np.asarray(w, dtype=np.float64) for w in weights]
     shape = weights[0].shape
@@ -400,8 +397,6 @@ def forward(
     if packed and training and dropout > 0.0:
         raise ValueError("dropout needs a float layer input: its mask zeroes "
                          "single binarized entries")
-    if binarize_out and (training or not binarized):
-        raise ValueError("only a binarized layer's inference pass binarizes its output")
     if not packed:
         h_in = np.asarray(h_in, dtype=np.float64)
     if len(h_in.shape) != 2 or h_in.shape[1] != shape[0]:
@@ -428,8 +423,8 @@ def forward(
             bl.bin_gemm(h_in, w_bin, out=counts[k])
             alpha[k] = w_bin.scalars
         product = bl.SignCounts(counts, h_in.scalars, alpha)
-        if binarize_out:
-            standardize = None if out_bn is None else standardizer(*out_bn)
+        if hidden and not training:
+            standardize = None if out_bn is None else bl.standardizer(*out_bn)
             return aggregate(adj, product, binarize=True, standardize=standardize,
                              scratch=functools.partial(_take, ws, "out")), cache
         return aggregate(adj, product, out=_take(ws, "out", (n_out, shape[1]))), cache
@@ -453,7 +448,7 @@ def forward(
         out = np.add(zeta if adj.out_at is None else zeta[adj.out_at], out, out=out)
     cache = LayerCache(h_in=h_in, operand=operand, beta=beta, weights=weights,
                        drop_mask=drop_mask)
-    if activation:
+    if hidden and not binarized:
         # R_out is a subset of R_in: the output fits in the product's leading rows.
         cache.pre_act = out
         out = np.maximum(out, 0.0, out=zetas[0][:out.shape[0]])
@@ -566,13 +561,6 @@ bigcn_forward = gcn_forward_cached = bisage_forward = forward
 bigcn_backward = gcn_backward = bisage_backward = backward
 
 
-def standardizer(mean: np.ndarray, var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(mean, inv_std) that standardize columns of that mean and variance as
-    ``(h - mean) * inv_std``: `batch_norm_forward`'s rule, which
-    `bl.binarize_rows` applies on the fly."""
-    return mean, 1.0 / np.sqrt(var + BN_EPS)
-
-
 def batch_norm_apply(h: np.ndarray, training: bool,
                      stats: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """`batch_norm_forward`'s standardized output, without its cache."""
@@ -597,7 +585,7 @@ def batch_norm_forward(h: np.ndarray, training: bool, stats: tuple[np.ndarray, n
             running *= BN_MOMENTUM
             running += (1 - BN_MOMENTUM) * moment
         stats = batch
-    mean, inv_std = standardizer(*stats)
+    mean, inv_std = bl.standardizer(*stats)
     normalized = np.subtract(h, mean, out=_take(ws, "normalized", h.shape))
     normalized *= inv_std
     return normalized, BatchNormCache(normalized=normalized, inv_std=inv_std)

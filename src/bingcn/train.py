@@ -18,12 +18,12 @@ small for BLAS's general kernel, or one of a single column
 order. `evaluate()` takes the loss and accuracy from one selection of
 the mask's rows and builds no gradient.
 
-Work on the fixed input runs once per graph, not once per call: the
-exact column moments of X (`input_moments`, computed in C where the
-packed kernel builds) and, for a binarized family, X standardized with
-them and binarized (`Model.graph_input`) are kept in the graph's memo
-(`AttributedGraph.input_memo`). Later `train()` calls on the graph, and
-`evaluate()` without a prepared input, reuse them.
+Work on the fixed input runs once per graph, not once per call: a
+binarized family takes the exact column moments of X and X standardized
+with them and binarized from the graph (`AttributedGraph.input_moments`
+and `packed_input`, computed in C where the packed kernel builds), which
+computes each on first use and keeps it. Later `train()` calls on the
+graph, and `evaluate()` without a prepared input, reuse them.
 """
 
 from __future__ import annotations
@@ -151,27 +151,22 @@ class Model:
         the graph's read-only `input_moments`, shared, not copied.
         """
         if self.family.binarized:
-            self.input_stats = input_moments(graph)
+            self.input_stats = graph.input_moments
         return self.graph_input(graph)
 
     def graph_input(self, graph: AttributedGraph):
         """`prepare_input(graph.x)`, taken once per graph where it can be.
 
-        The graph's memo holds one packed input, standardized with its
-        `input_moments`. It is filled and returned where this model's
-        `input_stats` equal them, as they do after `fit_input` on the
-        graph. Other statistics (a model file trained on another graph,
-        say) get a fresh binarization, which is not kept.
+        That is the graph's `packed_input` where this model's
+        `input_stats` equal the graph's `input_moments`, as they do after
+        `fit_input` on the graph. Other statistics (a model file trained
+        on another graph, say) get a fresh binarization, which is not kept.
         """
         if not self.family.binarized:
             return graph.x
-        memo = graph.input_memo()
-        moments = memo.get("moments")
-        if moments is None or not all(map(np.array_equal, self.input_stats, moments)):
-            return self.prepare_input(graph.x)
-        if "packed" not in memo:
-            memo["packed"] = self.prepare_input(graph.x)
-        return memo["packed"]
+        if all(map(np.array_equal, self.input_stats, graph.input_moments)):
+            return graph.packed_input
+        return self.prepare_input(graph.x)
 
     def prepare_input(self, x: np.ndarray, plan: RowPlan | None = None):
         """The first layer's input for features `x`.
@@ -185,7 +180,7 @@ class Model:
         if not self.family.binarized:
             return x
         if not isinstance(x, bl.PackedBinMatrix):
-            x = bl.binarize_rows(x, L.standardizer(*self.input_stats))
+            x = bl.binarize_rows(x, bl.standardizer(*self.input_stats))
         rows = None if plan is None else plan.rows[0]
         if rows is None or x.rows == rows.size:  # all rows needed, or gathered already
             return x
@@ -224,8 +219,7 @@ class Model:
             h, cache = forward(layer_prop, h, self.weights[i * p:(i + 1) * p],
                                binarized=self.family.binarized, training=training,
                                dropout=self.config.dropout if i > 0 else 0.0, rng=rng,
-                               ws=ws, activation=hidden and not self.family.binarized,
-                               binarize_out=packs and hidden,
+                               ws=ws, hidden=hidden,
                                out_bn=self.bn_states[i] if hidden and self.bn_states else None)
             caches.append((cache, bn_cache))
         return h, caches
@@ -274,18 +268,6 @@ class TrainResult:
     best_epoch: int
     best_val_loss: float
     seed: int
-
-
-def input_moments(graph: AttributedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """The exact column mean and population variance of `graph.x`, taken on
-    first use and kept, read-only, in the graph's memo."""
-    memo = graph.input_memo()
-    if "moments" not in memo:
-        moments = bl.column_moments(graph.x)
-        for a in moments:
-            a.flags.writeable = False
-        memo["moments"] = moments
-    return memo["moments"]
 
 
 def propagation_operator(family: Family, graph: AttributedGraph,

@@ -154,7 +154,7 @@ def test_baseline_gradient_check():
                 h = gcn_forward(adj, h, w, activation=i == 0)
             return masked_softmax_xent(h, g.labels, g.train_mask)[0]
 
-        h1, c1 = forward(adj, g.x, [layers[0]], binarized=False, activation=True)
+        h1, c1 = forward(adj, g.x, [layers[0]], binarized=False, hidden=True)
         h2, c2 = forward(adj, h1, [layers[1]], binarized=False)
         _, grad_logits = masked_softmax_xent(h2, g.labels, g.train_mask)
         grad_h1, (grad_w2,) = backward(c2, adj, grad_logits)

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from bingcn import bitlinalg as bl
-from bingcn.layers import BN_EPS, batch_norm_forward
+from bingcn.bitlinalg import BN_EPS
+from bingcn.layers import batch_norm_forward
 
 from reference_impl import best_binarization_by_search, unpack_signs
 

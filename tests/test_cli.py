@@ -302,7 +302,7 @@ class TestTrain:
 
     def test_defaults_are_the_model_config_defaults(self):
         args = build_parser().parse_args(["train", "--sbm", SBM_ARGS])
-        graph = generate_sbm(SBMParams.from_json(json.loads(SBM_ARGS)))
+        graph = generate_sbm(SBMParams(**json.loads(SBM_ARGS)))
         config = _model_config(_resolve_train_settings(args), graph)
         assert config == ModelConfig(widths=[24, 64, 3])
 

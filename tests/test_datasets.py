@@ -1,5 +1,6 @@
 """Dataset file formats, loader error taxonomy, and the synthetic benchmark."""
 
+import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -51,8 +52,8 @@ class TestRoundtrip:
 
     def test_features_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
-        g = tiny_graph()
-        g.x = rng.standard_normal((4, 3)).astype(np.float32).astype(np.float64)
+        g = dataclasses.replace(
+            tiny_graph(), x=rng.standard_normal((4, 3)).astype(np.float32).astype(np.float64))
         manifest = save_dataset(tmp_path / "t2", g)
         back = load_dataset(manifest)
         assert np.array_equal(back.x, g.x)

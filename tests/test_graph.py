@@ -1,5 +1,7 @@
 """Graph container, adjacency normalization, and aggregation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -241,14 +243,16 @@ class TestFeatureOwnership:
         assert not np.shares_memory(held.x, x32)
         assert not held.x.flags.writeable
 
-    def test_input_memo_starts_empty_and_follows_x(self):
+    def test_fields_are_frozen_and_input_work_waits_for_first_read(self):
         g = make_graph(3, [[0, 1]])
-        memo = g.input_memo()
-        assert memo == {} and g.input_memo() is memo
-        memo["work"] = 1
-        assert "_memo" not in repr(g)
-        g.x = g.x * 2.0  # reassigning x empties the memo
-        assert g.input_memo() == {}
+        for f in dataclasses.fields(g):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(g, f.name, getattr(g, f.name))
+        derived = ("input_moments", "packed_input")
+        assert not set(derived) & vars(g).keys()
+        for name in derived:
+            value = getattr(g, name)
+            assert vars(g)[name] is value and getattr(g, name) is value
 
 
 class TestNormalizeAdjacency:

@@ -1,5 +1,6 @@
 """Layer forward/backward passes, batch norm, and the masked loss."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -16,8 +17,8 @@ from bingcn.graph import (
     normalize_adjacency,
     row_plan,
 )
+from bingcn.bitlinalg import BN_EPS
 from bingcn.layers import (
-    BN_EPS,
     BN_MOMENTUM,
     Workspace,
     backward,
@@ -57,8 +58,8 @@ def random_graph(rng, n, d, n_classes=2, edge_factor=2):
 
 class TestBiGCNForward:
     def test_single_node_hand_example(self):
-        g = random_graph(np.random.default_rng(0), 1, 2)
-        g.x = np.array([[1.0, -1.0]])
+        g = dataclasses.replace(random_graph(np.random.default_rng(0), 1, 2),
+                                x=np.array([[1.0, -1.0]]))
         adj = normalize_adjacency(g)
         w = np.array([[0.5, -0.5], [0.5, 0.5]])
         h_out, _ = forward(adj, bl.binarize_rows(g.x), [w], binarized=True)
@@ -77,7 +78,7 @@ class TestBiGCNForward:
         rng = np.random.default_rng(2)
         g = random_graph(rng, 4, 6, edge_factor=0)
         signs = np.where(rng.random((4, 6)) < 0.5, 1.0, -1.0)
-        g.x = signs * rng.uniform(0.5, 2.0, size=(4, 1))
+        g = dataclasses.replace(g, x=signs * rng.uniform(0.5, 2.0, size=(4, 1)))
         adj = normalize_adjacency(g)
         w = rng.standard_normal((6, 3))
         h_out, _ = forward(adj, bl.binarize_rows(g.x), [w], binarized=True)
@@ -151,8 +152,8 @@ class TestBiGCNBackward:
 
     def test_large_grad_killed_in_grad_mode(self):
         # single node, single weight: grad_h_tilde = g * alpha * sign
-        g = random_graph(np.random.default_rng(9), 1, 1)
-        g.x = np.array([[0.5]])
+        g = dataclasses.replace(random_graph(np.random.default_rng(9), 1, 1),
+                                x=np.array([[0.5]]))
         adj = normalize_adjacency(g)
         _, cache = forward(adj, g.x, [np.array([[0.75]])], binarized=True, training=True)
         grad_h, _ = backward(cache, adj, np.array([[2.0]]), ste_mode="grad")
@@ -222,10 +223,10 @@ class TestGCN:
             assert np.allclose(out, g.x)
 
     def test_relu_clamp(self):
-        g = random_graph(np.random.default_rng(15), 1, 2, edge_factor=0)
-        g.x = np.array([[1.0, -2.0]])
+        g = dataclasses.replace(random_graph(np.random.default_rng(15), 1, 2, edge_factor=0),
+                                x=np.array([[1.0, -2.0]]))
         adj = normalize_adjacency(g)
-        for out in (forward(adj, g.x, [np.eye(2)], binarized=False, activation=True)[0],
+        for out in (forward(adj, g.x, [np.eye(2)], binarized=False, hidden=True)[0],
                     gcn_forward(adj, g.x, np.eye(2), activation=True)):
             assert np.allclose(out, [[1.0, 0.0]])
 
@@ -236,7 +237,7 @@ class TestGCN:
         w = rng.standard_normal((4, 3))
         expected = np.maximum(adj.matrix.toarray() @ (g.x @ w), 0.0)
         assert np.allclose(gcn_forward(adj, g.x, w, activation=True), expected)
-        assert np.allclose(forward(adj, g.x, [w], binarized=False, activation=True)[0],
+        assert np.allclose(forward(adj, g.x, [w], binarized=False, hidden=True)[0],
                            expected)
 
     def test_end_to_end_finite_difference(self):
@@ -254,7 +255,7 @@ class TestGCN:
                 loss, _ = masked_softmax_xent(h, g.labels, g.train_mask)
                 return loss
 
-            h1, c1 = forward(adj, g.x, [layers[0]], binarized=False, activation=True)
+            h1, c1 = forward(adj, g.x, [layers[0]], binarized=False, hidden=True)
             h2, c2 = forward(adj, h1, [layers[1]], binarized=False)
             loss, grad_logits = masked_softmax_xent(h2, g.labels, g.train_mask)
             grad_h1, (grad_w2,) = backward(c2, adj, grad_logits)
@@ -287,9 +288,9 @@ class TestBiSAGE:
         assert np.allclose(h_out, bl.bin_gemm(f, b_self), atol=1e-9)
 
     def test_identical_neighbor_doubles_self_term(self):
-        g = random_graph(np.random.default_rng(20), 2, 4)
-        g.x = np.tile(np.array([[0.3, -1.2, 0.7, 0.1]]), (2, 1))
-        g.edges = np.array([[0, 1]])
+        g = dataclasses.replace(random_graph(np.random.default_rng(20), 2, 4),
+                                x=np.tile(np.array([[0.3, -1.2, 0.7, 0.1]]), (2, 1)),
+                                edges=np.array([[0, 1]]))
         p = neighbor_mean_matrix(g)
         rng = np.random.default_rng(21)
         w = rng.standard_normal((4, 3))
@@ -392,9 +393,9 @@ def test_a_binarized_inference_pass_takes_its_input_packed(family):
     rng = np.random.default_rng(32)
     g = random_graph(rng, 6, 5)
     prop, weights = _binarized_layer(family, g, rng, 3)
-    for binarize_out in (False, True):
+    for hidden in (False, True):
         with pytest.raises(ValueError, match="takes its input packed"):
-            forward(prop, g.x, weights, binarized=True, binarize_out=binarize_out)
+            forward(prop, g.x, weights, binarized=True, hidden=hidden)
     out, cache = forward(prop, bl.binarize_rows(g.x), weights, binarized=True)
     assert out.shape == (6, 3) and isinstance(cache.operand, bl.PackedBinMatrix)
 
@@ -475,11 +476,9 @@ class TestCountRoute:
             if bn is not None:
                 out, _ = batch_norm_forward(out, False, bn)
             want = bl.binarize_rows(out)
-            got, _ = forward(op, x, weights, binarized=True, binarize_out=True, out_bn=bn)
+            got, _ = forward(op, x, weights, binarized=True, hidden=True, out_bn=bn)
             assert np.array_equal(got.words, want.words)
             assert np.array_equal(got.scalars, want.scalars)
-        with pytest.raises(ValueError, match="binarizes its output"):
-            forward(prop, g.x, weights, binarized=True, training=True, binarize_out=True)
 
     def test_training_aggregates_layer_0_counts_whole(self, route, family):
         model, prop, g, _ = counted_model(family, 130, seed=4)
@@ -555,7 +554,7 @@ class TestThreadCount:
         for threads in (1, 2, 3, 4):
             monkeypatch.setattr(bl, "_threads", lambda: threads)
             seen.clear()
-            out, cache = forward(prop, x, [w], binarized=False, training=True, activation=True)
+            out, cache = forward(prop, x, [w], binarized=False, training=True, hidden=True)
             got = out.copy(), backward(cache, prop, grad, need_input_grad=False)[1][0]
             want = want or got
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), threads
@@ -627,7 +626,7 @@ def _layer(family, g, rng, d_out):
     if family != "gcn":
         return (*_binarized_layer(family, g, rng, d_out), {"binarized": True})
     return (normalize_adjacency(g), [rng.uniform(-1.2, 1.2, size=(g.x.shape[1], d_out))],
-            {"binarized": False, "activation": True})
+            {"binarized": False, "hidden": True})
 
 
 def _slice_of_a_sparse_graph(rng, n=400, d=12):
@@ -658,7 +657,7 @@ class TestCoreRejects:
     def test_a_slice_checks_the_gradient_against_its_output_rows(self):
         g, mask, op = _slice_of_a_sparse_graph(np.random.default_rng(51))
         w = np.ones((12, 3))
-        for kind in ({"binarized": True}, {"binarized": False, "activation": True}):
+        for kind in ({"binarized": True}, {"binarized": False, "hidden": True}):
             _, cache = forward(op, g.x[op.in_rows], [w], training=True, **kind)
             backward(cache, op, np.ones((mask.sum(), 3)))
             with pytest.raises(ValueError, match="gradient shape"):
@@ -706,10 +705,10 @@ class TestCoreRejects:
         g, mask, op = _slice_of_a_sparse_graph(np.random.default_rng(57))
         w = np.random.default_rng(58).uniform(-1.2, 1.2, size=(12, 3))
         grad = np.random.default_rng(59).standard_normal((mask.sum(), 3))
-        _, gathered = forward(op, g.x, [w], binarized=False, activation=True, training=True)
+        _, gathered = forward(op, g.x, [w], binarized=False, hidden=True, training=True)
         with pytest.raises(ValueError, match="no input gradient"):
             backward(gathered, op, grad)
-        _, rows = forward(op, g.x[op.in_rows], [w], binarized=False, activation=True,
+        _, rows = forward(op, g.x[op.in_rows], [w], binarized=False, hidden=True,
                           training=True)
         grad_h, (grad_w,) = backward(rows, op, grad)
         assert grad_h.shape == (op.in_rows.size, 12)
@@ -791,7 +790,7 @@ class TestRowPlan:
         if family == "bisage":  # a self path too, read at the slice's output rows
             ws.append(rng.uniform(-1.2, 1.2, size=(d, m)))
         binarized = family != "gcn"
-        kind = {"binarized": binarized, "activation": not binarized}
+        kind = {"binarized": binarized, "hidden": not binarized}
         grad = rng.standard_normal((n, m)) * mask[:, None]
         # `Model` trains bisage on full passes (its hidden batch norm reads
         # every row), but the layer pair takes a slice in every mode.

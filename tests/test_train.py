@@ -309,7 +309,7 @@ class TestInputMemo:
     @pytest.mark.parametrize("model", ["bigcn", "bisage"])
     def test_evaluate_reuses_the_trained_graphs_input(self, model, monkeypatch):
         g = small_sbm(seed=4)
-        assert g.input_memo() == {}  # nothing is filled at construction
+        assert not {"input_moments", "packed_input"} & vars(g).keys()  # none at construction
         result = train(ModelConfig(**self.CONFIG, model=model), g)
         prop = propagation_operator(result.model.family, g)
         fresh = evaluate(result.model, prop, g, g.test_mask, result.model.prepare_input(g.x))
@@ -320,7 +320,7 @@ class TestInputMemo:
     def test_other_statistics_miss_the_memo(self, monkeypatch):
         g = small_sbm(seed=4)
         result = train(ModelConfig(**self.CONFIG), g)
-        packed = g.input_memo()["packed"]
+        packed = g.packed_input
         other = copy.deepcopy(result.model)
         mean, var = other.input_stats
         other.input_stats = (mean + 0.25, var)
@@ -328,7 +328,7 @@ class TestInputMemo:
         fresh = evaluate(other, prop, g, g.test_mask, other.prepare_input(g.x))
         calls = input_binarizations(monkeypatch, g)
         assert evaluate(other, prop, g, g.test_mask) == fresh
-        assert len(calls) == 1 and g.input_memo()["packed"] is packed
+        assert len(calls) == 1 and g.packed_input is packed
         assert fresh != evaluate(result.model, prop, g, g.test_mask)
 
     def test_repeated_training_on_one_graph_matches_fresh_graphs(self):
@@ -344,11 +344,11 @@ class TestInputMemo:
         g = small_sbm(seed=6)
         net = Model(ModelConfig(**self.CONFIG), np.random.default_rng(6))
         x = net.fit_input(g)
-        mean, var = g.input_memo()["moments"]
+        mean, var = g.input_moments
         stats = net.input_stats
         assert stats[0] is mean and stats[1] is var
         assert not (mean.flags.writeable or var.flags.writeable)
-        assert x is g.input_memo()["packed"] and net.fit_input(g) is x
+        assert x is g.packed_input and net.fit_input(g) is x
         trained = train(ModelConfig(**self.CONFIG), g).model.input_stats  # not checkpointed
         assert trained[0] is mean and trained[1] is var
 
@@ -360,11 +360,11 @@ class TestInputMemo:
         result = train(ModelConfig(**self.CONFIG), g)
         prop = propagation_operator(result.model.family, g)
         before = evaluate(result.model, prop, g, g.test_mask)
-        packed = g.input_memo()["packed"]
+        packed = g.packed_input
         words = packed.words.copy()
         x[:] = -x
         assert np.array_equal(g.x, source.x)
-        assert g.input_memo()["packed"] is packed and np.array_equal(packed.words, words)
+        assert g.packed_input is packed and np.array_equal(packed.words, words)
         assert evaluate(result.model, prop, g, g.test_mask) == before
         assert before == evaluate(result.model, prop, g, g.test_mask,
                                   result.model.prepare_input(source.x))
