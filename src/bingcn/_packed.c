@@ -65,6 +65,32 @@ static void parallel_for(range_fn fn, const void *arg, int64_t n, int threads)
     }
 }
 
+/* K_j = t - 2 popcount(row ^ b_j) for the m columns of bt, their words
+   transposed (nw, m), into k: int16, or int32 with `wide`. The last word is
+   masked, so padding bits of either operand never count. */
+static void count_row(const uint64_t *row, const uint64_t *bt, int64_t nw, int64_t m,
+                      int64_t t, uint64_t last_mask, void *k, int wide)
+{
+    int64_t mism[TILE];
+    for (int64_t j0 = 0; j0 < m; j0 += TILE) {
+        int64_t w = m - j0 < TILE ? m - j0 : TILE;
+        for (int64_t j = 0; j < w; j++)
+            mism[j] = 0;
+        for (int64_t q = 0; q < nw; q++) {
+            const uint64_t *col = bt + q * m + j0;
+            const uint64_t x = row[q], mask = q == nw - 1 ? last_mask : ~(uint64_t)0;
+            for (int64_t j = 0; j < w; j++)
+                mism[j] += __builtin_popcountll((x ^ col[j]) & mask);
+        }
+        if (wide)
+            for (int64_t j = 0; j < w; j++)
+                ((int32_t *)k)[j0 + j] = (int32_t)(t - 2 * mism[j]);
+        else
+            for (int64_t j = 0; j < w; j++)
+                ((int16_t *)k)[j0 + j] = (int16_t)(t - 2 * mism[j]);
+    }
+}
+
 struct gemm {
     const uint64_t *f, *bt;
     int64_t nw, m, t;
@@ -76,35 +102,16 @@ struct gemm {
 static void gemm_rows(const void *arg, int k, int64_t lo, int64_t hi)
 {
     const struct gemm *a = arg;
-    const uint64_t *f = a->f, *bt = a->bt, last_mask = a->last_mask;
-    const int64_t nw = a->nw, m = a->m, t = a->t;
-    int64_t mism[TILE];
+    const size_t row_bytes = (size_t)a->m * (a->wide ? sizeof(int32_t) : sizeof(int16_t));
     (void)k;
-    for (int64_t i = lo; i < hi; i++) {
-        const uint64_t *row = f + i * nw;
-        for (int64_t j0 = 0; j0 < m; j0 += TILE) {
-            int64_t w = m - j0 < TILE ? m - j0 : TILE;
-            for (int64_t j = 0; j < w; j++)
-                mism[j] = 0;
-            for (int64_t q = 0; q < nw; q++) {
-                const uint64_t *col = bt + q * m + j0;
-                const uint64_t x = row[q], mask = q == nw - 1 ? last_mask : ~(uint64_t)0;
-                for (int64_t j = 0; j < w; j++)
-                    mism[j] += __builtin_popcountll((x ^ col[j]) & mask);
-            }
-            if (a->wide)
-                for (int64_t j = 0; j < w; j++)
-                    ((int32_t *)a->counts)[i * m + j0 + j] = (int32_t)(t - 2 * mism[j]);
-            else
-                for (int64_t j = 0; j < w; j++)
-                    ((int16_t *)a->counts)[i * m + j0 + j] = (int16_t)(t - 2 * mism[j]);
-        }
-    }
+    for (int64_t i = lo; i < hi; i++)
+        count_row(a->f + i * a->nw, a->bt, a->nw, a->m, a->t, a->last_mask,
+                  (char *)a->counts + i * row_bytes, a->wide);
 }
 
-/* counts[i, j] = t - 2 popcount(f_i ^ b_j), as int16, or int32 with `wide`,
-   where f is (n, nw) and bt holds the m columns' words transposed, (nw, m).
-   The last word is masked, so padding bits of either operand never count. */
+/* counts[i, j] = t - 2 popcount(f_i ^ b_j) (count_row), as int16, or int32
+   with `wide`, where f is (n, nw) and bt holds the m columns' words
+   transposed, (nw, m). */
 void bin_counts(const uint64_t *f, const uint64_t *bt, int64_t n, int64_t nw, int64_t m,
                 int64_t t, uint64_t last_mask, void *counts, int wide, int threads)
 {
@@ -389,26 +396,27 @@ struct count_spmm {
     const double *data, *beta, *alpha, *mean, *inv_std;
     const void *counts;
     int wide;
-    int64_t n_in, m, paths;
+    const uint64_t *f, *self_bt;
+    int64_t nw, t, m, paths;
+    uint64_t last_mask;
     double *out;
     uint64_t *words;
     double *scalars;
     int *status;
 };
 
-/* y[c] += v * S_q[j, c] for path q's scaled count row S_q[j, c] =
-   ((double)K_q[j, c] * beta_j) * alpha_q[c], the value bin_gemm writes. */
-static void add_scaled_row(double *restrict y, const struct count_spmm *a, int64_t q,
-                           int64_t j, double v)
+/* y[c] += v * (((double)K[c] * b) * alpha[c]) for a count row K (int16, or
+   int32 with `wide`): v times the scaled count, the value bin_gemm's float
+   product holds. */
+static void add_scaled_row(double *restrict y, const void *k, int wide, double b,
+                           const double *restrict alpha, int64_t m, double v)
 {
-    const int64_t m = a->m, at = (q * a->n_in + j) * m;
-    const double b = a->beta[j], *restrict alpha = a->alpha + q * m;
-    if (a->wide) {
-        const int32_t *restrict x = (const int32_t *)a->counts + at;
+    if (wide) {
+        const int32_t *restrict x = k;
         for (int64_t c = 0; c < m; c++)
             y[c] += v * ((double)x[c] * b * alpha[c]);
     } else {
-        const int16_t *restrict x = (const int16_t *)a->counts + at;
+        const int16_t *restrict x = k;
         for (int64_t c = 0; c < m; c++)
             y[c] += v * ((double)x[c] * b * alpha[c]);
     }
@@ -417,25 +425,38 @@ static void add_scaled_row(double *restrict y, const struct count_spmm *a, int64
 static void count_rows(const void *arg, int k, int64_t lo, int64_t hi)
 {
     const struct count_spmm *a = arg;
-    const int64_t m = a->m, last = a->paths - 1, nw = (m + 63) / 64;
-    /* A row to binarize goes to this range's own buffer, followed by its
-       standardized copy where it has one. */
-    double *row = a->words ? malloc((size_t)(a->mean ? 2 : 1) * m * sizeof *row) : NULL;
-    if (a->words && !row) {
-        a->status[k] = -2;
-        return;
+    const int64_t m = a->m, last = a->paths - 1, out_nw = (m + 63) / 64;
+    const size_t row_bytes = (size_t)m * (a->wide ? sizeof(int32_t) : sizeof(int16_t));
+    /* This range's own buffers: a self path's count row, then a row to
+       binarize, followed by its standardized copy where it has one. */
+    const size_t n_self = last ? (size_t)m : 0, n_row = a->words ? (a->mean ? 2 : 1) * m : 0;
+    int32_t *self = NULL;
+    double *row = NULL;
+    if (n_self + n_row) {
+        row = malloc(n_row * sizeof *row + n_self * sizeof *self);
+        if (!row) {
+            a->status[k] = -2;
+            return;
+        }
+        self = (int32_t *)(row + n_row);
     }
     for (int64_t i = lo; i < hi; i++) {
-        const int64_t self = a->self_at ? a->self_at[i] : i;
-        double *restrict y = row ? row : a->out + i * m;
+        const int64_t at = a->self_at ? a->self_at[i] : i;
+        double *restrict y = a->words ? row : a->out + i * m;
         for (int64_t c = 0; c < m; c++)
             y[c] = 0.;
-        for (int64_t p = a->indptr[i]; p < a->indptr[i + 1]; p++)
-            add_scaled_row(y, a, last, a->indices[p], a->data[p]);
-        for (int64_t q = 0; q < last; q++)
-            add_scaled_row(y, a, q, self, 1.);
-        if (row && binarize_row(y, a->mean, a->inv_std, m, row + m, a->words + i * nw,
-                                a->scalars + i)) {
+        for (int64_t p = a->indptr[i]; p < a->indptr[i + 1]; p++) {
+            const int64_t j = a->indices[p];
+            add_scaled_row(y, (const char *)a->counts + j * row_bytes, a->wide, a->beta[j],
+                           a->alpha + last * m, m, a->data[p]);
+        }
+        for (int64_t q = 0; q < last; q++) {
+            count_row(a->f + at * a->nw, a->self_bt + q * a->nw * m, a->nw, m, a->t,
+                      a->last_mask, self, 1);
+            add_scaled_row(y, self, 1, a->beta[at], a->alpha + q * m, m, 1.);
+        }
+        if (a->words && binarize_row(y, a->mean, a->inv_std, m, row + m, a->words + i * out_nw,
+                                     a->scalars + i)) {
             a->status[k] = -1;
             break;
         }
@@ -443,11 +464,15 @@ static void count_rows(const void *arg, int k, int64_t lo, int64_t hi)
     free(row);
 }
 
-/* Output row i of P S_last + sum_{q < last} S_q[self_at], where S_q is path
-   q's scaled count product (add_scaled_row) of the counts K (paths, n_in,
-   m; int16, or int32 with `wide`), last = paths - 1, P is the (n_out, n_in)
-   CSR operator (indptr over its rows, int32 indices), and self_at maps an
-   output row to its input row (NULL: the same id). Each row starts at 0
+/* Output row i of P S_last + sum_{q < last} S_q[self_at_i], where S_q is
+   path q's scaled count product (add_scaled_row) of the packed input f
+   (n_in, nw; t signs a row) and path q's weights, last = paths - 1, P is the
+   (n_out, n_in) CSR operator (indptr over its rows, int32 indices), and
+   self_at maps an output row to its input row (NULL: the same id). The last
+   path's counts come counted (n_in, m; int16, or int32 with `wide`); a
+   self path's row is counted (count_row) from f's row self_at_i and
+   self_bt, the self paths' weight words transposed (paths - 1, nw, m), where
+   the row is read, so no self path's counts are held. Each row starts at 0
    and adds P's terms in stored order, a product then a sum, as
    sparse_matmul does, then each self path's row (times 1, exactly).
    Written to out (n_out, m) where words is NULL; else each row is
@@ -455,14 +480,16 @@ static void count_rows(const void *arg, int k, int64_t lo, int64_t hi)
    where they are not NULL, into words and scalars, and no float row is
    kept. Returns as binarize_rows. */
 int aggregate_counts(const int32_t *indptr, const int32_t *indices, const double *data,
-                     int64_t n_out, int64_t n_in, int64_t m, int64_t paths,
-                     const void *counts, int wide, const double *beta, const double *alpha,
+                     int64_t n_out, int64_t m, int64_t paths, const void *counts, int wide,
+                     const uint64_t *f, const uint64_t *self_bt, int64_t nw, int64_t t,
+                     uint64_t last_mask, const double *beta, const double *alpha,
                      const int32_t *self_at, double *out, const double *mean,
                      const double *inv_std, uint64_t *words, double *scalars, int threads)
 {
     int status[MAX_THREADS] = {0};
     const struct count_spmm a = {indptr, indices, self_at, data, beta, alpha, mean, inv_std,
-                                 counts, wide, n_in, m, paths, out, words, scalars, status};
+                                 counts, wide, f, self_bt, nw, t, m, paths, last_mask, out,
+                                 words, scalars, status};
     parallel_for(count_rows, &a, n_out, threads);
     return worst_status(status);
 }

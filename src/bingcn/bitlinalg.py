@@ -169,8 +169,9 @@ def _load_native() -> ctypes.CDLL | None:
     lib.column_moments.restype = None
     lib.sparse_matmul.argtypes = [int_, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, int_]
     lib.sparse_matmul.restype = None
-    lib.aggregate_counts.argtypes = [ptr, ptr, ptr, i64, i64, i64, i64, ptr, int_, ptr, ptr,
-                                     ptr, ptr, ptr, ptr, ptr, ptr, int_]
+    lib.aggregate_counts.argtypes = [ptr, ptr, ptr, i64, i64, i64, ptr, int_, ptr, ptr, i64,
+                                     i64, ctypes.c_uint64, ptr, ptr, ptr, ptr, ptr, ptr,
+                                     ptr, ptr, int_]
     lib.aggregate_counts.restype = ctypes.c_int
     return lib
 
@@ -418,18 +419,21 @@ def scale_counts(counts: np.ndarray, beta: np.ndarray, alpha: np.ndarray) -> np.
 
 @dataclass(frozen=True)
 class SignCounts:
-    """One packed input's products with each path's binarized weights, unscaled.
+    """A layer's sign product before aggregation: the propagated path's
+    counts, and what every other path's are counted from.
 
-    `counts[k]` holds `bin_gemm`'s counts against path k's weights, `beta`
-    the input's row scalars and `alpha[k]` the weights' column scalars,
-    so path k's float product, as `bin_gemm` with no `out` returns it, is
-    ``scale_counts(counts[k], beta, alpha[k])``. `graph.aggregate` scales
-    each term where it reads it.
+    `counts` holds `bin_gemm(x, weights[-1])`'s counts, the last path's,
+    which the aggregation reads at every neighbour. A self path's row is
+    read once, by its own output row, so `graph.aggregate` counts it there
+    from the packed input `x` and that path's binarized weights, and no
+    self path's counts are held. Path k's float product, as `bin_gemm` with
+    no `out` returns it, is
+    ``scale_counts(counts_k, x.scalars, weights[k].scalars)``.
     """
 
-    counts: np.ndarray  # (paths, n, m), count_dtype(t)
-    beta: np.ndarray  # (n,)
-    alpha: np.ndarray  # (paths, m)
+    counts: np.ndarray  # (x.rows, weights[-1].rows), count_dtype(x.cols)
+    x: PackedBinMatrix
+    weights: tuple[PackedBinMatrix, ...]  # each path's binarized weights
 
 
 def bin_gemm(f: PackedBinMatrix, b: PackedBinMatrix,

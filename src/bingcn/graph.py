@@ -202,10 +202,10 @@ def aggregate(adj: NormalizedAdjacency, z, out: np.ndarray | None = None,
 
 def _aggregate_counts(adj: NormalizedAdjacency, z: bl.SignCounts, out: np.ndarray | None,
                       binarize: bool, standardize, scratch):
-    m = adj.matrix
-    paths, n, k = z.counts.shape
-    shape = (m.shape[0], k)
-    if n != m.shape[1] or z.beta.shape != (n,) or z.alpha.shape != (paths, k):
+    m, x = adj.matrix, z.x
+    n, k = z.counts.shape
+    shape, paths = (m.shape[0], k), len(z.weights)
+    if n != m.shape[1] or x.rows != n or any(w.shape != (k, x.cols) for w in z.weights):
         raise ValueError(f"expected counts of {m.shape[1]} rows, got {z.counts.shape}")
     lib = bl._native() if _native_operator(m) else None
     if binarize:  # the float output is held only where the C library does not run
@@ -214,36 +214,47 @@ def _aggregate_counts(adj: NormalizedAdjacency, z: bl.SignCounts, out: np.ndarra
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError(f"aggregate writes a C-contiguous float64 {shape} array")
+    at = np.arange(shape[0]) if adj.out_at is None else adj.out_at  # the self paths' rows
     if lib is None:
-        at = np.arange(shape[0]) if adj.out_at is None else adj.out_at  # the self paths' rows
         out = _scaled_product(m, z, at, out)
         return bl.binarize_rows(out, standardize) if binarize else out
     words = scalars = None
     if binarize:
         words = np.empty((shape[0], -(-k // bl.WORD_BITS)), dtype=np.uint64)
         scalars = np.empty(shape[0])
-    counts, beta, alpha = (np.ascontiguousarray(a) for a in (z.counts, z.beta, z.alpha))
-    self_at = None if adj.out_at is None else np.ascontiguousarray(adj.out_at, dtype=np.int32)
+    nw = x.words.shape[1]
+    self_bt = np.ascontiguousarray(np.stack([w.words.T for w in z.weights[:-1]])
+                                   if paths > 1 else np.empty((0, nw, k)), dtype=np.uint64)
+    counts, f = np.ascontiguousarray(z.counts), np.ascontiguousarray(x.words, dtype=np.uint64)
+    alpha = np.stack([w.scalars for w in z.weights])
+    self_at = None if adj.out_at is None else np.ascontiguousarray(at, dtype=np.int32)
     arrays = (self_at, out, *bl._standardize_args(standardize, k), words, scalars)
     bl._check_binarized(lib.aggregate_counts(
-        m.indptr.ctypes.data, m.indices.ctypes.data, m.data.ctypes.data, shape[0], n, k, paths,
-        counts.ctypes.data, counts.dtype == np.int32, beta.ctypes.data, alpha.ctypes.data,
+        m.indptr.ctypes.data, m.indices.ctypes.data, m.data.ctypes.data, shape[0], k, paths,
+        counts.ctypes.data, counts.dtype == np.int32, f.ctypes.data, self_bt.ctypes.data, nw,
+        x.cols, int(bl._pad_mask(x.cols)), x.scalars.ctypes.data, alpha.ctypes.data,
         *(None if a is None else a.ctypes.data for a in arrays),  # None: NULL
-        bl._threads_for(m.nnz * k)))
+        bl._threads_for((m.nnz + shape[0] * nw * (paths - 1)) * k)))
     if binarize:
         return bl.PackedBinMatrix(rows=shape[0], cols=k, words=words, scalars=scalars)
     return out
 
 
 def _scaled_product(m, z: bl.SignCounts, at: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """`aggregate`'s numpy route: the operator `m` times the last path of
-    `z`, plus the other paths' rows `at`, `_SCIPY_COLUMNS` columns at a
-    time, added as a layer adds them."""
+    """`aggregate`'s numpy route: the operator `m` times the last path's
+    scaled counts, `_SCIPY_COLUMNS` columns at a time, plus each other
+    path's float product at the input rows `at`, counted by `bl.bin_gemm` in
+    row blocks, added as a layer adds them."""
+    x, last = z.x, z.weights[-1]
     for j in range(0, out.shape[1], _SCIPY_COLUMNS):
         cols = slice(j, j + _SCIPY_COLUMNS)
-        out[:, cols] = m @ bl.scale_counts(z.counts[-1, :, cols], z.beta, z.alpha[-1, cols])
-        for q in range(z.counts.shape[0] - 1):
-            out[:, cols] += bl.scale_counts(z.counts[q, at, cols], z.beta[at], z.alpha[q, cols])
+        out[:, cols] = m @ bl.scale_counts(z.counts[:, cols], x.scalars, last.scalars[cols])
+    for w in z.weights[:-1]:
+        for start in range(0, at.size, bl._BLOCK_ROWS):
+            rows = at[start:start + bl._BLOCK_ROWS]
+            block = bl.PackedBinMatrix(rows=rows.size, cols=x.cols, words=x.words[rows],
+                                       scalars=x.scalars[rows])
+            out[start:start + rows.size] += bl.bin_gemm(block, w)
     return out
 
 

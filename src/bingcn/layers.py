@@ -415,14 +415,9 @@ def forward(
         cache = LayerCache(h_in=h_in, operand=h_in, beta=h_in.scalars, weights=weights)
         # The counts share the role of the float route's products, which
         # the backward pass fills with the (larger) float gradient.
-        counts = _take(ws, "zetas", (len(weights), h_in.rows, shape[1]),
-                       bl.count_dtype(h_in.cols))
-        alpha = np.empty((len(weights), shape[1]))
-        for k, w in enumerate(weights):
-            w_bin = bl.binarize_columns(w)
-            bl.bin_gemm(h_in, w_bin, out=counts[k])
-            alpha[k] = w_bin.scalars
-        product = bl.SignCounts(counts, h_in.scalars, alpha)
+        counts = _take(ws, "zetas", (h_in.rows, shape[1]), bl.count_dtype(h_in.cols))
+        w_bins = tuple(bl.binarize_columns(w) for w in weights)
+        product = bl.SignCounts(bl.bin_gemm(h_in, w_bins[-1], out=counts), h_in, w_bins)
         if hidden and not training:
             standardize = None if out_bn is None else bl.standardizer(*out_bn)
             return aggregate(adj, product, binarize=True, standardize=standardize,
