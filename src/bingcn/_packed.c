@@ -1,6 +1,8 @@
 /* XNOR/popcount sign counts, fused row binarization and sign expansion
    over packed words, exact column moments, and the sparse-dense product
-   of a CSR or CSC operator with float values or with scaled sign counts.
+   of a CSR or CSC operator with float values or, scaling each stored entry
+   and each output entry once, with sign counts, a self path's counted
+   where it is read.
 
    Words are LSB-first uint64: bit j % 64 of word j / 64 holds the sign of
    entry j (1 for +1, 0 for -1), and a row's padding bits are 1.
@@ -332,12 +334,31 @@ void column_moments(const double *h, int64_t n, int64_t d, int64_t block,
 }
 
 struct spmm {
-    int csc;
+    int csc, sorted;
     int64_t n_in, k;
     const int32_t *indptr, *indices;
     const double *data, *z;
     double *out;
 };
+
+/* The first position in [p, end) of ids, sorted ascending there, whose id is
+   at least `id`; end where none is. The ends are tried first: a range that
+   starts at row 0, or ends at the last row, needs no search. */
+static int64_t first_at_least(const int32_t *ids, int64_t p, int64_t end, int64_t id)
+{
+    if (p == end || ids[p] >= id)
+        return p;
+    if (ids[end - 1] < id)
+        return end;
+    while (p < end) {
+        const int64_t mid = p + (end - p) / 2;
+        if (ids[mid] < id)
+            p = mid + 1;
+        else
+            end = mid;
+    }
+    return p;
+}
 
 static void spmm_rows(const void *arg, int t, int64_t lo, int64_t hi)
 {
@@ -365,9 +386,14 @@ static void spmm_rows(const void *arg, int t, int64_t lo, int64_t hi)
         out[q] = 0.;
     for (int64_t j = 0; j < a->n_in; j++) {
         const double *restrict x = z + j * k;
-        for (int64_t p = indptr[j]; p < indptr[j + 1]; p++) {
+        int64_t first = indptr[j], end = indptr[j + 1];
+        if (a->sorted) { /* only this range's stretch of the column */
+            first = first_at_least(indices, first, end, lo);
+            end = first_at_least(indices, first, end, hi);
+        }
+        for (int64_t p = first; p < end; p++) {
             const int64_t i = indices[p];
-            if (i < lo || i >= hi)
+            if (!a->sorted && (i < lo || i >= hi))
                 continue;
             double *restrict y = out + i * k;
             const double v = data[p];
@@ -382,12 +408,14 @@ static void spmm_rows(const void *arg, int t, int64_t lo, int64_t hi)
    its columns), with int32 indices. Each output row starts at 0 and adds
    a_ij * z_j, a product then a sum, for its stored entries in the order
    scipy's csr_matvecs and csc_matvecs add them: a CSR row's in stored
-   order; for CSC, column after column. */
-void sparse_matmul(int csc, int64_t n_out, int64_t n_in, int64_t k, const int32_t *indptr,
-                   const int32_t *indices, const double *data, const double *z,
-                   double *out, int threads)
+   order; for CSC, column after column. A CSC range reads each column's
+   entries in its rows alone, found by binary search where the column's row
+   ids are `sorted`, else by a scan of the whole column. */
+void sparse_matmul(int csc, int sorted, int64_t n_out, int64_t n_in, int64_t k,
+                   const int32_t *indptr, const int32_t *indices, const double *data,
+                   const double *z, double *out, int threads)
 {
-    const struct spmm a = {csc, n_in, k, indptr, indices, data, z, out};
+    const struct spmm a = {csc, sorted, n_in, k, indptr, indices, data, z, out};
     parallel_for(spmm_rows, &a, n_out, threads);
 }
 
@@ -405,20 +433,17 @@ struct count_spmm {
     int *status;
 };
 
-/* y[c] += v * (((double)K[c] * b) * alpha[c]) for a count row K (int16, or
-   int32 with `wide`): v times the scaled count, the value bin_gemm's float
-   product holds. */
-static void add_scaled_row(double *restrict y, const void *k, int wide, double b,
-                           const double *restrict alpha, int64_t m, double v)
+/* y[c] += w * (double)K[c] for a count row K: int16, or int32 with `wide`. */
+static void add_count_row(double *restrict y, const void *k, int wide, double w, int64_t m)
 {
     if (wide) {
         const int32_t *restrict x = k;
         for (int64_t c = 0; c < m; c++)
-            y[c] += v * ((double)x[c] * b * alpha[c]);
+            y[c] += w * (double)x[c];
     } else {
         const int16_t *restrict x = k;
         for (int64_t c = 0; c < m; c++)
-            y[c] += v * ((double)x[c] * b * alpha[c]);
+            y[c] += w * (double)x[c];
     }
 }
 
@@ -429,7 +454,8 @@ static void count_rows(const void *arg, int k, int64_t lo, int64_t hi)
     const size_t row_bytes = (size_t)m * (a->wide ? sizeof(int32_t) : sizeof(int16_t));
     /* This range's own buffers: a self path's count row, then a row to
        binarize, followed by its standardized copy where it has one. */
-    const size_t n_self = last ? (size_t)m : 0, n_row = a->words ? (a->mean ? 2 : 1) * m : 0;
+    const size_t n_self = last ? (size_t)m : 0;
+    const size_t n_row = a->words ? (size_t)(a->mean ? 2 : 1) * m : 0;
     int32_t *self = NULL;
     double *row = NULL;
     if (n_self + n_row) {
@@ -447,16 +473,20 @@ static void count_rows(const void *arg, int k, int64_t lo, int64_t hi)
             y[c] = 0.;
         for (int64_t p = a->indptr[i]; p < a->indptr[i + 1]; p++) {
             const int64_t j = a->indices[p];
-            add_scaled_row(y, (const char *)a->counts + j * row_bytes, a->wide, a->beta[j],
-                           a->alpha + last * m, m, a->data[p]);
+            add_count_row(y, (const char *)a->counts + j * row_bytes, a->wide,
+                          a->data[p] * a->beta[j], m);
         }
+        for (int64_t c = 0; c < m; c++)
+            y[c] *= a->alpha[last * m + c];
         for (int64_t q = 0; q < last; q++) {
+            const double b = a->beta[at], *restrict alpha = a->alpha + q * m;
             count_row(a->f + at * a->nw, a->self_bt + q * a->nw * m, a->nw, m, a->t,
                       a->last_mask, self, 1);
-            add_scaled_row(y, self, 1, a->beta[at], a->alpha + q * m, m, 1.);
+            for (int64_t c = 0; c < m; c++)
+                y[c] += (double)self[c] * b * alpha[c];
         }
-        if (a->words && binarize_row(y, a->mean, a->inv_std, m, row + m, a->words + i * out_nw,
-                                     a->scalars + i)) {
+        if (a->words && binarize_row(y, a->mean, a->inv_std, m, row + m,
+                                     a->words + i * out_nw, a->scalars + i)) {
             a->status[k] = -1;
             break;
         }
@@ -464,21 +494,24 @@ static void count_rows(const void *arg, int k, int64_t lo, int64_t hi)
     free(row);
 }
 
-/* Output row i of P S_last + sum_{q < last} S_q[self_at_i], where S_q is
-   path q's scaled count product (add_scaled_row) of the packed input f
-   (n_in, nw; t signs a row) and path q's weights, last = paths - 1, P is the
-   (n_out, n_in) CSR operator (indptr over its rows, int32 indices), and
-   self_at maps an output row to its input row (NULL: the same id). The last
-   path's counts come counted (n_in, m; int16, or int32 with `wide`); a
-   self path's row is counted (count_row) from f's row self_at_i and
-   self_bt, the self paths' weight words transposed (paths - 1, nw, m), where
-   the row is read, so no self path's counts are held. Each row starts at 0
-   and adds P's terms in stored order, a product then a sum, as
-   sparse_matmul does, then each self path's row (times 1, exactly).
-   Written to out (n_out, m) where words is NULL; else each row is
-   binarized as binarize_rows does, standardized with mean and inv_std
-   where they are not NULL, into words and scalars, and no float row is
-   kept. Returns as binarize_rows. */
+/* Output row i of alpha_last * (P' K_last) + sum_{q < last} S_q[self_at_i],
+   where K_q is path q's counts of the packed input f (n_in, nw; t signs a
+   row) against its weights, alpha_q the weights' column scalars, last =
+   paths - 1, P' the (n_out, n_in) CSR operator P (indptr over its rows,
+   int32 indices) with each stored entry v_ij scaled once to w = v_ij *
+   beta_j, and S_q = ((double)K_q * beta) * alpha_q, bin_gemm's float
+   product. self_at maps an output row to its input row (NULL: the same
+   id). The last path's counts come counted (n_in, m; int16, or int32 with
+   `wide`); a self path's row is counted (count_row) from f's row
+   self_at_i and self_bt, the self paths' weight words transposed
+   (paths - 1, nw, m), where it is read, so no self path's counts are held.
+   Each row starts at 0 and adds w * K_last[j] for P's entries in stored
+   order, a product then a sum, as sparse_matmul does, is scaled by
+   alpha_last once per entry, then adds each self path's row. Written to
+   out (n_out, m) where words is NULL; else each row is binarized as
+   binarize_rows does, standardized with mean and inv_std where they are
+   not NULL, into words and scalars, and no float row is kept. Returns as
+   binarize_rows. */
 int aggregate_counts(const int32_t *indptr, const int32_t *indices, const double *data,
                      int64_t n_out, int64_t m, int64_t paths, const void *counts, int wide,
                      const uint64_t *f, const uint64_t *self_bt, int64_t nw, int64_t t,

@@ -19,11 +19,13 @@ Packed words are the storage format and what the kernel computes on.
 `bin_gemm` counts each +-1 dot product of length t with XOR and popcount
 over the uint64 words, K = t - 2 * mismatches, and stores K as an
 integer of `count_dtype(t)` (int16 below 2**15, else int32), a quarter
-of a float64 product's bytes. The layers keep the counts (a
-`SignCounts`), and the aggregation (`graph.aggregate`) scales each term
-by beta, then by alpha, where it reads it, so no float product is ever
-held; `scale_counts` forms that float product whole, in the same order,
-for `bin_gemm` called without `out`. `binarize_rows` standardizes, checks,
+of a float64 product's bytes. The layers keep the propagated path's
+counts (a `SignCounts`), and the aggregation (`graph.aggregate`) scales
+each stored entry of the operator by beta and each output entry by
+alpha, so no float product is ever held; it counts a self path's row
+where it reads it. `scale_counts` forms a float product whole, as
+``(K * beta) * alpha``, for `bin_gemm` called without `out` and for a
+self path's row. `binarize_rows` standardizes, checks,
 packs and rescales each row in one pass, and `column_moments` (the
 statistics of the input and of hidden batch norm) sums each row block
 in numpy's order. All three, the expansion of packed signs to float64
@@ -167,7 +169,7 @@ def _load_native() -> ctypes.CDLL | None:
     lib.expand_signs.restype = None
     lib.column_moments.argtypes = [ptr, i64, i64, i64, ptr, ptr, ptr, int_]
     lib.column_moments.restype = None
-    lib.sparse_matmul.argtypes = [int_, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, int_]
+    lib.sparse_matmul.argtypes = [int_, int_, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, int_]
     lib.sparse_matmul.restype = None
     lib.aggregate_counts.argtypes = [ptr, ptr, ptr, i64, i64, i64, ptr, int_, ptr, ptr, i64,
                                      i64, ctypes.c_uint64, ptr, ptr, ptr, ptr, ptr, ptr,
@@ -411,7 +413,7 @@ def count_dtype(t: int) -> np.dtype:
 def scale_counts(counts: np.ndarray, beta: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """``(counts * beta[:, None]) * alpha`` in float64: the value of each
     entry of a sign product, in the order `_packed.c`'s count aggregation
-    forms it."""
+    forms a self path's row."""
     out = counts * beta[:, None]
     out *= alpha
     return out

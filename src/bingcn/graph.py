@@ -24,6 +24,9 @@ from . import bitlinalg as bl
 # scipy's ``m @ z`` allocates its product, so `sparse_matmul` takes it this
 # many columns at a time: no temporary there is as wide as a hidden layer.
 _SCIPY_COLUMNS = 8
+# Stored entries of an operator whose values the numpy route of the count
+# aggregation scales at once (`_scaled_product`): 128 KiB of float64.
+_SCALED_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,11 +178,14 @@ def aggregate(adj: NormalizedAdjacency, z, out: np.ndarray | None = None,
 
     `z` is a float (n, m) array, or a layer's `bl.SignCounts`, whose last
     path is propagated while every other path, a self path, adds its row
-    at each output row's input row (`adj.out_at`). The C library scales
-    each count where it reads it, so no float product is held; the numpy
-    route, and an operator the C library cannot take, scale
-    `_SCIPY_COLUMNS` columns at a time for scipy's ``m @ z``. Either way
-    the output is that of the scaled float products bit for bit.
+    at each output row's input row (`adj.out_at`). The last path's output
+    entry is ``alpha * sum_j (v_ij * beta_j) * K_j``: each stored entry
+    scaled once by its column's beta, each output entry once by alpha; a
+    self path's row is ``(K * beta) * alpha``, counted where it is read.
+    The C library does both in one pass over the output rows, so neither
+    a float product nor a self path's counts are held; the numpy route,
+    and an operator the C library cannot take, compute the same values bit
+    for bit (`_scaled_product`).
 
     With `binarize`, a `SignCounts` output is returned as
     `bl.binarize_rows(output, standardize)` binarizes it. The C library
@@ -205,8 +211,12 @@ def _aggregate_counts(adj: NormalizedAdjacency, z: bl.SignCounts, out: np.ndarra
     m, x = adj.matrix, z.x
     n, k = z.counts.shape
     shape, paths = (m.shape[0], k), len(z.weights)
-    if n != m.shape[1] or x.rows != n or any(w.shape != (k, x.cols) for w in z.weights):
-        raise ValueError(f"expected counts of {m.shape[1]} rows, got {z.counts.shape}")
+    if m.format != "csr":
+        raise ValueError("counts are aggregated by a CSR operator")
+    if (n != m.shape[1] or x.rows != n or z.counts.dtype != bl.count_dtype(x.cols)
+            or any(w.shape != (k, x.cols) for w in z.weights)):
+        raise ValueError(f"expected {bl.count_dtype(x.cols)} counts of {m.shape[1]} rows, "
+                         f"got {z.counts.dtype} {z.counts.shape}")
     lib = bl._native() if _native_operator(m) else None
     if binarize:  # the float output is held only where the C library does not run
         out = None if lib is not None else np.empty(shape) if scratch is None else scratch(shape)
@@ -223,8 +233,7 @@ def _aggregate_counts(adj: NormalizedAdjacency, z: bl.SignCounts, out: np.ndarra
         words = np.empty((shape[0], -(-k // bl.WORD_BITS)), dtype=np.uint64)
         scalars = np.empty(shape[0])
     nw = x.words.shape[1]
-    self_bt = np.ascontiguousarray(np.stack([w.words.T for w in z.weights[:-1]])
-                                   if paths > 1 else np.empty((0, nw, k)), dtype=np.uint64)
+    self_bt = np.array([w.words.T for w in z.weights[:-1]], np.uint64).reshape(-1, nw, k)
     counts, f = np.ascontiguousarray(z.counts), np.ascontiguousarray(x.words, dtype=np.uint64)
     alpha = np.stack([w.scalars for w in z.weights])
     self_at = None if adj.out_at is None else np.ascontiguousarray(at, dtype=np.int32)
@@ -241,14 +250,24 @@ def _aggregate_counts(adj: NormalizedAdjacency, z: bl.SignCounts, out: np.ndarra
 
 
 def _scaled_product(m, z: bl.SignCounts, at: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """`aggregate`'s numpy route: the operator `m` times the last path's
-    scaled counts, `_SCIPY_COLUMNS` columns at a time, plus each other
-    path's float product at the input rows `at`, counted by `bl.bin_gemm` in
-    row blocks, added as a layer adds them."""
+    """`aggregate`'s numpy route, in the C library's order: scipy's product
+    of the CSR `m`, each stored entry v_ij scaled once to v_ij * beta_j, and
+    the last path's counts, a block of rows of at most `_SCALED_ENTRIES`
+    stored entries and `_SCIPY_COLUMNS` columns at a time, scaled by alpha;
+    then each other path's float product at the input rows `at`, counted
+    by `bl.bin_gemm` in row blocks, added as a layer adds them."""
     x, last = z.x, z.weights[-1]
-    for j in range(0, out.shape[1], _SCIPY_COLUMNS):
-        cols = slice(j, j + _SCIPY_COLUMNS)
-        out[:, cols] = m @ bl.scale_counts(z.counts[:, cols], x.scalars, last.scalars[cols])
+    n_blocks = max(1, min(-(-m.nnz // _SCALED_ENTRIES), m.shape[0]))
+    bounds = np.linspace(0, m.shape[0], n_blocks + 1).round().astype(int).tolist()
+    for r0, r1 in zip(bounds, bounds[1:]):
+        p0, p1 = m.indptr[r0], m.indptr[r1]
+        ids = m.indices[p0:p1]
+        part = sp.csr_matrix((m.data[p0:p1] * x.scalars[ids], ids, m.indptr[r0:r1 + 1] - p0),
+                             shape=(r1 - r0, m.shape[1]))
+        for j in range(0, out.shape[1], _SCIPY_COLUMNS):
+            cols = slice(j, j + _SCIPY_COLUMNS)
+            out[r0:r1, cols] = part @ z.counts[:, cols].astype(np.float64)
+            out[r0:r1, cols] *= last.scalars[cols]
     for w in z.weights[:-1]:
         for start in range(0, at.size, bl._BLOCK_ROWS):
             rows = at[start:start + bl._BLOCK_ROWS]
@@ -340,9 +359,11 @@ def sparse_matmul(m, z: np.ndarray, out: np.ndarray) -> np.ndarray:
     at zero and adds its terms in the order of the kernels scipy's
     ``m @ z`` runs (``csr_matvecs``, ``csc_matvecs``), so the product is
     the same bit for bit at any thread count. The operator is read as
-    stored, never copied. Other operators, and machines with no C
-    library, take scipy's ``m @ z``, `_SCIPY_COLUMNS` columns at a time:
-    each column of the product is the same bit for bit in any block.
+    stored, never copied; a thread of a CSC product whose row ids are sorted
+    (`has_sorted_indices`) binary-searches each column for its rows. Other
+    operators, and machines with no C library, take scipy's ``m @ z``,
+    `_SCIPY_COLUMNS` columns at a time: each column of the product is the
+    same bit for bit in any block.
     """
     z = np.ascontiguousarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] != m.shape[1]:
@@ -355,7 +376,8 @@ def sparse_matmul(m, z: np.ndarray, out: np.ndarray) -> np.ndarray:
                          f"C-contiguous float64 {shape} array")
     lib = bl._native() if _native_operator(m) else None
     if lib is not None:
-        lib.sparse_matmul(m.format == "csc", shape[0], m.shape[1], shape[1],
+        csc = m.format == "csc"
+        lib.sparse_matmul(csc, csc and m.has_sorted_indices, shape[0], m.shape[1], shape[1],
                           m.indptr.ctypes.data, m.indices.ctypes.data, m.data.ctypes.data,
                           z.ctypes.data, out.ctypes.data, bl._threads_for(m.nnz * shape[1]))
         return out

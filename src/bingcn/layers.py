@@ -17,9 +17,13 @@ compute ``bin(H) x bin(W)`` and agree within float tolerance:
 
 * count route — XNOR/popcount over the packed sign words
   (`bitlinalg.bin_gemm`, in C, or its exact float32 numpy fallback)
-  gives each path's integer counts K = t - 2 * mismatches (int16 for
-  t < 2**15), and `graph.aggregate` scales each term as
-  ``(K * beta) * alpha`` where it reads it, so no float product is held.
+  gives the propagated path's integer counts K = t - 2 * mismatches
+  (int16 for t < 2**15), and `graph.aggregate` adds ``(v * beta) * K``
+  for each stored entry v of the operator and scales each output entry
+  by alpha once, so no float product is held. A self path's row is read
+  once, by its own output row, so the aggregation counts it there from
+  the packed input and adds its ``(K * beta) * alpha``: no self path's
+  counts are held.
   It is used for every input that arrives binarized (a
   `bitlinalg.PackedBinMatrix`), as a binarized layer's inference input
   always does. In training the model passes layer 0's fixed input that
@@ -86,9 +90,14 @@ BN_MOMENTUM = 0.9
 # summed over the threads that gather them.
 _GATHER_BYTES = 1 << 20
 # Draws a planned dropout mask skips with `advance` rather than drawing
-# them: one `advance` and one `random` call cost about as much as this
-# many draws.
-_SKIP_DRAWS = 1024
+# them. A skip costs one `advance`, one more `random` call and `np.take`
+# (1.4-4.1 us on a 2-vCPU VM: 600-1700 draws at 2.4 ns a draw). On the
+# Cora-shaped train plan (540 of 2709 rows, 64 columns) the planned draw
+# read 4-16 % slower than the whole draw at 1024, and 1-3 % at 1280 in
+# five timings of six (9 % in one). On the PubMed-shaped one (339 of
+# 19716 rows) it read 0.75-0.80 ms at 1024, 0.77-0.81 ms at 1280 and
+# 0.89-0.94 ms at 2048, against 2.9 ms for the whole draw.
+_SKIP_DRAWS = 1280
 # Multiply-adds below which a float product stays on the calling thread
 # (`_split`), where a thread pool would cost more than it saves. On a
 # 2-vCPU VM with one BLAS thread, one thread against two (each call
@@ -517,7 +526,10 @@ def backward(
         grad_self = np.zeros((n, m))
         grad_self[adj.out_at] = grad_out
     grad_zetas = [grad_self] * (len(cache.weights) - 1)
-    grad_zetas.append(sparse_matmul(adj.matrix.T, grad_out, _take(ws, "out", (n, m))))
+    # The transpose's columns hold the operator's rows: sorted ids where those are.
+    p_t = adj.matrix.T
+    p_t.has_sorted_indices = adj.matrix.has_sorted_indices
+    grad_zetas.append(sparse_matmul(p_t, grad_out, _take(ws, "out", (n, m))))
     binarized = cache.beta is not None
     if binarized:
         # (beta * operand)^T grad_zeta for every path in one product, the row

@@ -467,6 +467,29 @@ class TestNativeSparseMatmul:
                 assert np.array_equal(_bits(sparse_matmul(m, z, fresh)), expected)
         assert native_calls and set(native_calls) == {"sparse_matmul"}
 
+    def test_a_csc_range_reads_its_rows_alone_or_scans(self, native_calls, monkeypatch):
+        # With sorted row ids a thread binary-searches each column for its
+        # rows; without, it scans the column. Either way every output row is
+        # the one-thread row, and scipy's, bit for bit.
+        monkeypatch.setattr(bl, "_MIN_THREADED_WORK", 0)
+        for m in self.operators():
+            if m.format != "csc":
+                continue
+            unsorted = m.copy()  # each column's entries reversed: the same terms
+            for j in range(m.shape[1]):
+                col = slice(m.indptr[j], m.indptr[j + 1])
+                unsorted.indices[col] = m.indices[col][::-1]
+                unsorted.data[col] = m.data[col][::-1]
+            unsorted.has_sorted_indices = False
+            assert m.has_sorted_indices
+            for op in (m, unsorted):
+                z = self.operand(op.shape[1], 8)
+                expected = _bits(op @ z)
+                for t in (1, 2, 3, 4):
+                    monkeypatch.setattr(bl, "_threads", lambda t=t: t)
+                    out = np.full((op.shape[0], 8), np.nan)
+                    assert np.array_equal(_bits(sparse_matmul(op, z, out)), expected), t
+
     def test_above_the_threshold(self, native_calls, monkeypatch):
         for m in self.operators(n=3000, isolated=100, edges_per_node=3):
             z = self.operand(m.shape[1], 80)

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from bingcn import bitlinalg as bl
 from bingcn import layers as L
@@ -400,26 +401,39 @@ def test_a_binarized_inference_pass_takes_its_input_packed(family):
     assert out.shape == (6, 3) and isinstance(cache.operand, bl.PackedBinMatrix)
 
 
+def counted_aggregate(adj, h, weights):
+    """Oracle of a binarized layer's count route, in its order: every path's
+    counts (`bl.bin_gemm` into an integer array); the last path's as a
+    float product with the operator whose stored entries v_ij are scaled
+    once to v_ij * beta_j (`aggregate` of floats), then scaled by its
+    alpha; each self path's float product ``(K * beta) * alpha`` (`bl.bin_gemm`
+    with no `out`) added at the output rows' input rows `out_at`."""
+    adj = adj if isinstance(adj, NormalizedAdjacency) else NormalizedAdjacency(adj)
+    w_bins = [bl.binarize_columns(w) for w in weights]
+    counts = bl.bin_gemm(h, w_bins[-1], np.empty((h.rows, w_bins[-1].rows),
+                                                 bl.count_dtype(h.cols)))
+    m = adj.matrix
+    scaled = sp.csr_matrix((m.data * h.scalars[m.indices], m.indices, m.indptr), m.shape)
+    out = aggregate(NormalizedAdjacency(scaled), counts.astype(np.float64)) * w_bins[-1].scalars
+    for w in w_bins[:-1]:
+        zeta = bl.bin_gemm(h, w)
+        out = (zeta if adj.out_at is None else zeta[adj.out_at]) + out
+    return out
+
+
 def float_route_logits(model, prop, x, plan=None):
-    """Oracle of a binarized family's inference logits: every path's float
-    product `bl.bin_gemm`, `aggregate`, the self paths' rows added at
-    `out_at`, then inference batch norm and `bl.binarize_rows` between
-    layers, each hidden output held whole."""
+    """Oracle of a binarized family's inference logits: each layer's
+    `counted_aggregate`, then inference batch norm and `bl.binarize_rows`
+    between layers, each hidden output held whole."""
     h = model.prepare_input(x, plan)
     p = model.family.paths
     for i in range(model.n_layers):
-        op = prop if plan is None else plan.ops[i]
-        adj = op if isinstance(op, NormalizedAdjacency) else NormalizedAdjacency(op)
         if i > 0:
             if model.bn_states:
                 h, _ = batch_norm_forward(h, False, model.bn_states[i - 1])
             h = bl.binarize_rows(h)
-        zetas = [bl.bin_gemm(h, bl.binarize_columns(w))
-                 for w in model.weights[i * p:(i + 1) * p]]
-        out = aggregate(adj, zetas[-1])
-        for zeta in zetas[:-1]:
-            out = (zeta if adj.out_at is None else zeta[adj.out_at]) + out
-        h = out
+        h = counted_aggregate(prop if plan is None else plan.ops[i], h,
+                              model.weights[i * p:(i + 1) * p])
     return h
 
 
@@ -485,9 +499,31 @@ class TestCountRoute:
         x = model.graph_input(g)
         weights = model.weights[:model.family.paths]
         out, _ = forward(prop, x, weights, binarized=True, training=True)
-        adj = prop if isinstance(prop, NormalizedAdjacency) else NormalizedAdjacency(prop)
-        zetas = [bl.bin_gemm(x, bl.binarize_columns(w)) for w in weights]
-        assert np.array_equal(out, sum(zetas[:-1], aggregate(adj, zetas[-1])))
+        assert np.array_equal(out, counted_aggregate(prop, x, weights))
+
+
+@pytest.mark.parametrize("hidden", [False, True])
+def test_a_self_path_holds_no_counts(route, hidden):
+    # A bisage inference layer counts its self path's rows where the
+    # aggregation reads them, so it peaks as high as the same layer without
+    # that path: not one more (n, m) int16 array of counts.
+    n, t, m = 20000, 70, 64
+    rng = np.random.default_rng(44)
+    g = random_graph(rng, n, t, edge_factor=1)
+    prop, x = neighbor_mean_matrix(g), bl.binarize_rows(g.x)
+    weights = [rng.uniform(-1, 1, size=(t, m)) for _ in range(2)]
+
+    def peak(paths):
+        forward(prop, x, paths, binarized=True, hidden=hidden)  # what a first call allocates
+        tracemalloc.start()
+        try:
+            forward(prop, x, paths, binarized=True, hidden=hidden)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    counts = n * m * 2
+    assert peak(weights) < peak(weights[1:]) + counts // 2, counts
 
 
 def _recorded_ranges(monkeypatch) -> list[int]:
@@ -505,11 +541,11 @@ def _recorded_ranges(monkeypatch) -> list[int]:
 
 class TestThreadCount:
     """Counting, aggregating and binarizing split over 1-4 threads, every call
-    split, give the float route's logits bit for bit; so do gcn's float
-    products, split by their output rows."""
+    split, give the float route's logits bit for bit, as the numpy route
+    does; so do gcn's float products, split by their output rows."""
 
     @pytest.mark.parametrize("family", ["bigcn", "bisage"])
-    @pytest.mark.parametrize("t", [65, 1433])
+    @pytest.mark.parametrize("t", [65, 1433, 2 ** 15])
     def test_count_route_logits(self, monkeypatch, family, t):
         if bl._native() is None:
             pytest.skip("the C kernel did not build on this host")
@@ -523,6 +559,10 @@ class TestThreadCount:
             for plan, expected in zip(plans, want):
                 logits, _ = model.forward(prop, x, plan=plan)
                 assert np.array_equal(logits, expected), (threads, plan is None)
+        monkeypatch.setattr(bl, "_native", lambda: None)
+        for plan, expected in zip(plans, want):
+            logits, _ = model.forward(prop, x, plan=plan)
+            assert np.array_equal(logits, expected), ("numpy", plan is None)
 
     @pytest.mark.parametrize("route", ["full", "rows", "gather"])
     @pytest.mark.parametrize("d, m, n, at_four", [
