@@ -252,22 +252,25 @@ def _aggregate_counts(adj: NormalizedAdjacency, z: bl.SignCounts, out: np.ndarra
 def _scaled_product(m, z: bl.SignCounts, at: np.ndarray, out: np.ndarray) -> np.ndarray:
     """`aggregate`'s numpy route, in the C library's order: scipy's product
     of the CSR `m`, each stored entry v_ij scaled once to v_ij * beta_j, and
-    the last path's counts, a block of rows of at most `_SCALED_ENTRIES`
-    stored entries and `_SCIPY_COLUMNS` columns at a time, scaled by alpha;
+    the last path's counts, `_SCIPY_COLUMNS` columns and a block of rows of
+    at most `_SCALED_ENTRIES` stored entries at a time, scaled by alpha;
     then each other path's float product at the input rows `at`, counted
     by `bl.bin_gemm` in row blocks, added as a layer adds them."""
     x, last = z.x, z.weights[-1]
     n_blocks = max(1, min(-(-m.nnz // _SCALED_ENTRIES), m.shape[0]))
     bounds = np.linspace(0, m.shape[0], n_blocks + 1).round().astype(int).tolist()
-    for r0, r1 in zip(bounds, bounds[1:]):
-        p0, p1 = m.indptr[r0], m.indptr[r1]
-        ids = m.indices[p0:p1]
-        part = sp.csr_matrix((m.data[p0:p1] * x.scalars[ids], ids, m.indptr[r0:r1 + 1] - p0),
-                             shape=(r1 - r0, m.shape[1]))
-        for j in range(0, out.shape[1], _SCIPY_COLUMNS):
-            cols = slice(j, j + _SCIPY_COLUMNS)
-            out[r0:r1, cols] = part @ z.counts[:, cols].astype(np.float64)
-            out[r0:r1, cols] *= last.scalars[cols]
+    for j in range(0, out.shape[1], _SCIPY_COLUMNS):
+        cols = slice(j, j + _SCIPY_COLUMNS)
+        counts = z.counts[:, cols].astype(np.float64)
+        for r0, r1 in zip(bounds, bounds[1:]):
+            p0, p1 = m.indptr[r0], m.indptr[r1]
+            ids = m.indices[p0:p1]
+            values = np.take(x.scalars, ids)
+            values *= m.data[p0:p1]
+            part = sp.csr_matrix((values, ids, m.indptr[r0:r1 + 1] - p0),
+                                 shape=(r1 - r0, m.shape[1]))
+            out[r0:r1, cols] = part @ counts
+        out[:, cols] *= last.scalars[cols]
     for w in z.weights[:-1]:
         for start in range(0, at.size, bl._BLOCK_ROWS):
             rows = at[start:start + bl._BLOCK_ROWS]
