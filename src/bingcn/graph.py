@@ -224,8 +224,8 @@ def _aggregate_counts(adj: NormalizedAdjacency, z: bl.SignCounts, out: np.ndarra
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError(f"aggregate writes a C-contiguous float64 {shape} array")
-    at = np.arange(shape[0]) if adj.out_at is None else adj.out_at  # the self paths' rows
     if lib is None:
+        at = np.arange(shape[0]) if adj.out_at is None else adj.out_at  # the self paths' rows
         out = _scaled_product(m, z, at, out)
         return bl.binarize_rows(out, standardize) if binarize else out
     words = scalars = None
@@ -236,7 +236,7 @@ def _aggregate_counts(adj: NormalizedAdjacency, z: bl.SignCounts, out: np.ndarra
     self_bt = np.array([w.words.T for w in z.weights[:-1]], np.uint64).reshape(-1, nw, k)
     counts, f = np.ascontiguousarray(z.counts), np.ascontiguousarray(x.words, dtype=np.uint64)
     alpha = np.stack([w.scalars for w in z.weights])
-    self_at = None if adj.out_at is None else np.ascontiguousarray(at, dtype=np.int32)
+    self_at = None if adj.out_at is None else np.ascontiguousarray(adj.out_at, dtype=np.int32)
     arrays = (self_at, out, *bl._standardize_args(standardize, k), words, scalars)
     bl._check_binarized(lib.aggregate_counts(
         m.indptr.ctypes.data, m.indices.ctypes.data, m.data.ctypes.data, shape[0], k, paths,
