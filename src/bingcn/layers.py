@@ -276,20 +276,16 @@ def _product(h: np.ndarray, w: np.ndarray, adj: NormalizedAdjacency, route: str,
         return _matmul(h, w, out)
     rows = adj.in_rows
     k, m = w.shape
-    min_rows = bl._BLAS_EXACT_SLICE // (k * m) + 1
     if route == "rows":
-        padded = max(rows.size, min_rows)
-        if m == 1 or padded >= adj.n_nodes:
-            padded, at = adj.n_nodes, rows
-        elif padded == rows.size:
+        padded = operand_rows(rows.size, k, m, adj.n_nodes)
+        if padded == rows.size:
             return _matmul(h, w, out)
-        else:
-            at = np.arange(rows.size)
+        at = rows if padded == adj.n_nodes else np.arange(rows.size)
         operand = np.zeros((padded, k)) if ws is None else ws.take("padded", (padded, k))
         operand[at] = h
         product = _matmul(operand, w, _take(ws, "padded_product", (padded, m)))
         return np.take(product, at, axis=0, out=out)
-    blocks = _block_bounds(rows.size, k * h.itemsize, min_rows)
+    blocks = _block_bounds(rows.size, k * h.itemsize, bl._BLAS_EXACT_SLICE // (k * m) + 1)
     most = max(stop - start for start, stop in blocks)  # the rows gathered at once
 
     def blocks_of(r0: int, r1: int) -> list[tuple[int, int]]:
@@ -306,6 +302,16 @@ def _product(h: np.ndarray, w: np.ndarray, adj: NormalizedAdjacency, route: str,
     bl._fan_out(run, _split(rows.size, rows.size * k * m, m, lambda r0, r1: k * m * min(
         stop - start for start, stop in blocks_of(r0, r1))))
     return out
+
+
+def operand_rows(n_rows: int, k: int, m: int, n_nodes: int) -> int:
+    """The rows of the operand that `_product` multiplies by a (k, m) `w` on
+    the "rows" route, for `n_rows` input rows of `n_nodes`: the rows
+    themselves, padded up to BLAS's general-kernel bound, or `n_nodes`
+    where it takes the all-node operand (the padding would reach it, or
+    `w` has one column)."""
+    padded = max(n_rows, bl._BLAS_EXACT_SLICE // (k * m) + 1)
+    return n_nodes if m == 1 or padded >= n_nodes else padded
 
 
 def _split(units: int, work: int, m: int, slice_work) -> list[tuple[int, int]]:
@@ -599,17 +605,32 @@ def batch_norm_forward(h: np.ndarray, training: bool, stats: tuple[np.ndarray, n
 
 
 def batch_norm_backward(cache: BatchNormCache, grad_out: np.ndarray,
-                        ws: Workspace | None = None) -> np.ndarray:
-    """Backward through training-mode standardization (batch statistics)."""
-    n = grad_out.shape[0]
+                        ws: Workspace | None = None,
+                        rows: np.ndarray | None = None) -> np.ndarray:
+    """Backward through training-mode standardization (batch statistics).
+
+    With sorted `rows`, `grad_out` holds the incoming gradient's rows
+    `rows` alone, and every other row's is zero: its column sums over
+    those rows, in row order, are the whole gradient's bit for bit, since
+    a zero row adds nothing to numpy's row-sequential axis-0 sum. Every
+    other row of the result is ``((0 - mean_g) - y * mean_gy) * inv_std``,
+    so it is the whole gradient's backward with no whole gradient built.
+    """
     y = cache.normalized
-    scratch = _take(ws, "scratch", y.shape)
-    mean_g = grad_out.mean(axis=0)
-    mean_gy = (np.multiply(grad_out, y, out=scratch).mean(axis=0) if n > 1
-               else np.zeros(grad_out.shape[1]))
-    y_term = np.multiply(y, mean_gy, out=scratch)
+    n = y.shape[0]
+    y_in = y if rows is None else np.take(y, rows, axis=0,
+                                          out=_take(ws, "scratch", grad_out.shape))
+    mean_g = grad_out.sum(axis=0) / n
+    mean_gy = (np.multiply(grad_out, y_in, out=_take(ws, "scratch", grad_out.shape))
+               .sum(axis=0) / n if n > 1 else np.zeros(grad_out.shape[1]))
+    y_term = np.multiply(y, mean_gy, out=_take(ws, "scratch", y.shape))
     # Into the normalized input's role: y_term was its last reader.
-    grad = np.subtract(grad_out, mean_g, out=_take(ws, "normalized", y.shape))
+    grad = _take(ws, "normalized", y.shape)
+    if rows is None:
+        np.subtract(grad_out, mean_g, out=grad)
+    else:
+        np.subtract(0.0, mean_g, out=grad)
+        grad[rows] = grad_out - mean_g
     grad -= y_term
     grad *= cache.inv_std
     return grad

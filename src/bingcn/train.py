@@ -9,8 +9,12 @@ the whole trace bit for bit.
 A validation pass computes only the rows its mask's loss reads (a
 `graph.RowPlan`, built once per `train()`): inference batch norm uses
 a running (mean, variance) pair, so rows are independent. So does a
-training step, unless the family batch-normalizes a hidden layer's
-input: batch statistics read every row. For the same weights the mask's logits and
+training step (`Model.step_plan`). Where the family batch-normalizes a
+hidden layer's input, whose batch statistics read every row, the step
+computes every row up to the last batch norm and plans the last layer
+alone; the batch norm's backward reads that layer's input gradient at
+the plan's rows. Where the last layer's product would take an all-node
+operand anyway, that step stays full. For the same weights the mask's logits and
 loss are the full pass's bit for bit, except where BLAS may round gcn's
 layer-0 product of gathered rows differently: a gathered product too
 small for BLAS's general kernel, or one of a single column
@@ -64,8 +68,10 @@ class Family:
     backward: str
     paths: int  # weight matrices per layer
     # Hidden layer inputs get training-mode batch norm, whose statistics
-    # read every row: a training step computes all rows. Inference uses
-    # the running statistics, so a validation pass never needs all rows.
+    # read every row: a training step computes all rows up to the last
+    # batch norm, and plans the last layer alone (`Model.step_plan`).
+    # Inference uses the running statistics, so a validation pass never
+    # needs all rows.
     full_pass: bool = False
     binarized: bool = True  # False: float product, ReLU on hidden layers
     neighbor_mean: bool = False  # propagate by neighbor mean, not normalized A + I
@@ -172,20 +178,44 @@ class Model:
         """The first layer's input for features `x`.
 
         For a binarized family: `x` standardized with `input_stats`
-        (`fit_input`, or a model file) and binarized, in row
-        blocks, so only the packed signs and row scalars are held; with a
-        row plan, only the rows layer 0 reads. For gcn: `x` itself, whose
-        layer reads the rows it needs.
+        (`fit_input`, or a model file) and binarized, in row blocks, so
+        only the packed signs and row scalars are held; with a row plan
+        that covers layer 0, only the rows layer 0 reads. For gcn: `x`
+        itself, whose layer reads the rows it needs.
         """
         if not self.family.binarized:
             return x
         if not isinstance(x, bl.PackedBinMatrix):
             x = bl.binarize_rows(x, bl.standardizer(*self.input_stats))
-        rows = None if plan is None else plan.rows[0]
-        if rows is None or x.rows == rows.size:  # all rows needed, or gathered already
-            return x
-        return bl.PackedBinMatrix(rows=rows.size, cols=x.cols, words=x.words[rows],
-                                  scalars=x.scalars[rows])
+        if self._plan_start(plan) > 0 or x.rows == plan.rows[0].size:
+            return x  # all rows needed, or gathered already
+        return _rows_of(x, plan.rows[0])
+
+    def _plan_start(self, plan: RowPlan | None) -> int:
+        """The first layer a row plan covers (`n_layers` for no plan)."""
+        if plan is not None and len(plan.ops) > self.n_layers:
+            raise ValueError(f"a row plan of {len(plan.ops)} layers for a model of "
+                             f"{self.n_layers}")
+        return self.n_layers - (0 if plan is None else len(plan.ops))
+
+    def step_plan(self, prop, mask: np.ndarray) -> RowPlan | None:
+        """The row plan of `prop` a training step for `mask` runs on; None:
+        a full step.
+
+        Training-mode batch norm (`Family.full_pass`) reads every row, so
+        such a family's plan covers the last layer alone, the one after
+        the last batch norm. It keeps the full step where that layer's
+        product would multiply the all-node operand anyway
+        (`layers.operand_rows`): there the plan would add a gather and the
+        memory of the padded operand to the step and save little.
+        """
+        if not self.family.full_pass:
+            return row_plan(prop, mask, self.n_layers)
+        plan = row_plan(prop, mask, 1)
+        k, m = self.config.widths[-2:]
+        if plan is None or L.operand_rows(plan.rows[0].size, k, m, mask.size) == mask.size:
+            return None
+        return plan
 
     def forward(self, prop, x, training: bool = False,
                 rng: np.random.Generator | None = None,
@@ -196,8 +226,11 @@ class Model:
         `x` is the float feature matrix or its `prepare_input`, which
         `train` computes once and reuses. With `workspaces` (one per
         layer) the pass writes into their arrays, overwriting the last
-        pass's logits and caches. With a row plan of `prop` for a mask,
-        layer l computes only the plan's rows l + 1, and the logits are
+        pass's logits and caches. A row plan of `prop` for a mask covers
+        every layer or the trailing ones (`step_plan`): the layers before
+        it run whole, its first layer reads the plan's rows 0 of their
+        output (after the batch norm, where the family has one), its
+        layer j computes only the plan's rows j + 1, and the logits are
         the mask's rows, in node order.
 
         A binarized family's inference pass hands each hidden layer's
@@ -207,14 +240,17 @@ class Model:
         forward = getattr(L, self.family.forward)
         p = self.family.paths
         packs = self.family.binarized and not training
+        start = self._plan_start(plan)
         h = self.prepare_input(x, plan)
         caches = []
         for i in range(self.n_layers):
             ws = workspaces[i] if workspaces is not None else None
-            layer_prop = prop if plan is None else plan.ops[i]
+            layer_prop = prop if i < start else plan.ops[i - start]
             bn_cache = None
             if i > 0 and self.bn_states and not packs:
                 h, bn_cache = L.batch_norm_forward(h, training, self.bn_states[i - 1], ws=ws)
+            if 0 < i == start:
+                h = _rows_of(h, plan.rows[0], ws)
             hidden = i < self.n_layers - 1
             h, cache = forward(layer_prop, h, self.weights[i * p:(i + 1) * p],
                                binarized=self.family.binarized, training=training,
@@ -227,21 +263,31 @@ class Model:
     def backward(self, prop, caches, grad_logits,
                  workspaces: list[L.Workspace] | None = None,
                  plan: RowPlan | None = None) -> list[np.ndarray]:
-        """Weight gradients, in the order of `weights`; `plan` as in the forward."""
+        """Weight gradients, in the order of `weights`; `plan` as in the forward.
+
+        The first planned layer's input gradient holds the plan's rows 0
+        alone; the whole layer before it takes zeros at every other row,
+        which the batch norm's backward reads from those rows alone.
+        """
         backward = getattr(L, self.family.backward)
         p = self.family.paths
+        start = self._plan_start(plan)
         grads = [None] * len(self.weights)
         grad = grad_logits
         for i in reversed(range(self.n_layers)):
             ws = workspaces[i] if workspaces is not None else None
             cache, bn_cache = caches[i]
-            layer_prop = prop if plan is None else plan.ops[i]
-            grad_h, grads[i * p:(i + 1) * p] = backward(
+            layer_prop = prop if i < start else plan.ops[i - start]
+            grad, grads[i * p:(i + 1) * p] = backward(
                 cache, layer_prop, grad, ste_mode=self.config.ste_mode,
                 need_input_grad=i > 0, ws=ws)
-            if i > 0:
-                grad = (grad_h if bn_cache is None
-                        else L.batch_norm_backward(bn_cache, grad_h, ws=ws))
+            rows = plan.rows[0] if 0 < i == start else None
+            if bn_cache is not None:
+                grad = L.batch_norm_backward(bn_cache, grad, ws=ws, rows=rows)
+            elif rows is not None:
+                whole = np.zeros((plan.ops[0].n_nodes, grad.shape[1]))
+                whole[rows] = grad
+                grad = whole
         return grads
 
     def update(self, weights: list[np.ndarray]) -> None:
@@ -279,6 +325,16 @@ def propagation_operator(family: Family, graph: AttributedGraph,
     return adj if adj is not None else normalize_adjacency(graph)
 
 
+def _rows_of(h, rows: np.ndarray, ws: L.Workspace | None = None):
+    """Rows `rows` of a layer input `h`, packed or float (a float one into
+    `ws`'s "in_rows" role, where given)."""
+    if isinstance(h, bl.PackedBinMatrix):
+        return bl.PackedBinMatrix(rows=rows.size, cols=h.cols, words=h.words[rows],
+                                  scalars=h.scalars[rows])
+    out = None if ws is None else ws.take("in_rows", (rows.size, h.shape[1]))
+    return np.take(h, rows, axis=0, out=out)
+
+
 def _targets(labels: np.ndarray, mask: np.ndarray, plan: RowPlan | None):
     """(labels, mask) of the rows a pass with `plan`, `mask`'s row plan, computes."""
     if plan is None:
@@ -310,9 +366,8 @@ def train(config: ModelConfig, graph: AttributedGraph,
     Returns the model restored to its best-validation checkpoint along
     with the per-epoch metric trace and the test accuracy at that
     checkpoint. Identical seeds give bit-identical traces. The validation
-    pass runs on its mask's row plan, and so does the training step
-    unless the family needs full training passes; the test evaluation is
-    a full pass.
+    pass runs on its mask's row plan, and the training step on
+    `Model.step_plan`'s; the test evaluation is a full pass.
     """
     if graph.n_features != config.widths[0]:
         raise ValueError(f"widths[0]={config.widths[0]} does not match feature dim "
@@ -329,8 +384,7 @@ def train(config: ModelConfig, graph: AttributedGraph,
     prop = propagation_operator(model.family, graph, adj)
     opt = AdamState.for_params(model.weights)
     x = model.fit_input(graph)
-    train_plan = (None if model.family.full_pass else
-                  row_plan(prop, graph.train_mask, model.n_layers))
+    train_plan = model.step_plan(prop, graph.train_mask)
     val_plan = row_plan(prop, graph.val_mask, model.n_layers)
     x_train, x_val = (model.prepare_input(x, plan) for plan in (train_plan, val_plan))
     train_labels, train_mask = _targets(graph.labels, graph.train_mask, train_plan)

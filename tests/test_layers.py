@@ -1061,6 +1061,24 @@ class TestBatchNorm:
         assert np.abs(analytic - fd).max() < 1e-4
 
 
+    @pytest.mark.parametrize("ws", [None, Workspace()], ids=["no-ws", "ws"])
+    def test_backward_from_planned_rows_is_the_scattered_backward(self, ws):
+        # A row plan's incoming gradient holds its rows alone; every other
+        # row's is zero. Gradients of magnitudes 1e-5 to 1e5 make the column
+        # sums round at every addition.
+        rng = np.random.default_rng(29)
+        for n, n_rows in ((1, 1), (2, 1), (300, 0), (300, 7), (300, 299), (3000, 339)):
+            h = rng.standard_normal((n, 64)) * 3.0 + 1.5
+            rows = np.sort(rng.choice(n, n_rows, replace=False))
+            grad_rows = rng.standard_normal((n_rows, 64)) * 10 ** rng.uniform(-5, 5, (n_rows, 1))
+            whole = np.zeros((n, 64))
+            whole[rows] = grad_rows
+            _, cache = batch_norm_forward(h, True, fresh_stats(64))
+            want = batch_norm_backward(cache, whole)
+            _, cache = batch_norm_forward(h, True, fresh_stats(64), ws)
+            got = batch_norm_backward(cache, grad_rows, ws, rows=rows)
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("route", ["native", "numpy"])
     @pytest.mark.parametrize("ws", [None, Workspace()], ids=["no-ws", "ws"])
     def test_training_statistics_are_the_column_moments(self, route, ws, monkeypatch):

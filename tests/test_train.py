@@ -504,8 +504,9 @@ def test_a_pass_calls_its_family_layer_function_once_per_layer(monkeypatch, fami
     g = sparse_sbm(seed=4)
     prop = propagation_operator(net.family, g)
     x = net.fit_input(g)
-    plans = [None] if net.family.full_pass else [None, row_plan(prop, g.train_mask,
-                                                                 net.n_layers)]
+    # A plan of every layer, and one of the last layer alone, as a
+    # batch-normalizing family's training step runs.
+    plans = [None, *(row_plan(prop, g.train_mask, n) for n in (net.n_layers, 1))]
     for plan in plans:
         calls.clear()
         logits, caches = net.forward(prop, net.prepare_input(x, plan), training=True,
@@ -543,40 +544,76 @@ def test_a_full_forward_aggregates_once_per_layer(monkeypatch, family):
 
 
 class TestRowPlans:
-    """Every family's validation pass, and the training step of bigcn and
-    gcn, run on row plans."""
+    """Every family's validation pass and training step run on row plans;
+    bisage's step on a plan of its last layer alone."""
 
     @pytest.mark.parametrize("model", ["bigcn", "gcn", "bisage"])
     def test_planned_passes_match_the_full_pass(self, model):
+        # Hidden width 16 multiplies the last layer's rows in an all-node
+        # operand, 1024 in one padded to BLAS's general-kernel bound.
         g = sparse_sbm(seed=12)
-        net = Model(ModelConfig(widths=[24, 16, 3], model=model), np.random.default_rng(12))
-        prop = propagation_operator(net.family, g)
-        x = net.fit_input(g)
-        # A training pass moves the hidden batch norm's running statistics off
-        # their initial zeros and ones.
-        net.forward(prop, x, training=True, rng=np.random.default_rng(11))
-        for mask in (g.train_mask, g.val_mask):
-            plan = row_plan(prop, mask, net.n_layers)
-            assert plan.rows[0].size < g.n_nodes
-            full, _ = net.forward(prop, x)
-            part, _ = net.forward(prop, net.prepare_input(x, plan), plan=plan)
-            assert np.array_equal(part, full[mask])
-            assert evaluate(net, prop, g, mask, x, plan=plan) == evaluate(net, prop, g, mask, x)
+        for hidden in (16, 1024):
+            net = Model(ModelConfig(widths=[24, hidden, 3], model=model),
+                        np.random.default_rng(12))
+            prop = propagation_operator(net.family, g)
+            x = net.fit_input(g)
+            # A training pass moves the hidden batch norm's running statistics
+            # off their initial zeros and ones.
+            net.forward(prop, x, training=True, rng=np.random.default_rng(11))
+            for mask in (g.train_mask, g.val_mask):
+                # Every layer, and the last alone: the layer before runs whole.
+                for plan in (row_plan(prop, mask, n) for n in (net.n_layers, 1)):
+                    self.check_planned_passes(net, prop, g, x, mask, plan)
+
+    @staticmethod
+    def check_planned_passes(net, prop, g, x, mask, plan):
+        assert plan.rows[0].size < g.n_nodes
+        full, _ = net.forward(prop, x)
+        part, _ = net.forward(prop, net.prepare_input(x, plan), plan=plan)
+        assert np.array_equal(part, full[mask])
+        assert evaluate(net, prop, g, mask, x, plan=plan) == evaluate(net, prop, g, mask, x)
+        if net.family.full_pass and len(plan.ops) == net.n_layers:
+            return  # its training step normalizes with statistics of every row
+        rngs = [np.random.default_rng(13), np.random.default_rng(13)]
+        full, caches = net.forward(prop, x, training=True, rng=rngs[0])
+        part, caches_p = net.forward(prop, net.prepare_input(x, plan), training=True,
+                                     rng=rngs[1], plan=plan)
+        assert np.array_equal(part, full[mask])
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+        loss, grad = masked_softmax_xent(full, g.labels, mask)
+        loss_p, grad_p = masked_softmax_xent(part, g.labels[mask], np.ones(mask.sum(), bool))
+        assert loss == loss_p
+        grads = net.backward(prop, caches, grad)
+        grads_p = net.backward(prop, caches_p, grad_p, plan=plan)
+        for got, want in zip(grads_p, grads):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("model", MODEL_KINDS)
+    def test_a_step_plans_the_layers_its_batch_norm_leaves(self, model):
+        # bisage's batch norm reads every row, so its step plans the last
+        # layer alone, where that layer's product multiplies fewer rows than
+        # the graph has: at hidden width 1024 on the sparse graph (a padded
+        # operand of 326 of 600 rows), not on the dense graph (180 rows) nor
+        # at width 16, where `_product` takes the all-node operand anyway.
+        for graph, hidden, planned in ((sparse_sbm(seed=21), 1024, True),
+                                       (small_sbm(seed=21), 1024, False),
+                                       (sparse_sbm(seed=21), 16, False)):
+            net = Model(ModelConfig(widths=[24, hidden, 3], model=model),
+                        np.random.default_rng(21))
+            prop = propagation_operator(net.family, graph)
+            plan = net.step_plan(prop, graph.train_mask)
+            want = row_plan(prop, graph.train_mask, net.n_layers)  # None on the dense graph
             if net.family.full_pass:
-                continue  # its training step normalizes with statistics of every row
-            rngs = [np.random.default_rng(13), np.random.default_rng(13)]
-            full, caches = net.forward(prop, x, training=True, rng=rngs[0])
-            part, caches_p = net.forward(prop, net.prepare_input(x, plan), training=True,
-                                         rng=rngs[1], plan=plan)
-            assert np.array_equal(part, full[mask])
-            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
-            loss, grad = masked_softmax_xent(full, g.labels, mask)
-            loss_p, grad_p = masked_softmax_xent(part, g.labels[mask], np.ones(mask.sum(), bool))
-            assert loss == loss_p
-            grads = net.backward(prop, caches, grad)
-            grads_p = net.backward(prop, caches_p, grad_p, plan=plan)
-            for got, want in zip(grads_p, grads):
-                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+                want = row_plan(prop, graph.train_mask, 1)
+                n_rows = L.operand_rows(want.rows[0].size, hidden, 3, graph.n_nodes)
+                assert (want.rows[0].size < n_rows < graph.n_nodes) == planned
+                if not planned:
+                    assert plan is None
+                    continue
+            assert (plan is None) == (want is None)
+            if want is not None:
+                assert len(plan.ops) == len(want.ops)
+                assert all(np.array_equal(a, b) for a, b in zip(plan.rows, want.rows))
 
     @pytest.mark.parametrize("model", ["bigcn", "gcn"])
     @pytest.mark.parametrize("hidden", [2, 64])
@@ -641,19 +678,20 @@ class TestRowPlans:
 
     @pytest.mark.parametrize("model", ["bigcn", "gcn", "bisage"])
     def test_train_matches_a_loop_of_full_passes(self, model):
-        # bisage normalizes a hidden layer with statistics of every row, so
-        # its training step stays full; its validation pass runs on a row
-        # plan, and its trace is the loop's bit for bit. The others match in
-        # the first training loss; later values carry the summation order of
-        # the weight gradients.
-        assert FAMILIES[model].full_pass == (model == "bisage")
+        # Every family's training step runs on a row plan here: bisage's
+        # covers its last layer alone, after the hidden batch norm, whose
+        # statistics read every row. The first training loss is the loop's
+        # bit for bit; later values carry the summation order of the weight
+        # gradients.
         g = sparse_sbm(seed=14)
-        config = ModelConfig(widths=[24, 16, 3], model=model, seed=14, max_epochs=3,
+        config = ModelConfig(widths=[24, 1024, 3], model=model, seed=14, max_epochs=3,
                              patience=3)
         result = train(config, g)
         rng = np.random.default_rng(config.seed)
         net = Model(config, rng)
         prop = propagation_operator(net.family, g)
+        plan = net.step_plan(prop, g.train_mask)
+        assert len(plan.ops) == (1 if FAMILIES[model].full_pass else net.n_layers)
         x = net.fit_input(g)
         opt = AdamState.for_params(net.weights)
         loop = []
@@ -663,9 +701,6 @@ class TestRowPlans:
             train_acc = masked_accuracy(logits, g.labels, g.train_mask)
             loop.append((epoch, train_loss, train_acc, val_loss, val_acc))
         trace = trace_tuples(result)
-        if model == "bisage":
-            assert trace == loop
-        else:
-            assert trace[0][:3] == loop[0][:3]
-            for got, want in zip(trace, loop):
-                assert got == pytest.approx(want, rel=1e-9)
+        assert trace[0][:3] == loop[0][:3]
+        for got, want in zip(trace, loop):
+            assert got == pytest.approx(want, rel=1e-9)
